@@ -22,7 +22,7 @@ from .problems import (
     ProblemMetadata,
 )
 from .rng import RandomSource
-from .sets import NuclearNormBall, Simplex
+from .sets import NuclearNormBall
 
 SQRT_SHIFT = 1e-12  # restores smoothness of the deviation objective at zero variance
 
@@ -450,16 +450,3 @@ def two_level_tracking_problem(d=5, p=4, value_noise=0.5, jac_noise=0.5, data_se
         Level(p, 1, f2, j2, f2_exact, j2_exact, samples=space),
     ]
     return CompositionalProblem(levels, name="two_level_tracking")
-
-
-def default_feasible_set(problem_spec):
-    """The natural set for a problem config section (simplex unless matrix)."""
-    name = problem_spec["name"]
-    if name == "single_index":
-        return NuclearNormBall(problem_spec["m"], problem_spec["n"], problem_spec["s"])
-    if name in ("mean_variance", "mean_deviation"):
-        source = problem_spec["source"]
-        if source["kind"] == "synthetic":
-            return Simplex(source["d"])
-        raise ValueError("set dimension for file-backed data is known after loading")
-    return Simplex(len(problem_spec["c"]))

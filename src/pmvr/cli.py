@@ -19,7 +19,6 @@ import numpy as np
 from . import __version__
 from .benchmarks import (
     SingleIndexConfig,
-    default_feasible_set,
     mean_deviation_problem,
     mean_variance_problem,
     quadratic_distance_problem,
@@ -86,14 +85,28 @@ def build_problem(spec):
 
 
 def build_feasible_set(set_spec, problem_spec):
+    """The set a config's ``set`` section names, or None when it names none.
+
+    A simplex spans the problem's flattened point, whose length the problem
+    section gives; for a data file it is the file's asset count, so the
+    file is read here as well.
+    """
     if set_spec is None:
         return None
     kind = set_spec["kind"]
-    if kind == "simplex":
-        return None  # same as the default for every shipped problem family
     if kind == "box":
         return Box(np.asarray(set_spec["lower"]), np.asarray(set_spec["upper"]))
-    return NuclearNormBall(set_spec["m"], set_spec["n"], set_spec["radius"])
+    if kind == "nuclear_ball":
+        return NuclearNormBall(set_spec["m"], set_spec["n"], set_spec["radius"])
+    name = problem_spec["name"]
+    if name == "single_index":
+        return Simplex(problem_spec["m"] * problem_spec["n"])
+    if name == "quadratic_distance":
+        return Simplex(len(problem_spec["c"]))
+    source = problem_spec["source"]
+    if source["kind"] == "synthetic":
+        return Simplex(source["d"])
+    return Simplex(load_french_csv(source["path"], sentinel_policy=source["sentinel_policy"]).d)
 
 
 def build_schedule(cfg, problem):
@@ -113,20 +126,14 @@ def build_schedule(cfg, problem):
             criterion, batch_mode, sched["eps"], constants=constants,
             strong_convexity=lam, beta=cfg.beta,
         )
-        overrides = sched.get("overrides", {})
-        if overrides and isinstance(out, SolverParams):
-            fields = {k: v for k, v in overrides.items() if k in ("eta", "alpha")}
-            ints = {k: int(v) for k, v in overrides.items() if k in ("b0", "b1")}
+        overrides = dict(sched["overrides"])
+        if overrides:
+            n = overrides.pop("n", None)
             if "t" in overrides:
-                ints["iters"] = int(overrides["t"])
-            out = replace(out, **fields, **ints)
-            if "n" in overrides and out.subsolver is not None:
-                out = replace(
-                    out,
-                    subsolver=QuadraticSubsolver(
-                        coeff=out.subsolver.coeff, inner_iters=int(overrides["n"])
-                    ),
-                )
+                overrides["iters"] = overrides.pop("t")
+            out = replace(out, **overrides)
+            if n is not None and out.subsolver is not None:
+                out = replace(out, subsolver=replace(out.subsolver, inner_iters=n))
         return out
     if sched["mode"] == "explicit":
         block = sched["explicit"]
@@ -153,10 +160,16 @@ def build_schedule(cfg, problem):
 
 
 def execute_rep(cfg, seed):
-    """One full solver run for one repetition seed; returns the trace."""
+    """One full solver run for one repetition seed; returns (trace, schedule)."""
     problem, fset, x1 = build_problem(cfg.problem)
     override = build_feasible_set(cfg.set_spec, cfg.problem)
     if override is not None:
+        if override.shape != problem.x_shape:
+            raise ConfigError(
+                "set",
+                f"set shape {override.shape} does not match the problem's "
+                f"point shape {problem.x_shape}",
+            )
         fset = override
         x1 = fset.project(x1)
     schedule = build_schedule(cfg, problem)
@@ -174,7 +187,7 @@ def execute_rep(cfg, seed):
         result = stagewise_run(problem, fset, schedule, x1, rng, trace=trace_cfg)
     else:
         result = pmvr_run(problem, fset, schedule, x1, rng, trace=trace_cfg)
-    return result.trace
+    return result.trace, schedule
 
 
 def aggregate_rows(traces):
@@ -242,9 +255,11 @@ def run_config(cfg):
     seeds = [cfg.seed + i for i in range(cfg.reps)]
     if cfg.jobs > 1 and cfg.reps > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
-            traces = list(pool.map(execute_rep, [cfg] * len(seeds), seeds))
+            results = list(pool.map(execute_rep, [cfg] * len(seeds), seeds))
     else:
-        traces = [execute_rep(cfg, seed) for seed in seeds]
+        results = [execute_rep(cfg, seed) for seed in seeds]
+    traces = [trace for trace, _ in results]
+    schedule = results[0][1]  # built from the config and problem alone
     paths = []
     for idx, trace in enumerate(traces):
         path = os.path.join(cfg.out, f"{cfg.name}_rep{idx:02d}.csv")
@@ -264,7 +279,7 @@ def run_config(cfg):
             "resolved": {
                 "problem": cfg.problem,
                 "algorithm": cfg.algorithm,
-                "schedule": _describe_schedule(cfg),
+                "schedule": _describe_schedule(schedule),
                 "beta": cfg.beta,
                 "seeds": seeds,
                 "metric_every": cfg.metric_every,
@@ -277,9 +292,7 @@ def run_config(cfg):
     return paths, agg_path, meta_path
 
 
-def _describe_schedule(cfg):
-    problem, _, _ = build_problem(cfg.problem)
-    schedule = build_schedule(cfg, problem)
+def _describe_schedule(schedule):
     if isinstance(schedule, SolverParams):
         return _params_dict(schedule)
     return {

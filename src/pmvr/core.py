@@ -17,14 +17,6 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-def as_point(x):
-    """Coerce to a float64 array and reject non-finite entries."""
-    p = np.asarray(x, dtype=np.float64)
-    if not np.all(np.isfinite(p)):
-        raise ValueError("point contains NaN or Inf entries")
-    return p
-
-
 def check_same_shape(x, y):
     if x.shape != y.shape:
         raise ShapeMismatchError(f"shape mismatch: {x.shape} vs {y.shape}")

@@ -41,8 +41,12 @@ class ConfigError(ValueError):
     """Configuration problem, carrying the offending field's path."""
 
     def __init__(self, path, message):
-        super().__init__(f"{path}: {message}")
+        # both arguments stay in args, so the error survives a process pool
+        super().__init__(path, message)
         self.path = path
+
+    def __str__(self):
+        return f"{self.args[0]}: {self.args[1]}"
 
 
 class ParseError(ValueError):
@@ -263,15 +267,17 @@ def _no_unknown(section, allowed, path):
             raise ConfigError(f"{path}.{key}" if path else key, "unknown key")
 
 
-def _check_range(value, path, kind, lo=None, hi=None, lo_open=False, hi_open=False):
+def _check_range(value, path, kind, lo=None, hi=None, lo_open=False):
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if kind is float and not isinstance(value, (int, float)):
         raise ConfigError(path, f"expected a number, got {value!r}")
     v = kind(value)
+    if not math.isfinite(v):
+        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if lo is not None and (v <= lo if lo_open else v < lo):
         raise ConfigError(path, f"value {v} out of range")
-    if hi is not None and (v >= hi if hi_open else v > hi):
+    if hi is not None and v > hi:
         raise ConfigError(path, f"value {v} out of range")
     return v
 
@@ -344,24 +350,29 @@ def _validate_problem(section):
     return out
 
 
-def _validate_params_block(block, path, require_subsolver=False):
-    allowed = {"eta", "alpha", "b0", "b1", "t", "n", "coeff"}
+# schedule parameters: name -> (type, lower bound, upper bound, lower bound open)
+PARAM_FIELDS = {
+    "eta": (float, 0.0, 1.0, False),
+    "alpha": (float, 0.0, 1.0, True),
+    "b0": (int, 1, None, False),
+    "b1": (int, 1, None, False),
+    "t": (int, 1, None, False),
+    "n": (int, 1, None, False),
+    "coeff": (float, 0.0, None, True),
+}
+
+
+def _validate_params(block, path, required=(), allowed=tuple(PARAM_FIELDS)):
+    """Check a block of schedule parameters against PARAM_FIELDS."""
+    if not isinstance(block, dict):
+        raise ConfigError(path, "expected an object")
     _no_unknown(block, allowed, path)
-    out = {
-        "eta": _check_range(_require(block, "eta", path), f"{path}.eta", float, lo=0.0, hi=1.0),
-        "alpha": _check_range(
-            _require(block, "alpha", path), f"{path}.alpha", float, lo=0.0, hi=1.0, lo_open=True
-        ),
-        "b0": _check_range(block.get("b0", 1), f"{path}.b0", int, lo=1),
-        "b1": _check_range(_require(block, "b1", path), f"{path}.b1", int, lo=1),
-        "t": _check_range(_require(block, "t", path), f"{path}.t", int, lo=1),
-    }
-    if "n" in block:
-        out["n"] = _check_range(block["n"], f"{path}.n", int, lo=1)
-    if "coeff" in block:
-        out["coeff"] = _check_range(block["coeff"], f"{path}.coeff", float, lo=0.0, lo_open=True)
-    if require_subsolver and "n" not in out:
-        raise ConfigError(f"{path}.n", "this algorithm needs inner iterations n")
+    for key in required:
+        _require(block, key, path)
+    out = {}
+    for key, value in block.items():
+        kind, lo, hi, lo_open = PARAM_FIELDS[key]
+        out[key] = _check_range(value, f"{path}.{key}", kind, lo=lo, hi=hi, lo_open=lo_open)
     return out
 
 
@@ -412,29 +423,40 @@ def _validate_schedule(section, algorithm):
             float, lo=0.0, hi=1.0, lo_open=True,
         )
         constants = section.get("constants", {})
+        if not isinstance(constants, dict):
+            raise ConfigError("schedule.constants", "expected an object")
+        # order constants scale the schedule's terms, so any positive value fits
         _no_unknown(
             constants, {"eta", "alpha", "b0", "b1", "t", "n", "eps1"},
             "schedule.constants",
         )
-        out["constants"] = {k: float(v) for k, v in constants.items()}
-        overrides = section.get("overrides", {})
-        _no_unknown(overrides, {"eta", "alpha", "b0", "b1", "t", "n"}, "schedule.overrides")
+        out["constants"] = {
+            k: _check_range(v, f"schedule.constants.{k}", float, lo=0.0, lo_open=True)
+            for k, v in constants.items()
+        }
+        overrides = _validate_params(
+            section.get("overrides", {}), "schedule.overrides",
+            allowed=("eta", "alpha", "b0", "b1", "t", "n"),
+        )
         if overrides and is_stage_thm:
             raise ConfigError(
                 "schedule.overrides", "overrides apply to single-run schedules only"
             )
-        out["overrides"] = dict(overrides)
+        out["overrides"] = overrides
         if "modulus" in section:
             out["modulus"] = _check_range(
                 section["modulus"], "schedule.modulus", float, lo=0.0, lo_open=True
             )
     elif mode == "explicit":
         _no_unknown(section, {"explicit"}, "schedule")
-        out["explicit"] = _validate_params_block(
-            section["explicit"], "schedule.explicit",
-            require_subsolver=(algorithm == "pmvr-v2"),
+        explicit = _validate_params(
+            section["explicit"], "schedule.explicit", required=("eta", "alpha", "b1", "t")
         )
-        if algorithm == "pmvr-v2" and "coeff" not in out["explicit"]:
+        explicit.setdefault("b0", 1)
+        out["explicit"] = explicit
+        if algorithm == "pmvr-v2" and "n" not in explicit:
+            raise ConfigError("schedule.explicit.n", "this algorithm needs inner iterations n")
+        if algorithm == "pmvr-v2" and "coeff" not in explicit:
             raise ConfigError("schedule.explicit.coeff", "pmvr-v2 needs a coefficient")
         if algorithm != "pmvr-v2" and (
             "n" in out["explicit"] or "coeff" in out["explicit"]
@@ -447,38 +469,18 @@ def _validate_schedule(section, algorithm):
         stages = section["stages"]
         if not isinstance(stages, list) or not stages:
             raise ConfigError("schedule.stages", "expected a non-empty list")
-        b0 = _check_range(section.get("b0", 1), "schedule.b0", int, lo=1)
-        out["b0"] = b0
-        out["stages"] = []
-        for idx, st in enumerate(stages):
-            allowed = {"eta", "alpha", "b1", "t"}
-            _no_unknown(st, allowed, f"schedule.stages[{idx}]")
-            out["stages"].append(
-                {
-                    "eta": _check_range(
-                        _require(st, "eta", f"schedule.stages[{idx}]"),
-                        f"schedule.stages[{idx}].eta", float, lo=0.0, hi=1.0,
-                    ),
-                    "alpha": _check_range(
-                        _require(st, "alpha", f"schedule.stages[{idx}]"),
-                        f"schedule.stages[{idx}].alpha", float, lo=0.0, hi=1.0, lo_open=True,
-                    ),
-                    "b1": _check_range(
-                        _require(st, "b1", f"schedule.stages[{idx}]"),
-                        f"schedule.stages[{idx}].b1", int, lo=1,
-                    ),
-                    "t": _check_range(
-                        _require(st, "t", f"schedule.stages[{idx}]"),
-                        f"schedule.stages[{idx}].t", int, lo=1,
-                    ),
-                }
+        out.update(_validate_params(
+            {k: v for k, v in section.items() if k != "stages"}, "schedule",
+            allowed=("b0", "n", "coeff"),
+        ))
+        out.setdefault("b0", 1)
+        out["stages"] = [
+            _validate_params(
+                st, f"schedule.stages[{idx}]", required=("eta", "alpha", "b1", "t"),
+                allowed=("eta", "alpha", "b1", "t"),
             )
-        if "n" in section:
-            out["n"] = _check_range(section["n"], "schedule.n", int, lo=1)
-        if "coeff" in section:
-            out["coeff"] = _check_range(
-                section["coeff"], "schedule.coeff", float, lo=0.0, lo_open=True
-            )
+            for idx, st in enumerate(stages)
+        ]
         if algorithm == "stagewise-v2" and ("n" not in out or "coeff" not in out):
             raise ConfigError(
                 "schedule", "stagewise-v2 stages need n and coeff for the subsolver"

@@ -60,6 +60,18 @@ def _batch_chain_products(problem, chain_inputs, batches):
     return acc / b
 
 
+def _level_batches(problem, rng, t, size):
+    """One batch per level for iteration t, from the substream (level, t).
+
+    Each level owns its substream, so the order of the draws does not
+    change any batch.
+    """
+    return [
+        sample_batch(level, rng.split(i * STREAM_LEVEL_STRIDE + t).generator, size)
+        for i, level in enumerate(problem.levels, start=1)
+    ]
+
+
 def init_trackers(problem, x1, b0, rng, alpha, counters=None, sweep=False):
     """Plain B0-sample mini-batch means along the chain u^0 = x1.
 
@@ -72,17 +84,14 @@ def init_trackers(problem, x1, b0, rng, alpha, counters=None, sweep=False):
     if b0 < 1:
         raise ValueError("initialization batch size must be >= 1")
     k = problem.k
+    if sweep:
+        batches = [level.samples.all_samples() for level in problem.levels]
+        b0 = len(batches[-1])
+    else:
+        batches = _level_batches(problem, rng, 0, b0)
     chain = [problem.flatten(x1)]
     u = []
-    batches = []
-    for i, level in enumerate(problem.levels, start=1):
-        if sweep:
-            batch = level.samples.all_samples()
-            b0 = len(batch)
-        else:
-            gen = rng.split(i * STREAM_LEVEL_STRIDE + 0).generator
-            batch = sample_batch(level, gen, b0)
-        batches.append(batch)
+    for i, (level, batch) in enumerate(zip(problem.levels, batches), start=1):
         u_i = _batch_values(level, chain[-1], batch)
         u.append(u_i)
         if i < k:

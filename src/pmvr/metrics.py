@@ -51,7 +51,10 @@ def expected_baseline_sfo(t, k, b):
 
 def fw_gap(problem, fset, x):
     """max over the set of <x_hat - x, -grad F(x)>, attained at the LMO point."""
-    g = exact_gradient(problem, x)
+    return _fw_gap(fset, x, exact_gradient(problem, x))
+
+
+def _fw_gap(fset, x, g):
     z = fset.lmo(g)
     gap = inner(np.asarray(x, dtype=np.float64) - z, g)
     if gap < -1e-9:
@@ -61,10 +64,13 @@ def fw_gap(problem, fset, x):
 
 def gradient_mapping(problem, fset, x, beta=1.0):
     """||beta * (x - proj(x - grad F(x)/beta))||^2."""
+    return _gradient_mapping(fset, x, exact_gradient(problem, x), beta)
+
+
+def _gradient_mapping(fset, x, g, beta):
     if beta <= 0:
         raise ValueError("beta must be positive")
     x = np.asarray(x, dtype=np.float64)
-    g = exact_gradient(problem, x)
     p = fset.project(x - g / beta)
     d = beta * (x - p)
     return float(np.vdot(d, d))

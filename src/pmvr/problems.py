@@ -69,11 +69,6 @@ class Level:
 class ProblemMetadata:
     """Optional known constants; schedules fall back to user-supplied scales."""
 
-    lipschitz_value: Optional[float] = None
-    lipschitz_jacobian: Optional[float] = None
-    sigma: Optional[float] = None
-    sigma_jacobian: Optional[float] = None
-    delta_f: Optional[float] = None
     f_star: Optional[float] = None
     strong_convexity: Optional[float] = None
     notes: dict = field(default_factory=dict)
@@ -142,7 +137,11 @@ def objective(problem, x):
 
 def exact_gradient(problem, x):
     """Gradient of F at x via the chain product at exact inner values."""
-    values = exact_inner_values(problem, x)
+    return _chain_gradient(problem, x, exact_inner_values(problem, x))
+
+
+def _chain_gradient(problem, x, values):
+    """Exact-Jacobian chain product at x and its inner values [y^1 .. y^K]."""
     chain_inputs = [problem.flatten(x)] + values[:-1]
     factors = [
         np.asarray(level.exact_jacobian(u), dtype=np.float64)

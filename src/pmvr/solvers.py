@@ -1,13 +1,15 @@
 """Projection-free variance-reduced solvers and their parameter schedules.
 
-The outer loop updates the STORM trackers on shared per-level batches,
-asks the feasible set for a direction (plain LMO, or the quadratic
-Frank-Wolfe subsolver when a curvature coefficient is configured), and
-moves by a convex combination, so every iterate stays feasible by
-construction. A stage-wise driver re-runs the loop with per-stage
-parameters, warm-starting the iterate and both trackers from the previous
-stage. Parameter schedules turn a target accuracy into concrete constants
-for each convergence criterion, with every order constant overridable.
+Every solver is a list of (stage tag, params) stages run by one driver
+with a step function. The pmvr step updates the STORM trackers on shared
+per-level batches, asks the feasible set for a direction (plain LMO, or
+the quadratic Frank-Wolfe subsolver when a curvature coefficient is
+configured), and moves by a convex combination, so every iterate stays
+feasible by construction. The stage-wise solver runs one stage per target
+accuracy, warm-starting the iterate and both trackers from the previous
+stage; the projected baseline is a different step over one stage.
+Parameter schedules turn a target accuracy into concrete constants for
+each convergence criterion, with every order constant overridable.
 """
 
 from __future__ import annotations
@@ -15,27 +17,25 @@ from __future__ import annotations
 import math
 import time
 import warnings
-from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from dataclasses import dataclass, field
+from typing import Optional
 
 import numpy as np
 
 from .data_io import TraceRow
 from .estimators import (
+    GradientTracker,
+    ValueTrackers,
     _batch_chain_products,
     _batch_values,
+    _level_batches,
     init_trackers,
     storm_gradient_update,
     storm_value_update,
 )
-from .metrics import OracleCounters, fw_gap, gradient_mapping, optimal_gap
-from .problems import (
-    FiniteSamples,
-    exact_gradient,
-    objective,
-    sample_batch,
-)
-from .rng import STREAM_LEVEL_STRIDE, STREAM_POWER_BASE, STREAM_TAU_BASE
+from .metrics import OracleCounters, _fw_gap, _gradient_mapping
+from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
+from .rng import STREAM_POWER_BASE, STREAM_TAU_BASE
 
 FEASIBILITY_TOL = 1e-6
 
@@ -55,7 +55,6 @@ class QuadraticSubsolver:
 
     coeff: float
     inner_iters: int
-    gamma: Callable[[int], float] = classic_gamma
 
     def __post_init__(self):
         if self.coeff <= 0:
@@ -106,11 +105,18 @@ class StageSchedule:
 
 @dataclass
 class SolverState:
+    """Iterate, oracle counters and the step's trackers.
+
+    pmvr keeps the STORM trackers and the previous chain point; the
+    baseline keeps its moving averages in ``trackers.u`` and its last
+    mini-batch gradient in ``gradient.v``.
+    """
+
     x: np.ndarray
-    trackers: object
-    gradient: object
-    prev_chain: list
     counters: OracleCounters
+    trackers: Optional[ValueTrackers] = None
+    gradient: Optional[GradientTracker] = None
+    prev_chain: Optional[list] = None
     t: int = 0
     warned_batch: bool = False
 
@@ -122,7 +128,6 @@ class TraceConfig:
     collect_tau: bool = True
     track_gradient_error: bool = False
     keep_iterates: bool = True
-    f_star_ref: Optional[float] = None
 
 
 @dataclass
@@ -132,7 +137,6 @@ class RunResult:
     x_final: np.ndarray
     tau: Optional[int] = None
     x_tau: Optional[np.ndarray] = None
-    trackers_tau: Optional[tuple] = None
     iterates: list = field(default_factory=list)
     gradient_errors: Optional[np.ndarray] = None
     stage_ends: list = field(default_factory=list)
@@ -162,19 +166,45 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None, rng=None):
     return w
 
 
-def _init_state(problem, fset, params, x1, rng):
+def _feasible_state(fset, x1):
     x1 = np.asarray(x1, dtype=np.float64).copy()
     if not fset.contains(x1, FEASIBILITY_TOL):
         raise FeasibilityError("initial point is infeasible")
-    counters = OracleCounters()
-    trackers, gradient = init_trackers(
-        problem, x1, params.b0, rng, params.alpha, counters
+    return SolverState(x=x1, counters=OracleCounters())
+
+
+def _init_state(problem, fset, params, x1, rng):
+    state = _feasible_state(fset, x1)
+    state.trackers, state.gradient = init_trackers(
+        problem, state.x, params.b0, rng, params.alpha, state.counters
     )
-    prev_chain = [problem.flatten(x1)] + list(trackers.u[: problem.k - 1])
-    return SolverState(
-        x=x1, trackers=trackers, gradient=gradient,
-        prev_chain=prev_chain, counters=counters,
-    )
+    return state
+
+
+def _init_baseline_state(problem, fset, params, x1, rng):
+    state = _feasible_state(fset, x1)
+    state.trackers = ValueTrackers(u=[None] * problem.k, alpha=params.alpha)
+    state.gradient = GradientTracker(v=None, alpha=params.alpha)
+    return state
+
+
+def _draw_batches(state, problem, b, rng):
+    """Per-level batches of size b for the next iteration.
+
+    Warns once per run when b exceeds a finite dataset, since the batch is
+    then drawn with replacement.
+    """
+    if not state.warned_batch:
+        for level in problem.levels:
+            if isinstance(level.samples, FiniteSamples) and b > level.samples.size:
+                warnings.warn(
+                    f"batch size {b} exceeds dataset size "
+                    f"{level.samples.size}; sampling with replacement",
+                    stacklevel=3,
+                )
+                state.warned_batch = True
+                break
+    return _level_batches(problem, rng, state.t + 1, b)
 
 
 def pmvr_step(state, problem, fset, params, rng):
@@ -187,23 +217,9 @@ def pmvr_step(state, problem, fset, params, rng):
     k = problem.k
     t = state.t + 1
     first = t == 1
+    batches = _draw_batches(state, problem, params.b1, rng)
     new_chain = [problem.flatten(state.x)]
-    batches = []
-    for i, level in enumerate(problem.levels, start=1):
-        if (
-            isinstance(level.samples, FiniteSamples)
-            and params.b1 > level.samples.size
-            and not state.warned_batch
-        ):
-            warnings.warn(
-                f"batch size {params.b1} exceeds dataset size "
-                f"{level.samples.size}; sampling with replacement",
-                stacklevel=2,
-            )
-            state.warned_batch = True
-        gen = rng.split(i * STREAM_LEVEL_STRIDE + t).generator
-        batch = sample_batch(level, gen, params.b1)
-        batches.append(batch)
+    for i, batch in enumerate(batches, start=1):
         u_new_prev = new_chain[i - 1]
         u_old_prev = u_new_prev if first else state.prev_chain[i - 1]
         u_i = storm_value_update(
@@ -223,7 +239,7 @@ def pmvr_step(state, problem, fset, params, rng):
     else:
         z = quadratic_fw_subsolve(
             v, state.x, params.subsolver.coeff, params.subsolver.inner_iters,
-            fset, gamma=params.subsolver.gamma, rng=power_gen,
+            fset, rng=power_gen,
         )
         state.counters.lmo += params.subsolver.inner_iters
 
@@ -236,105 +252,87 @@ def pmvr_step(state, problem, fset, params, rng):
     return state
 
 
+def _baseline_step(state, problem, fset, params, rng):
+    """Moving-average inner values, a mini-batch chain gradient at them, and
+    a projected gradient step; costs K*B1 SFO calls and no LMO call."""
+    k = problem.k
+    t = state.t + 1
+    batches = _draw_batches(state, problem, params.b1, rng)
+    averages = state.trackers.u
+    alpha = state.trackers.alpha
+    chain = [problem.flatten(state.x)]
+    for i, (level, batch) in enumerate(zip(problem.levels, batches)):
+        mean_i = _batch_values(level, chain[-1], batch)
+        prev = averages[i]
+        averages[i] = mean_i if prev is None else (1.0 - alpha) * prev + alpha * mean_i
+        if i < k - 1:
+            chain.append(averages[i])
+    state.gradient.v = problem.unflatten(_batch_chain_products(problem, chain, batches))
+    state.counters.sfo += k * params.b1
+    x_new = fset.project(state.x - params.eta * state.gradient.v)
+    if not fset.contains(x_new, FEASIBILITY_TOL):
+        raise FeasibilityError(f"baseline iterate infeasible at iteration {t}")
+    state.x = x_new
+    state.t = t
+    return state
+
+
 def _metric_row(problem, fset, state, cfg, stage, t0):
+    """Trace row from one exact pass: F(x) and grad F(x), then every criterion."""
+    seconds = time.perf_counter() - t0
     x = state.x
-    f_star = cfg.f_star_ref
-    if f_star is None:
-        f_star = problem.metadata.f_star
-    opt = None if f_star is None else optimal_gap(problem, x, f_star)
+    values = exact_inner_values(problem, x)
+    f = float(values[-1][0])
+    g = _chain_gradient(problem, x, values)
+    f_star = problem.metadata.f_star
     return TraceRow(
         iteration=state.t,
         stage=stage,
-        seconds=time.perf_counter() - t0,
+        seconds=seconds,
         sfo=state.counters.sfo,
         lmo=state.counters.lmo,
-        objective=objective(problem, x),
-        fw_gap=fw_gap(problem, fset, x),
-        grad_map=gradient_mapping(problem, fset, x, cfg.beta),
+        objective=f,
+        fw_gap=_fw_gap(fset, x, g),
+        grad_map=_gradient_mapping(fset, x, g, cfg.beta),
         beta=cfg.beta,
-        opt_gap=opt,
+        opt_gap=None if f_star is None else f - float(f_star),
     )
 
 
-def _run_segment(state, problem, fset, params, rng, cfg, stage, t0,
-                 rows, iterates, grad_errors, tau_local=None):
-    every = cfg.metric_every if cfg.metric_every else max(1, params.iters // 200)
-    snapshot = None
-    for j in range(1, params.iters + 1):
-        x_pre = state.x
-        pmvr_step(state, problem, fset, params, rng)
-        if grad_errors is not None:
-            diff = state.gradient.v - exact_gradient(problem, x_pre)
-            grad_errors.append(float(np.vdot(diff, diff)))
-        if tau_local is not None and j == tau_local:
-            snapshot = (
-                x_pre.copy(),
-                [u.copy() for u in state.trackers.u],
-                state.gradient.v.copy(),
-            )
-        if cfg.keep_iterates:
-            iterates.append(state.x.copy())
-        if j % every == 0 or j == params.iters:
-            rows.append(_metric_row(problem, fset, state, cfg, stage, t0))
-    return snapshot
+def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
+    """The one outer loop: run (stage tag, params) stages in order.
 
-
-def pmvr_run(problem, fset, params, x1, rng, trace=None):
-    """Initialize trackers, run T iterations, and draw the returned index.
-
-    The uniform index tau comes from a dedicated substream so the metric
-    cadence cannot perturb the solver's sample draws. The trace records the
-    exact criteria at the configured cadence; the full iterate history is
-    kept so downstream plots do not depend on tau.
+    ``init(problem, fset, params, x1, rng)`` builds the state with the first
+    stage's params; ``step`` advances it by one iteration. Row 0 (tag 0)
+    records x1; a stage then emits a row every ``metric_every`` iterations
+    (default T/200) and at its end. Each stage continues from the previous
+    one's state, taking over only its momentum alpha, and ends with an
+    (x, u, v, t) snapshot. ``tau`` names an iteration of the first stage
+    whose starting point is kept as ``x_tau``.
     """
     cfg = trace if trace is not None else TraceConfig()
     t0 = time.perf_counter()
-    state = _init_state(problem, fset, params, x1, rng)
+    state = init(problem, fset, stages[0][1], x1, rng)
     rows = [_metric_row(problem, fset, state, cfg, 0, t0)]
     iterates = [state.x.copy()] if cfg.keep_iterates else []
     grad_errors = [] if cfg.track_gradient_error else None
-    tau = None
-    if cfg.collect_tau:
-        tau_gen = rng.split(STREAM_TAU_BASE + 0).generator
-        tau = int(tau_gen.integers(1, params.iters + 1))
-    snapshot = _run_segment(
-        state, problem, fset, params, rng, cfg, 0, t0,
-        rows, iterates, grad_errors, tau_local=tau,
-    )
-    return RunResult(
-        trace=rows,
-        state=state,
-        x_final=state.x,
-        tau=tau,
-        x_tau=None if snapshot is None else snapshot[0],
-        trackers_tau=None if snapshot is None else (snapshot[1], snapshot[2]),
-        iterates=iterates,
-        gradient_errors=None if grad_errors is None else np.asarray(grad_errors),
-    )
-
-
-def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
-    """Sequential stages warm-starting the iterate and both trackers.
-
-    Initialization happens once, before stage 1; every later stage continues
-    from the previous stage's final state (never re-initialized). Stage
-    boundaries are tagged in the trace, and per-stage end snapshots are
-    returned for inspection.
-    """
-    cfg = trace if trace is not None else TraceConfig(collect_tau=False)
-    t0 = time.perf_counter()
-    state = _init_state(problem, fset, schedule.stages[0], x0, rng)
-    rows = [_metric_row(problem, fset, state, cfg, 0, t0)]
-    iterates = [state.x.copy()] if cfg.keep_iterates else []
-    grad_errors = [] if cfg.track_gradient_error else None
+    x_tau = None
     stage_ends = []
-    for s, params in enumerate(schedule.stages, start=1):
-        state.trackers.alpha = params.alpha
-        state.gradient.alpha = params.alpha
-        _run_segment(
-            state, problem, fset, params, rng, cfg, s, t0,
-            rows, iterates, grad_errors,
-        )
+    for tag, params in stages:
+        state.trackers.alpha = state.gradient.alpha = params.alpha
+        every = cfg.metric_every or max(1, params.iters // 200)
+        for j in range(1, params.iters + 1):
+            x_pre = state.x
+            step(state, problem, fset, params, rng)
+            if grad_errors is not None:
+                diff = state.gradient.v - exact_gradient(problem, x_pre)
+                grad_errors.append(float(np.vdot(diff, diff)))
+            if j == tau:
+                x_tau = x_pre.copy()
+            if cfg.keep_iterates:
+                iterates.append(state.x.copy())
+            if j % every == 0 or j == params.iters:
+                rows.append(_metric_row(problem, fset, state, cfg, tag, t0))
         stage_ends.append(
             (
                 state.x.copy(),
@@ -347,10 +345,41 @@ def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
         trace=rows,
         state=state,
         x_final=state.x,
+        tau=tau,
+        x_tau=x_tau,
         iterates=iterates,
         gradient_errors=None if grad_errors is None else np.asarray(grad_errors),
         stage_ends=stage_ends,
     )
+
+
+def pmvr_run(problem, fset, params, x1, rng, trace=None):
+    """Initialize trackers, run T iterations, and draw the returned index.
+
+    The uniform index tau comes from a dedicated substream so the metric
+    cadence cannot perturb the solver's sample draws. The trace records the
+    exact criteria at the configured cadence; the full iterate history is
+    kept so downstream plots do not depend on tau.
+    """
+    tau = None
+    if trace is None or trace.collect_tau:
+        tau_gen = rng.split(STREAM_TAU_BASE + 0).generator
+        tau = int(tau_gen.integers(1, params.iters + 1))
+    return _run_stages(
+        problem, fset, [(0, params)], x1, rng, trace, _init_state, pmvr_step, tau
+    )
+
+
+def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
+    """Sequential stages warm-starting the iterate and both trackers.
+
+    Initialization happens once, before stage 1; every later stage continues
+    from the previous stage's final state (never re-initialized). Stage
+    boundaries are tagged 1..S in the trace, and per-stage end snapshots are
+    returned for inspection.
+    """
+    stages = list(enumerate(schedule.stages, start=1))
+    return _run_stages(problem, fset, stages, x0, rng, trace, _init_state, pmvr_step)
 
 
 def projected_baseline_run(problem, fset, eta, alpha, b, iters, x1, rng, trace=None):
@@ -361,45 +390,10 @@ def projected_baseline_run(problem, fset, eta, alpha, b, iters, x1, rng, trace=N
     iterate moves by a projected gradient step. Uses the projection oracle,
     so its LMO counter stays at zero.
     """
-    cfg = trace if trace is not None else TraceConfig()
-    t0 = time.perf_counter()
-    x = np.asarray(x1, dtype=np.float64).copy()
-    if not fset.contains(x, FEASIBILITY_TOL):
-        raise FeasibilityError("initial point is infeasible")
-    k = problem.k
-    counters = OracleCounters()
-    state = SolverState(
-        x=x, trackers=None, gradient=None, prev_chain=None, counters=counters
+    params = SolverParams(eta=eta, alpha=alpha, b0=b, b1=b, iters=iters)
+    return _run_stages(
+        problem, fset, [(0, params)], x1, rng, trace, _init_baseline_state, _baseline_step
     )
-    rows = [_metric_row(problem, fset, state, cfg, 0, t0)]
-    iterates = [x.copy()] if cfg.keep_iterates else []
-    every = cfg.metric_every if cfg.metric_every else max(1, iters // 200)
-    averages = [None] * k
-    for t in range(1, iters + 1):
-        chain = [problem.flatten(state.x)]
-        batches = []
-        for i, level in enumerate(problem.levels, start=1):
-            gen = rng.split(i * STREAM_LEVEL_STRIDE + t).generator
-            batch = sample_batch(level, gen, b)
-            batches.append(batch)
-            mean_i = _batch_values(level, chain[-1], batch)
-            prev = averages[i - 1]
-            u_i = mean_i if prev is None else (1.0 - alpha) * prev + alpha * mean_i
-            averages[i - 1] = u_i
-            if i < k:
-                chain.append(u_i)
-        v_hat = problem.unflatten(_batch_chain_products(problem, chain, batches))
-        counters.sfo += k * b
-        x_new = fset.project(state.x - eta * v_hat)
-        if not fset.contains(x_new, FEASIBILITY_TOL):
-            raise FeasibilityError(f"baseline iterate infeasible at iteration {t}")
-        state.x = x_new
-        state.t = t
-        if cfg.keep_iterates:
-            iterates.append(state.x.copy())
-        if t % every == 0 or t == iters:
-            rows.append(_metric_row(problem, fset, state, cfg, 0, t0))
-    return RunResult(trace=rows, state=state, x_final=state.x, iterates=iterates)
 
 
 # --- parameter schedules -------------------------------------------------

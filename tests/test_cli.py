@@ -128,6 +128,62 @@ class TestRun:
         assert cli.main(["run", "--config", path]) == 2
 
 
+    @pytest.mark.parametrize(
+        "schedule, locator",
+        [
+            ({"theorem": "thm1", "eps": 0.1, "overrides": {"eta": 5.0}},
+             "schedule.overrides.eta"),
+            ({"theorem": "thm1", "eps": 0.1, "constants": {"eta": "abc"}},
+             "schedule.constants.eta"),
+            ({"theorem": "thm1", "eps": 0.1, "overrides": {"b1": 2.7}},
+             "schedule.overrides.b1"),
+            ({"theorem": "thm1", "eps": 0.1, "constants": {"eta": float("nan")}},
+             "schedule.constants.eta"),
+        ],
+    )
+    def test_bad_schedule_entry_exits_one_with_locator(self, tmp_path, capsys, schedule, locator):
+        path = write_config(tmp_path, dict(BASE, schedule=schedule, out=str(tmp_path / "o")))
+        assert cli.main(["run", "--config", path]) == 1
+        assert f"error: {locator}:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "problem, set_spec, jobs",
+        [
+            ({"name": "single_index", "m": 4, "n": 4}, {"kind": "simplex"}, 1),
+            (BASE["problem"], {"kind": "box", "lower": [0, 0, 0], "upper": [1, 1, 1]}, 1),
+            (BASE["problem"], {"kind": "box", "lower": [0, 0, 0], "upper": [1, 1, 1]}, 2),
+        ],
+    )
+    def test_set_that_does_not_fit_the_problem_exits_one(
+        self, tmp_path, capsys, problem, set_spec, jobs
+    ):
+        cfg = dict(BASE, problem=problem, set=set_spec, reps=2, jobs=jobs,
+                   out=str(tmp_path / "o"))
+        path = write_config(tmp_path, cfg)
+        assert cli.main(["run", "--config", path]) == 1
+        assert "error: set:" in capsys.readouterr().err
+
+    def test_box_set_of_the_right_shape_runs(self, tmp_path):
+        cfg = dict(BASE, set={"kind": "box", "lower": [0] * 4, "upper": [0.5] * 4},
+                   out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+
+    def test_problem_built_once_per_repetition(self, tmp_path, monkeypatch):
+        calls = []
+        build = cli.build_problem
+
+        def counted(spec):
+            calls.append(spec["name"])
+            return build(spec)
+
+        monkeypatch.setattr(cli, "build_problem", counted)
+        out = str(tmp_path / "runs")
+        assert cli.main(["run", "--config", write_config(tmp_path, dict(BASE, reps=2, out=out))]) == 0
+        assert len(calls) == 2
+        meta = json.load(open(os.path.join(out, "cfg_meta.json")))
+        assert meta["resolved"]["schedule"]["t"] == 30
+
+
 class TestStagewiseConfig:
     def test_stagewise_runs_from_theorem(self, tmp_path):
         out = str(tmp_path / "runs")

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvr.benchmarks import (
     PortfolioData,
@@ -8,7 +10,7 @@ from pmvr.benchmarks import (
     two_level_tracking_problem,
 )
 from pmvr.core import inner
-from pmvr.metrics import expected_lmo, expected_sfo
+from pmvr.metrics import expected_baseline_sfo, expected_lmo, expected_sfo
 from pmvr.problems import (
     CompositionalProblem,
     FiniteSamples,
@@ -431,3 +433,59 @@ def test_variance_reduction_beats_plain_minibatch():
             acc += float(res.gradient_errors[100:].mean())
         errors[alpha] = acc / 10
     assert errors[0.1] < errors[1.0]
+
+
+@settings(max_examples=25, deadline=None)
+@given(
+    k=st.integers(1, 3),
+    b0=st.integers(1, 6),
+    b1s=st.lists(st.integers(1, 4), min_size=1, max_size=3),
+    iters=st.lists(st.integers(1, 5), min_size=3, max_size=3),
+    n_inner=st.one_of(st.none(), st.integers(1, 3)),
+)
+def test_counters_match_closed_forms_for_every_entry_point(k, b0, b1s, iters, n_inner):
+    problem, _ = counted_problem(k)
+    fset = Simplex(3)
+    x1 = np.full(3, 1 / 3)
+    cfg = TraceConfig(collect_tau=False, keep_iterates=False)
+    sub = None if n_inner is None else QuadraticSubsolver(1.0, n_inner)
+    lmo_per_step = 1 if n_inner is None else n_inner
+
+    p = SolverParams(eta=0.1, alpha=0.4, b0=b0, b1=b1s[0], iters=iters[0], subsolver=sub)
+    res = pmvr_run(problem, fset, p, x1, RandomSource(1), trace=cfg)
+    assert res.state.counters.sfo == expected_sfo(p.iters, k, b0, p.b1)
+    assert res.state.counters.lmo == expected_lmo(p.iters, n_inner)
+
+    res = projected_baseline_run(problem, fset, 0.1, 0.4, b1s[0], iters[0], x1,
+                                 RandomSource(2), trace=cfg)
+    assert res.state.counters.sfo == expected_baseline_sfo(iters[0], k, b1s[0])
+    assert res.state.counters.lmo == 0
+
+    ts = sorted(iters[: len(b1s)])
+    stages = [SolverParams(eta=0.1, alpha=0.4, b0=b0, b1=b, iters=t, subsolver=sub)
+              for b, t in zip(b1s, ts)]
+    schedule = StageSchedule(stages=stages, targets=[0.5 ** s for s in range(1, len(stages) + 1)])
+    res = stagewise_run(problem, fset, schedule, x1, RandomSource(3), trace=cfg)
+    want = k * b0 + k * b1s[0] + 2 * (ts[0] - 1) * k * b1s[0]
+    want += sum(2 * t * k * b for b, t in zip(b1s[1:], ts[1:]))
+    assert res.state.counters.sfo == want
+    assert res.state.counters.lmo == sum(ts) * lmo_per_step
+    assert [end[3] for end in res.stage_ends] == list(np.cumsum(ts))
+
+
+def test_metric_row_makes_one_exact_pass():
+    problem, _ = counted_problem(2)
+    calls = []
+    problem.levels = [
+        Level(lv.in_dim, lv.out_dim, lv.value, lv.jacobian,
+              lambda u, f=lv.exact_value: calls.append("value") or f(u),
+              lambda u, f=lv.exact_jacobian: calls.append("jacobian") or f(u),
+              samples=lv.samples)
+        for lv in problem.levels
+    ]
+    params = SolverParams(eta=0.1, alpha=0.4, b0=2, b1=1, iters=3)
+    res = pmvr_run(problem, Simplex(3), params, np.full(3, 1 / 3), RandomSource(4),
+                   trace=TraceConfig(metric_every=1))
+    rows, k = len(res.trace), problem.k
+    assert calls.count("value") == rows * k
+    assert calls.count("jacobian") == rows * k
