@@ -27,7 +27,6 @@ from .rng import RandomSource
 from .sets import (
     Box,
     NuclearNormBall,
-    PowerIterationError,
     Simplex,
     project_simplex,
     top_singular_pair,

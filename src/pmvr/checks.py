@@ -112,7 +112,7 @@ def oracle_suite(seed=0):
         ball = NuclearNormBall(shape[0], shape[1], 1.5)
         for _ in range(13):
             direction = gen.standard_normal(shape)
-            z = ball.lmo(direction, rng=gen)
+            z = ball.lmo(direction)
             sigma_ref = np.linalg.svd(direction, compute_uv=False)[0]
             worst_rel = max(
                 worst_rel, abs(-inner(z, direction) / 1.5 - sigma_ref) / sigma_ref

@@ -488,6 +488,48 @@ def _validate_schedule(section, algorithm):
     return out
 
 
+def _box_bound(set_spec, key):
+    value = _require(set_spec, key, "set")
+    try:
+        bound = np.asarray(value)
+    except ValueError:  # ragged nesting
+        bound = np.asarray(None)
+    if bound.ndim == 0 or bound.size == 0 or bound.dtype.kind not in "iuf":
+        raise ConfigError(f"set.{key}", f"expected a list of numbers, got {value!r}")
+    if not np.all(np.isfinite(bound)):
+        raise ConfigError(f"set.{key}", "expected finite numbers")
+    return bound
+
+
+def _validate_set(set_spec):
+    """Check a ``set`` section's keys and values; the section stays as given."""
+    if not isinstance(set_spec, dict):
+        raise ConfigError("set", "expected an object")
+    kind = set_spec.get("kind")
+    if kind not in ("simplex", "box", "nuclear_ball"):
+        raise ConfigError("set.kind", f"unknown set kind {kind!r}")
+    allowed = {
+        "simplex": {"kind"},
+        "box": {"kind", "lower", "upper"},
+        "nuclear_ball": {"kind", "m", "n", "radius"},
+    }[kind]
+    _no_unknown(set_spec, allowed, "set")
+    if kind == "box":
+        lower, upper = _box_bound(set_spec, "lower"), _box_bound(set_spec, "upper")
+        if lower.shape != upper.shape:
+            raise ConfigError(
+                "set.lower", f"shape {lower.shape} differs from upper's {upper.shape}"
+            )
+        if np.any(lower > upper):
+            raise ConfigError("set.lower", "lower must not exceed upper coordinatewise")
+    elif kind == "nuclear_ball":
+        for key in ("m", "n"):
+            _check_range(_require(set_spec, key, "set"), f"set.{key}", int, lo=1)
+        _check_range(
+            _require(set_spec, "radius", "set"), "set.radius", float, lo=0.0, lo_open=True
+        )
+
+
 def validate_config(data, name="run"):
     """Validate a parsed configuration dict into a RunConfig."""
     if not isinstance(data, dict):
@@ -506,17 +548,7 @@ def validate_config(data, name="run"):
         raise ConfigError("schedule", "the baseline takes explicit parameters only")
     set_spec = data.get("set")
     if set_spec is not None:
-        if not isinstance(set_spec, dict):
-            raise ConfigError("set", "expected an object")
-        kind = set_spec.get("kind")
-        if kind not in ("simplex", "box", "nuclear_ball"):
-            raise ConfigError("set.kind", f"unknown set kind {kind!r}")
-        allowed = {
-            "simplex": {"kind"},
-            "box": {"kind", "lower", "upper"},
-            "nuclear_ball": {"kind", "m", "n", "radius"},
-        }[kind]
-        _no_unknown(set_spec, allowed, "set")
+        _validate_set(set_spec)
     seed = _check_range(_require(data, "seed", ""), "seed", int, lo=0)
     beta = _check_range(data.get("beta", 1.0), "beta", float, lo=0.0, lo_open=True)
     reps = _check_range(data.get("reps", 1), "reps", int, lo=1)

@@ -10,8 +10,7 @@ Stream index conventions used by the solvers:
 
 * ``level * 2**20 + iteration`` -- per-level sample batches (iteration 0 is
   the initialization batch),
-* ``2**40 + stage`` -- the uniform draw of the returned iterate index,
-* ``2**41 + iteration`` -- start vectors for the power-iteration LMO.
+* ``2**40 + stage`` -- the uniform draw of the returned iterate index.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ import numpy as np
 
 STREAM_LEVEL_STRIDE = 2**20
 STREAM_TAU_BASE = 2**40
-STREAM_POWER_BASE = 2**41
 
 
 class RandomSource:

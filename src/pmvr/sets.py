@@ -7,9 +7,10 @@ Each set exposes the four operations the solvers and metrics need:
 * ``contains(p)``  -- membership up to a tolerance,
 * ``diameter``     -- max pairwise Euclidean/Frobenius distance.
 
-The nuclear-ball LMO needs only the top singular pair (computed here by
-power iteration); its projection needs a full SVD, which is acceptable
-because projection sits on the metric path, not the solver's hot path.
+The nuclear-ball LMO needs only the top singular pair, computed here by one
+dense eigensolve of the smaller Gram matrix; its projection needs a full
+SVD, which is acceptable because projection sits on the metric path, not
+the solver's hot path.
 """
 
 from __future__ import annotations
@@ -17,19 +18,6 @@ from __future__ import annotations
 import numpy as np
 
 from .core import ShapeMismatchError
-from .rng import generator_for
-
-
-class PowerIterationError(RuntimeError):
-    """Raised when the power iteration fails to reach tolerance.
-
-    Carries the best residual seen so the caller can inspect how close
-    the iteration got.
-    """
-
-    def __init__(self, message, best_residual):
-        super().__init__(message)
-        self.best_residual = best_residual
 
 
 def project_simplex(p, total=1.0):
@@ -45,81 +33,32 @@ def project_simplex(p, total=1.0):
     return np.maximum(p - theta, 0.0)
 
 
-def top_singular_pair(matrix, tol=1e-8, max_iter=1000, rng=None, block=5,
-                      warm=None):
+def top_singular_pair(matrix):
     """Dominant singular triple (sigma1, u1, v1) of a nonzero matrix.
 
-    Block power iteration on the squared Gram operator of the smaller side,
-    with the leading Ritz pair extracted each sweep. The block resolves
-    near-ties among the top singular values that stall the single-vector
-    method; inputs whose top ``block`` values are all nearly tied may still
-    exhaust ``max_iter``, which is surfaced as an error.
-
-    Convergence is certified on the returned pair by the residuals
-    ||M v - sigma u|| <= tol*sigma (zero by construction of the Ritz pair)
-    and ||M^T u - sigma v|| <= tol*sigma. The start block comes from ``rng``
-    when given, otherwise a fixed pseudo-random direction, so replays are
-    exact either way. ``warm`` is an optional dict carrying the converged
-    block between calls on nearby matrices (the quadratic subsolver's inner
-    loop); it is consulted and updated in place.
+    One dense symmetric eigensolve of the Gram matrix of the smaller side:
+    v1 is its top eigenvector, u1 = M v1 / ||M v1|| and sigma1 = ||M v1||.
+    The matrix is scaled by its largest entry first, so the Gram matrix
+    neither overflows nor underflows at any finite scale. LAPACK either
+    converges or raises ``numpy.linalg.LinAlgError``.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    norm = np.linalg.norm(m)
-    if norm == 0.0:
+    scale = np.abs(m).max(initial=0.0)
+    if scale == 0.0:
         raise ValueError("top_singular_pair is undefined for the zero matrix")
 
-    rows, cols = m.shape
-    transposed = rows < cols
-    a = (m.T if transposed else m) / norm  # fewer columns; scaled against overflow
-    n = a.shape[1]
-    b = max(1, min(block, n))
-    gram = a.T @ a
-    gram = gram @ gram  # squared operator: twice the contraction per sweep
-
-    block_v = None
-    if warm is not None:
-        prev = warm.get("block")
-        if prev is not None and prev.shape == (n, b):
-            block_v = prev
-    if block_v is None:
-        if rng is None:
-            # fixed pseudo-random block: deterministic across calls, and in
-            # generic position unlike structured starts
-            gen = np.random.Generator(np.random.Philox(key=0x9E3779B97F4A7C15))
-        else:
-            gen = generator_for(rng)
-        block_v, _ = np.linalg.qr(gen.standard_normal((n, b)))
-
-    best_residual = np.inf
-    for sweep in range(max_iter):
-        # two applications of the squared Gram operator per orthonormalization;
-        # the scaled spectrum lives in [r^-1/2, 1], so no underflow before QR
-        block_v, _ = np.linalg.qr(gram @ (gram @ block_v))
-        w = a @ block_v
-        p, s, qt = np.linalg.svd(w, full_matrices=False)
-        sigma = s[0]
-        if sigma == 0.0:
-            # span collapsed into the null space; restart from a fresh block
-            gen = np.random.Generator(np.random.Philox(key=0xD1B54A32D192ED03 + sweep))
-            block_v, _ = np.linalg.qr(gen.standard_normal((n, b)))
-            continue
-        u = p[:, 0]
-        v = block_v @ qt[0]
-        residual = np.linalg.norm(a.T @ u - sigma * v)
-        best_residual = min(best_residual, residual)
-        if residual <= tol * sigma:
-            if warm is not None:
-                warm["block"] = block_v
-            if transposed:
-                u, v = v, u
-            return float(sigma * norm), u, v
-    raise PowerIterationError(
-        f"power iteration did not reach tol={tol} within {max_iter} iterations "
-        f"(best residual {best_residual:.3e})",
-        best_residual,
-    )
+    transposed = m.shape[0] < m.shape[1]
+    a = (m.T if transposed else m) / scale  # fewer columns: the smaller Gram
+    _, vecs = np.linalg.eigh(a.T @ a)  # eigenvalues ascending
+    v = vecs[:, -1]
+    av = a @ v
+    sigma = np.linalg.norm(av)
+    u = av / sigma
+    if transposed:
+        u, v = v, u
+    return float(sigma * scale), u, v
 
 
 class FeasibleSet:
@@ -135,7 +74,7 @@ class FeasibleSet:
             )
         return p
 
-    def lmo(self, direction, rng=None, warm=None):
+    def lmo(self, direction):
         raise NotImplementedError
 
     def project(self, point):
@@ -155,7 +94,7 @@ class Simplex(FeasibleSet):
         self.shape = (self.d,)
         self.diameter = np.sqrt(2.0) if d > 1 else 0.0
 
-    def lmo(self, direction, rng=None, warm=None):
+    def lmo(self, direction):
         # vertex at the minimal coordinate; argmin breaks ties to the lowest index
         d = self._check_shape(direction)
         out = np.zeros(self.d)
@@ -183,7 +122,7 @@ class Box(FeasibleSet):
         self.shape = self.lower.shape
         self.diameter = float(np.linalg.norm(self.upper - self.lower))
 
-    def lmo(self, direction, rng=None, warm=None):
+    def lmo(self, direction):
         d = self._check_shape(direction)
         return np.where(d > 0, self.lower, self.upper)
 
@@ -198,7 +137,7 @@ class Box(FeasibleSet):
 class NuclearNormBall(FeasibleSet):
     """Matrices in R^{m x n} with nuclear norm at most ``radius``."""
 
-    def __init__(self, m, n, radius, power_tol=1e-8, power_max_iter=1000):
+    def __init__(self, m, n, radius):
         if m < 1 or n < 1:
             raise ValueError("matrix dimensions must be >= 1")
         if radius <= 0:
@@ -207,19 +146,13 @@ class NuclearNormBall(FeasibleSet):
         self.radius = float(radius)
         self.shape = (self.m, self.n)
         self.diameter = 2.0 * self.radius
-        self.power_tol = power_tol
-        self.power_max_iter = power_max_iter
 
-    def lmo(self, direction, rng=None, warm=None):
+    def lmo(self, direction):
         d = self._check_shape(direction)
-        if np.linalg.norm(d) == 0.0:
+        if not np.any(d):
             # every feasible point is optimal against the zero direction
             return np.zeros(self.shape)
-        sigma, u, v = top_singular_pair(
-            d, tol=self.power_tol, max_iter=self.power_max_iter, rng=rng, warm=warm
-        )
-        u = u / np.linalg.norm(u)
-        v = v / np.linalg.norm(v)
+        _, u, v = top_singular_pair(d)
         return -self.radius * np.outer(u, v)
 
     def project(self, point):

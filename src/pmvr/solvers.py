@@ -35,13 +35,31 @@ from .estimators import (
 )
 from .metrics import OracleCounters, _fw_gap, _gradient_mapping
 from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
-from .rng import STREAM_POWER_BASE, STREAM_TAU_BASE
+from .rng import STREAM_TAU_BASE
 
 FEASIBILITY_TOL = 1e-6
 
 
 class FeasibilityError(RuntimeError):
     pass
+
+
+class NonFiniteStateError(RuntimeError):
+    """A tracker holds a NaN or an infinity; names the iteration and level.
+
+    ``level`` is the value tracker's level 1..K, or None for the gradient
+    tracker.
+    """
+
+    def __init__(self, iteration, level):
+        # both arguments stay in args, so the error survives a process pool
+        super().__init__(iteration, level)
+        self.iteration = iteration
+        self.level = level
+
+    def __str__(self):
+        what = f"value tracker u[{self.level}]" if self.level else "gradient tracker v"
+        return f"{what} is non-finite at iteration {self.iteration}"
 
 
 def classic_gamma(n):
@@ -142,7 +160,7 @@ class RunResult:
     stage_ends: list = field(default_factory=list)
 
 
-def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None, rng=None):
+def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None):
     """Approximately minimize <v, w-x_t> + (coeff/2)||w-x_t||^2 over the set.
 
     Runs n_iters Frank-Wolfe steps from w_1 = x_t and returns w_{N+1}, whose
@@ -158,9 +176,8 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None, rng=None):
     if gamma is None:
         gamma = classic_gamma
     w = x_t.copy()
-    warm = {}  # inner directions barely move; reuse the LMO's converged block
     for n in range(1, n_iters + 1):
-        s = fset.lmo(v + coeff * (w - x_t), rng=rng, warm=warm)
+        s = fset.lmo(v + coeff * (w - x_t))
         g = gamma(n)
         w = (1.0 - g) * w + g * s
     return w
@@ -186,6 +203,24 @@ def _init_baseline_state(problem, fset, params, x1, rng):
     state.trackers = ValueTrackers(u=[None] * problem.k, alpha=params.alpha)
     state.gradient = GradientTracker(v=None, alpha=params.alpha)
     return state
+
+
+def _check_finite(state, iteration):
+    """Raise NonFiniteStateError unless every tracker holds finite values.
+
+    The steps call it before they consult the set, which would otherwise
+    turn a NaN direction into a vertex (simplex) or fail untyped. The
+    baseline's averages are None until its first step fills them.
+    """
+    arrays = [*state.trackers.u, state.gradient.v]
+    # a NaN or infinity makes the total non-finite, so a finite total
+    # clears every entry with one reduction per array
+    if math.isfinite(sum(a.sum() for a in arrays if a is not None)):
+        return
+    k = len(state.trackers.u)
+    for level, a in enumerate(arrays, start=1):
+        if a is not None and not np.isfinite(a).all():
+            raise NonFiniteStateError(iteration, level if level <= k else None)
 
 
 def _draw_batches(state, problem, b, rng):
@@ -230,16 +265,15 @@ def pmvr_step(state, problem, fset, params, rng):
     old_chain = new_chain if first else state.prev_chain
     storm_gradient_update(state.gradient, problem, new_chain, old_chain, batches)
     state.counters.sfo += k * params.b1 if first else 2 * k * params.b1
+    _check_finite(state, t)
 
-    power_gen = rng.split(STREAM_POWER_BASE + t).generator
     v = state.gradient.v
     if params.subsolver is None:
-        z = fset.lmo(v, rng=power_gen)
+        z = fset.lmo(v)
         state.counters.lmo += 1
     else:
         z = quadratic_fw_subsolve(
-            v, state.x, params.subsolver.coeff, params.subsolver.inner_iters,
-            fset, rng=power_gen,
+            v, state.x, params.subsolver.coeff, params.subsolver.inner_iters, fset
         )
         state.counters.lmo += params.subsolver.inner_iters
 
@@ -269,6 +303,7 @@ def _baseline_step(state, problem, fset, params, rng):
             chain.append(averages[i])
     state.gradient.v = problem.unflatten(_batch_chain_products(problem, chain, batches))
     state.counters.sfo += k * params.b1
+    _check_finite(state, t)
     x_new = fset.project(state.x - params.eta * state.gradient.v)
     if not fset.contains(x_new, FEASIBILITY_TOL):
         raise FeasibilityError(f"baseline iterate infeasible at iteration {t}")
@@ -308,11 +343,14 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
     (default T/200) and at its end. Each stage continues from the previous
     one's state, taking over only its momentum alpha, and ends with an
     (x, u, v, t) snapshot. ``tau`` names an iteration of the first stage
-    whose starting point is kept as ``x_tau``.
+    whose starting point is kept as ``x_tau``. The trackers are checked for
+    non-finite values after initialization, and by each step after it
+    updates them.
     """
     cfg = trace if trace is not None else TraceConfig()
     t0 = time.perf_counter()
     state = init(problem, fset, stages[0][1], x1, rng)
+    _check_finite(state, 0)
     rows = [_metric_row(problem, fset, state, cfg, 0, t0)]
     iterates = [state.x.copy()] if cfg.keep_iterates else []
     grad_errors = [] if cfg.track_gradient_error else None

@@ -82,7 +82,7 @@ def test_c1_oracle_geometry():
     feasible_checked = 0
     for _ in range(50):
         direction = gen.standard_normal((20, 15))
-        z = ball.lmo(direction, rng=gen)
+        z = ball.lmo(direction)
         ref = np.linalg.svd(direction, compute_uv=False)[0]
         sigma_rel = max(sigma_rel, abs(-inner(z, direction) - ref) / ref)
         for _ in range(2):

@@ -163,6 +163,26 @@ class TestRun:
         assert cli.main(["run", "--config", path]) == 1
         assert "error: set:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "set_spec, locator",
+        [
+            ({"kind": "nuclear_ball", "m": 4, "n": 4}, "set.radius"),
+            ({"kind": "nuclear_ball", "m": 4, "n": 4, "radius": 0}, "set.radius"),
+            ({"kind": "nuclear_ball", "m": 4, "n": 4, "radius": -1.5}, "set.radius"),
+            ({"kind": "nuclear_ball", "m": 0, "n": 4, "radius": 1.0}, "set.m"),
+            ({"kind": "nuclear_ball", "m": 4, "n": 2.5, "radius": 1.0}, "set.n"),
+            ({"kind": "nuclear_ball", "n": 4, "radius": 1.0}, "set.m"),
+            ({"kind": "box", "lower": [0, 2, 0, 0], "upper": [1, 1, 1, 1]}, "set.lower"),
+            ({"kind": "box", "lower": [0, 0, 0], "upper": [1, 1, 1, 1]}, "set.lower"),
+            ({"kind": "box", "lower": "low", "upper": [1, 1, 1, 1]}, "set.lower"),
+            ({"kind": "box", "lower": [0, 0, 0, 0]}, "set.upper"),
+        ],
+    )
+    def test_bad_set_value_exits_one_with_locator(self, tmp_path, capsys, set_spec, locator):
+        cfg = dict(BASE, set=set_spec, out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"error: {locator}:" in capsys.readouterr().err
+
     def test_box_set_of_the_right_shape_runs(self, tmp_path):
         cfg = dict(BASE, set={"kind": "box", "lower": [0] * 4, "upper": [0.5] * 4},
                    out=str(tmp_path / "o"))

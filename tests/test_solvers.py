@@ -1,8 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmvr import cli
 from pmvr.benchmarks import (
     PortfolioData,
     mean_variance_problem,
@@ -20,6 +24,7 @@ from pmvr.problems import (
 from pmvr.rng import RandomSource
 from pmvr.sets import Box, Simplex
 from pmvr.solvers import (
+    NonFiniteStateError,
     QuadraticSubsolver,
     ScheduleConstants,
     SolverParams,
@@ -489,3 +494,63 @@ def test_metric_row_makes_one_exact_pass():
     rows, k = len(res.trace), problem.k
     assert calls.count("value") == rows * k
     assert calls.count("jacobian") == rows * k
+
+
+def drifting_nan_problem(nan_level, d=4):
+    """Two-level F(x) = sum(A x) on the simplex whose level ``nan_level``
+    value oracle returns NaN once its input differs from the first one it saw."""
+    a = np.arange(1.0, 2.0 * d + 1).reshape(2, d) / d
+    first = {}
+
+    def noisy(level, f):
+        def value(x, s):
+            x0 = first.setdefault(level, x.copy())
+            return f(x) if level != nan_level or np.array_equal(x, x0) else f(x) * np.nan
+        return value
+
+    levels = [
+        Level(d, 2, noisy(1, lambda x: a @ x), lambda x, s: a.T.copy(),
+              lambda x: a @ x, lambda x: a.T.copy(), samples=FiniteSamples(3)),
+        Level(2, 1, noisy(2, lambda y: np.array([y.sum()])), lambda y, s: np.ones((2, 1)),
+              lambda y: np.array([y.sum()]), lambda y: np.ones((2, 1)),
+              samples=FiniteSamples(3)),
+    ]
+    return CompositionalProblem(levels), Simplex(d), np.full(d, 1.0 / d)
+
+
+class TestNonFiniteGuard:
+    @pytest.mark.parametrize("nan_level", [1, 2])
+    def test_nan_value_oracle_stops_the_run_naming_iteration_and_level(self, nan_level):
+        problem, fset, x1 = drifting_nan_problem(nan_level)
+        params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=10)
+        with pytest.raises(NonFiniteStateError) as err:
+            pmvr_run(problem, fset, params, x1, RandomSource(0))
+        # iteration 1 still evaluates at the start point; the iterate has moved by 2
+        assert (err.value.iteration, err.value.level) == (2, nan_level)
+        assert f"u[{nan_level}] is non-finite at iteration 2" in str(err.value)
+
+    def test_nan_jacobian_stops_the_run_at_initialization(self):
+        problem, fset, x1 = drifting_nan_problem(None)
+        problem.levels[0] = replace(
+            problem.levels[0], jacobian=lambda x, s: np.full((4, 2), np.nan)
+        )
+        params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=10)
+        with pytest.raises(NonFiniteStateError) as err:
+            projected_baseline_run(problem, fset, 0.1, 0.5, 2, 10, x1, RandomSource(0))
+        assert (err.value.iteration, err.value.level) == (1, None)
+        with pytest.raises(NonFiniteStateError) as err:
+            pmvr_run(problem, fset, params, x1, RandomSource(0))
+        assert (err.value.iteration, err.value.level) == (0, None)
+
+    def test_cli_exits_two(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "build_problem", lambda spec: drifting_nan_problem(1))
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({
+            "problem": {"name": "mean_variance", "source": {"kind": "synthetic", "d": 4}},
+            "algorithm": "pmvr",
+            "schedule": {"explicit": {"eta": 0.1, "alpha": 0.5, "b1": 2, "t": 10}},
+            "seed": 0,
+            "out": str(tmp_path / "o"),
+        }))
+        assert cli.main(["run", "--config", str(path)]) == 2
+        assert "value tracker u[1] is non-finite at iteration 2" in capsys.readouterr().err
