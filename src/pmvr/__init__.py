@@ -21,7 +21,6 @@ from .problems import (
     exact_inner_values,
     objective,
     sample_batch,
-    stochastic_chain_jacobian,
 )
 from .rng import RandomSource
 from .sets import (

@@ -63,6 +63,37 @@ def synthetic_portfolio_data(d=10, periods=500, data_seed=0):
     return PortfolioData(returns=returns)
 
 
+def _return_and_weights_level(data, sign):
+    """Level 1 of both portfolio objectives: x -> (<sign * r, x>, x), exactly
+    (<sign * rbar, x>, x)."""
+    r, rbar, d = sign * data.returns, sign * data.rbar, data.d
+    eye = np.eye(d)
+
+    def value(x, t):
+        out = np.empty((len(t), d + 1))
+        out[:, 0] = r[t] @ x
+        out[:, 1:] = x
+        return out
+
+    def exact_value(x):
+        return np.concatenate(([float(rbar @ x)], x))
+
+    def jacobian(x, t):
+        jac = np.zeros((len(t), d, d + 1))
+        jac[:, :, 0] = r[t]
+        jac[:, :, 1:] = eye
+        return jac
+
+    def exact_jacobian(x):
+        jac = np.zeros((d, d + 1))
+        jac[:, 0] = rbar
+        jac[:, 1:] = eye
+        return jac
+
+    return Level(d, d + 1, value, jacobian, exact_value, exact_jacobian,
+                 samples=FiniteSamples(data.periods))
+
+
 def mean_variance_problem(data, lam):
     """Two-level mean-variance objective over the simplex.
 
@@ -74,39 +105,20 @@ def mean_variance_problem(data, lam):
         raise ValueError("risk weight must be non-negative")
     r = data.returns
     periods, d = r.shape
-    rbar = data.rbar
-    space = FiniteSamples(periods)
-
-    def f1(x, t):
-        return np.concatenate(([-float(r[t] @ x)], x))
-
-    def f1_exact(x):
-        return np.concatenate(([-float(rbar @ x)], x))
-
-    def j1(x, t):
-        jac = np.zeros((d, d + 1))
-        jac[:, 0] = -r[t]
-        jac[:, 1:] = np.eye(d)
-        return jac
-
-    def j1_exact(x):
-        jac = np.zeros((d, d + 1))
-        jac[:, 0] = -rbar
-        jac[:, 1:] = np.eye(d)
-        return jac
 
     def f2(y, t):
-        return np.array([y[0] + lam * (r[t] @ y[1:] + y[0]) ** 2])
+        return (y[0] + lam * (r[t] @ y[1:] + y[0]) ** 2)[:, None]
 
     def f2_exact(y):
         e = r @ y[1:] + y[0]
         return np.array([y[0] + lam * float(e @ e) / periods])
 
     def j2(y, t):
-        e = float(r[t] @ y[1:] + y[0])
-        jac = np.empty((d + 1, 1))
-        jac[0, 0] = 1.0 + 2.0 * lam * e
-        jac[1:, 0] = 2.0 * lam * e * r[t]
+        rt = r[t]
+        slope = 2.0 * lam * (rt @ y[1:] + y[0])
+        jac = np.empty((len(t), d + 1, 1))
+        jac[:, 0, 0] = 1.0 + slope
+        jac[:, 1:, 0] = slope[:, None] * rt
         return jac
 
     def j2_exact(y):
@@ -117,8 +129,8 @@ def mean_variance_problem(data, lam):
         return jac
 
     levels = [
-        Level(d, d + 1, f1, j1, f1_exact, j1_exact, samples=space),
-        Level(d + 1, 1, f2, j2, f2_exact, j2_exact, samples=space),
+        _return_and_weights_level(data, -1.0),
+        Level(d + 1, 1, f2, j2, f2_exact, j2_exact, samples=FiniteSamples(periods)),
     ]
     meta = ProblemMetadata(notes={"lambda": lam, "dataset_periods": periods})
     return CompositionalProblem(levels, metadata=meta, name="mean_variance")
@@ -136,41 +148,25 @@ def mean_deviation_problem(data, lam):
         raise ValueError("risk weight must be non-negative")
     r = data.returns
     periods, d = r.shape
-    rbar = data.rbar
     space = FiniteSamples(periods)
 
-    def g1(x, t):
-        return np.concatenate(([float(r[t] @ x)], x))
-
-    def g1_exact(x):
-        return np.concatenate(([float(rbar @ x)], x))
-
-    def jg1(x, t):
-        jac = np.zeros((d, d + 1))
-        jac[:, 0] = r[t]
-        jac[:, 1:] = np.eye(d)
-        return jac
-
-    def jg1_exact(x):
-        jac = np.zeros((d, d + 1))
-        jac[:, 0] = rbar
-        jac[:, 1:] = np.eye(d)
-        return jac
-
     def g2(y, t):
-        e = float(r[t] @ y[1:] - y[0])
-        return np.array([y[0], e * e])
+        e = r[t] @ y[1:] - y[0]
+        out = np.full((len(t), 2), y[0])
+        out[:, 1] = e * e
+        return out
 
     def g2_exact(y):
         e = r @ y[1:] - y[0]
         return np.array([y[0], float(e @ e) / periods])
 
     def jg2(y, t):
-        e = float(r[t] @ y[1:] - y[0])
-        jac = np.zeros((d + 1, 2))
-        jac[0, 0] = 1.0
-        jac[0, 1] = -2.0 * e
-        jac[1:, 1] = 2.0 * e * r[t]
+        rt = r[t]
+        two_e = 2.0 * (rt @ y[1:] - y[0])
+        jac = np.zeros((len(t), d + 1, 2))
+        jac[:, 0, 0] = 1.0
+        jac[:, 0, 1] = -two_e
+        jac[:, 1:, 1] = two_e[:, None] * rt
         return jac
 
     def jg2_exact(y):
@@ -197,17 +193,18 @@ def mean_deviation_problem(data, lam):
     def g3_exact(z):
         return np.array([-z[0] + lam * smooth_sqrt(z[1])])
 
+    # the outer level is deterministic: every sample gets the exact value
     def g3(z, t):
-        return g3_exact(z)
+        return np.repeat(g3_exact(z)[None], len(t), axis=0)
 
     def jg3_exact(z):
         return np.array([[-1.0], [lam * smooth_sqrt_slope(z[1])]])
 
     def jg3(z, t):
-        return jg3_exact(z)
+        return np.repeat(jg3_exact(z)[None], len(t), axis=0)
 
     levels = [
-        Level(d, d + 1, g1, jg1, g1_exact, jg1_exact, samples=space),
+        _return_and_weights_level(data, 1.0),
         Level(d + 1, 2, g2, jg2, g2_exact, jg2_exact, samples=space),
         Level(2, 1, g3, jg3, g3_exact, jg3_exact, samples=space),
     ]
@@ -277,28 +274,28 @@ def single_index_problem(config):
     b_norm2 = float(np.vdot(b_star, b_star))
 
     def draw(sample_gen, count):
-        out = []
-        for _ in range(count):
-            a = eye + sample_gen.normal(0.0, np.sqrt(nu), size=(m, n))
-            y = float(np.vdot(a, b_star)) ** 2
+        # one sample at a time, in the generator-call order of the stream
+        a = np.empty((count, m, n))
+        y = np.empty(count)
+        for j in range(count):
+            np.add(eye, sample_gen.normal(0.0, np.sqrt(nu), size=(m, n)), out=a[j])
+            y[j] = float(np.vdot(a[j], b_star)) ** 2
             if sigma > 0:
-                y += sample_gen.normal(0.0, sigma)
-            out.append((a, y))
-        return out
+                y[j] += sample_gen.normal(0.0, sigma)
+        return a, y
 
     space = GenerativeSamples(draw)
 
-    def loss(flat_b, sample):
-        a, y = sample
-        pred = float(np.vdot(a, flat_b.reshape(m, n)))
-        return np.array([(y - pred * pred) ** 2])
+    def loss(flat_b, samples):
+        a, y = samples
+        pred = a.reshape(len(y), -1) @ flat_b
+        return ((y - pred * pred) ** 2)[:, None]
 
-    def loss_grad(flat_b, sample):
-        a, y = sample
-        b = flat_b.reshape(m, n)
-        pred = float(np.vdot(a, b))
-        g = -4.0 * (y - pred * pred) * pred * a
-        return g.reshape(-1, 1)
+    def loss_grad(flat_b, samples):
+        a, y = samples
+        pred = a.reshape(len(y), -1) @ flat_b
+        coef = -4.0 * (y - pred * pred) * pred
+        return (coef[:, None] * a.reshape(len(y), -1))[:, :, None]
 
     def _moments(b):
         a_tr = float(np.vdot(eye, b))
@@ -367,21 +364,23 @@ def quadratic_distance_problem(c, fset, noise=0.05):
     d = c.size
 
     def draw(gen, count):
-        return [
-            (gen.normal(0.0, noise), gen.normal(0.0, noise, size=d))
-            for _ in range(count)
-        ] if noise > 0 else [(0.0, np.zeros(d))] * count
+        value_noise, grad_noise = np.zeros(count), np.zeros((count, d))
+        if noise > 0:
+            for j in range(count):
+                value_noise[j] = gen.normal(0.0, noise)
+                grad_noise[j] = gen.normal(0.0, noise, size=d)
+        return value_noise, grad_noise
 
     def value(x, sample):
         diff = x - c
-        return np.array([float(diff @ diff) + sample[0]])
+        return (float(diff @ diff) + sample[0])[:, None]
 
     def value_exact(x):
         diff = x - c
         return np.array([float(diff @ diff)])
 
     def jac(x, sample):
-        return (2.0 * (x - c) + sample[1]).reshape(-1, 1)
+        return (2.0 * (x - c) + sample[1])[:, :, None]
 
     def jac_exact(x):
         return (2.0 * (x - c)).reshape(-1, 1)
@@ -409,15 +408,16 @@ def two_level_tracking_problem(d=5, p=4, value_noise=0.5, jac_noise=0.5, data_se
     b_vec = gen.normal(0.0, 1.0, size=p)
 
     def draw(sample_gen, count):
-        return [
-            (
-                sample_gen.normal(0.0, value_noise, size=p),
-                sample_gen.normal(0.0, jac_noise, size=(d, p)),
-                sample_gen.normal(0.0, value_noise),
-                sample_gen.normal(0.0, jac_noise, size=p),
-            )
-            for _ in range(count)
-        ]
+        f1_noise = np.empty((count, p))
+        j1_noise = np.empty((count, d, p))
+        f2_noise = np.empty(count)
+        j2_noise = np.empty((count, p))
+        for j in range(count):
+            f1_noise[j] = sample_gen.normal(0.0, value_noise, size=p)
+            j1_noise[j] = sample_gen.normal(0.0, jac_noise, size=(d, p))
+            f2_noise[j] = sample_gen.normal(0.0, value_noise)
+            j2_noise[j] = sample_gen.normal(0.0, jac_noise, size=p)
+        return f1_noise, j1_noise, f2_noise, j2_noise
 
     space = GenerativeSamples(draw)
 
@@ -434,13 +434,13 @@ def two_level_tracking_problem(d=5, p=4, value_noise=0.5, jac_noise=0.5, data_se
         return a_mat.T.copy()
 
     def f2(y, s):
-        return np.array([0.5 * float(y @ y) + s[2]])
+        return (0.5 * float(y @ y) + s[2])[:, None]
 
     def f2_exact(y):
         return np.array([0.5 * float(y @ y)])
 
     def j2(y, s):
-        return (y + s[3]).reshape(-1, 1)
+        return (y + s[3])[:, :, None]
 
     def j2_exact(y):
         return y.reshape(-1, 1)

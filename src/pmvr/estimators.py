@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import matmul_chain
+from .core import ShapeMismatchError, matmul_chain
 from .problems import sample_batch
 from .rng import STREAM_LEVEL_STRIDE
 
@@ -39,25 +39,59 @@ class GradientTracker:
     alpha: float
 
 
-def _batch_values(level, point, samples):
-    vals = [np.atleast_1d(np.asarray(level.value(point, s), dtype=np.float64))
-            for s in samples]
-    return np.mean(vals, axis=0)
+# a batch mean stacks at most this many entries of the largest per-level
+# Jacobian at once: a B0 = 202 draw at 200 x 200 would otherwise hold a
+# second 65 MB copy of the draw as stacked gradients
+_SLICE_ENTRIES = 2**16
 
 
-def _batch_chain_products(problem, chain_inputs, batches):
-    b = len(batches[0])
-    if any(len(batch) != b for batch in batches):
-        raise ValueError("per-level batches must share one batch size")
-    acc = None
-    for j in range(b):
-        factors = [
-            np.asarray(level.jacobian(u, batch[j]), dtype=np.float64)
-            for level, u, batch in zip(problem.levels, chain_inputs, batches)
+def _stacked(level, oracle, point, batch, lo, hi):
+    """The level's stacked oracle output on samples lo..hi-1 of the batch,
+    checked for the batch axis."""
+    part = tuple(a[lo:hi] for a in batch) if isinstance(batch, tuple) else batch[lo:hi]
+    out = np.asarray(getattr(level, oracle)(point, part), dtype=np.float64)
+    n = hi - lo
+    want = (n, level.out_dim) if oracle == "value" else (n, level.in_dim, level.out_dim)
+    if out.shape != want:
+        raise ShapeMismatchError(
+            f"{oracle} oracle returned shape {out.shape}, expected {want}"
+        )
+    return out
+
+
+def _batch_mean(levels, points, batches, oracle="jacobian"):
+    """Flattened batch mean of the sample-wise chain products J_1[s] @ ... @
+    J_n[s] of the levels' stacked Jacobians at ``points`` or, with
+    ``oracle="value"`` and one level, of its values. Each level's oracle is
+    called once per slice of at most _SLICE_ENTRIES entries of the largest
+    Jacobian (and at least one sample).
+    """
+    batches = [b if isinstance(b, tuple) else np.asarray(b) for b in batches]
+    sizes = {len(b[0]) if isinstance(b, tuple) else len(b) for b in batches}
+    size = sizes.pop()
+    if sizes or size == 0:
+        raise ValueError("per-level batches must be non-empty and share one size")
+    width = max(1, _SLICE_ENTRIES // max(lv.in_dim * lv.out_dim for lv in levels))
+    total = 0.0
+    for lo in range(0, size, width):
+        stacks = [
+            _stacked(level, oracle, point, batch, lo, min(lo + width, size))
+            for level, point, batch in zip(levels, points, batches, strict=True)
         ]
-        prod = matmul_chain(factors).reshape(-1)
-        acc = prod if acc is None else acc + prod
-    return acc / b
+        prod = stacks[0] if oracle == "value" else matmul_chain(stacks)
+        total = total + prod.sum(axis=0)
+    return total.reshape(-1) / size
+
+
+def _storm(prev, alpha, levels, new_points, old_points, batches, oracle="jacobian"):
+    """The recursion of both trackers (module docstring) on one shared batch;
+    old points that are the new ones themselves reuse the new mean."""
+    mean_new = _batch_mean(levels, new_points, batches, oracle)
+    if all(a is b for a, b in zip(new_points, old_points, strict=True)):
+        mean_old = mean_new
+    else:
+        mean_old = _batch_mean(levels, old_points, batches, oracle)
+    return (1.0 - alpha) * prev + alpha * mean_old + (mean_new - mean_old)
 
 
 def _level_batches(problem, rng, t, size):
@@ -72,34 +106,24 @@ def _level_batches(problem, rng, t, size):
     ]
 
 
-def init_trackers(problem, x1, b0, rng, alpha, counters=None, sweep=False):
+def init_trackers(problem, x1, b0, rng, alpha, counters=None):
     """Plain B0-sample mini-batch means along the chain u^0 = x1.
 
     Each level draws its own batch from the substream (level, iteration 0);
     the same batch feeds both the value mean and the Jacobian chain product,
     since one oracle call returns the (value, Jacobian) pair. Adds K*B0 to
-    the SFO counter. ``sweep=True`` (test mode, finite spaces only) replaces
-    sampling with a full pass over every record.
+    the SFO counter.
     """
     if b0 < 1:
         raise ValueError("initialization batch size must be >= 1")
-    k = problem.k
-    if sweep:
-        batches = [level.samples.all_samples() for level in problem.levels]
-        b0 = len(batches[-1])
-    else:
-        batches = _level_batches(problem, rng, 0, b0)
+    batches = _level_batches(problem, rng, 0, b0)
     chain = [problem.flatten(x1)]
-    u = []
-    for i, (level, batch) in enumerate(zip(problem.levels, batches), start=1):
-        u_i = _batch_values(level, chain[-1], batch)
-        u.append(u_i)
-        if i < k:
-            chain.append(u_i)
-    v = _batch_chain_products(problem, chain, batches)
+    for level, batch in zip(problem.levels, batches):
+        chain.append(_batch_mean([level], [chain[-1]], [batch], "value"))
+    v = _batch_mean(problem.levels, chain[:-1], batches)
     if counters is not None:
-        counters.sfo += k * b0
-    trackers = ValueTrackers(u=u, alpha=alpha)
+        counters.sfo += problem.k * b0
+    trackers = ValueTrackers(u=chain[1:], alpha=alpha)
     gradient = GradientTracker(v=problem.unflatten(v), alpha=alpha)
     return trackers, gradient
 
@@ -112,18 +136,11 @@ def storm_value_update(trackers, problem, i, u_new_prev, u_old_prev, samples):
     Passing the identical array for both inputs collapses the update to a
     single-point evaluation.
     """
-    if len(samples) == 0:
-        raise ValueError("empty batch")
-    level = problem.levels[i - 1]
-    alpha = trackers.alpha
-    mean_new = _batch_values(level, u_new_prev, samples)
-    if u_old_prev is u_new_prev:
-        mean_old = mean_new
-    else:
-        mean_old = _batch_values(level, u_old_prev, samples)
-    u_i = (1.0 - alpha) * trackers.u[i - 1] + alpha * mean_old + (mean_new - mean_old)
-    trackers.u[i - 1] = u_i
-    return u_i
+    trackers.u[i - 1] = _storm(
+        trackers.u[i - 1], trackers.alpha, [problem.levels[i - 1]],
+        [u_new_prev], [u_old_prev], [samples], "value",
+    )
+    return trackers.u[i - 1]
 
 
 def storm_gradient_update(tracker, problem, new_chain, old_chain, batches):
@@ -133,18 +150,9 @@ def storm_gradient_update(tracker, problem, new_chain, old_chain, batches):
     the current and previous iteration; ``batches`` holds the per-level
     sample batches shared between the two chain evaluations.
     """
-    k = problem.k
-    if len(new_chain) != k or len(old_chain) != k:
-        raise ValueError(f"chains must have {k} entries")
-    if len(batches) != k:
-        raise ValueError(f"expected {k} per-level batches")
-    alpha = tracker.alpha
-    mean_new = _batch_chain_products(problem, new_chain, batches)
-    if old_chain is new_chain:
-        mean_old = mean_new
-    else:
-        mean_old = _batch_chain_products(problem, old_chain, batches)
-    v_flat = problem.flatten(tracker.v)
-    v_new = (1.0 - alpha) * v_flat + alpha * mean_old + (mean_new - mean_old)
-    tracker.v = problem.unflatten(v_new)
+    v = _storm(
+        problem.flatten(tracker.v), tracker.alpha, problem.levels,
+        new_chain, old_chain, batches,
+    )
+    tracker.v = problem.unflatten(v)
     return tracker.v

@@ -4,8 +4,8 @@ All three criteria are computed from the problem's exact oracles, so the
 plotted curves are noise-free. Evaluating a metric never touches the
 oracle counters: those count solver work only.
 
-Counter conventions (one SFO call = one (value, Jacobian) pair for one
-level at one point):
+Counter conventions (one SFO = one sample's (value, Jacobian) pair at one
+level and point, so a batch oracle call on B samples counts B):
 
 * initialization with batch B0 costs K*B0,
 * the first solver step evaluates each sample at a single chain point per

@@ -8,6 +8,14 @@ product of the per-level factors. Level values travel as 1-D arrays; the
 decision variable may be matrix-shaped, in which case it is flattened at
 the problem boundary (row-major) and the gradient is reshaped back.
 
+The stochastic oracles take a batch of B samples, an array with a leading
+batch axis (a finite dataset's record indices) or a tuple of such arrays,
+and return values (B, out_dim) and transposed Jacobians (B, in_dim,
+out_dim). The exact oracles take one point and stay hand-written closed
+forms: they are the independent references the batch means are tested
+against, and a mean over every record would cost a metric row many times
+as much.
+
 Exact oracles are mandatory for the shipped benchmarks so the convergence
 metrics are computed exactly instead of by Monte Carlo.
 """
@@ -27,7 +35,7 @@ class FiniteSamples:
     """Uniform distribution over dataset record indices 0..size-1.
 
     Expectation means the plain average over records; sampling is with
-    replacement.
+    replacement, and a batch is the (B,) array of drawn indices.
     """
 
     def __init__(self, size):
@@ -36,14 +44,12 @@ class FiniteSamples:
         self.size = int(size)
 
     def draw(self, gen, count):
-        return list(gen.integers(0, self.size, size=count))
-
-    def all_samples(self):
-        return list(range(self.size))
+        return gen.integers(0, self.size, size=count)
 
 
 class GenerativeSamples:
-    """Sample space backed by a draw function (fresh samples per call)."""
+    """Sample space backed by ``draw_fn(gen, count)``, which returns one
+    batch of ``count`` fresh samples."""
 
     def __init__(self, draw_fn):
         self.draw_fn = draw_fn
@@ -54,7 +60,13 @@ class GenerativeSamples:
 
 @dataclass(frozen=True)
 class Level:
-    """One level of the composition: oracles plus its sample space."""
+    """One level of the composition: oracles plus its sample space.
+
+    ``value(point, batch)`` (B, out_dim) and ``jacobian(point, batch)``
+    (B, in_dim, out_dim) stack one result per sample of a batch drawn by
+    ``samples``; ``exact_value(point)`` (out_dim,) and
+    ``exact_jacobian(point)`` (in_dim, out_dim) are their expectations.
+    """
 
     in_dim: int
     out_dim: int
@@ -143,11 +155,9 @@ def exact_gradient(problem, x):
 def _chain_gradient(problem, x, values):
     """Exact-Jacobian chain product at x and its inner values [y^1 .. y^K]."""
     chain_inputs = [problem.flatten(x)] + values[:-1]
-    factors = [
-        np.asarray(level.exact_jacobian(u), dtype=np.float64)
-        for level, u in zip(problem.levels, chain_inputs)
-    ]
-    grad = matmul_chain(factors)
+    grad = matmul_chain(
+        [level.exact_jacobian(u) for level, u in zip(problem.levels, chain_inputs)]
+    )
     return problem.unflatten(grad.reshape(-1))
 
 
@@ -158,22 +168,3 @@ def sample_batch(level, rng, batch_size):
     if level.samples is None:
         raise ValueError("level has no sample space")
     return level.samples.draw(generator_for(rng), int(batch_size))
-
-
-def stochastic_chain_jacobian(problem, chain_inputs, samples):
-    """Product of noisy Jacobians at the given chain points, one sample each.
-
-    Each factor is an unbiased estimate of the exact Jacobian at its point;
-    the product itself is not unbiased for the exact chain.
-    """
-    if len(chain_inputs) != problem.k or len(samples) != problem.k:
-        raise ValueError(
-            f"expected {problem.k} chain inputs and samples, got "
-            f"{len(chain_inputs)} and {len(samples)}"
-        )
-    factors = [
-        np.asarray(level.jacobian(u, s), dtype=np.float64)
-        for level, u, s in zip(problem.levels, chain_inputs, samples)
-    ]
-    grad = matmul_chain(factors)
-    return problem.unflatten(grad.reshape(-1))

@@ -11,6 +11,10 @@ Stream index conventions used by the solvers:
 * ``level * 2**20 + iteration`` -- per-level sample batches (iteration 0 is
   the initialization batch),
 * ``2**40 + stage`` -- the uniform draw of the returned iterate index.
+
+These streams are unchanged by batched oracles: a finite dataset draws its
+batch with one ``integers`` call, and a generative draw fills its batch
+arrays sample by sample in the generator-call order of a per-sample loop.
 """
 
 from __future__ import annotations

@@ -26,8 +26,7 @@ from .data_io import TraceRow
 from .estimators import (
     GradientTracker,
     ValueTrackers,
-    _batch_chain_products,
-    _batch_values,
+    _batch_mean,
     _level_batches,
     init_trackers,
     storm_gradient_update,
@@ -296,12 +295,12 @@ def _baseline_step(state, problem, fset, params, rng):
     alpha = state.trackers.alpha
     chain = [problem.flatten(state.x)]
     for i, (level, batch) in enumerate(zip(problem.levels, batches)):
-        mean_i = _batch_values(level, chain[-1], batch)
+        mean_i = _batch_mean([level], [chain[-1]], [batch], "value")
         prev = averages[i]
         averages[i] = mean_i if prev is None else (1.0 - alpha) * prev + alpha * mean_i
         if i < k - 1:
             chain.append(averages[i])
-    state.gradient.v = problem.unflatten(_batch_chain_products(problem, chain, batches))
+    state.gradient.v = problem.unflatten(_batch_mean(problem.levels, chain, batches))
     state.counters.sfo += k * params.b1
     _check_finite(state, t)
     x_new = fset.project(state.x - params.eta * state.gradient.v)

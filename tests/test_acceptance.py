@@ -146,13 +146,15 @@ def test_c3_estimator_exactness_and_cancellation():
     levels = [
         Level(
             2, 2,
-            lambda x, s: a @ x, lambda x, s: a.T.copy(),
+            lambda x, s: np.broadcast_to(a @ x, (len(s), 2)),
+            lambda x, s: np.broadcast_to(a.T, (len(s), 2, 2)),
             lambda x: a @ x, lambda x: a.T.copy(),
             samples=FiniteSamples(3),
         ),
         Level(
             2, 1,
-            lambda y, s: np.array([0.5 * (y @ y)]), lambda y, s: y.reshape(-1, 1),
+            lambda y, s: np.full((len(s), 1), 0.5 * (y @ y)),
+            lambda y, s: np.broadcast_to(y.reshape(-1, 1), (len(s), 2, 1)),
             lambda y: np.array([0.5 * (y @ y)]), lambda y: y.reshape(-1, 1),
             samples=FiniteSamples(3),
         ),
@@ -316,8 +318,8 @@ def test_c7_counter_exactness():
             levels.append(
                 Level(
                     dims[i], dims[i + 1],
-                    lambda x, t, a=a: a @ x + 0.01 * t,
-                    lambda x, t, a=a: a.T + 0.01 * t,
+                    lambda x, t, a=a: a @ x + 0.01 * t[:, None],
+                    lambda x, t, a=a: a.T + 0.01 * t[:, None, None],
                     lambda x, a=a: a @ x,
                     lambda x, a=a: a.T.copy(),
                     samples=FiniteSamples(5),

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pmvr.benchmarks import (
     PortfolioData,
@@ -10,6 +12,7 @@ from pmvr.benchmarks import (
     quadratic_distance_problem,
     single_index_problem,
     synthetic_portfolio_data,
+    two_level_tracking_problem,
 )
 from pmvr.checks import finite_difference_gradient, relative_error
 from pmvr.problems import exact_gradient, objective
@@ -76,9 +79,7 @@ class TestMeanVariance:
         for level in problem.levels:
             for _ in range(5):
                 point = gen.normal(0.3, 0.4, size=level.in_dim)
-                avg = np.mean(
-                    [level.value(point, t) for t in range(toy_data.periods)], axis=0
-                )
+                avg = level.value(point, np.arange(toy_data.periods)).mean(axis=0)
                 assert np.abs(avg - level.exact_value(point)).max() <= 1e-12
 
     def test_rejects_negative_risk_weight(self, toy_data):
@@ -121,9 +122,7 @@ class TestMeanDeviation:
         gen = np.random.default_rng(8)
         for level in problem.levels:
             point = np.abs(gen.normal(0.3, 0.2, size=level.in_dim)) + 0.05
-            avg = np.mean(
-                [level.value(point, t) for t in range(synth_data.periods)], axis=0
-            )
+            avg = level.value(point, np.arange(synth_data.periods)).mean(axis=0)
             assert np.abs(avg - level.exact_value(point)).max() <= 1e-12
 
     def test_composed_gradient_matches_direct_formula_fd(self, synth_data):
@@ -164,9 +163,8 @@ class TestSingleIndex:
         # every stochastic loss sample vanishes at the target
         gen = RandomSource(1).split(1).generator
         samples = problem.levels[0].samples.draw(gen, 50)
-        for s in samples:
-            val = problem.levels[0].value(b_star.reshape(-1), s)
-            assert abs(val[0]) <= 1e-20
+        vals = problem.levels[0].value(b_star.reshape(-1), samples)
+        assert np.abs(vals).max() <= 1e-20
         assert objective(problem, b_star) == pytest.approx(0.0, abs=1e-10)
 
     def test_f_star_is_noise_floor(self):
@@ -180,11 +178,11 @@ class TestSingleIndex:
         problem, ball = single_index_problem(SingleIndexConfig(m=4, n=3, sigma=0.1))
         level = problem.levels[0]
         gen = RandomSource(2).split(3).generator
-        sample = level.samples.draw(gen, 1)[0]
+        sample = level.samples.draw(gen, 1)
         b = ball.project(gen.standard_normal((4, 3))).reshape(-1)
         grad = level.jacobian(b, sample).reshape(-1)
         fd = finite_difference_gradient(
-            lambda p: float(level.value(p.reshape(-1), sample)[0]), b
+            lambda p: float(level.value(p.reshape(-1), sample)[0, 0]), b
         ).reshape(-1)
         assert relative_error(grad, fd) <= 1e-5
 
@@ -195,8 +193,8 @@ class TestSingleIndex:
         b = ball.project(gen.standard_normal((3, 3)))
         flat = b.reshape(-1)
         samples = level.samples.draw(gen, 200_000)
-        vals = np.array([level.value(flat, s)[0] for s in samples])
-        grads = np.stack([level.jacobian(flat, s).reshape(-1) for s in samples])
+        vals = level.value(flat, samples)[:, 0]
+        grads = level.jacobian(flat, samples)[:, :, 0]
         want_val = level.exact_value(flat)[0]
         se = vals.std() / np.sqrt(len(vals))
         assert abs(vals.mean() - want_val) <= 5 * se
@@ -215,8 +213,8 @@ class TestSingleIndex:
     def test_rectangular_identity_generation(self):
         problem, _ = single_index_problem(SingleIndexConfig(m=5, n=3, sigma=0.0))
         gen = RandomSource(4).split(5).generator
-        (a, _), = problem.levels[0].samples.draw(gen, 1)
-        assert a.shape == (5, 3)
+        a, _ = problem.levels[0].samples.draw(gen, 1)
+        assert a[0].shape == (5, 3)
 
 
 class TestQuadraticDistanceToy:
@@ -233,9 +231,75 @@ class TestQuadraticDistanceToy:
         gen = RandomSource(5).split(6).generator
         samples = level.samples.draw(gen, 50_000)
         x = np.array([0.3, 0.3, 0.4])
-        vals = np.array([level.value(x, s)[0] for s in samples])
+        vals = level.value(x, samples)[:, 0]
         want = level.exact_value(x)[0]
         assert abs(vals.mean() - want) <= 5 * vals.std() / np.sqrt(len(vals))
+
+
+# --- sample streams: each batched draw against the per-sample reference loop --
+
+
+def single_index_reference(problem, config, gen, count):
+    """One generator call per measurement, then one per label noise."""
+    eye = np.zeros((config.m, config.n))
+    np.fill_diagonal(eye, 1.0)
+    a, y = [], []
+    for _ in range(count):
+        a.append(eye + gen.normal(0.0, np.sqrt(config.noise_var), size=eye.shape))
+        y.append(float(np.vdot(a[-1], problem.b_star)) ** 2)
+        if config.sigma > 0:
+            y[-1] += gen.normal(0.0, config.sigma)
+    return np.array(a), np.array(y)
+
+
+def quadratic_distance_reference(d, noise, gen, count):
+    if noise == 0:
+        return np.zeros(count), np.zeros((count, d))
+    pairs = [(gen.normal(0.0, noise), gen.normal(0.0, noise, size=d)) for _ in range(count)]
+    return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
+
+
+def two_level_tracking_reference(d, p, gen, count):
+    samples = [
+        (
+            gen.normal(0.0, 0.5, size=p),
+            gen.normal(0.0, 0.5, size=(d, p)),
+            gen.normal(0.0, 0.5),
+            gen.normal(0.0, 0.5, size=p),
+        )
+        for _ in range(count)
+    ]
+    return tuple(np.array([s[i] for s in samples]) for i in range(4))
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    count=st.integers(1, 12),
+    kind=st.sampled_from(["single_index", "quadratic_distance", "two_level_tracking"]),
+    noisy=st.booleans(),
+)
+def test_batched_draws_keep_the_per_sample_stream(seed, count, kind, noisy):
+    gen = RandomSource(seed).split(7).generator
+    ref_gen = RandomSource(seed).split(7).generator
+    if kind == "single_index":
+        config = SingleIndexConfig(m=4, n=3, sigma=0.1 if noisy else 0.0)
+        problem, _ = single_index_problem(config)
+        want = single_index_reference(problem, config, ref_gen, count)
+    elif kind == "quadratic_distance":
+        noise = 0.05 if noisy else 0.0
+        problem = quadratic_distance_problem(np.array([0.2, 0.4, 0.1]), Simplex(3), noise)
+        want = quadratic_distance_reference(3, noise, ref_gen, count)
+    else:
+        problem = two_level_tracking_problem(d=5, p=4)
+        want = two_level_tracking_reference(5, 4, ref_gen, count)
+    got = problem.levels[0].samples.draw(gen, count)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape
+        assert np.array_equal(g, w)
+    # both consumed the same number of draws
+    assert gen.random() == ref_gen.random()
 
 
 def test_portfolio_data_validation():

@@ -1,9 +1,24 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmvr.benchmarks import (
+    SingleIndexConfig,
+    mean_deviation_problem,
+    single_index_problem,
+    synthetic_portfolio_data,
+    two_level_tracking_problem,
+)
+from pmvr.core import ShapeMismatchError
 from pmvr.estimators import (
+    _SLICE_ENTRIES,
     GradientTracker,
     ValueTrackers,
+    _batch_mean,
+    _level_batches,
     init_trackers,
     storm_gradient_update,
     storm_value_update,
@@ -24,11 +39,11 @@ def additive_noise_scalar_level():
     """f(u; xi) = u + xi on scalars; exact value is u itself."""
     return Level(
         1, 1,
-        lambda u, s: np.array([u[0] + s]),
-        lambda u, s: np.array([[1.0 + s]]),
+        lambda u, s: (u[0] + s)[:, None],
+        lambda u, s: (1.0 + s)[:, None, None],
         lambda u: np.array([u[0]]),
         lambda u: np.array([[1.0]]),
-        samples=GenerativeSamples(lambda gen, n: list(gen.normal(0, 1, size=n))),
+        samples=GenerativeSamples(lambda gen, n: gen.normal(0, 1, size=n)),
     )
 
 
@@ -37,16 +52,16 @@ def deterministic_two_level():
     a = np.array([[1.0, 1.0], [1.0, -1.0]])
     l1 = Level(
         2, 2,
-        lambda x, s: a @ x,
-        lambda x, s: a.T.copy(),
+        lambda x, s: np.broadcast_to(a @ x, (len(s), 2)),
+        lambda x, s: np.broadcast_to(a.T, (len(s), 2, 2)),
         lambda x: a @ x,
         lambda x: a.T.copy(),
         samples=FiniteSamples(4),
     )
     l2 = Level(
         2, 1,
-        lambda y, s: np.array([y[0] * y[1]]),
-        lambda y, s: np.array([[y[1]], [y[0]]]),
+        lambda y, s: np.full((len(s), 1), y[0] * y[1]),
+        lambda y, s: np.broadcast_to([[y[1]], [y[0]]], (len(s), 2, 1)),
         lambda y: np.array([y[0] * y[1]]),
         lambda y: np.array([[y[1]], [y[0]]]),
         samples=FiniteSamples(4),
@@ -64,15 +79,15 @@ def finite_noisy_problem(size=6):
     l1 = Level(
         2, 2,
         lambda x, t: a @ x + deltas1[t] - deltas1.mean(axis=0),
-        lambda x, t: a.T + deltas2[t] - deltas2.mean(),
+        lambda x, t: a.T + (deltas2[t] - deltas2.mean())[:, None, None],
         lambda x: a @ x,
         lambda x: a.T.copy(),
         samples=FiniteSamples(size),
     )
     l2 = Level(
         2, 1,
-        lambda y, t: np.array([0.5 * (y @ y) + deltas2[t] - deltas2.mean()]),
-        lambda y, t: (y + deltas1[t] - deltas1.mean(axis=0)).reshape(-1, 1),
+        lambda y, t: (0.5 * (y @ y) + deltas2[t] - deltas2.mean())[:, None],
+        lambda y, t: (y + deltas1[t] - deltas1.mean(axis=0))[:, :, None],
         lambda y: np.array([0.5 * (y @ y)]),
         lambda y: y.reshape(-1, 1),
         samples=FiniteSamples(size),
@@ -97,12 +112,13 @@ class TestInit:
     def test_full_sweep_gives_exact_values(self):
         problem = finite_noisy_problem()
         x = np.array([0.4, 0.6])
-        trackers, _ = init_trackers(
-            problem, x, 1, RandomSource(2), alpha=1.0, sweep=True
-        )
+        records = np.arange(6)
         values = exact_inner_values(problem, x)
-        for u, y in zip(trackers.u, values):
+        point = x
+        for level, y in zip(problem.levels, values):
+            u = level.value(point, records).mean(axis=0)
             assert np.abs(u - y).max() <= 1e-12
+            point = u
 
     def test_singleton_batch(self):
         problem = finite_noisy_problem()
@@ -114,6 +130,14 @@ class TestInit:
         problem = deterministic_two_level()
         with pytest.raises(ValueError):
             init_trackers(problem, np.zeros(2), 0, RandomSource(0), alpha=1.0)
+
+    def test_rejects_an_oracle_that_ignores_the_batch_axis(self):
+        problem = deterministic_two_level()
+        problem.levels[1] = replace(
+            problem.levels[1], value=lambda y, s: np.array([y[0] * y[1]])
+        )
+        with pytest.raises(ShapeMismatchError, match=r"value oracle returned shape \(1,\)"):
+            init_trackers(problem, np.zeros(2), 3, RandomSource(0), alpha=1.0)
 
 
 class TestValueUpdate:
@@ -197,3 +221,93 @@ def test_deterministic_mode_tracks_exact_quantities():
         for u, y in zip(trackers.u, values):
             assert np.abs(u - y).max() <= 1e-12
         assert np.abs(grad.v - exact_gradient(problem, x)).max() <= 1e-12
+
+
+# --- batch means against single-sample batches ------------------------------
+
+PROBLEMS = {
+    "mean_deviation": lambda: mean_deviation_problem(
+        synthetic_portfolio_data(d=5, periods=60, data_seed=1), 1.0
+    ),
+    "two_level_tracking": lambda: two_level_tracking_problem(data_seed=2),
+}
+
+
+def batch_case(name, seed, b):
+    """A problem, a random point's exact chain u^0..u^{K-1}, and per-level
+    batches of size b from the solver's substreams."""
+    problem = PROBLEMS[name]()
+    gen = np.random.default_rng(seed)
+    x = gen.dirichlet(np.ones(problem.levels[0].in_dim))
+    chain = [x] + exact_inner_values(problem, x)[:-1]
+    return problem, chain, _level_batches(problem, RandomSource(seed), 1, b)
+
+
+def sample(batch, j):
+    return tuple(a[j:j + 1] for a in batch) if isinstance(batch, tuple) else batch[j:j + 1]
+
+
+def per_sample_mean(levels, points, batches, oracle="jacobian"):
+    """The loop reference: the average of B single-sample batch means."""
+    b = len(batches[0][0]) if isinstance(batches[0], tuple) else len(batches[0])
+    parts = [
+        _batch_mean(levels, points, [sample(bt, j) for bt in batches], oracle)
+        for j in range(b)
+    ]
+    return np.sum(parts, axis=0) / b
+
+
+def assert_rel_close(got, want, rel=1e-12):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= rel * np.abs(want).max()
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROBLEMS)),
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 40),
+)
+def test_batch_means_equal_the_average_of_single_sample_batches(name, seed, b):
+    problem, chain, batches = batch_case(name, seed, b)
+    for level, point, batch in zip(problem.levels, chain, batches):
+        got = _batch_mean([level], [point], [batch], "value")
+        assert_rel_close(got, per_sample_mean([level], [point], [batch], "value"))
+    got = _batch_mean(problem.levels, chain, batches)
+    assert_rel_close(got, per_sample_mean(problem.levels, chain, batches))
+
+
+def test_sliced_reduction_of_large_jacobians():
+    problem, _ = single_index_problem(SingleIndexConfig(m=200, n=200, sigma=0.1))
+    level = problem.levels[0]
+    b = 3
+    assert _SLICE_ENTRIES // level.in_dim < b  # more than one slice
+    batch = level.samples.draw(RandomSource(5).split(1).generator, b)
+    point = problem.x_start.reshape(-1)
+    for oracle in ("value", "jacobian"):
+        got = _batch_mean([level], [point], [batch], oracle)
+        assert_rel_close(got, per_sample_mean([level], [point], [batch], oracle))
+        whole = getattr(level, oracle)(point, batch).mean(axis=0).reshape(-1)
+        assert_rel_close(got, whole)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    name=st.sampled_from(sorted(PROBLEMS)),
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 40),
+    alpha=st.floats(0.01, 1.0),
+)
+def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed, b, alpha):
+    problem, chain, batches = batch_case(name, seed, b)
+    trackers, grad = init_trackers(problem, chain[0], b, RandomSource(seed + 1), alpha)
+    trackers.alpha = grad.alpha = 0.0
+    u_before = [u.copy() for u in trackers.u]
+    v_before = grad.v.copy()
+    # equal but distinct arrays, so the old and new means are computed apart
+    old_chain = [c.copy() for c in chain]
+    for i, batch in enumerate(batches, start=1):
+        storm_value_update(trackers, problem, i, chain[i - 1], old_chain[i - 1], batch)
+    storm_gradient_update(grad, problem, chain, old_chain, batches)
+    assert all(np.array_equal(u, ub) for u, ub in zip(trackers.u, u_before))
+    assert np.array_equal(grad.v, v_before)

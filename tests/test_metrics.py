@@ -18,8 +18,8 @@ def linear_problem(c):
     c = np.asarray(c, dtype=np.float64)
     level = Level(
         c.size, 1,
-        lambda x, s: np.array([c @ x]),
-        lambda x, s: c.reshape(-1, 1),
+        lambda x, s: np.full((len(s), 1), c @ x),
+        lambda x, s: np.broadcast_to(c.reshape(-1, 1), (len(s), c.size, 1)),
         lambda x: np.array([c @ x]),
         lambda x: c.reshape(-1, 1),
         samples=FiniteSamples(1),
@@ -31,8 +31,8 @@ def quadratic_problem(c, f_star=None):
     c = np.asarray(c, dtype=np.float64)
     level = Level(
         c.size, 1,
-        lambda x, s: np.array([(x - c) @ (x - c)]),
-        lambda x, s: (2 * (x - c)).reshape(-1, 1),
+        lambda x, s: np.full((len(s), 1), (x - c) @ (x - c)),
+        lambda x, s: np.broadcast_to((2 * (x - c)).reshape(-1, 1), (len(s), c.size, 1)),
         lambda x: np.array([(x - c) @ (x - c)]),
         lambda x: (2 * (x - c)).reshape(-1, 1),
         samples=FiniteSamples(1),

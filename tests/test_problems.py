@@ -3,6 +3,7 @@ import pytest
 
 from pmvr.checks import finite_difference_gradient, relative_error
 from pmvr.core import ShapeMismatchError
+from pmvr.estimators import _batch_mean
 from pmvr.problems import (
     CompositionalProblem,
     FiniteSamples,
@@ -12,7 +13,6 @@ from pmvr.problems import (
     exact_inner_values,
     objective,
     sample_batch,
-    stochastic_chain_jacobian,
 )
 from pmvr.rng import RandomSource
 
@@ -24,10 +24,10 @@ def linear_level(c, dataset_size=3, noise_scale=0.0):
     deltas = np.linspace(-1.0, 1.0, dataset_size)[:, None] * noise_scale * np.ones(d)
 
     def value(x, t):
-        return np.array([(c + deltas[t]) @ x])
+        return ((c + deltas[t]) @ x)[:, None]
 
     def jacobian(x, t):
-        return (c + deltas[t]).reshape(-1, 1)
+        return (c + deltas[t])[:, :, None]
 
     def value_exact(x):
         return np.array([c @ x])
@@ -43,16 +43,16 @@ def square_then_sine():
     """K=2 scalar chain: f1(x) = x^2, f2(y) = sin(y)."""
     l1 = Level(
         1, 1,
-        lambda x, s: np.array([x[0] ** 2]),
-        lambda x, s: np.array([[2 * x[0]]]),
+        lambda x, s: np.full((len(s), 1), x[0] ** 2),
+        lambda x, s: np.full((len(s), 1, 1), 2 * x[0]),
         lambda x: np.array([x[0] ** 2]),
         lambda x: np.array([[2 * x[0]]]),
         samples=FiniteSamples(1),
     )
     l2 = Level(
         1, 1,
-        lambda y, s: np.array([np.sin(y[0])]),
-        lambda y, s: np.array([[np.cos(y[0])]]),
+        lambda y, s: np.full((len(s), 1), np.sin(y[0])),
+        lambda y, s: np.full((len(s), 1, 1), np.cos(y[0])),
         lambda y: np.array([np.sin(y[0])]),
         lambda y: np.array([[np.cos(y[0])]]),
         samples=FiniteSamples(1),
@@ -101,14 +101,14 @@ def test_dimension_mismatch_fails_at_construction():
 def test_sample_batch_singleton():
     level = linear_level([1.0], dataset_size=1)
     batch = sample_batch(level, RandomSource(0).split(1).generator, 3)
-    assert batch == [0, 0, 0]
+    assert np.array_equal(batch, [0, 0, 0])
 
 
 def test_sample_batch_deterministic():
     level = linear_level([1.0, 2.0], dataset_size=100)
     a = sample_batch(level, RandomSource(5).split(9).generator, 16)
     b = sample_batch(level, RandomSource(5).split(9).generator, 16)
-    assert a == b
+    assert np.array_equal(a, b)
 
 
 def test_sample_batch_rejects_empty():
@@ -135,24 +135,26 @@ def test_unbiasedness_over_finite_dataset():
     level = linear_level([1.0, -2.0], dataset_size=7, noise_scale=0.5)
     for _ in range(5):
         x = gen.standard_normal(2)
-        avg = np.mean([level.value(x, t) for t in range(7)], axis=0)
+        avg = level.value(x, np.arange(7)).mean(axis=0)
         assert np.abs(avg - level.exact_value(x)).max() <= 1e-12
-        avg_jac = np.mean([level.jacobian(x, t) for t in range(7)], axis=0)
+        avg_jac = level.jacobian(x, np.arange(7)).mean(axis=0)
         assert np.abs(avg_jac - level.exact_jacobian(x)).max() <= 1e-12
 
 
 class TestStochasticChainJacobian:
+    """The batch mean of sample-wise noisy-Jacobian chain products."""
+
     def test_zero_noise_matches_exact(self):
         problem = square_then_sine()
         x = np.array([0.7])
         chain = [x, problem.levels[0].exact_value(x)]
-        got = stochastic_chain_jacobian(problem, chain, [0, 0])
+        got = _batch_mean(problem.levels, chain, [[0], [0]])
         want = exact_gradient(problem, x)
         assert np.allclose(got, want, atol=1e-15)
 
     def test_single_level(self):
         problem = CompositionalProblem([linear_level([1.0, 2.0], noise_scale=0.3)])
-        got = stochastic_chain_jacobian(problem, [np.array([0.5, 0.5])], [0])
+        got = _batch_mean(problem.levels, [np.array([0.5, 0.5])], [[0]])
         assert got.shape == (2,)
 
     def test_full_enumeration_average_matches_exact(self):
@@ -160,13 +162,13 @@ class TestStochasticChainJacobian:
         l1 = linear_level([1.0, -1.0], dataset_size=size, noise_scale=0.4)
         gen = np.random.default_rng(11)
         x = gen.standard_normal(2)
-        per_level_avg = np.mean([l1.jacobian(x, t) for t in range(size)], axis=0)
+        per_level_avg = l1.jacobian(x, np.arange(size)).mean(axis=0)
         assert np.abs(per_level_avg - l1.exact_jacobian(x)).max() <= 1e-12
 
     def test_wrong_chain_length(self):
         problem = square_then_sine()
         with pytest.raises(ValueError):
-            stochastic_chain_jacobian(problem, [np.array([1.0])], [0])
+            _batch_mean(problem.levels, [np.array([1.0])], [[0], [0]])
 
 
 def test_declared_lower_bound_enforced():

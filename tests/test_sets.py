@@ -255,3 +255,49 @@ def test_box_lmo_beats_every_vertex(rows):
     for corner in itertools.product(*zip(lower, upper)):
         corner = np.array(corner)
         assert inner(z, d) <= inner(corner, d) + 1e-12 * np.abs(corner * d).sum()
+
+
+# --- projections: idempotent and non-expansive ------------------------------
+
+def check_projection(fset, a, b, tol):
+    """P(P(a)) = P(a) and ||P(a) - P(b)|| <= ||a - b||, up to ``tol``."""
+    pa, pb = fset.project(a), fset.project(b)
+    assert fset.contains(pa, tol)
+    assert np.abs(fset.project(pa) - pa).max() <= tol
+    assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + tol
+
+
+@st.composite
+def point_pairs(draw, shape):
+    """Two points of the given shape from one seed, at a common scale."""
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = 10.0 ** draw(st.integers(-3, 3))
+    return scale * gen.standard_normal(shape), scale * gen.standard_normal(shape), scale
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 8))
+def test_simplex_projection_is_idempotent_and_nonexpansive(data, d):
+    a, b, scale = data.draw(point_pairs((d,)))
+    check_projection(Simplex(d), a, b, 1e-12 * (1.0 + scale))
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data(), d=st.integers(1, 8))
+def test_box_projection_is_idempotent_and_nonexpansive(data, d):
+    lower, width, _ = data.draw(point_pairs((d,)))
+    a, b, scale = data.draw(point_pairs((d,)))
+    box = Box(lower, lower + np.abs(width))
+    check_projection(box, a, b, 1e-12 * (1.0 + scale))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 6),
+    n=st.integers(1, 6),
+    radius=st.floats(0.1, 10.0),
+)
+def test_nuclear_projection_is_idempotent_and_nonexpansive(data, m, n, radius):
+    a, b, scale = data.draw(point_pairs((m, n)))
+    check_projection(NuclearNormBall(m, n, radius), a, b, 1e-12 * (radius + scale))

@@ -45,8 +45,8 @@ def linear_problem(c):
     c = np.asarray(c, dtype=np.float64)
     level = Level(
         c.size, 1,
-        lambda x, s: np.array([c @ x]),
-        lambda x, s: c.reshape(-1, 1),
+        lambda x, s: np.full((len(s), 1), c @ x),
+        lambda x, s: np.broadcast_to(c.reshape(-1, 1), (len(s), c.size, 1)),
         lambda x: np.array([c @ x]),
         lambda x: c.reshape(-1, 1),
         samples=FiniteSamples(1),
@@ -67,12 +67,12 @@ def counted_problem(k, dims=None, dataset=5, seed=0):
         noise -= noise.mean(axis=0)
 
         def value(x, t, a=a, noise=noise):
-            counts["value"] += 1
+            counts["value"] += len(t)
             return a @ x + noise[t]
 
         def jacobian(x, t, a=a, noise=noise):
-            counts["jacobian"] += 1
-            return a.T + noise[t].mean()
+            counts["jacobian"] += len(t)
+            return a.T + noise[t].mean(axis=1)[:, None, None]
 
         levels.append(
             Level(
@@ -352,12 +352,12 @@ class TestBaseline:
         c = np.array([0.5, -0.25])
 
         def draw(gen, n):
-            return [0.0] * n
+            return np.zeros(n)
 
         level = Level(
             2, 1,
-            lambda x, s: np.array([(x - c) @ (x - c)]),
-            lambda x, s: (2 * (x - c)).reshape(-1, 1),
+            lambda x, s: np.full((len(s), 1), (x - c) @ (x - c)),
+            lambda x, s: np.broadcast_to((2 * (x - c)).reshape(-1, 1), (len(s), 2, 1)),
             lambda x: np.array([(x - c) @ (x - c)]),
             lambda x: (2 * (x - c)).reshape(-1, 1),
             samples=GenerativeSamples(draw),
@@ -505,13 +505,14 @@ def drifting_nan_problem(nan_level, d=4):
     def noisy(level, f):
         def value(x, s):
             x0 = first.setdefault(level, x.copy())
-            return f(x) if level != nan_level or np.array_equal(x, x0) else f(x) * np.nan
+            fx = f(x) if level != nan_level or np.array_equal(x, x0) else f(x) * np.nan
+            return np.broadcast_to(fx, (len(s), fx.size))
         return value
 
     levels = [
-        Level(d, 2, noisy(1, lambda x: a @ x), lambda x, s: a.T.copy(),
+        Level(d, 2, noisy(1, lambda x: a @ x), lambda x, s: np.broadcast_to(a.T, (len(s), d, 2)),
               lambda x: a @ x, lambda x: a.T.copy(), samples=FiniteSamples(3)),
-        Level(2, 1, noisy(2, lambda y: np.array([y.sum()])), lambda y, s: np.ones((2, 1)),
+        Level(2, 1, noisy(2, lambda y: np.array([y.sum()])), lambda y, s: np.ones((len(s), 2, 1)),
               lambda y: np.array([y.sum()]), lambda y: np.ones((2, 1)),
               samples=FiniteSamples(3)),
     ]
@@ -532,7 +533,7 @@ class TestNonFiniteGuard:
     def test_nan_jacobian_stops_the_run_at_initialization(self):
         problem, fset, x1 = drifting_nan_problem(None)
         problem.levels[0] = replace(
-            problem.levels[0], jacobian=lambda x, s: np.full((4, 2), np.nan)
+            problem.levels[0], jacobian=lambda x, s: np.full((len(s), 4, 2), np.nan)
         )
         params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=10)
         with pytest.raises(NonFiniteStateError) as err:
