@@ -98,10 +98,11 @@ def _level_batches(problem, rng, t, size):
     """One batch per level for iteration t, from the substream (level, t).
 
     Each level owns its substream, so the order of the draws does not
-    change any batch.
+    change any batch. The draws share the source's one rekeyed generator,
+    so each batch is drawn in full before the next level's rekey.
     """
     return [
-        sample_batch(level, rng.split(i * STREAM_LEVEL_STRIDE + t).generator, size)
+        sample_batch(level, rng.child_generator(i * STREAM_LEVEL_STRIDE + t), size)
         for i, level in enumerate(problem.levels, start=1)
     ]
 

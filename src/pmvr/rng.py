@@ -9,20 +9,87 @@ independent streams by construction (distinct Philox keys).
 Stream index conventions used by the solvers:
 
 * ``level * 2**20 + iteration`` -- per-level sample batches (iteration 0 is
-  the initialization batch),
+  the initialization batch); a run therefore has fewer than 2**20
+  iterations in total, or level i's late batches would repeat level i+1's,
 * ``2**40 + stage`` -- the uniform draw of the returned iterate index.
 
-These streams are unchanged by batched oracles: a finite dataset draws its
-batch with one ``integers`` call, and a generative draw fills its batch
+The per-level batches come from ``child_generator(index)``, which yields
+exactly the stream of ``split(index).generator`` without building a
+``SeedSequence``, a ``Philox`` and a ``Generator`` for each one. The source
+hashes its seed and path into a ``SeedSequence`` entropy pool once; each
+call mixes in the index words, derives the same 2 x 64-bit Philox key that
+``SeedSequence(seed, spawn_key=path + (index,)).generate_state(2, np.uint64)``
+gives, and writes it, with a zero counter and an empty output buffer, into
+one Philox generator that the source owns and reuses. Every substream keeps
+its values.
+
+These streams are also unchanged by batched oracles: a finite dataset draws
+its batch with one ``integers`` call, and a generative draw fills its batch
 arrays sample by sample in the generator-call order of a per-sample loop.
 """
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 STREAM_LEVEL_STRIDE = 2**20
 STREAM_TAU_BASE = 2**40
+
+# numpy's SeedSequence constants: a pool of four 32-bit words, entropy
+# hashed in with the A constants, the output state hashed with the B ones
+_MASK32 = 0xFFFFFFFF
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+
+
+def _hash_constants(init, mult, n):
+    """The n (xor, multiply) constant pairs of n successive hash steps."""
+    consts, h = [], init
+    for _ in range(n):
+        nxt = h * mult & _MASK32
+        consts.append((h, nxt))
+        h = nxt
+    return consts, h
+
+
+# generate_state(2, np.uint64) hashes the four pool words with fixed constants
+_STATE_CONSTANTS = tuple(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)[0])
+
+
+def _nonnegative_int(value, what):
+    try:
+        n = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from None
+    if n < 0:
+        raise ValueError(f"{what} must be a non-negative integer, got {n}")
+    return n
+
+
+def _words(n):
+    """The little-endian 32-bit words of a non-negative int, as SeedSequence
+    splits it (0 is one zero word)."""
+    words = [n & _MASK32]
+    n >>= 32
+    while n:
+        words.append(n & _MASK32)
+        n >>= 32
+    return words
+
+
+def _absorb(pool, consts, word):
+    """The pool after SeedSequence mixes one entropy word past the pool size
+    into each pool word, with that word's (xor, multiply) hash constants."""
+    out = []
+    for p, (x, m) in zip(pool, consts):
+        h = (word ^ x) * m & _MASK32
+        r = (_MIX_MULT_L * p - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32
+        out.append(r ^ r >> 16)
+    return out
 
 
 class RandomSource:
@@ -31,22 +98,22 @@ class RandomSource:
     A source is single-owner: it is never shared between concurrent runs,
     only split. ``split(i)`` derives an independent child stream; the child
     depends only on ``(seed, path + (i,))``, never on how much the parent
-    has been consumed.
+    has been consumed. The seed is below 2**64; it, the path entries and
+    the split indices are non-negative integers.
     """
 
     def __init__(self, seed, path=()):
-        seed = int(seed)
-        if not 0 <= seed < 2**64:
+        seed = _nonnegative_int(seed, "seed")
+        if seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed = seed
-        self.path = tuple(int(p) for p in path)
+        self.path = tuple(_nonnegative_int(p, "stream path entry") for p in path)
         self._generator = None
+        self._child = None  # (pool, next word's constants, hash constant, Generator)
 
     def split(self, index):
         """Derive the independent substream with the given index."""
-        if index < 0:
-            raise ValueError(f"stream index must be non-negative, got {index}")
-        return RandomSource(self.seed, self.path + (int(index),))
+        return RandomSource(self.seed, self.path + (_nonnegative_int(index, "stream index"),))
 
     @property
     def generator(self):
@@ -55,6 +122,58 @@ class RandomSource:
             ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
             self._generator = np.random.Generator(np.random.Philox(ss))
         return self._generator
+
+    def _child_pool(self):
+        """SeedSequence's entropy pool after the seed and the path words, the
+        hash constants of the next word, and the running hash constant.
+
+        numpy pads the seed words to the pool size only when a spawn key is
+        given; the pool is the same either way, as a missing word hashes as
+        a zero. The constant has advanced once per seed word (four), twelve
+        times in the pool's own mixing and four times per path word.
+        """
+        ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
+        words = sum(len(_words(p)) for p in self.path)
+        steps = _POOL_SIZE * (_POOL_SIZE + words)
+        h = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32
+        consts, h = _hash_constants(h, _MULT_A, _POOL_SIZE)
+        return [int(w) for w in ss.pool], consts, h
+
+    def _child_key(self, index):
+        """The Philox key of ``split(index)``: the two uint64 words of
+        ``SeedSequence(seed, spawn_key=path + (index,)).generate_state(2, np.uint64)``."""
+        if self._child is None:
+            gen = np.random.Generator(np.random.Philox(key=0))
+            self._child = (*self._child_pool(), gen)
+        pool, consts, h, _ = self._child
+        *head, last = _words(_nonnegative_int(index, "stream index"))
+        for w in head:  # an index of 2**32 or above continues the hash chain
+            pool = _absorb(pool, consts, w)
+            consts, h = _hash_constants(h, _MULT_A, _POOL_SIZE)
+        out = []
+        for p, (x, m) in zip(_absorb(pool, consts, last), _STATE_CONSTANTS):
+            h = (p ^ x) * m & _MASK32
+            out.append(h ^ h >> 16)
+        return out[0] | out[1] << 32, out[2] | out[3] << 32
+
+    def child_generator(self, index):
+        """A Generator drawing exactly the stream of ``split(index).generator``.
+
+        The source owns one Philox generator and rekeys it on every call,
+        so the returned Generator is valid only until the next call on
+        this source.
+        """
+        key = self._child_key(index)
+        gen = self._child[-1]
+        gen.bit_generator.state = {
+            "bit_generator": "Philox",
+            "state": {"counter": (0, 0, 0, 0), "key": key},
+            "buffer": (0, 0, 0, 0),
+            "buffer_pos": 4,
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return gen
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, path={self.path})"

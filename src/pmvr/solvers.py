@@ -34,7 +34,7 @@ from .estimators import (
 )
 from .metrics import OracleCounters, _fw_gap, _gradient_mapping
 from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
-from .rng import STREAM_TAU_BASE
+from .rng import STREAM_LEVEL_STRIDE, STREAM_TAU_BASE
 
 FEASIBILITY_TOL = 1e-6
 
@@ -344,8 +344,16 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
     (x, u, v, t) snapshot. ``tau`` names an iteration of the first stage
     whose starting point is kept as ``x_tau``. The trackers are checked for
     non-finite values after initialization, and by each step after it
-    updates them.
+    updates them. A run of STREAM_LEVEL_STRIDE or more iterations in total
+    raises ValueError before initialization: its late batches would repeat
+    the next level's sample streams.
     """
+    total = sum(params.iters for _, params in stages)
+    if total >= STREAM_LEVEL_STRIDE:
+        raise ValueError(
+            f"{total} iterations in total reach the per-level stream stride "
+            f"{STREAM_LEVEL_STRIDE}; level i's late batches would repeat level i+1's"
+        )
     cfg = trace if trace is not None else TraceConfig()
     t0 = time.perf_counter()
     state = init(problem, fset, stages[0][1], x1, rng)

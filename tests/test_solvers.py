@@ -9,19 +9,25 @@ from hypothesis import strategies as st
 from pmvr import cli
 from pmvr.benchmarks import (
     PortfolioData,
+    SingleIndexConfig,
+    mean_deviation_problem,
     mean_variance_problem,
     quadratic_distance_problem,
+    single_index_problem,
+    synthetic_portfolio_data,
     two_level_tracking_problem,
 )
 from pmvr.core import inner
 from pmvr.metrics import expected_baseline_sfo, expected_lmo, expected_sfo
+from pmvr.estimators import _level_batches
 from pmvr.problems import (
     CompositionalProblem,
     FiniteSamples,
     GenerativeSamples,
     Level,
+    sample_batch,
 )
-from pmvr.rng import RandomSource
+from pmvr.rng import STREAM_LEVEL_STRIDE, RandomSource
 from pmvr.sets import Box, Simplex
 from pmvr.solvers import (
     NonFiniteStateError,
@@ -555,3 +561,128 @@ class TestNonFiniteGuard:
         }))
         assert cli.main(["run", "--config", str(path)]) == 2
         assert "value tracker u[1] is non-finite at iteration 2" in capsys.readouterr().err
+
+
+# --- per-level sample streams ------------------------------------------------
+
+
+def portfolio_case():
+    data = synthetic_portfolio_data(d=5, periods=60, data_seed=1)
+    return mean_deviation_problem(data, 1.0), Simplex(5), np.full(5, 0.2)
+
+
+def single_index_case():
+    problem, ball = single_index_problem(SingleIndexConfig(m=4, n=3, sigma=0.1))
+    return problem, ball, problem.x_start
+
+
+def tracking_case():
+    return two_level_tracking_problem(data_seed=2), Simplex(5), np.full(5, 0.2)
+
+
+STREAM_CASES = {
+    "portfolio": portfolio_case,
+    "single_index": single_index_case,
+    "two_level_tracking": tracking_case,
+}
+
+
+def split_generator(source, index):
+    """The draw of one fresh generator per substream, which the rekeyed
+    ``RandomSource.child_generator`` must reproduce."""
+    return source.split(index).generator
+
+
+def batch_arrays(batch):
+    return batch if isinstance(batch, tuple) else (batch,)
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+@pytest.mark.parametrize("t", [0, 1, 7, STREAM_LEVEL_STRIDE - 1])
+def test_level_batches_equal_per_level_split_streams(name, t):
+    problem, _, _ = STREAM_CASES[name]()
+    rng = RandomSource(29)
+    got = _level_batches(problem, rng, t, 5)
+    want = [
+        sample_batch(level, split_generator(rng, i * STREAM_LEVEL_STRIDE + t), 5)
+        for i, level in enumerate(problem.levels, start=1)
+    ]
+    assert len(got) == len(want) == problem.k
+    for g, w in zip(got, want):
+        pairs = zip(batch_arrays(g), batch_arrays(w), strict=True)
+        assert all(np.array_equal(a, b) for a, b in pairs)
+
+
+def trace_values(result):
+    return [replace(row, seconds=0.0) for row in result.trace], result.x_final
+
+
+RUNS = {
+    "pmvr": lambda p, fset, x1, rng: pmvr_run(
+        p, fset, SolverParams(eta=0.05, alpha=0.3, b0=4, b1=3, iters=12), x1, rng
+    ),
+    "stagewise": lambda p, fset, x1, rng: stagewise_run(
+        p, fset,
+        StageSchedule(
+            stages=[
+                SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=6),
+                SolverParams(eta=0.02, alpha=0.2, b0=4, b1=3, iters=7),
+            ],
+            targets=[0.5, 0.25],
+        ),
+        x1, rng,
+    ),
+    "baseline": lambda p, fset, x1, rng: projected_baseline_run(
+        p, fset, 0.05, 0.5, 3, 12, x1, rng
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_runs_keep_the_trace_of_one_generator_per_substream(name, run, monkeypatch):
+    problem, fset, x1 = STREAM_CASES[name]()
+    rows, x_final = trace_values(RUNS[run](problem, fset, x1, RandomSource(31)))
+    monkeypatch.setattr(RandomSource, "child_generator", split_generator)
+    want_rows, want_x = trace_values(RUNS[run](problem, fset, x1, RandomSource(31)))
+    assert rows == want_rows
+    assert np.array_equal(x_final, want_x)
+
+
+def untouchable_problem():
+    """A one-level problem whose oracles and sampler fail the test if used."""
+
+    def fail(*args):
+        raise AssertionError("the run started")
+
+    return CompositionalProblem([Level(3, 1, fail, fail, fail, fail, GenerativeSamples(fail))])
+
+
+def stride_runs(total):
+    """The three entry points on an untouchable problem with ``total``
+    iterations in all (the stage-wise run in two stages)."""
+    problem = untouchable_problem()
+    fset = Simplex(3)
+    x1 = np.full(3, 1 / 3)
+    params = SolverParams(eta=0.05, alpha=0.3, b0=2, b1=1, iters=total)
+    first = replace(params, iters=total // 2)
+    second = replace(params, iters=total - total // 2)
+    return {
+        "pmvr": lambda: pmvr_run(problem, fset, params, x1, RandomSource(1)),
+        "stagewise": lambda: stagewise_run(
+            problem, fset, StageSchedule(stages=[first, second], targets=[0.5, 0.25]),
+            x1, RandomSource(1),
+        ),
+        "baseline": lambda: projected_baseline_run(
+            problem, fset, 0.05, 0.5, 1, total, x1, RandomSource(1)
+        ),
+    }
+
+
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_runs_reaching_the_stream_stride_are_refused_before_initialization(run):
+    with pytest.raises(ValueError, match="stream stride"):
+        stride_runs(STREAM_LEVEL_STRIDE)[run]()
+    # one iteration fewer is accepted: the run starts and meets the oracles
+    with pytest.raises(AssertionError, match="the run started"):
+        stride_runs(STREAM_LEVEL_STRIDE - 1)[run]()
