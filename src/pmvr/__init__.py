@@ -48,8 +48,7 @@ from .estimators import (
     GradientTracker,
     ValueTrackers,
     init_trackers,
-    storm_gradient_update,
-    storm_value_update,
+    storm_update,
 )
 
 __version__ = "0.1.0"

@@ -18,6 +18,8 @@ from typing import Optional
 
 import numpy as np
 
+from .rng import STREAM_LEVEL_STRIDE
+
 TRACE_HEADER = "iter,stage,seconds,sfo,lmo,objective,fw_gap,grad_map,beta,opt_gap"
 SENTINELS = (-99.99, -999.0)
 
@@ -33,8 +35,10 @@ THEOREMS = {
     "thm7": ("strongly_convex_gap", "constant"),
     "thm8": ("strongly_convex_gap", "large"),
 }
-SINGLE_RUN_THEOREMS = ("thm1", "thm2", "thm3", "thm4")
-STAGE_THEOREMS = ("thm5", "thm6", "thm7", "thm8")
+# the theorems each algorithm runs: the -v2 variants are the ones with the
+# quadratic subsolver, the stage-wise ones those with a stage list
+ALGORITHM_THEOREMS = {"pmvr": ("thm1", "thm2"), "pmvr-v2": ("thm3", "thm4"),
+                      "stagewise": ("thm5", "thm6"), "stagewise-v2": ("thm7", "thm8")}
 
 
 class ConfigError(ValueError):
@@ -380,13 +384,6 @@ def _validate_schedule(section, algorithm):
     if not isinstance(section, dict):
         raise ConfigError("schedule", "expected an object")
     modes = [k for k in ("theorem", "explicit", "stages") if k in section]
-    if algorithm in ("stagewise", "stagewise-v2"):
-        if not modes:
-            raise ConfigError(
-                "schedule",
-                "stage-wise algorithms need either a theorem (thm5-thm8) or a "
-                "stages section",
-            )
     if len(modes) != 1:
         raise ConfigError(
             "schedule", "exactly one of theorem | explicit | stages is required"
@@ -406,16 +403,10 @@ def _validate_schedule(section, algorithm):
         thm = section["theorem"]
         if thm not in THEOREMS:
             raise ConfigError("schedule.theorem", f"unknown theorem {thm!r}")
-        is_stage_thm = thm in STAGE_THEOREMS
-        if algorithm in ("stagewise", "stagewise-v2") and not is_stage_thm:
+        allowed = ALGORITHM_THEOREMS.get(algorithm)  # the baseline fails below
+        if allowed is not None and thm not in allowed:
             raise ConfigError(
-                "schedule.theorem",
-                f"{thm} is a single-run schedule; stage-wise algorithms need thm5-thm8",
-            )
-        if algorithm in ("pmvr", "pmvr-v2") and is_stage_thm:
-            raise ConfigError(
-                "schedule.theorem",
-                f"{thm} is a stage-wise schedule; pmvr variants need thm1-thm4",
+                "schedule.theorem", f"{algorithm} runs {' or '.join(allowed)}, not {thm}"
             )
         out["theorem"] = thm
         out["eps"] = _check_range(
@@ -438,7 +429,7 @@ def _validate_schedule(section, algorithm):
             section.get("overrides", {}), "schedule.overrides",
             allowed=("eta", "alpha", "b0", "b1", "t", "n"),
         )
-        if overrides and is_stage_thm:
+        if overrides and algorithm.startswith("stagewise"):
             raise ConfigError(
                 "schedule.overrides", "overrides apply to single-run schedules only"
             )
@@ -454,16 +445,6 @@ def _validate_schedule(section, algorithm):
         )
         explicit.setdefault("b0", 1)
         out["explicit"] = explicit
-        if algorithm == "pmvr-v2" and "n" not in explicit:
-            raise ConfigError("schedule.explicit.n", "this algorithm needs inner iterations n")
-        if algorithm == "pmvr-v2" and "coeff" not in explicit:
-            raise ConfigError("schedule.explicit.coeff", "pmvr-v2 needs a coefficient")
-        if algorithm != "pmvr-v2" and (
-            "n" in out["explicit"] or "coeff" in out["explicit"]
-        ):
-            raise ConfigError(
-                "schedule.explicit", f"subsolver parameters require pmvr-v2, not {algorithm}"
-            )
     else:
         _no_unknown(section, {"stages", "b0", "n", "coeff"}, "schedule")
         stages = section["stages"]
@@ -481,11 +462,41 @@ def _validate_schedule(section, algorithm):
             )
             for idx, st in enumerate(stages)
         ]
-        if algorithm == "stagewise-v2" and ("n" not in out or "coeff" not in out):
-            raise ConfigError(
-                "schedule", "stagewise-v2 stages need n and coeff for the subsolver"
-            )
+    if mode != "theorem":  # the -v2 algorithms, and only they, run the subsolver
+        block = out["explicit"] if mode == "explicit" else out
+        where = "schedule.explicit" if mode == "explicit" else "schedule"
+        for key in ("n", "coeff"):
+            if (key in block) != algorithm.endswith("-v2"):
+                what = "needs" if key not in block else "runs no subsolver for"
+                raise ConfigError(f"{where}.{key}", f"{algorithm} {what} {key}")
+    _check_length(out)
     return out
+
+
+def _check_length(sched):
+    """Refuse 2**20 or more iterations in total: level i's late batches would
+    repeat level i+1's sample streams. A thm7/thm8 schedule without
+    ``modulus`` takes the problem's, so the solvers refuse it at run time."""
+    if sched["mode"] == "explicit":
+        path, total = "schedule.explicit.t", sched["explicit"]["t"]
+    elif sched["mode"] == "stages":
+        path, total = "schedule.stages", sum(st["t"] for st in sched["stages"])
+    elif "t" in sched["overrides"]:
+        path, total = "schedule.overrides.t", sched["overrides"]["t"]
+    elif sched["theorem"] in ("thm7", "thm8") and "modulus" not in sched:
+        return
+    else:
+        from .solvers import ScheduleConstants, schedule_for  # late: solvers imports us
+
+        path = "schedule.eps"
+        try:
+            out = schedule_for(*THEOREMS[sched["theorem"]], sched["eps"],
+                               ScheduleConstants(**sched["constants"]), sched.get("modulus"))
+            total = sum(p.iters for p in getattr(out, "stages", [out]))
+        except ArithmeticError:  # so small an eps that the count overflows
+            total = math.inf
+    if total >= STREAM_LEVEL_STRIDE:
+        raise ConfigError(path, f"{total} iterations reach the stream stride {STREAM_LEVEL_STRIDE}")
 
 
 def _box_bound(set_spec, key):

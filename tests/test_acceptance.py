@@ -22,7 +22,7 @@ from pmvr.benchmarks import (
 from pmvr.checks import finite_difference_gradient, relative_error
 from pmvr.core import inner
 from pmvr.data_io import load_french_csv, read_trace_csv, write_trace_csv, TraceRow
-from pmvr.estimators import init_trackers, storm_gradient_update, storm_value_update
+from pmvr.estimators import init_trackers, storm_update
 from pmvr.metrics import expected_lmo, expected_sfo, gradient_mapping
 from pmvr.problems import (
     CompositionalProblem,
@@ -165,12 +165,7 @@ def test_c3_estimator_exactness_and_cancellation():
     worst_u = worst_v = 0.0
     for step in range(100):
         x = x + 0.003 * np.array([1.0, -0.5])
-        chain = [x]
-        for i in range(1, 3):
-            u_i = storm_value_update(trackers, problem, i, chain[i - 1], chain[i - 1], [0])
-            if i < 2:
-                chain.append(u_i)
-        storm_gradient_update(grad, problem, chain, chain, [[0], [0]])
+        storm_update(trackers, grad, problem, x, None, [[0], [0]])
         values = exact_inner_values(problem, x)
         worst_u = max(
             worst_u,
@@ -189,9 +184,7 @@ def test_c3_estimator_exactness_and_cancellation():
     chain = [xf] + list(u_before[:1])
     gen = RandomSource(2).split(7).generator
     batches = [noisy.levels[i].samples.draw(gen, 3) for i in range(2)]
-    for i in range(1, 3):
-        storm_value_update(trackers2, noisy, i, chain[i - 1], chain[i - 1], batches[i - 1])
-    storm_gradient_update(grad2, noisy, chain, chain, batches)
+    storm_update(trackers2, grad2, noisy, xf, chain, batches)
     bit_stationary = all(
         np.array_equal(u, ub) for u, ub in zip(trackers2.u, u_before)
     ) and np.array_equal(grad2.v, v_before)

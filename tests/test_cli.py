@@ -147,6 +147,22 @@ class TestRun:
         assert f"error: {locator}:" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
+        "algorithm, schedule, locator",
+        [
+            ("pmvr", {"theorem": "thm1", "eps": 0.1, "overrides": {"t": 1048576}},
+             "schedule.overrides.t"),
+            ("pmvr-v2", {"theorem": "thm1", "eps": 0.1}, "schedule.theorem"),
+        ],
+    )
+    def test_schedule_refused_before_the_run_exits_one(
+        self, tmp_path, capsys, algorithm, schedule, locator
+    ):
+        cfg = dict(BASE, algorithm=algorithm, schedule=schedule, out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"error: {locator}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
         "problem, set_spec, jobs",
         [
             ({"name": "single_index", "m": 4, "n": 4}, {"kind": "simplex"}, 1),

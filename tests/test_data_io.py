@@ -127,6 +127,8 @@ MINIMAL = {
     "seed": 1,
 }
 
+STAGES = {"stages": [{"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 5}]}
+
 
 class TestConfigValidation:
     def test_minimal_config_fills_defaults(self):
@@ -152,6 +154,51 @@ class TestConfigValidation:
         with pytest.raises(ConfigError) as err:
             validate_config(bad)
         assert err.value.path == "schedule.theorem"
+
+    @pytest.mark.parametrize("algorithm, schedule, path", [
+        ("pmvr-v2", {"theorem": "thm1", "eps": 0.1}, "schedule.theorem"),
+        ("pmvr-v2", {"theorem": "thm2", "eps": 0.1}, "schedule.theorem"),
+        ("pmvr", {"theorem": "thm3", "eps": 0.1}, "schedule.theorem"),
+        ("pmvr", {"theorem": "thm4", "eps": 0.1}, "schedule.theorem"),
+        ("stagewise", {"theorem": "thm7", "eps": 0.1, "modulus": 1.0}, "schedule.theorem"),
+        ("stagewise", {"theorem": "thm8", "eps": 0.1, "modulus": 1.0}, "schedule.theorem"),
+        ("stagewise-v2", {"theorem": "thm5", "eps": 0.1}, "schedule.theorem"),
+        ("stagewise-v2", {"theorem": "thm6", "eps": 0.1}, "schedule.theorem"),
+        ("stagewise", dict(STAGES, n=3, coeff=1.0), "schedule.n"),
+        ("stagewise", dict(STAGES, n=3), "schedule.n"),
+        ("stagewise", dict(STAGES, coeff=1.0), "schedule.coeff"),
+    ])
+    def test_subsolver_mismatch_names_the_field(self, algorithm, schedule, path):
+        bad = dict(MINIMAL, algorithm=algorithm, schedule=schedule)
+        with pytest.raises(ConfigError) as err:
+            validate_config(bad)
+        assert err.value.path == path
+
+    @pytest.mark.parametrize("schedule, path", [
+        ({"theorem": "thm1", "eps": 0.1, "overrides": {"t": 2**20}}, "schedule.overrides.t"),
+        ({"theorem": "thm1", "eps": 0.0098}, "schedule.eps"),
+        ({"theorem": "thm1", "eps": 1e-200}, "schedule.eps"),
+        ({"explicit": {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 2**20}}, "schedule.explicit.t"),
+    ])
+    def test_schedule_of_stride_length_is_refused(self, schedule, path):
+        with pytest.raises(ConfigError, match="stream stride") as err:
+            validate_config(dict(MINIMAL, schedule=schedule))
+        assert err.value.path == path
+
+    def test_stages_summing_to_the_stride_are_refused(self):
+        stage = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 2**19}
+        schedule = {"stages": [stage, dict(stage, t=2**19 - 1)]}
+        validate_config(dict(MINIMAL, algorithm="stagewise", schedule=schedule))
+        schedule["stages"][1]["t"] = 2**19
+        with pytest.raises(ConfigError, match="stream stride") as err:
+            validate_config(dict(MINIMAL, algorithm="stagewise", schedule=schedule))
+        assert err.value.path == "schedule.stages"
+
+    def test_schedule_just_below_the_stride_is_accepted(self):
+        validate_config(dict(MINIMAL, schedule={"theorem": "thm1", "eps": 0.0099}))
+        validate_config(dict(
+            MINIMAL, schedule={"theorem": "thm1", "eps": 0.1, "overrides": {"t": 2**20 - 1}}
+        ))
 
     def test_unknown_key_rejected_with_locator(self):
         bad = dict(MINIMAL, schedule={"theorem": "thm1", "eps": 0.1, "oops": 1})

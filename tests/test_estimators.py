@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -17,11 +18,10 @@ from pmvr.estimators import (
     _SLICE_ENTRIES,
     GradientTracker,
     ValueTrackers,
-    _batch_mean,
     _level_batches,
+    _walk,
     init_trackers,
-    storm_gradient_update,
-    storm_value_update,
+    storm_update,
 )
 from pmvr.metrics import OracleCounters
 from pmvr.problems import (
@@ -95,6 +95,11 @@ def finite_noisy_problem(size=6):
     return CompositionalProblem([l1, l2])
 
 
+def idle_gradient(problem):
+    """A gradient tracker for tests that only read the value trackers."""
+    return GradientTracker(v=np.zeros(problem.x_shape), alpha=0.5)
+
+
 class TestInit:
     def test_zero_noise_matches_exact_chain(self):
         problem = deterministic_two_level()
@@ -145,9 +150,11 @@ class TestValueUpdate:
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
         trackers = ValueTrackers(u=[np.array([9.0])], alpha=1.0)
-        got = storm_value_update(
-            trackers, problem, 1, np.array([2.0]), np.array([1.0]), [0.25, -0.25]
+        storm_update(
+            trackers, idle_gradient(problem), problem, np.array([2.0]), [np.array([1.0])],
+            [[0.25, -0.25]],
         )
+        got = trackers.u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_substitution(self):
@@ -155,9 +162,11 @@ class TestValueUpdate:
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
         trackers = ValueTrackers(u=[np.array([2.0])], alpha=0.5)
-        got = storm_value_update(
-            trackers, problem, 1, np.array([1.5]), np.array([1.0]), [0.0]
+        storm_update(
+            trackers, idle_gradient(problem), problem, np.array([1.5]), [np.array([1.0])],
+            [[0.0]],
         )
+        got = trackers.u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_telescoping_is_bit_stationary(self):
@@ -166,7 +175,8 @@ class TestValueUpdate:
         before = np.array([0.123456789e-3])
         trackers = ValueTrackers(u=[before.copy()], alpha=0.0)
         point = np.array([1.7])
-        got = storm_value_update(trackers, problem, 1, point, point, [0.4, -1.2])
+        storm_update(trackers, idle_gradient(problem), problem, point, [point], [[0.4, -1.2]])
+        got = trackers.u[0]
         assert got[0] == before[0]  # exact bit-level equality
 
     def test_rejects_empty_batch(self):
@@ -174,7 +184,9 @@ class TestValueUpdate:
         problem = CompositionalProblem([level])
         trackers = ValueTrackers(u=[np.zeros(1)], alpha=0.5)
         with pytest.raises(ValueError):
-            storm_value_update(trackers, problem, 1, np.zeros(1), np.zeros(1), [])
+            storm_update(
+                trackers, idle_gradient(problem), problem, np.zeros(1), [np.zeros(1)], [[]]
+            )
 
 
 class TestGradientUpdate:
@@ -183,7 +195,9 @@ class TestGradientUpdate:
         x = np.array([0.2, 0.5])
         chain = [x, problem.levels[0].exact_value(x)]
         tracker = GradientTracker(v=np.zeros(2), alpha=1.0)
-        got = storm_gradient_update(tracker, problem, chain, chain, [[0], [0]])
+        trackers = ValueTrackers(u=[np.zeros(2), np.zeros(1)], alpha=1.0)
+        storm_update(trackers, tracker, problem, x, chain, [[0], [0]])
+        got = tracker.v
         assert np.allclose(got, exact_gradient(problem, x), atol=1e-12)
 
     def test_identical_chains_alpha_zero_stationary(self):
@@ -192,14 +206,18 @@ class TestGradientUpdate:
         chain = [x, problem.levels[0].exact_value(x)]
         v0 = np.array([0.31, -0.17])
         tracker = GradientTracker(v=v0.copy(), alpha=0.0)
-        got = storm_gradient_update(tracker, problem, chain, list(chain), [[2, 4], [1, 3]])
+        # the level-1 tracker holds the old chain's input, so both chains agree
+        trackers = ValueTrackers(u=[chain[1].copy(), np.zeros(1)], alpha=0.0)
+        storm_update(trackers, tracker, problem, x, list(chain), [[2, 4], [1, 3]])
+        got = tracker.v
         assert np.array_equal(got, v0)
 
     def test_wrong_chain_length(self):
         problem = deterministic_two_level()
         tracker = GradientTracker(v=np.zeros(2), alpha=0.5)
+        trackers = ValueTrackers(u=[np.zeros(2), np.zeros(1)], alpha=0.5)
         with pytest.raises(ValueError):
-            storm_gradient_update(tracker, problem, [np.zeros(2)], [np.zeros(2)], [[0], [0]])
+            storm_update(trackers, tracker, problem, np.zeros(2), [np.zeros(2)], [[0], [0]])
 
 
 def test_deterministic_mode_tracks_exact_quantities():
@@ -209,14 +227,7 @@ def test_deterministic_mode_tracks_exact_quantities():
     trackers, grad = init_trackers(problem, x, 2, RandomSource(5), alpha=1.0)
     for step in range(10):
         x = x + 0.01 * np.array([1.0, -1.0])
-        chain = [x]
-        for i in range(1, problem.k + 1):
-            u_i = storm_value_update(
-                trackers, problem, i, chain[i - 1], chain[i - 1], [0]
-            )
-            if i < problem.k:
-                chain.append(u_i)
-        storm_gradient_update(grad, problem, chain, chain, [[0], [0]])
+        storm_update(trackers, grad, problem, x, None, [[0], [0]])
         values = exact_inner_values(problem, x)
         for u, y in zip(trackers.u, values):
             assert np.abs(u - y).max() <= 1e-12
@@ -247,14 +258,24 @@ def sample(batch, j):
     return tuple(a[j:j + 1] for a in batch) if isinstance(batch, tuple) else batch[j:j + 1]
 
 
-def per_sample_mean(levels, points, batches, oracle="jacobian"):
-    """The loop reference: the average of B single-sample batch means."""
+def walk_means(problem, chain, batches):
+    """Every level's value mean and the gradient mean of one walk that
+    keeps the given chain inputs u^0..u^{K-1}."""
+    means = []
+
+    def fixed(i, mean, _):
+        means.append(mean)
+        return chain[i + 1] if i + 1 < len(chain) else None
+
+    _, grad, _ = _walk(problem, chain[0], None, batches, fixed)
+    return means + [grad]
+
+
+def per_sample_means(problem, chain, batches):
+    """The loop reference: the averages of B walks on single-sample batches."""
     b = len(batches[0][0]) if isinstance(batches[0], tuple) else len(batches[0])
-    parts = [
-        _batch_mean(levels, points, [sample(bt, j) for bt in batches], oracle)
-        for j in range(b)
-    ]
-    return np.sum(parts, axis=0) / b
+    parts = [walk_means(problem, chain, [sample(bt, j) for bt in batches]) for j in range(b)]
+    return [np.sum(means, axis=0) / b for means in zip(*parts)]
 
 
 def assert_rel_close(got, want, rel=1e-12):
@@ -270,11 +291,11 @@ def assert_rel_close(got, want, rel=1e-12):
 )
 def test_batch_means_equal_the_average_of_single_sample_batches(name, seed, b):
     problem, chain, batches = batch_case(name, seed, b)
-    for level, point, batch in zip(problem.levels, chain, batches):
-        got = _batch_mean([level], [point], [batch], "value")
-        assert_rel_close(got, per_sample_mean([level], [point], [batch], "value"))
-    got = _batch_mean(problem.levels, chain, batches)
-    assert_rel_close(got, per_sample_mean(problem.levels, chain, batches))
+    got = walk_means(problem, chain, batches)
+    want = per_sample_means(problem, chain, batches)
+    assert len(got) == problem.k + 1
+    for g, w in zip(got, want):
+        assert_rel_close(g, w)
 
 
 def test_sliced_reduction_of_large_jacobians():
@@ -284,11 +305,30 @@ def test_sliced_reduction_of_large_jacobians():
     assert _SLICE_ENTRIES // level.in_dim < b  # more than one slice
     batch = level.samples.draw(RandomSource(5).split(1).generator, b)
     point = problem.x_start.reshape(-1)
-    for oracle in ("value", "jacobian"):
-        got = _batch_mean([level], [point], [batch], oracle)
-        assert_rel_close(got, per_sample_mean([level], [point], [batch], oracle))
+    got = walk_means(problem, [problem.x_start], [batch])
+    want = per_sample_means(problem, [problem.x_start], [batch])
+    for oracle, g, w in zip(("value", "jacobian"), got, want):
+        assert_rel_close(g, w)
         whole = getattr(level, oracle)(point, batch).mean(axis=0).reshape(-1)
-        assert_rel_close(got, whole)
+        assert_rel_close(g, whole)
+
+
+def test_single_level_walk_keeps_one_slice_alive():
+    # K = 1 reduces each slice at once: 40 slices of a 200 x 200 gradient
+    # must not be held together, at either point
+    problem, _ = single_index_problem(SingleIndexConfig(m=200, n=200, sigma=0.1))
+    level = problem.levels[0]
+    assert _SLICE_ENTRIES // level.in_dim == 1
+    batch = level.samples.draw(RandomSource(5).split(1).generator, 40)
+    x = problem.x_start
+    slice_bytes = 8 * level.in_dim
+    tracemalloc.start()
+    try:
+        _walk(problem, x, [problem.flatten(x) * 0.5], [batch], lambda i, m, _: m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * slice_bytes
 
 
 @settings(max_examples=60, deadline=None)
@@ -304,10 +344,75 @@ def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed,
     trackers.alpha = grad.alpha = 0.0
     u_before = [u.copy() for u in trackers.u]
     v_before = grad.v.copy()
-    # equal but distinct arrays, so the old and new means are computed apart
-    old_chain = [c.copy() for c in chain]
-    for i, batch in enumerate(batches, start=1):
-        storm_value_update(trackers, problem, i, chain[i - 1], old_chain[i - 1], batch)
-    storm_gradient_update(grad, problem, chain, old_chain, batches)
+    # the new chain's inputs are the trackers themselves, so the old chain
+    # holds equal but distinct arrays and the old and new means are computed
+    # apart
+    old_chain = [chain[0].copy()] + u_before[:-1]
+    storm_update(trackers, grad, problem, chain[0], old_chain, batches)
     assert all(np.array_equal(u, ub) for u, ub in zip(trackers.u, u_before))
     assert np.array_equal(grad.v, v_before)
+
+
+# --- storm_update against the recursion from direct oracle calls ------------
+
+UPDATE_PROBLEMS = {
+    "mean_deviation": PROBLEMS["mean_deviation"],
+    "two_level_tracking": PROBLEMS["two_level_tracking"],
+    "single_index": lambda: single_index_problem(SingleIndexConfig(m=4, n=3))[0],
+}
+
+
+def direct_recursion(problem, trackers, v, x, old_chain, batches):
+    """The tracker recursion from whole-batch value means and a Python loop
+    of per-sample Jacobian products, level by level."""
+    a_u, a_v = trackers.alpha, v.alpha
+    new_point = problem.flatten(x)
+    new_chain, u = [new_point], []
+    prods = {"new": None, "old": None}
+    for i, (level, batch) in enumerate(zip(problem.levels, batches)):
+        m_new = level.value(new_point, batch).mean(axis=0)
+        m_old = level.value(old_chain[i], batch).mean(axis=0)
+        u.append((1.0 - a_u) * trackers.u[i] + a_u * m_old + (m_new - m_old))
+        for key, point in (("new", new_point), ("old", old_chain[i])):
+            jac = level.jacobian(point, batch)
+            prev = prods[key]
+            prods[key] = list(jac) if prev is None else [p @ j for p, j in zip(prev, jac)]
+        new_point = u[-1]
+        if i + 1 < problem.k:
+            new_chain.append(new_point)
+    g_new, g_old = (np.mean(prods[k], axis=0).reshape(-1) for k in ("new", "old"))
+    want_v = (1.0 - a_v) * problem.flatten(v.v) + a_v * g_old + (g_new - g_old)
+    return u, problem.unflatten(want_v), new_chain
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    name=st.sampled_from(sorted(UPDATE_PROBLEMS)),
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 12),
+    alpha=st.floats(0.01, 1.0),
+)
+def test_storm_update_equals_the_direct_recursion(name, seed, b, alpha):
+    problem = UPDATE_PROBLEMS[name]()
+    gen = np.random.default_rng(seed)
+    x_old, x_new = (
+        gen.dirichlet(np.ones(problem.levels[0].in_dim)).reshape(problem.x_shape)
+        for _ in range(2)
+    )
+    old_chain = [problem.flatten(x_old)] + exact_inner_values(problem, x_old)[:-1]
+    trackers = ValueTrackers(
+        u=[gen.normal(size=level.out_dim) for level in problem.levels], alpha=alpha
+    )
+    grad = GradientTracker(v=gen.normal(size=problem.x_shape), alpha=alpha)
+    batches = _level_batches(problem, RandomSource(seed), 3, b)
+    want_u, want_v, want_chain = direct_recursion(
+        problem, trackers, grad, x_new, old_chain, batches
+    )
+    counters = OracleCounters()
+    got_chain = storm_update(trackers, grad, problem, x_new, old_chain, batches, counters)
+    for got, want in zip(trackers.u, want_u, strict=True):
+        assert_rel_close(got, want)
+    assert_rel_close(grad.v, want_v)
+    for got, want in zip(got_chain, want_chain, strict=True):
+        assert_rel_close(got, want)
+    assert counters.sfo == 2 * problem.k * b

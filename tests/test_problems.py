@@ -3,7 +3,7 @@ import pytest
 
 from pmvr.checks import finite_difference_gradient, relative_error
 from pmvr.core import ShapeMismatchError
-from pmvr.estimators import _batch_mean
+from pmvr.estimators import _walk
 from pmvr.problems import (
     CompositionalProblem,
     FiniteSamples,
@@ -141,6 +141,15 @@ def test_unbiasedness_over_finite_dataset():
         assert np.abs(avg_jac - level.exact_jacobian(x)).max() <= 1e-12
 
 
+def chain_gradient_mean(problem, chain, batches):
+    """The walk's gradient mean along the given chain inputs u^0..u^{K-1}."""
+    _, grad, _ = _walk(
+        problem, chain[0], None, batches,
+        lambda i, mean, _: chain[i + 1] if i + 1 < len(chain) else mean,
+    )
+    return grad
+
+
 class TestStochasticChainJacobian:
     """The batch mean of sample-wise noisy-Jacobian chain products."""
 
@@ -148,13 +157,13 @@ class TestStochasticChainJacobian:
         problem = square_then_sine()
         x = np.array([0.7])
         chain = [x, problem.levels[0].exact_value(x)]
-        got = _batch_mean(problem.levels, chain, [[0], [0]])
+        got = chain_gradient_mean(problem, chain, [[0], [0]])
         want = exact_gradient(problem, x)
         assert np.allclose(got, want, atol=1e-15)
 
     def test_single_level(self):
         problem = CompositionalProblem([linear_level([1.0, 2.0], noise_scale=0.3)])
-        got = _batch_mean(problem.levels, [np.array([0.5, 0.5])], [[0]])
+        got = chain_gradient_mean(problem, [np.array([0.5, 0.5])], [[0]])
         assert got.shape == (2,)
 
     def test_full_enumeration_average_matches_exact(self):
@@ -168,7 +177,10 @@ class TestStochasticChainJacobian:
     def test_wrong_chain_length(self):
         problem = square_then_sine()
         with pytest.raises(ValueError):
-            _batch_mean(problem.levels, [np.array([1.0])], [[0], [0]])
+            _walk(
+                problem, np.array([1.0]), [np.array([1.0])], [[0], [0]],
+                lambda i, mean, _: mean,
+            )
 
 
 def test_declared_lower_bound_enforced():
