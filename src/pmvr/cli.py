@@ -30,6 +30,7 @@ from .checks import run_suites
 from .data_io import (
     ConfigError,
     THEOREMS,
+    _check_total,
     load_french_csv,
     load_run_config,
     validate_config,
@@ -122,10 +123,13 @@ def build_schedule(cfg, problem):
                 "strongly convex schedules need a positive modulus "
                 "(set schedule.modulus or use a problem that declares one)",
             )
-        out = schedule_for(
-            criterion, batch_mode, sched["eps"], constants=constants,
-            strong_convexity=lam, beta=cfg.beta,
-        )
+        try:
+            out = schedule_for(
+                criterion, batch_mode, sched["eps"], constants=constants,
+                strong_convexity=lam, beta=cfg.beta,
+            )
+        except ArithmeticError:  # so small an eps that the count overflows
+            raise ConfigError("schedule.eps", "the iteration count overflows") from None
         overrides = dict(sched["overrides"])
         if overrides:
             n = overrides.pop("n", None)
@@ -134,6 +138,9 @@ def build_schedule(cfg, problem):
             out = replace(out, **overrides)
             if n is not None and out.subsolver is not None:
                 out = replace(out, subsolver=replace(out.subsolver, inner_iters=n))
+        # validation resolved every length but that of a modulus taken from
+        # the problem, which is known only now
+        _check_total("schedule.eps", sum(p.iters for p in getattr(out, "stages", [out])))
         return out
     if sched["mode"] == "explicit":
         block = sched["explicit"]

@@ -476,7 +476,8 @@ def _validate_schedule(section, algorithm):
 def _check_length(sched):
     """Refuse 2**20 or more iterations in total: level i's late batches would
     repeat level i+1's sample streams. A thm7/thm8 schedule without
-    ``modulus`` takes the problem's, so the solvers refuse it at run time."""
+    ``modulus`` takes the problem's, so ``cli.build_schedule`` checks it once
+    the problem is built."""
     if sched["mode"] == "explicit":
         path, total = "schedule.explicit.t", sched["explicit"]["t"]
     elif sched["mode"] == "stages":
@@ -495,6 +496,10 @@ def _check_length(sched):
             total = sum(p.iters for p in getattr(out, "stages", [out]))
         except ArithmeticError:  # so small an eps that the count overflows
             total = math.inf
+    _check_total(path, total)
+
+
+def _check_total(path, total):
     if total >= STREAM_LEVEL_STRIDE:
         raise ConfigError(path, f"{total} iterations reach the stream stride {STREAM_LEVEL_STRIDE}")
 

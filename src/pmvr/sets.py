@@ -8,16 +8,54 @@ Each set exposes the four operations the solvers and metrics need:
 * ``diameter``     -- max pairwise Euclidean/Frobenius distance.
 
 The nuclear-ball LMO needs only the top singular pair, computed here by one
-dense eigensolve of the smaller Gram matrix; its projection needs a full
-SVD, which is acceptable because projection sits on the metric path, not
-the solver's hot path.
+dense eigensolve of the smaller Gram matrix. Its projection and its
+``contains`` need a full SVD; the projection runs at every metric row and at
+every step of the projected baseline.
+
+Certified feasibility. The solvers do not run ``contains`` on every iterate.
+Beside each point they carry a certificate, and they ask ``_admits`` instead.
+The private hooks ``_bound`` (a point checked in full), ``_lmo`` and
+``_project`` (a point with its certificate) and ``_combine`` (the
+certificate of a convex combination) produce it. The base-class defaults
+carry None and admit by ``contains``, which simplex and box keep, since
+theirs is O(d). The nuclear ball carries an upper bound B on the nuclear
+norm:
+
+* a full SVD gives it for the start point;
+* an LMO atom ``-r u v^T`` has ``||z||_* <= r ||u|| ||v||``, an O(m + n)
+  number from the atom's own factors;
+* a projection reuses the singular values it already has;
+* a combination ``(1 - eta) x + eta z`` has
+  ``B <= |1 - eta| B_x + |eta| B_z``, plus the nuclear norm of the
+  combination's rounding error.
+
+Every bound is rounded up, so B is never below the nuclear norm of the
+point the solver holds. A step is admitted when ``B <= radius + tol``, so a
+NaN bound fails. The solvers still run the full ``contains`` at every
+metric row.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .core import ShapeMismatchError
+
+
+# unit roundoff of float64: every operation is exact up to a factor 1 + d, |d| <= _U
+_U = np.finfo(np.float64).eps / 2
+
+
+def _rounded_up(value, ops):
+    """An upper bound on the exact value of a nonnegative expression that was
+    evaluated as ``value`` with at most ``ops`` roundings in any term.
+
+    Each term is off by at most a factor (1 + _U)**ops, about 1 + ops*_U. The
+    margin 4*(ops + 1)*_U covers that and the rounding of this product.
+    """
+    return value * (1.0 + 4.0 * (ops + 1) * _U)
 
 
 def project_simplex(p, total=1.0):
@@ -82,6 +120,30 @@ class FeasibleSet:
 
     def contains(self, point, tol=1e-9):
         raise NotImplementedError
+
+    # Certificate hooks (see the module docstring). A certificate of None
+    # carries nothing, and the point is admitted by ``contains``.
+
+    def _bound(self, point):
+        """Certificate of a point that nothing vouches for yet."""
+        return None
+
+    def _lmo(self, direction):
+        """``(lmo(direction), its certificate)``."""
+        return self.lmo(direction), None
+
+    def _project(self, point):
+        """``(project(point), its certificate)``."""
+        return self.project(point), None
+
+    def _combine(self, bound, atom_bound, eta):
+        """Certificate of ``x + eta (z - x)``, or of ``(1 - eta) x + eta z``,
+        from those of x and z."""
+        return None
+
+    def _admits(self, point, bound, tol):
+        """Whether a point with this certificate lies in the set up to tol."""
+        return self.contains(point, tol)
 
 
 class Simplex(FeasibleSet):
@@ -148,24 +210,70 @@ class NuclearNormBall(FeasibleSet):
         self.diameter = 2.0 * self.radius
 
     def lmo(self, direction):
-        d = self._check_shape(direction)
-        if not np.any(d):
-            # every feasible point is optimal against the zero direction
-            return np.zeros(self.shape)
-        _, u, v = top_singular_pair(d)
-        return -self.radius * np.outer(u, v)
+        return self._lmo(direction)[0]
 
     def project(self, point):
-        p = self._check_shape(point)
-        u, sig, vt = np.linalg.svd(p, full_matrices=False)
-        if sig.sum() <= self.radius:
-            return p
-        # singular values are nonnegative and sorted, so the ball projection
-        # lands on the boundary face {sum = radius}
-        sig_proj = project_simplex(sig, total=self.radius)
-        return (u * sig_proj) @ vt
+        return self._project(point)[0]
 
     def contains(self, point, tol=1e-9):
         p = self._check_shape(point)
         sig = np.linalg.svd(p, compute_uv=False)
         return bool(sig.sum() <= self.radius + tol)
+
+    def _bound(self, point):
+        return self._svd_bound(np.linalg.svd(self._check_shape(point), compute_uv=False))
+
+    def _svd_bound(self, sig):
+        # a backward-stable SVD returns each singular value to within a small
+        # multiple of max(m, n) roundoffs of sigma_1, so the sum of all
+        # min(m, n) of them to within min(m, n) max(m, n) roundoffs of itself
+        return _rounded_up(float(sig.sum()), min(self.shape) * max(self.shape))
+
+    def _lmo(self, direction):
+        d = self._check_shape(direction)
+        if not np.any(d):
+            # every feasible point is optimal against the zero direction
+            return np.zeros(self.shape), 0.0
+        _, u, v = top_singular_pair(d)
+        z = -self.radius * np.outer(u, v)
+        # ||r u v^T||_* = r ||u|| ||v||. Each entry of z is off by at most
+        # 2 _U of its exact value (two roundings), an error matrix of nuclear
+        # norm at most sqrt(min(m, n)) times its Frobenius norm
+        size = self.radius * math.sqrt((u @ u) * (v @ v))
+        slack = 2.0 * _U * math.sqrt(min(self.shape)) * size
+        return z, _rounded_up(size + slack, self.m + self.n + 8)
+
+    def _project(self, point):
+        p = self._check_shape(point)
+        u, sig, vt = np.linalg.svd(p, full_matrices=False)
+        if sig.sum() <= self.radius:
+            return p, self._svd_bound(sig)
+        # singular values are nonnegative and sorted, so the ball projection
+        # lands on the boundary face {sum = radius}
+        sig_proj = project_simplex(sig, total=self.radius)
+        x = (u * sig_proj) @ vt
+        # Before rounding, ||x||_* <= sum_i s_i ||u_i|| ||v_i||. Each entry of
+        # the product is off by at most (k + 1) _U (k = min(m, n) terms) times
+        # that entry of |u| diag(s) |vt|, whose Frobenius norm is at most that
+        # sum; the error's nuclear norm is at most sqrt(k) times its Frobenius
+        k = min(self.shape)
+        size = float(sig_proj @ (np.linalg.norm(u, axis=0) * np.linalg.norm(vt, axis=1)))
+        slack = (k + 2) * _U * math.sqrt(k) * size
+        return x, _rounded_up(size + slack, self.m + self.n + k + 8)
+
+    def _combine(self, bound, atom_bound, eta):
+        if bound is None:  # the public subsolver's anchor carries no bound
+            return None
+        # ||(1 - eta) x + eta z||_* <= |1 - eta| B + |eta| B_z. Each entry of
+        # the computed x + eta (z - x), or (1 - eta) x + eta z, is off by at
+        # most 4 _U ((1 + |eta|) |x| + |eta| |z|); that error matrix has
+        # nuclear norm at most sqrt(min(m, n)) times its Frobenius norm, and
+        # a Frobenius norm is at most the nuclear norm
+        slack = 4.0 * _U * math.sqrt(min(self.shape)) * (
+            (1.0 + abs(eta)) * bound + abs(eta) * atom_bound
+        )
+        return _rounded_up(abs(1.0 - eta) * bound + abs(eta) * atom_bound + slack, 10)
+
+    def _admits(self, point, bound, tol):
+        # a NaN bound fails the comparison, so it is refused
+        return bool(bound <= self.radius + tol)

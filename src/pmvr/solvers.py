@@ -5,9 +5,13 @@ with a step function. The pmvr step updates the STORM trackers on shared
 per-level batches, asks the feasible set for a direction (plain LMO, or
 the quadratic Frank-Wolfe subsolver when a curvature coefficient is
 configured), and moves by a convex combination, so every iterate stays
-feasible by construction. The stage-wise solver runs one stage per target
-accuracy, warm-starting the iterate and both trackers from the previous
-stage; the projected baseline is a different step over one stage.
+feasible by construction. Each step checks its iterate through the set's
+certificate hooks (``sets.py``), which on the nuclear ball replace a full
+SVD per step with an O(1) bound on the nuclear norm; a full check runs at
+the start point and at every metric row. The stage-wise solver runs one
+stage per target accuracy, warm-starting the iterate and both trackers
+from the previous stage; the projected baseline is a different step over
+one stage.
 Parameter schedules turn a target accuracy into concrete constants for
 each convergence criterion, with every order constant overridable.
 """
@@ -35,6 +39,11 @@ from .metrics import OracleCounters, _fw_gap, _gradient_mapping
 from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
 from .rng import STREAM_LEVEL_STRIDE, STREAM_TAU_BASE
 
+# Slack of every feasibility check. On the nuclear ball the carried bound
+# can gain about 1e-14 * radius per step over the true norm at 200 x 200
+# (4 unit roundoffs times sqrt(min(m, n)) for the step's rounding, plus the
+# rounding up of the bound itself), so about 1e-8 * radius after 2**20
+# steps: inside this tolerance for radii below about 100.
 FEASIBILITY_TOL = 1e-6
 
 
@@ -43,10 +52,11 @@ class FeasibilityError(RuntimeError):
 
 
 class NonFiniteStateError(RuntimeError):
-    """A tracker holds a NaN or an infinity; names the iteration and level.
+    """The iterate or a tracker holds a NaN or an infinity; names the
+    iteration and level.
 
-    ``level`` is the value tracker's level 1..K, or None for the gradient
-    tracker.
+    ``level`` is 0 for the iterate x (the chain's input), the value
+    tracker's level 1..K, or None for the gradient tracker.
     """
 
     def __init__(self, iteration, level):
@@ -56,7 +66,12 @@ class NonFiniteStateError(RuntimeError):
         self.level = level
 
     def __str__(self):
-        what = f"value tracker u[{self.level}]" if self.level else "gradient tracker v"
+        if self.level is None:
+            what = "gradient tracker v"
+        elif self.level == 0:
+            what = "iterate x"
+        else:
+            what = f"value tracker u[{self.level}]"
         return f"{what} is non-finite at iteration {self.iteration}"
 
 
@@ -121,15 +136,19 @@ class StageSchedule:
 
 @dataclass
 class SolverState:
-    """Iterate, oracle counters and the step's trackers.
+    """Iterate, its feasibility certificate, oracle counters and the step's
+    trackers.
 
-    pmvr keeps the STORM trackers and the previous chain point; the
-    baseline keeps its moving averages in ``trackers.u`` and its last
-    mini-batch gradient in ``gradient.v``.
+    ``bound`` is what the set's certificate hooks carry for x (on the
+    nuclear ball an upper bound on its nuclear norm, else None). pmvr keeps
+    the STORM trackers and the previous chain point; the baseline keeps its
+    moving averages in ``trackers.u`` and its last mini-batch gradient in
+    ``gradient.v``.
     """
 
     x: np.ndarray
     counters: OracleCounters
+    bound: Optional[float] = None
     trackers: Optional[ValueTrackers] = None
     gradient: Optional[GradientTracker] = None
     prev_chain: Optional[list] = None
@@ -174,21 +193,29 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None):
     x_t = np.asarray(x_t, dtype=np.float64)
     if not fset.contains(x_t, FEASIBILITY_TOL):
         raise FeasibilityError("subsolver anchor point is infeasible")
+    return _fw_subsolve(v, x_t, None, coeff, n_iters, fset, gamma)[0]
+
+
+def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset, gamma=None):
+    """The subsolver's loop on an anchor the caller has certified by
+    ``bound``; returns w and its certificate."""
     if gamma is None:
         gamma = classic_gamma
     w = x_t.copy()
     for n in range(1, n_iters + 1):
-        s = fset.lmo(v + coeff * (w - x_t))
+        s, s_bound = fset._lmo(v + coeff * (w - x_t))
         g = gamma(n)
         w = (1.0 - g) * w + g * s
-    return w
+        bound = fset._combine(bound, s_bound, g)
+    return w, bound
 
 
 def _feasible_state(fset, x1):
     x1 = np.asarray(x1, dtype=np.float64).copy()
-    if not fset.contains(x1, FEASIBILITY_TOL):
+    bound = fset._bound(x1)
+    if not fset._admits(x1, bound, FEASIBILITY_TOL):
         raise FeasibilityError("initial point is infeasible")
-    return SolverState(x=x1, counters=OracleCounters())
+    return SolverState(x=x1, counters=OracleCounters(), bound=bound)
 
 
 def _init_state(problem, fset, params, x1, rng):
@@ -207,19 +234,22 @@ def _init_baseline_state(problem, fset, params, x1, rng):
 
 
 def _check_finite(state, iteration):
-    """Raise NonFiniteStateError unless every tracker holds finite values.
+    """Raise NonFiniteStateError unless the iterate and every tracker hold
+    finite values.
 
     The steps call it before they consult the set, which would otherwise
     turn a NaN direction into a vertex (simplex) or fail untyped. The
+    iterate is checked first, since the trackers are evaluated at it, and
+    at all because a feasibility certificate never reads x itself. The
     baseline's averages are None until its first step fills them.
     """
-    arrays = [*state.trackers.u, state.gradient.v]
+    arrays = [state.x, *state.trackers.u, state.gradient.v]
     # a NaN or infinity makes the total non-finite, so a finite total
     # clears every entry with one reduction per array
-    if math.isfinite(sum(a.sum() for a in arrays if a is not None)):
+    if math.isfinite(sum(np.add.reduce(a, None) for a in arrays if a is not None)):
         return
     k = len(state.trackers.u)
-    for level, a in enumerate(arrays, start=1):
+    for level, a in enumerate(arrays):  # level 0 is the iterate
         if a is not None and not np.isfinite(a).all():
             raise NonFiniteStateError(iteration, level if level <= k else None)
 
@@ -261,19 +291,20 @@ def pmvr_step(state, problem, fset, params, rng):
 
     v = state.gradient.v
     if params.subsolver is None:
-        z = fset.lmo(v)
+        z, z_bound = fset._lmo(v)
         state.counters.lmo += 1
     else:
-        z = quadratic_fw_subsolve(
-            v, state.x, params.subsolver.coeff, params.subsolver.inner_iters, fset
-        )
-        state.counters.lmo += params.subsolver.inner_iters
+        sub = params.subsolver
+        z, z_bound = _fw_subsolve(v, state.x, state.bound, sub.coeff, sub.inner_iters, fset)
+        state.counters.lmo += sub.inner_iters
 
     x_new = state.x + params.eta * (z - state.x)
-    if not fset.contains(x_new, FEASIBILITY_TOL):
+    bound = fset._combine(state.bound, z_bound, params.eta)
+    if not fset._admits(x_new, bound, FEASIBILITY_TOL):
         raise FeasibilityError(f"iterate left the feasible set at iteration {t}")
     state.prev_chain = new_chain
     state.x = x_new
+    state.bound = bound
     state.t = t
     return state
 
@@ -294,10 +325,11 @@ def _baseline_step(state, problem, fset, params, rng):
     _, v, _ = _walk(problem, state.x, None, batches, average, state.counters)
     state.gradient.v = problem.unflatten(v)
     _check_finite(state, t)
-    x_new = fset.project(state.x - params.eta * state.gradient.v)
-    if not fset.contains(x_new, FEASIBILITY_TOL):
+    x_new, bound = fset._project(state.x - params.eta * state.gradient.v)
+    if not fset._admits(x_new, bound, FEASIBILITY_TOL):
         raise FeasibilityError(f"baseline iterate infeasible at iteration {t}")
     state.x = x_new
+    state.bound = bound
     state.t = t
     return state
 
@@ -333,11 +365,13 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
     (default T/200) and at its end. Each stage continues from the previous
     one's state, taking over only its momentum alpha, and ends with an
     (x, u, v, t) snapshot. ``tau`` names an iteration of the first stage
-    whose starting point is kept as ``x_tau``. The trackers are checked for
-    non-finite values after initialization, and by each step after it
-    updates them. A run of STREAM_LEVEL_STRIDE or more iterations in total
-    raises ValueError before initialization: its late batches would repeat
-    the next level's sample streams.
+    whose starting point is kept as ``x_tau``. The iterate and the trackers
+    are checked for non-finite values after initialization, and by each
+    step after it updates them. Every metric row after a step first checks
+    a certified iterate with the set's full ``contains``, since the steps
+    check only its certificate. A run of STREAM_LEVEL_STRIDE or more iterations
+    in total raises ValueError before initialization: its late batches
+    would repeat the next level's sample streams.
     """
     total = sum(params.iters for _, params in stages)
     if total >= STREAM_LEVEL_STRIDE:
@@ -368,6 +402,11 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
             if cfg.keep_iterates:
                 iterates.append(state.x.copy())
             if j % every == 0 or j == params.iters:
+                # a step that carried no certificate has run contains itself
+                if state.bound is not None and not fset.contains(state.x, FEASIBILITY_TOL):
+                    raise FeasibilityError(
+                        f"iterate fails the full feasibility check at iteration {state.t}"
+                    )
                 rows.append(_metric_row(problem, fset, state, cfg, tag, t0))
         stage_ends.append(
             (

@@ -199,6 +199,30 @@ class TestRun:
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
         assert f"error: {locator}:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "eps, message",
+        [
+            # thm7 at this eps resolves to 2**21 - 1 iterations
+            (4.76837158203125e-07, "2097151 iterations reach the stream stride 1048576"),
+            (1e-320, "the iteration count overflows"),
+        ],
+    )
+    def test_modulus_from_the_problem_is_checked_for_length_before_the_run(
+        self, tmp_path, capsys, eps, message
+    ):
+        # without schedule.modulus the schedule's length is known only once
+        # the problem is built, but still before the solver starts
+        cfg = {
+            "problem": {"name": "quadratic_distance"},
+            "algorithm": "stagewise-v2",
+            "schedule": {"theorem": "thm7", "eps": eps},
+            "seed": 1,
+            "out": str(tmp_path / "o"),
+        }
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"error: schedule.eps: {message}" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.csv"))
+
     def test_box_set_of_the_right_shape_runs(self, tmp_path):
         cfg = dict(BASE, set={"kind": "box", "lower": [0] * 4, "upper": [0.5] * 4},
                    out=str(tmp_path / "o"))

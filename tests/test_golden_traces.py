@@ -1,4 +1,4 @@
-"""Golden traces: small portfolio runs must keep their trace files bit for bit.
+"""Golden traces: small runs must keep their trace files bit for bit.
 
 Each case runs one config through the CLI's repetition path and hashes its
 trace file with the wall-clock ``seconds`` column blanked. The digests were
@@ -10,6 +10,12 @@ last bits of its gradient into the trace, so its cases also pin the
 reduction order of the batch means. The digests hold for one numpy build
 and CPU family: another BLAS or SIMD path may round the last bits
 differently, and then many cases change at once.
+
+The nuclear-ball cases run the single-index problem at 5 x 7, where the
+LMO takes its transposed branch, and were recorded before the solvers
+stopped checking each nuclear-ball iterate with a full SVD. Their baseline
+step size keeps some iterates inside the ball and puts others on its
+boundary, so both branches of the projection are pinned.
 """
 
 import hashlib
@@ -84,6 +90,10 @@ def trace_digest(tmp_path, problem, set_name, algorithm):
     }
     if SETS[set_name] is not None:
         raw["set"] = SETS[set_name]
+    return config_digest(tmp_path, raw)
+
+
+def config_digest(tmp_path, raw):
     trace, _ = cli.execute_rep(validate_config(raw), 11)
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
@@ -98,3 +108,35 @@ def trace_digest(tmp_path, problem, set_name, algorithm):
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
 def test_trace_matches_golden_digest(tmp_path, case):
     assert trace_digest(tmp_path, *case) == GOLDEN[case]
+
+
+NUCLEAR_SCHEDULES = {
+    "pmvr": {"theorem": "thm1", "eps": 0.1, "overrides": {"t": 30}},
+    "pmvr-v2": {"theorem": "thm3", "eps": 0.05,
+                "constants": {"eta": 0.126, "alpha": 8.0, "b1": 4.0, "b0": 8.0, "n": 0.5},
+                "overrides": {"t": 30}},
+    "stagewise-v2": {"b0": 8, "n": 3, "coeff": 0.5,
+                     "stages": [{"eta": 0.2, "alpha": 0.5, "b1": 2, "t": 10},
+                                {"eta": 0.1, "alpha": 0.25, "b1": 4, "t": 20}]},
+    "baseline": {"explicit": {"eta": 0.05, "alpha": 0.5, "b0": 4, "b1": 2, "t": 30}},
+}
+NUCLEAR_GOLDEN = {
+    "pmvr": "e571c7c646115eec087aefa966711d09bd666067b0248c07f660bd8b7ba81bde",
+    "pmvr-v2": "528f3647c31bc9a20499c8df36100bd622f9facca13e4a4f090f60193a6b35f3",
+    "stagewise-v2": "af3feff46f0d94e41979a47fd8cc03dc7045bc97cf23b63c99ab0f02f9f64a28",
+    "baseline": "62cd7e75b8592647c4a83fdd6449f448000f1f0a08800ee1707a1a040983b752",
+}
+
+
+@pytest.mark.parametrize("algorithm", sorted(NUCLEAR_GOLDEN))
+def test_nuclear_ball_trace_matches_golden_digest(tmp_path, algorithm):
+    raw = {
+        "problem": {"name": "single_index", "m": 5, "n": 7, "s": 1.0, "sigma": 0.1,
+                    "data_seed": 3},
+        "algorithm": algorithm,
+        "schedule": NUCLEAR_SCHEDULES[algorithm],
+        "beta": 0.5,
+        "seed": 11,
+        "metric_every": 5,
+    }
+    assert config_digest(tmp_path, raw) == NUCLEAR_GOLDEN[algorithm]

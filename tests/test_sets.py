@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -301,3 +302,83 @@ def test_box_projection_is_idempotent_and_nonexpansive(data, d):
 def test_nuclear_projection_is_idempotent_and_nonexpansive(data, m, n, radius):
     a, b, scale = data.draw(point_pairs((m, n)))
     check_projection(NuclearNormBall(m, n, radius), a, b, 1e-12 * (radius + scale))
+
+
+# --- feasibility certificates --------------------------------------------
+
+
+def nuclear_norm(x):
+    return np.linalg.svd(x, compute_uv=False).sum()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 9),
+    n=st.integers(1, 9),
+    radius=st.floats(1e-3, 1e3),
+    eta=st.floats(0.0, 1.0),
+)
+def test_certificates_bound_the_nuclear_norm(data, m, n, radius, eta):
+    ball = NuclearNormBall(m, n, radius)
+    gen = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    scale = radius * 10.0 ** data.draw(st.floats(-1.0, 1.0))
+    x, x_bound = ball._project(scale * gen.standard_normal((m, n)))
+    z, z_bound = ball._lmo(gen.standard_normal((m, n)))
+    assert x_bound >= nuclear_norm(x)
+    assert z_bound >= nuclear_norm(z)
+    assert ball._bound(x) >= nuclear_norm(x)
+    step = x + eta * (z - x)
+    assert ball._combine(x_bound, z_bound, eta) >= nuclear_norm(step)
+    mix = (1.0 - eta) * x + eta * z
+    assert ball._combine(x_bound, z_bound, eta) >= nuclear_norm(mix)
+    # an admitted point is feasible up to the tolerance, and a NaN is refused
+    assert ball._admits(z, z_bound, 1e-9)
+    assert not ball._admits(z, float("nan"), 1e-9)
+
+
+def test_public_operations_are_the_certified_ones_without_the_certificate():
+    gen = np.random.default_rng(5)
+    ball = NuclearNormBall(4, 7, 2.0)
+    d = gen.standard_normal((4, 7))
+    assert np.array_equal(ball.lmo(d), ball._lmo(d)[0])
+    for scale in (0.01, 10.0):  # inside the ball, and projected onto its boundary
+        p = scale * gen.standard_normal((4, 7))
+        assert np.array_equal(ball.project(p), ball._project(p)[0])
+    assert ball._lmo(np.zeros((4, 7)))[1] == 0.0
+
+
+def test_sets_without_a_certificate_admit_by_contains():
+    for fset, inside, outside in (
+        (Simplex(3), np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.6, 0.0])),
+        (Box(np.zeros(2), np.ones(2)), np.array([0.5, 1.0]), np.array([1.5, 0.0])),
+    ):
+        assert fset._bound(inside) is None
+        assert fset._lmo(-inside)[1] is None and fset._project(outside)[1] is None
+        assert fset._combine(None, None, 0.5) is None
+        assert fset._admits(inside, None, 1e-9)
+        assert not fset._admits(outside, None, 1e-9)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    data=st.data(),
+    m=st.integers(1, 9),
+    n=st.integers(1, 9),
+    eta=st.floats(0.0, 1.0),
+)
+def test_combination_bound_covers_the_rounding_of_the_step(data, m, n, eta):
+    # nonnegative diagonal x and z: the nuclear norm of any combination is the
+    # sum of its diagonal, and the triangle bound is tight, so only the slack
+    # covers the rounding of the combination itself
+    k = min(m, n)
+    entries = st.lists(st.floats(0.0, 1e3), min_size=k, max_size=k)
+    a, b = np.array(data.draw(entries)), np.array(data.draw(entries))
+    x, z = np.zeros((m, n)), np.zeros((m, n))
+    x[range(k), range(k)], z[range(k), range(k)] = a, b
+    # the exact nuclear norms, rounded up
+    x_bound = math.nextafter(math.fsum(a), math.inf)
+    z_bound = math.nextafter(math.fsum(b), math.inf)
+    bound = NuclearNormBall(m, n, 1.0)._combine(x_bound, z_bound, eta)
+    for step in (x + eta * (z - x), (1.0 - eta) * x + eta * z):
+        assert bound >= math.fsum(np.abs(np.diagonal(step)))

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmvr import cli
+from pmvr import cli, sets, solvers
 from pmvr.benchmarks import (
     PortfolioData,
     SingleIndexConfig,
@@ -28,14 +28,17 @@ from pmvr.problems import (
     sample_batch,
 )
 from pmvr.rng import STREAM_LEVEL_STRIDE, RandomSource
-from pmvr.sets import Box, Simplex
+from pmvr.sets import Box, NuclearNormBall, Simplex, top_singular_pair
 from pmvr.solvers import (
+    FeasibilityError,
     NonFiniteStateError,
     QuadraticSubsolver,
     ScheduleConstants,
     SolverParams,
     StageSchedule,
     TraceConfig,
+    _baseline_step,
+    _init_baseline_state,
     _init_state,
     pmvr_run,
     pmvr_step,
@@ -686,3 +689,139 @@ def test_runs_reaching_the_stream_stride_are_refused_before_initialization(run):
     # one iteration fewer is accepted: the run starts and meets the oracles
     with pytest.raises(AssertionError, match="the run started"):
         stride_runs(STREAM_LEVEL_STRIDE - 1)[run]()
+
+
+# --- certified feasibility on the nuclear ball ------------------------------
+
+
+def nuclear_linear_problem(m, n, seed, dataset=4):
+    """F(X) = <C, X> on m x n matrices, with C drawn from a small dataset, so
+    that the LMO atoms change with the batch."""
+    gen = np.random.default_rng(seed)
+    cs = gen.standard_normal((dataset, m * n)) + gen.standard_normal(m * n)
+    mean = cs.mean(axis=0)
+    level = Level(
+        m * n, 1,
+        lambda x, s: (cs[s] @ x)[:, None],
+        lambda x, s: cs[s][:, :, None],
+        lambda x: np.array([mean @ x]),
+        lambda x: mean[:, None],
+        samples=FiniteSamples(dataset),
+    )
+    return CompositionalProblem([level], x_shape=(m, n))
+
+
+SOLVER_STEPS = {
+    "pmvr": (_init_state, pmvr_step, None),
+    "pmvr-v2": (_init_state, pmvr_step, QuadraticSubsolver(coeff=1.0, inner_iters=3)),
+    "baseline": (_init_baseline_state, _baseline_step, None),
+}
+
+
+def nuclear_state(solver, m=4, n=3, radius=1.0, eta=1.0, seed=0, x1=None):
+    init, step, sub = SOLVER_STEPS[solver]
+    problem = nuclear_linear_problem(m, n, seed)
+    fset = NuclearNormBall(m, n, radius)
+    params = SolverParams(eta=eta, alpha=0.5, b0=2, b1=2, iters=10, subsolver=sub)
+    x1 = np.zeros((m, n)) if x1 is None else x1
+    rng = RandomSource(seed)
+    state = init(problem, fset, params, x1, rng)
+
+    def advance():
+        return step(state, problem, fset, params, rng)
+
+    return state, advance
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    solver=st.sampled_from(sorted(SOLVER_STEPS)),
+    m=st.integers(1, 7),
+    n=st.integers(1, 7),
+    log_radius=st.floats(-2.0, 2.0),
+    eta=st.floats(0.0, 1.0),
+    start=st.floats(0.0, 1.0),
+    seed=st.integers(0, 2**16),
+)
+def test_carried_bound_covers_every_iterate(solver, m, n, log_radius, eta, start, seed):
+    radius = 10.0**log_radius
+    gen = np.random.default_rng(seed)
+    g = gen.standard_normal((m, n))
+    x1 = g * (start * radius / np.linalg.svd(g, compute_uv=False).sum())
+    state, advance = nuclear_state(solver, m, n, radius, eta, seed, x1)
+    assert state.bound >= np.linalg.svd(state.x, compute_uv=False).sum()
+    for _ in range(10):
+        advance()
+        assert state.bound >= np.linalg.svd(state.x, compute_uv=False).sum()
+
+
+@pytest.mark.parametrize("solver", ["pmvr", "pmvr-v2"])
+def test_an_atom_past_the_radius_is_refused_at_its_iteration(solver, monkeypatch):
+    state, advance = nuclear_state(solver)
+    advance()
+    advance()  # with eta = 1 the iterate now sits on the boundary
+
+    def overshooting(matrix):
+        sigma, u, v = top_singular_pair(matrix)
+        return sigma, 1.01 * u, v
+
+    monkeypatch.setattr(sets, "top_singular_pair", overshooting)
+    with pytest.raises(FeasibilityError, match="at iteration 3$"):
+        advance()
+    assert state.t == 2  # the refused iterate is not taken
+
+
+def test_a_projection_past_the_radius_is_refused_at_its_iteration(monkeypatch):
+    state, advance = nuclear_state("baseline", eta=1.0)
+    advance()
+    advance()
+    simplex_projection = sets.project_simplex
+    monkeypatch.setattr(
+        sets, "project_simplex", lambda p, total=1.0: 1.01 * simplex_projection(p, total)
+    )
+    with pytest.raises(FeasibilityError, match="at iteration 3$"):
+        advance()
+    assert state.t == 2
+
+
+def recording(calls, name, method):
+    def recorded(self, *args, **kwargs):
+        calls.append(name)
+        return method(self, *args, **kwargs)
+    return recorded
+
+
+@pytest.mark.parametrize("solver", sorted(SOLVER_STEPS))
+def test_full_checks_run_only_at_the_start_and_the_metric_rows(solver, monkeypatch):
+    calls = []
+    for name in ("contains", "_bound"):
+        method = recording(calls, name, getattr(NuclearNormBall, name))
+        monkeypatch.setattr(NuclearNormBall, name, method)
+    problem, fset = nuclear_linear_problem(4, 3, 0), NuclearNormBall(4, 3, 1.0)
+    x1 = np.zeros((4, 3))
+    trace = TraceConfig(metric_every=5)
+    if solver == "baseline":
+        projected_baseline_run(problem, fset, 0.5, 0.5, 2, 10, x1, RandomSource(0), trace=trace)
+    else:
+        params = SolverParams(eta=0.5, alpha=0.5, b0=2, b1=2, iters=10,
+                              subsolver=SOLVER_STEPS[solver][2])
+        pmvr_run(problem, fset, params, x1, RandomSource(0), trace=trace)
+    # the start point, then the metric rows after steps 5 and 10
+    assert calls == ["_bound", "contains", "contains"]
+
+
+def test_nan_iterate_stops_a_nuclear_ball_run_at_that_iteration(monkeypatch):
+    problem, ball, x1 = single_index_case()
+
+    def poisoned(state, *args):
+        if state.t == 4:
+            state.x = state.x.copy()
+            state.x[1, 2] = np.nan
+        return pmvr_step(state, *args)
+
+    monkeypatch.setattr(solvers, "pmvr_step", poisoned)
+    params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=10)
+    with pytest.raises(NonFiniteStateError) as err:
+        pmvr_run(problem, ball, params, x1, RandomSource(0))
+    assert (err.value.iteration, err.value.level) == (5, 0)
+    assert str(err.value) == "iterate x is non-finite at iteration 5"
