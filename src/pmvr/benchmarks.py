@@ -273,12 +273,17 @@ def single_index_problem(config):
     b_trace = float(np.vdot(eye, b_star))
     b_norm2 = float(np.vdot(b_star, b_star))
 
+    sd = np.sqrt(nu)
+
     def draw(sample_gen, count):
         # one sample at a time, in the generator-call order of the stream
         a = np.empty((count, m, n))
         y = np.empty(count)
         for j in range(count):
-            np.add(eye, sample_gen.normal(0.0, np.sqrt(nu), size=(m, n)), out=a[j])
+            # in place: normal(0, sd) is 0.0 + sd * z, so this is bit-identical
+            sample_gen.standard_normal(out=a[j])
+            a[j] *= sd
+            a[j] += eye
             y[j] = float(np.vdot(a[j], b_star)) ** 2
             if sigma > 0:
                 y[j] += sample_gen.normal(0.0, sigma)

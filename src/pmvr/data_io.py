@@ -1,11 +1,12 @@
 """Dataset ingestion, run configuration, and trace serialization.
 
 The industry-returns loader accepts the whitespace- and comma-delimited
-variants of the Kenneth French library format (auto-detected per file),
-converts percent values to fractional returns, and accounts for every
-input line as parsed, skipped, or rejected. Run configurations are strict
-JSON: unknown keys fail with a path-like locator. Traces round-trip
-field-exactly through CSV with 17-significant-digit floats.
+variants of the Kenneth French library format (auto-detected per file from
+its data rows), reads the file's first data block, converts percent values
+to fractional returns, and accounts for every input line as parsed,
+skipped, or rejected. Run configurations are strict JSON: unknown keys
+fail with a path-like locator. Traces round-trip field-exactly through CSV
+with 17-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -147,19 +148,32 @@ def _is_date_token(tok):
 
 
 def _split_line(line, comma):
-    if comma:
-        return [t.strip() for t in line.split(",")]
-    return line.split()
+    """A stripped line's tokens; a comma line's leading empty field (the
+    header's corner cell) is dropped."""
+    if not comma:
+        return line.split()
+    tokens = [t.strip() for t in line.split(",")]
+    return tokens[1:] if tokens[0] == "" else tokens
+
+
+def _is_data_row(tokens):
+    return len(tokens) > 1 and _is_date_token(tokens[0])
 
 
 def load_french_csv(path, sentinel_policy="error"):
     """Load an industry-portfolio returns file into PortfolioData.
 
-    Percent values are divided by 100. Rows containing the sentinel values
-    -99.99 or -999 are rejected per policy: "error" fails loudly (the
-    default; silently shrinking a return series distorts means), "drop"
-    excludes them and reports the count. Every input line ends up in
-    exactly one of the parsed / skipped / rejected tallies.
+    Only the first data block is read: the library's files follow the
+    value-weighted monthly returns with more blocks of the same width
+    (equal-weighted, annual, firm counts, firm sizes), so the first blank,
+    text or different-width line after the first data row ends the block
+    and every later line is skipped. The file is comma-delimited when a
+    line's first comma-separated field is a date, whitespace-delimited
+    otherwise. Percent values are divided by 100. Rows containing the
+    sentinel values -99.99 or -999 are rejected per policy: "error" fails
+    loudly (the default; silently shrinking a return series distorts
+    means), "drop" excludes them and reports the count. Every input line
+    ends up in exactly one of the parsed / skipped / rejected tallies.
     """
     from .benchmarks import PortfolioData
 
@@ -168,21 +182,16 @@ def load_french_csv(path, sentinel_policy="error"):
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.read().splitlines()
 
-    comma = any("," in ln for ln in raw_lines)
+    comma = any("," in ln and _is_data_row(_split_line(ln.strip(), True)) for ln in raw_lines)
     report = LoadReport()
     names = None
     width = None
+    ended = False  # the first data block is over
     rows = []
     pending_header = None
     for lineno, line in enumerate(raw_lines, start=1):
-        stripped = line.strip()
-        if not stripped:
-            report.skipped += 1
-            continue
-        tokens = _split_line(stripped, comma)
-        if comma and tokens and tokens[0] == "":
-            tokens = tokens[1:]
-        if tokens and _is_date_token(tokens[0]) and len(tokens) > 1:
+        tokens = _split_line(line.strip(), comma)
+        if not ended and _is_data_row(tokens):
             values = []
             bad = None
             for col, tok in enumerate(tokens[1:], start=1):
@@ -202,6 +211,7 @@ def load_french_csv(path, sentinel_policy="error"):
                     names = pending_header
             elif len(values) != width:
                 # a section with a different column count ends the data block
+                ended = True
                 report.skipped += 1
                 continue
             if any(
@@ -218,11 +228,13 @@ def load_french_csv(path, sentinel_policy="error"):
             rows.append(values)
             report.parsed += 1
         else:
-            # preamble / footer / header text
+            # preamble / header text; after the first data row, a blank or
+            # text line ends the data block, and every later line is skipped
             if width is None and tokens and not any(
                 _looks_numeric(t) for t in tokens
             ):
                 pending_header = tokens
+            ended = width is not None
             report.skipped += 1
 
     if not rows:

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import ShapeMismatchError
-from .problems import sample_batch
-from .rng import STREAM_LEVEL_STRIDE
+from .problems import GenerativeSamples, sample_batch
+from .rng import STREAM_LEVEL_STRIDE, RandomSource
 
 
 @dataclass
@@ -44,9 +44,20 @@ class GradientTracker:
     alpha: float
 
 
+@dataclass(frozen=True)
+class _Stream:
+    """A generative level's batch that is not drawn yet: ``size`` samples of
+    the substream ``index`` of ``rng``, which the walk draws one slice at a
+    time as it reaches them."""
+
+    rng: RandomSource
+    index: int
+    size: int
+
+
 # a slice stacks at most this many entries of the largest per-level
-# Jacobian: a B0 = 202 draw at 200 x 200 would otherwise hold a second 65 MB
-# copy of the draw as stacked gradients
+# Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
+# per-sample gradients, and its streamed draw holds one slice of samples
 _SLICE_ENTRIES = 2**16
 
 
@@ -57,6 +68,31 @@ def _checked(out, want, oracle):
     return out
 
 
+def _batch_size(batch):
+    if isinstance(batch, _Stream):
+        return batch.size
+    return len(batch[0]) if isinstance(batch, tuple) else len(batch)
+
+
+def _parts(level, batch, size, width):
+    """(cut, samples) for each slice of at most ``width`` of a batch's
+    ``size`` samples.
+
+    A _Stream's slices are drawn here, one by one as the walk reaches them,
+    from its rekeyed substream; the next level's rekey comes only after the
+    last one.
+    """
+    streamed = isinstance(batch, _Stream)
+    if streamed:
+        gen = batch.rng.child_generator(batch.index)
+    for lo in range(0, size, width):
+        cut = slice(lo, min(lo + width, size))
+        if streamed:
+            yield cut, sample_batch(level, gen, cut.stop - lo)
+        else:
+            yield cut, tuple(a[cut] for a in batch) if isinstance(batch, tuple) else batch[cut]
+
+
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
     """Evaluate each level's (value, Jacobian) pairs on its batch at its new
     chain input and, unless ``old_chain`` is None, at its old one.
@@ -64,14 +100,16 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     Per slice of at most _SLICE_ENTRIES entries of the largest Jacobian, the
     values are summed into the level's mean and the Jacobians multiply a
     running per-sample product, reduced at the last level: K = 1 keeps one
-    slice alive. ``next_input(i, mean_new, mean_old)`` (0-based i, no old
-    mean: None) turns level i's means into the next new input. Adds
-    points * B per level to the SFO counter; returns the new chain
-    u^0..u^{K-1} and the flat gradient means at it and at the old one.
+    slice alive, and a streamed batch (_Stream) is drawn slice by slice, so
+    its samples are never held whole either. ``next_input(i, mean_new,
+    mean_old)`` (0-based i, no old mean: None) turns level i's means into
+    the next new input. Adds points * B per level to the SFO counter;
+    returns the new chain u^0..u^{K-1} and the flat gradient means at it
+    and at the old one.
     """
     levels = problem.levels
-    batches = [b if isinstance(b, tuple) else np.asarray(b) for b in batches]
-    sizes = {len(b[0]) if isinstance(b, tuple) else len(b) for b in batches}
+    batches = [b if isinstance(b, (tuple, _Stream)) else np.asarray(b) for b in batches]
+    sizes = {_batch_size(b) for b in batches}
     size = sizes.pop()
     if sizes or size == 0:
         raise ValueError("per-level batches must be non-empty and share one size")
@@ -85,10 +123,8 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         # running sums, so a slice is dropped once reduced; the product of
         # the levels so far is kept whole until the next level's input is known
         sums, jacs = [0.0] * len(chains), [0.0 if last else [] for _ in chains]
-        for lo in range(0, size, width):
-            n = min(width, size - lo)
-            cut = slice(lo, lo + n)
-            part = tuple(a[cut] for a in batch) if isinstance(batch, tuple) else batch[cut]
+        for cut, part in _parts(level, batch, size, width):
+            n = cut.stop - cut.start
             for p, chain in enumerate(chains):
                 value = _checked(level.value(chain[i], part), (n, level.out_dim), "value")
                 sums[p] = sums[p] + value.sum(axis=0)
@@ -110,26 +146,37 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     return chains[0][:-1], grads[0], grads[1]
 
 
-def _level_batches(problem, rng, t, size):
+def _level_batches(problem, rng, t, size, streamed=False):
     """One batch per level for iteration t, from the substream (level, t).
 
     Each level owns its substream, so the order of the draws does not
     change any batch. The draws share the source's one rekeyed generator,
-    so each batch is drawn in full before the next level's rekey.
+    so a level's draw ends before the next level's rekey. ``streamed``
+    leaves a generative level's batch to the walk as a _Stream, drawn in
+    consecutive per-slice parts that GenerativeSamples' contract makes equal
+    to the whole draw here. A finite dataset's batch is drawn whole either
+    way: it is a few int64s, and numpy's bounded-integer draw drops its
+    buffered 32-bit half at the end of every call, so parts would change
+    the stream.
     """
-    return [
-        sample_batch(level, rng.child_generator(i * STREAM_LEVEL_STRIDE + t), size)
-        for i, level in enumerate(problem.levels, start=1)
-    ]
+    batches = []
+    for i, level in enumerate(problem.levels, start=1):
+        index = i * STREAM_LEVEL_STRIDE + t
+        if streamed and isinstance(level.samples, GenerativeSamples):
+            batches.append(_Stream(rng, index, size))
+        else:
+            batches.append(sample_batch(level, rng.child_generator(index), size))
+    return batches
 
 
 def init_trackers(problem, x1, b0, rng, alpha, counters=None):
     """Plain B0-sample mini-batch means along the chain u^0 = x1.
 
-    Each level draws its own batch from the substream (level, iteration 0).
-    One walk evaluates each sample's (value, Jacobian) pair once per level:
-    the value means are the trackers and the next chain inputs, and the
-    Jacobian chain product's mean is the gradient tracker.
+    Each level draws its own batch from the substream (level, iteration 0),
+    a generative level's slice by slice inside the walk. One walk evaluates
+    each sample's (value, Jacobian) pair once per level: the value means
+    are the trackers and the next chain inputs, and the Jacobian chain
+    product's mean is the gradient tracker.
     """
     if b0 < 1:
         raise ValueError("initialization batch size must be >= 1")
@@ -139,7 +186,8 @@ def init_trackers(problem, x1, b0, rng, alpha, counters=None):
         u.append(mean)
         return mean
 
-    _, v, _ = _walk(problem, x1, None, _level_batches(problem, rng, 0, b0), keep, counters)
+    batches = _level_batches(problem, rng, 0, b0, streamed=True)
+    _, v, _ = _walk(problem, x1, None, batches, keep, counters)
     return ValueTrackers(u=u, alpha=alpha), GradientTracker(v=problem.unflatten(v), alpha=alpha)
 
 
@@ -156,7 +204,9 @@ def storm_update(trackers, gradient, problem, x, old_chain, batches, counters=No
     The new chain runs from the iterate ``x`` through the updated value
     trackers. ``old_chain`` is the previous step's, or None on a first
     step, whose iterate has not moved, so each level is evaluated at one
-    point. ``batches`` holds one batch per level. Returns the new chain.
+    point. ``batches`` holds one batch per level: drawn samples, or a
+    generative level's _Stream (``_level_batches(..., streamed=True)``).
+    Returns the new chain.
     """
 
     def track(i, mean_new, mean_old):

@@ -49,7 +49,14 @@ class FiniteSamples:
 
 class GenerativeSamples:
     """Sample space backed by ``draw_fn(gen, count)``, which returns one
-    batch of ``count`` fresh samples."""
+    batch of ``count`` fresh samples.
+
+    ``draw_fn`` consumes ``gen`` sample by sample, in the same generator
+    calls for each sample whatever ``count`` is, so a batch drawn in
+    consecutive parts from one generator equals the batch drawn whole. The
+    estimators rely on this: they draw a generative batch one slice at a
+    time as they evaluate it, and never hold it whole.
+    """
 
     def __init__(self, draw_fn):
         self.draw_fn = draw_fn

@@ -23,9 +23,13 @@ gives, and writes it, with a zero counter and an empty output buffer, into
 one Philox generator that the source owns and reuses. Every substream keeps
 its values.
 
-These streams are also unchanged by batched oracles: a finite dataset draws
-its batch with one ``integers`` call, and a generative draw fills its batch
-arrays sample by sample in the generator-call order of a per-sample loop.
+These streams are also unchanged by batched oracles and by the estimators'
+per-slice draws: a finite dataset draws its batch with one ``integers``
+call, and a generative draw fills its batch arrays sample by sample in the
+generator-call order of a per-sample loop, so its batch drawn in
+consecutive parts (one per slice of the chain walk) equals the batch drawn
+whole. The levels share the source's one rekeyed generator, so a level's
+last part is drawn before the next level's rekey.
 """
 
 from __future__ import annotations

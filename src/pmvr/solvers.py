@@ -255,7 +255,8 @@ def _check_finite(state, iteration):
 
 
 def _draw_batches(state, problem, b, rng):
-    """Per-level batches of size b for the next iteration.
+    """Per-level batches of size b for the next iteration: a finite
+    dataset's drawn now, a generative level's streamed by the walk.
 
     Warns once per run when b exceeds a finite dataset, since the batch is
     then drawn with replacement.
@@ -270,7 +271,7 @@ def _draw_batches(state, problem, b, rng):
                 )
                 state.warned_batch = True
                 break
-    return _level_batches(problem, rng, state.t + 1, b)
+    return _level_batches(problem, rng, state.t + 1, b, streamed=True)
 
 
 def pmvr_step(state, problem, fset, params, rng):

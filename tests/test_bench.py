@@ -15,7 +15,7 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["matrix-20", "md-portfolio"])
+@pytest.mark.parametrize("workload", ["matrix-20", "matrix-200", "md-portfolio"])
 def test_traced_bench_run_is_correct(workload):
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,

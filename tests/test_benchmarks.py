@@ -302,6 +302,36 @@ def test_batched_draws_keep_the_per_sample_stream(seed, count, kind, noisy):
     assert gen.random() == ref_gen.random()
 
 
+GENERATIVE_SPACES = {
+    "single_index_square": lambda: single_index_problem(SingleIndexConfig(m=4, n=4))[0],
+    "single_index_5x7": lambda: single_index_problem(SingleIndexConfig(m=5, n=7))[0],
+    "quadratic_distance": lambda: quadratic_distance_problem(
+        np.array([0.2, 0.4, 0.1]), Simplex(3)
+    ),
+    "two_level_tracking": lambda: two_level_tracking_problem(d=5, p=4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GENERATIVE_SPACES))
+@pytest.mark.parametrize("b", [4, 9])
+def test_generative_batches_drawn_in_parts_equal_one_draw(name, b):
+    # the estimators draw a generative batch one slice at a time from one
+    # rekeyed generator, which must give the samples of one whole draw
+    problem = GENERATIVE_SPACES[name]()
+    for i, level in enumerate(problem.levels, start=1):
+        gen = RandomSource(11).child_generator(i)
+        whole = level.samples.draw(gen, b)
+        parts_gen = RandomSource(11).child_generator(i)
+        parts = [level.samples.draw(parts_gen, n) for n in (1, 2, b - 3)]
+        assert len(whole) == len(parts[0])
+        for w, *ps in zip(whole, *parts):
+            got = np.concatenate(ps)
+            assert got.shape == w.shape
+            assert got.tobytes() == w.tobytes()
+        # both consumed the same number of draws
+        assert gen.random() == parts_gen.random()
+
+
 def test_portfolio_data_validation():
     with pytest.raises(ValueError):
         PortfolioData(np.empty((0, 3)))

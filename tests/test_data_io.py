@@ -17,6 +17,7 @@ from pmvr.data_io import (
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE10 = os.path.join(DATA, "industry10_fixture.txt")
 FIXTURE12 = os.path.join(DATA, "industry12_sentinels.csv")
+FIXTURE_BLOCKS = os.path.join(DATA, "industry3_blocks.txt")
 
 
 class TestFrenchLoader:
@@ -63,6 +64,31 @@ class TestFrenchLoader:
     def test_comma_delimited_variant(self):
         data = load_french_csv(FIXTURE12, sentinel_policy="drop")
         assert data.names[0] == "Agric" and data.names[-1] == "Steel"
+
+    def test_only_the_first_data_block_is_read(self):
+        # the equal-weighted block holds a sentinel and the firm-count block
+        # 50/60/70; neither is read as returns
+        data = load_french_csv(FIXTURE_BLOCKS)
+        want = np.array([[1.45, -0.33, 2.50], [2.10, 1.15, -0.40], [-0.85, 2.05, 1.10]])
+        assert np.array_equal(data.returns, want / 100.0)
+        assert data.names == ["Agric", "Food", "Beer"]
+        with open(FIXTURE_BLOCKS) as fh:
+            n_lines = len(fh.read().splitlines())
+        assert (data.report.parsed, data.report.rejected) == (3, 0)
+        assert data.report.total == n_lines
+
+    def test_a_comma_in_a_whitespace_preamble_keeps_whitespace_mode(self, tmp_path):
+        path = tmp_path / "copyright.txt"
+        path.write_text(
+            "  Copyright 2024, Kenneth R. French\n"
+            "          Agric   Food\n"
+            "192607     1.45  -0.33\n"
+            "192608     2.10   1.15\n"
+        )
+        data = load_french_csv(str(path))
+        assert np.array_equal(data.returns, np.array([[1.45, -0.33], [2.10, 1.15]]) / 100.0)
+        assert data.names == ["Agric", "Food"]
+        assert (data.report.parsed, data.report.skipped) == (2, 2)
 
     def test_malformed_field_reports_position(self, tmp_path):
         path = tmp_path / "bad.txt"

@@ -19,6 +19,7 @@ from pmvr.estimators import (
     GradientTracker,
     ValueTrackers,
     _level_batches,
+    _Stream,
     _walk,
     init_trackers,
     storm_update,
@@ -329,6 +330,107 @@ def test_single_level_walk_keeps_one_slice_alive():
     finally:
         tracemalloc.stop()
     assert peak < 8 * slice_bytes
+
+
+def test_streamed_initialization_keeps_one_slice_of_samples_alive():
+    # 64 samples at 200 x 200 are 20 MB drawn whole; the walk draws them one
+    # slice at a time and drops each once reduced
+    problem, _ = single_index_problem(SingleIndexConfig(m=200, n=200, sigma=0.1))
+    level = problem.levels[0]
+    assert _SLICE_ENTRIES // level.in_dim == 1
+    slice_bytes = 8 * level.in_dim
+    tracemalloc.start()
+    try:
+        init_trackers(problem, problem.x_start, 64, RandomSource(5), alpha=1.0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * slice_bytes
+
+
+def mixed_problem():
+    """Generative, finite and generative levels. Level 1's Jacobian has
+    18000 entries, so the walk takes its batches three samples at a time."""
+    gen = np.random.default_rng(4)
+    d, p, q, records = 60, 300, 40, 7
+    w = gen.normal(size=(p, d))
+    m = gen.normal(size=(records, q, p)) / p
+    m_mean = m.mean(axis=0)
+
+    def draw_scaled_shift(sample_gen, count):
+        scale, shift = np.empty(count), np.empty((count, p))
+        for j in range(count):
+            scale[j] = sample_gen.normal(1.0, 0.1)
+            shift[j] = sample_gen.normal(0.0, 0.1, size=p)
+        return scale, shift
+
+    def draw_centre(sample_gen, count):
+        centre = np.empty((count, q))
+        for j in range(count):
+            centre[j] = sample_gen.normal(0.0, 0.1, size=q)
+        return centre
+
+    return CompositionalProblem([
+        Level(
+            d, p,
+            lambda x, s: s[0][:, None] * (w @ x) + s[1],
+            lambda x, s: s[0][:, None, None] * w.T,
+            lambda x: w @ x,
+            lambda x: w.T,
+            GenerativeSamples(draw_scaled_shift),
+        ),
+        Level(
+            p, q,
+            lambda y, r: m[r] @ y,
+            lambda y, r: m[r].transpose(0, 2, 1),
+            lambda y: m_mean @ y,
+            lambda y: m_mean.T,
+            FiniteSamples(records),
+        ),
+        Level(
+            q, 1,
+            lambda z, c: 0.5 * ((z - c) ** 2).sum(axis=1, keepdims=True),
+            lambda z, c: (z - c)[:, :, None],
+            lambda z: np.array([0.5 * z @ z + 0.005 * q]),
+            lambda z: z[:, None],
+            GenerativeSamples(draw_centre),
+        ),
+    ])
+
+
+@pytest.mark.parametrize("b", [1, 3, 10])
+def test_streamed_draws_equal_a_walk_over_materialized_batches(b):
+    problem = mixed_problem()
+    assert _SLICE_ENTRIES // max(lv.in_dim * lv.out_dim for lv in problem.levels) == 3
+    x = np.random.default_rng(b).normal(size=problem.levels[0].in_dim)
+    streamed = _level_batches(problem, RandomSource(9), 1, b, streamed=True)
+    assert [type(bt) for bt in streamed] == [_Stream, np.ndarray, _Stream]
+
+    counters = OracleCounters()
+    trackers, grad = init_trackers(problem, x, b, RandomSource(8), 0.5, counters)
+    u = []
+
+    def keep(i, mean, _):
+        u.append(mean)
+        return mean
+
+    _, v, _ = _walk(problem, x, None, _level_batches(problem, RandomSource(8), 0, b), keep)
+    assert all(np.array_equal(got, want) for got, want in zip(trackers.u, u, strict=True))
+    assert np.array_equal(grad.v, v)
+    assert counters.sfo == problem.k * b
+
+    old_chain = [x] + trackers.u[:-1]
+    x_new = x + 0.01
+    runs = []
+    for batches in (streamed, _level_batches(problem, RandomSource(9), 1, b)):
+        tr = ValueTrackers(u=[a.copy() for a in trackers.u], alpha=0.5)
+        g = GradientTracker(v=grad.v.copy(), alpha=0.5)
+        chain = storm_update(tr, g, problem, x_new, old_chain, batches)
+        runs.append((tr.u, g.v, chain))
+    (got_u, got_v, got_chain), (want_u, want_v, want_chain) = runs
+    assert all(np.array_equal(a, c) for a, c in zip(got_u, want_u, strict=True))
+    assert np.array_equal(got_v, want_v)
+    assert all(np.array_equal(a, c) for a, c in zip(got_chain, want_chain, strict=True))
 
 
 @settings(max_examples=60, deadline=None)
