@@ -24,7 +24,7 @@ for alpha in (0.05, 0.1, 0.3, 1.0):
         params = SolverParams(eta=0.01, alpha=alpha, b0=8, b1=1, iters=1000)
         res = pmvr_run(
             problem, fset, params, x1, RandomSource(1000 + seed),
-            trace=TraceConfig(collect_tau=False, keep_iterates=False,
+            trace=TraceConfig(keep_iterates=False,
                               track_gradient_error=True, metric_every=1000),
         )
         acc += float(res.gradient_errors[99:].mean())

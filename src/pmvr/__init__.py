@@ -1,7 +1,7 @@
 """Projection-free variance-reduced optimization for constrained
 multi-level compositional objectives."""
 
-from .core import axpy, gaussian_sample, inner, matmul_chain
+from .core import inner, matmul_chain
 from .metrics import (
     OracleCounters,
     expected_baseline_sfo,

@@ -142,26 +142,20 @@ def build_schedule(cfg, problem):
         # the problem, which is known only now
         _check_total("schedule.eps", sum(p.iters for p in getattr(out, "stages", [out])))
         return out
-    if sched["mode"] == "explicit":
-        block = sched["explicit"]
+
+    def params(block):  # validation puts n and coeff together, for -v2 only
         sub = None
-        if "n" in block and "coeff" in block:
+        if "n" in block:
             sub = QuadraticSubsolver(coeff=block["coeff"], inner_iters=block["n"])
         return SolverParams(
             eta=block["eta"], alpha=block["alpha"], b0=block["b0"],
             b1=block["b1"], iters=block["t"], subsolver=sub,
         )
-    # explicit stages
-    sub = None
-    if "n" in sched and "coeff" in sched:
-        sub = QuadraticSubsolver(coeff=sched["coeff"], inner_iters=sched["n"])
-    stages = [
-        SolverParams(
-            eta=st["eta"], alpha=st["alpha"], b0=sched["b0"],
-            b1=st["b1"], iters=st["t"], subsolver=sub,
-        )
-        for st in sched["stages"]
-    ]
+
+    if sched["mode"] == "explicit":
+        return params(sched["explicit"])
+    # explicit stages share the schedule's b0, n and coeff
+    stages = [params({**sched, **st}) for st in sched["stages"]]
     targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
     return StageSchedule(stages=stages, targets=targets)
 

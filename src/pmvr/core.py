@@ -1,40 +1,25 @@
 """Dense vector/matrix primitives shared by every other module.
 
 Points are plain float64 numpy arrays: 1-D for vectors, 2-D (row-major) for
-matrix-valued decision variables. Solvers treat both uniformly through the
-elementwise operations here; feasible sets are the only code that cares
-about the 2-D shape.
+matrix-valued decision variables. Solvers treat both uniformly; feasible
+sets are the only code that cares about the 2-D shape.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .rng import generator_for
-
 
 class ShapeMismatchError(ValueError):
     pass
-
-
-def check_same_shape(x, y):
-    if x.shape != y.shape:
-        raise ShapeMismatchError(f"shape mismatch: {x.shape} vs {y.shape}")
-
-
-def axpy(a, x, y):
-    """Return a*x + y elementwise. Shapes must match."""
-    x = np.asarray(x, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    check_same_shape(x, y)
-    return a * x + y
 
 
 def inner(x, y):
     """Euclidean inner product; the Frobenius inner product for matrices."""
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    check_same_shape(x, y)
+    if x.shape != y.shape:
+        raise ShapeMismatchError(f"shape mismatch: {x.shape} vs {y.shape}")
     return float(np.vdot(x, y))
 
 
@@ -63,17 +48,3 @@ def matmul_chain(jacobians):
         out = out @ j
     return out
 
-
-def gaussian_sample(rng, mean, variance, shape):
-    """I.i.d. normal entries, deterministic given the source's (seed, stream).
-
-    variance == 0 yields the constant point of value ``mean``.
-    """
-    if variance < 0:
-        raise ValueError(f"variance must be non-negative, got {variance}")
-    gen = generator_for(rng)
-    if np.isscalar(shape):
-        shape = (int(shape),)
-    if variance == 0:
-        return np.full(shape, float(mean))
-    return gen.normal(loc=mean, scale=np.sqrt(variance), size=shape)

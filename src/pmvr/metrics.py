@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import inner
-from .problems import exact_gradient, exact_inner_values, objective
+from .problems import exact_gradient, objective
 
 
 @dataclass
@@ -93,5 +93,4 @@ __all__ = [
     "fw_gap",
     "gradient_mapping",
     "optimal_gap",
-    "exact_inner_values",
 ]

@@ -12,8 +12,10 @@ the start point and at every metric row. The stage-wise solver runs one
 stage per target accuracy, warm-starting the iterate and both trackers
 from the previous stage; the projected baseline is a different step over
 one stage.
-Parameter schedules turn a target accuracy into concrete constants for
-each convergence criterion, with every order constant overridable.
+Parameter schedules turn a target accuracy into concrete constants: one
+table gives, for each theorem's (criterion, batch mode), every
+parameter's power of the accuracy and of the strong convexity modulus,
+and each overridable order constant multiplies that rate.
 """
 
 from __future__ import annotations
@@ -163,7 +165,6 @@ class TraceConfig:
 
     metric_every: Optional[int] = None
     beta: float = 1.0
-    collect_tau: bool = True
     track_gradient_error: bool = False
     keep_iterates: bool = True
 
@@ -437,10 +438,8 @@ def pmvr_run(problem, fset, params, x1, rng, trace=None):
     exact criteria at the configured cadence; the full iterate history is
     kept so downstream plots do not depend on tau.
     """
-    tau = None
-    if trace is None or trace.collect_tau:
-        tau_gen = rng.split(STREAM_TAU_BASE + 0).generator
-        tau = int(tau_gen.integers(1, params.iters + 1))
+    tau_gen = rng.split(STREAM_TAU_BASE + 0).generator
+    tau = int(tau_gen.integers(1, params.iters + 1))
     return _run_stages(
         problem, fset, [(0, params)], x1, rng, trace, _init_state, pmvr_step, tau
     )
@@ -487,8 +486,22 @@ class ScheduleConstants:
     eps1: float = 1.0
 
 
-CRITERIA = ("fw_gap", "grad_map", "convex_gap", "strongly_convex_gap")
-BATCH_MODES = ("constant", "large")
+# Every theorem's rates as (power of eps, power of the modulus lambda) for
+# eta, alpha, B0, B1, T and the subsolver's N; the stage-wise rows read eps
+# as each stage's target, except N, which takes the final eps. B0 None is
+# the strongly convex c.b0 * max(1/lambda, 1), and N None runs no subsolver.
+_ORDERS = {
+    ("fw_gap", "constant"): ((2, 0), (2, 0), (-1, 0), (0, 0), (-3, 0), None),
+    ("fw_gap", "large"): ((1, 0), (1, 0), (-1, 0), (-1, 0), (-2, 0), None),
+    ("grad_map", "constant"): ((0.5, 0), (1, 0), (-0.5, 0), (0, 0), (-1.5, 0), (-1, 0)),
+    ("grad_map", "large"): ((0, 0), (0.5, 0), (-0.5, 0), (-0.5, 0), (-1, 0), (-1, 0)),
+    ("convex_gap", "constant"): ((2, 0), (2, 0), (0, 0), (0, 0), (-2, 0), None),
+    ("convex_gap", "large"): ((1, 0), (1, 0), (0, 0), (-1, 0), (-1, 0), None),
+    ("strongly_convex_gap", "constant"): ((1, 1), (1, 1), None, (0, 0), (-1, -1), (-1, 1)),
+    ("strongly_convex_gap", "large"): ((0, 1), (0, 1), None, (-1, 0), (0, -1), (-1, 1)),
+}
+CRITERIA = tuple(dict.fromkeys(criterion for criterion, _ in _ORDERS))
+BATCH_MODES = tuple(dict.fromkeys(mode for _, mode in _ORDERS))
 
 
 def _int_ceil(x):
@@ -502,15 +515,32 @@ def _clamp01(x):
     return min(1.0, float(x))
 
 
+def _rate(const, order, eps, lam):
+    """const * lam**order[1] * eps**order[0], evaluated as the closed forms
+    write it: the positive powers multiply left to right (lambda first), the
+    negative ones divide as one product, and a half power is math.sqrt."""
+    num, den = const, None
+    for base, power in ((lam, order[1]), (eps, order[0])):
+        if power:
+            mag = abs(power)
+            factor = base if mag == 1 else math.sqrt(base) if mag == 0.5 else base**mag
+            if power > 0:
+                num = num * factor
+            else:
+                den = factor if den is None else den * factor
+    return num if den is None else num / den
+
+
 def schedule_for(criterion, batch_mode, eps, constants=None,
                  strong_convexity=None, beta=1.0):
     """Concrete parameters for a target accuracy under a given criterion.
 
     Returns SolverParams for the two non-convex criteria and a StageSchedule
     for the convex and strongly convex ones. Each order term becomes
-    c * g(eps), clamped to valid ranges (eta, alpha <= 1; counts >= 1,
-    rounded up). Strongly convex schedules need the modulus and fix the
-    inner iteration count from the final accuracy target.
+    c * eps**p * lambda**q with (p, q) read from the row of ``_ORDERS``,
+    clamped to valid ranges (eta, alpha <= 1; counts >= 1, rounded up).
+    Strongly convex schedules need the modulus and fix the inner iteration
+    count from the final accuracy target.
     """
     if criterion not in CRITERIA:
         raise ValueError(f"unknown criterion {criterion!r}, expected one of {CRITERIA}")
@@ -519,100 +549,33 @@ def schedule_for(criterion, batch_mode, eps, constants=None,
     if not 0.0 < eps <= 1.0:
         raise ValueError(f"eps must lie in (0, 1], got {eps}")
     c = constants if constants is not None else ScheduleConstants()
+    eta, alpha, b0, b1, t, n = _ORDERS[criterion, batch_mode]
 
-    if criterion == "fw_gap":
-        if batch_mode == "constant":
-            return SolverParams(
-                eta=_clamp01(c.eta * eps**2),
-                alpha=_clamp01(c.alpha * eps**2),
-                b0=_int_ceil(c.b0 / eps),
-                b1=_int_ceil(c.b1),
-                iters=_int_ceil(c.t / eps**3),
-            )
-        return SolverParams(
-            eta=_clamp01(c.eta * eps),
-            alpha=_clamp01(c.alpha * eps),
-            b0=_int_ceil(c.b0 / eps),
-            b1=_int_ceil(c.b1 / eps),
-            iters=_int_ceil(c.t / eps**2),
-        )
+    stagewise = criterion in ("convex_gap", "strongly_convex_gap")
+    if stagewise:
+        n_stages = max(1, math.ceil(math.log2(c.eps1 / eps) - 1e-12)) if eps < c.eps1 else 1
+        targets = [c.eps1 / 2**s for s in range(1, n_stages + 1)]
+    lam = None
+    if criterion == "strongly_convex_gap":
+        lam = strong_convexity
+        if lam is None or lam <= 0:
+            raise ValueError("strongly convex schedules require a positive modulus")
+    sub = None
+    if n is not None:
+        sub = QuadraticSubsolver(coeff=beta if lam is None else lam / 2.0,
+                                 inner_iters=_int_ceil(_rate(c.n, n, eps, lam)))
+    fixed_b0 = _int_ceil(c.b0 * max(1.0 / lam, 1.0)) if b0 is None else None
 
-    if criterion == "grad_map":
-        sub = QuadraticSubsolver(coeff=beta, inner_iters=_int_ceil(c.n / eps))
-        if batch_mode == "constant":
-            return SolverParams(
-                eta=_clamp01(c.eta * math.sqrt(eps)),
-                alpha=_clamp01(c.alpha * eps),
-                b0=_int_ceil(c.b0 / math.sqrt(eps)),
-                b1=_int_ceil(c.b1),
-                iters=_int_ceil(c.t / eps**1.5),
-                subsolver=sub,
-            )
+    def params(e):
         return SolverParams(
-            eta=_clamp01(c.eta),
-            alpha=_clamp01(c.alpha * math.sqrt(eps)),
-            b0=_int_ceil(c.b0 / math.sqrt(eps)),
-            b1=_int_ceil(c.b1 / math.sqrt(eps)),
-            iters=_int_ceil(c.t / eps),
+            eta=_clamp01(_rate(c.eta, eta, e, lam)),
+            alpha=_clamp01(_rate(c.alpha, alpha, e, lam)),
+            b0=fixed_b0 if b0 is None else _int_ceil(_rate(c.b0, b0, e, lam)),
+            b1=_int_ceil(_rate(c.b1, b1, e, lam)),
+            iters=_int_ceil(_rate(c.t, t, e, lam)),
             subsolver=sub,
         )
 
-    # stage-wise criteria
-    n_stages = max(1, math.ceil(math.log2(c.eps1 / eps) - 1e-12)) if eps < c.eps1 else 1
-    targets = [c.eps1 / 2**s for s in range(1, n_stages + 1)]
-
-    if criterion == "convex_gap":
-        stages = []
-        for eps_s in targets:
-            if batch_mode == "constant":
-                stages.append(
-                    SolverParams(
-                        eta=_clamp01(c.eta * eps_s**2),
-                        alpha=_clamp01(c.alpha * eps_s**2),
-                        b0=_int_ceil(c.b0),
-                        b1=_int_ceil(c.b1),
-                        iters=_int_ceil(c.t / eps_s**2),
-                    )
-                )
-            else:
-                stages.append(
-                    SolverParams(
-                        eta=_clamp01(c.eta * eps_s),
-                        alpha=_clamp01(c.alpha * eps_s),
-                        b0=_int_ceil(c.b0),
-                        b1=_int_ceil(c.b1 / eps_s),
-                        iters=_int_ceil(c.t / eps_s),
-                    )
-                )
-        return StageSchedule(stages=stages, targets=targets, eps1=c.eps1)
-
-    lam = strong_convexity
-    if lam is None or lam <= 0:
-        raise ValueError("strongly convex schedules require a positive modulus")
-    sub = QuadraticSubsolver(coeff=lam / 2.0, inner_iters=_int_ceil(c.n * lam / eps))
-    b0 = _int_ceil(c.b0 * max(1.0 / lam, 1.0))
-    stages = []
-    for eps_s in targets:
-        if batch_mode == "constant":
-            stages.append(
-                SolverParams(
-                    eta=_clamp01(c.eta * lam * eps_s),
-                    alpha=_clamp01(c.alpha * lam * eps_s),
-                    b0=b0,
-                    b1=_int_ceil(c.b1),
-                    iters=_int_ceil(c.t / (lam * eps_s)),
-                    subsolver=sub,
-                )
-            )
-        else:
-            stages.append(
-                SolverParams(
-                    eta=_clamp01(c.eta * lam),
-                    alpha=_clamp01(c.alpha * lam),
-                    b0=b0,
-                    b1=_int_ceil(c.b1 / eps_s),
-                    iters=_int_ceil(c.t / lam),
-                    subsolver=sub,
-                )
-            )
-    return StageSchedule(stages=stages, targets=targets, eps1=c.eps1)
+    if not stagewise:
+        return params(eps)
+    return StageSchedule(stages=[params(e) for e in targets], targets=targets, eps1=c.eps1)

@@ -211,7 +211,7 @@ def test_c4_variance_reduction_trend():
             res = pmvr_run(
                 problem, fset, params, x1, RandomSource(300 + seed),
                 trace=TraceConfig(
-                    collect_tau=False, keep_iterates=False,
+                    keep_iterates=False,
                     track_gradient_error=True, metric_every=1000,
                 ),
             )
@@ -259,7 +259,7 @@ def test_c6_feasibility_invariant():
     problem = mean_variance_problem(data, 1.0)
     fset = Simplex(6)
     x1 = np.full(6, 1 / 6)
-    cfg = TraceConfig(collect_tau=False, metric_every=50)
+    cfg = TraceConfig(metric_every=50)
     runs = [
         pmvr_run(problem, fset, SolverParams(0.05, 0.2, 4, 2, 90), x1, RandomSource(11), trace=cfg),
         pmvr_run(
@@ -325,7 +325,7 @@ def test_c7_counter_exactness():
         res = pmvr_run(
             problem, fset, params, np.full(dims[0], 1.0 / dims[0]),
             RandomSource(40 + trial),
-            trace=TraceConfig(collect_tau=False, keep_iterates=False, metric_every=max(1, iters)),
+            trace=TraceConfig(keep_iterates=False, metric_every=max(1, iters)),
         )
         want = (expected_sfo(iters, k, b0, b1), expected_lmo(iters, n_inner))
         got = (res.state.counters.sfo, res.state.counters.lmo)
@@ -347,7 +347,7 @@ def test_c8_theorem1_schedule_convergence():
     for seed in range(10):
         res = pmvr_run(
             problem, fset, params, x1, RandomSource(500 + seed),
-            trace=TraceConfig(collect_tau=False, keep_iterates=False, metric_every=5),
+            trace=TraceConfig(keep_iterates=False, metric_every=5),
         )
         gap = {row.iteration: row.fw_gap for row in res.trace}
         at10.append(gap[10])
@@ -377,7 +377,7 @@ def test_c9_theorem7_stagewise_halving():
         problem = quadratic_distance_problem(np.array([2.0, -1.0]), fset, noise=0.05)
         res = stagewise_run(
             problem, fset, schedule, np.array([0.5, 0.5]), RandomSource(700 + seed),
-            trace=TraceConfig(collect_tau=False, keep_iterates=False),
+            trace=TraceConfig(keep_iterates=False),
         )
         f_star = problem.metadata.f_star
         for s, (x_end, _, _, _) in enumerate(res.stage_ends):
@@ -424,7 +424,7 @@ def test_c11_matrix_experiment_regression():
     for seed in range(10):
         res = pmvr_run(
             problem, ball, params, problem.x_start, RandomSource(seed),
-            trace=TraceConfig(collect_tau=False, keep_iterates=False, metric_every=100),
+            trace=TraceConfig(keep_iterates=False, metric_every=100),
         )
         curves.append({row.iteration: row.grad_map for row in res.trace})
     checkpoints = [100, 200, 400, 900, 2000]  # log-spaced, snapped to the cadence

@@ -1,25 +1,8 @@
 import numpy as np
 import pytest
 
-from pmvr.core import ShapeMismatchError, axpy, gaussian_sample, inner, matmul_chain
+from pmvr.core import ShapeMismatchError, inner, matmul_chain
 from pmvr.rng import RandomSource
-
-
-@pytest.mark.parametrize(
-    "a, x, y, want",
-    [
-        (0.0, [5.0, 7.0], [1.0, 2.0], [1.0, 2.0]),
-        (1.0, [1.0, 1.0], [1.0, 2.0], [2.0, 3.0]),
-        (-0.5, [2.0, 4.0], [1.0, 2.0], [0.0, 0.0]),
-    ],
-)
-def test_axpy_cases(a, x, y, want):
-    assert np.array_equal(axpy(a, np.array(x), np.array(y)), np.array(want))
-
-
-def test_axpy_shape_mismatch():
-    with pytest.raises(ShapeMismatchError):
-        axpy(1.0, np.zeros(2), np.zeros(3))
 
 
 @pytest.mark.parametrize(
@@ -36,6 +19,11 @@ def test_inner_vectors(x, y, want):
 def test_inner_frobenius():
     # trace of I @ diag(3, 1)
     assert inner(np.eye(2), np.diag([3.0, 1.0])) == 4.0
+
+
+def test_inner_shape_mismatch():
+    with pytest.raises(ShapeMismatchError):
+        inner(np.zeros(2), np.zeros(3))
 
 
 def test_inner_is_squared_norm():
@@ -90,27 +78,6 @@ def test_matmul_chain_reports_position():
         matmul_chain([np.zeros((5, 2, 3)), np.zeros((5, 3, 4)), np.zeros((5, 2, 1))])
     with pytest.raises(ValueError):
         matmul_chain([])
-
-
-def test_gaussian_degenerate_variance():
-    out = gaussian_sample(RandomSource(1), 2.5, 0.0, (4,))
-    assert np.array_equal(out, np.full(4, 2.5))
-
-
-def test_gaussian_determinism():
-    a = gaussian_sample(RandomSource(7), 0.0, 1.0, (8,))
-    b = gaussian_sample(RandomSource(7), 0.0, 1.0, (8,))
-    assert np.array_equal(a, b)
-
-
-def test_gaussian_negative_variance():
-    with pytest.raises(ValueError):
-        gaussian_sample(RandomSource(1), 0.0, -1.0, (2,))
-
-
-def test_gaussian_sample_variance():
-    out = gaussian_sample(RandomSource(11), 0.0, 0.3, (100_000,))
-    assert 0.27 <= out.var() <= 0.33
 
 
 def test_substreams_are_independent_and_stable():

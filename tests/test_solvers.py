@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -213,7 +214,7 @@ class TestPmvrRun:
         params = SolverParams(eta=0.1, alpha=0.4, b0=b0, b1=b1, iters=iters, subsolver=sub)
         res = pmvr_run(
             problem, fset, params, np.full(3, 1 / 3), RandomSource(9),
-            trace=TraceConfig(collect_tau=False, keep_iterates=False),
+            trace=TraceConfig(keep_iterates=False),
         )
         want_sfo = expected_sfo(iters, k, b0, b1)
         want_lmo = expected_lmo(iters, n_inner)
@@ -241,7 +242,7 @@ class TestStagewise:
         fset = Simplex(5)
         params = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=15)
         schedule = StageSchedule(stages=[params], targets=[0.5])
-        cfg = TraceConfig(collect_tau=False)
+        cfg = TraceConfig()
         a = stagewise_run(problem, fset, schedule, np.full(5, 0.2), RandomSource(4), trace=cfg)
         b = pmvr_run(problem, fset, params, np.full(5, 0.2), RandomSource(4), trace=cfg)
         assert np.array_equal(a.x_final, b.x_final)
@@ -272,7 +273,7 @@ class TestStagewise:
         fset = Simplex(5)
         params = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=9)
         both = StageSchedule(stages=[params, params], targets=[0.5, 0.25])
-        cfg = TraceConfig(collect_tau=False)
+        cfg = TraceConfig()
         staged = stagewise_run(problem, fset, both, np.full(5, 0.2), RandomSource(6), trace=cfg)
         single = pmvr_run(
             problem, fset,
@@ -348,12 +349,103 @@ class TestSchedules:
     def test_missing_modulus_rejected(self):
         with pytest.raises(ValueError):
             schedule_for("strongly_convex_gap", "constant", 0.1)
+        for lam in (0.0, -1.0):
+            with pytest.raises(ValueError, match="positive modulus"):
+                schedule_for("strongly_convex_gap", "large", 0.1, strong_convexity=lam)
+
+    def test_unknown_criterion_or_mode_refused(self):
+        with pytest.raises(ValueError, match="unknown criterion"):
+            schedule_for("optimal_gap", "constant", 0.1)
+        with pytest.raises(ValueError, match="unknown batch mode"):
+            schedule_for("fw_gap", "huge", 0.1)
 
     def test_eps_range(self):
         with pytest.raises(ValueError):
             schedule_for("fw_gap", "constant", 0.0)
         with pytest.raises(ValueError):
             schedule_for("fw_gap", "constant", 1.5)
+
+
+def _closed_forms(c, lam):
+    """Each theorem's (eta, alpha, B0, B1, T) at accuracy e, unclamped and
+    unrounded, with every product and quotient written in the order of
+    evaluation that ``schedule_for`` must reproduce bit for bit."""
+    sqrt = math.sqrt
+    return {
+        ("fw_gap", "constant"): lambda e: (
+            c.eta * e**2, c.alpha * e**2, c.b0 / e, c.b1, c.t / e**3),
+        ("fw_gap", "large"): lambda e: (
+            c.eta * e, c.alpha * e, c.b0 / e, c.b1 / e, c.t / e**2),
+        ("grad_map", "constant"): lambda e: (
+            c.eta * sqrt(e), c.alpha * e, c.b0 / sqrt(e), c.b1, c.t / e**1.5),
+        ("grad_map", "large"): lambda e: (
+            c.eta, c.alpha * sqrt(e), c.b0 / sqrt(e), c.b1 / sqrt(e), c.t / e),
+        ("convex_gap", "constant"): lambda e: (
+            c.eta * e**2, c.alpha * e**2, c.b0, c.b1, c.t / e**2),
+        ("convex_gap", "large"): lambda e: (
+            c.eta * e, c.alpha * e, c.b0, c.b1 / e, c.t / e),
+        ("strongly_convex_gap", "constant"): lambda e: (
+            c.eta * lam * e, c.alpha * lam * e, c.b0 * max(1.0 / lam, 1.0),
+            c.b1, c.t / (lam * e)),
+        ("strongly_convex_gap", "large"): lambda e: (
+            c.eta * lam, c.alpha * lam, c.b0 * max(1.0 / lam, 1.0),
+            c.b1 / e, c.t / lam),
+    }
+
+
+def _expected_schedule(criterion, mode, eps, c, lam, beta):
+    form = _closed_forms(c, lam)[criterion, mode]
+    sub = None
+    if criterion == "grad_map":
+        sub = QuadraticSubsolver(coeff=beta, inner_iters=solvers._int_ceil(c.n / eps))
+    elif criterion == "strongly_convex_gap":
+        sub = QuadraticSubsolver(coeff=lam / 2.0,
+                                 inner_iters=solvers._int_ceil(c.n * lam / eps))
+
+    def params(e):
+        eta, alpha, b0, b1, t = form(e)
+        return SolverParams(
+            eta=solvers._clamp01(eta), alpha=solvers._clamp01(alpha),
+            b0=solvers._int_ceil(b0), b1=solvers._int_ceil(b1),
+            iters=solvers._int_ceil(t), subsolver=sub,
+        )
+
+    if criterion in ("fw_gap", "grad_map"):
+        return params(eps)
+    n_stages = max(1, math.ceil(math.log2(c.eps1 / eps) - 1e-12)) if eps < c.eps1 else 1
+    targets = [c.eps1 / 2**s for s in range(1, n_stages + 1)]
+    return StageSchedule(stages=[params(e) for e in targets], targets=targets, eps1=c.eps1)
+
+
+_EPS_V2 = 2000.0 ** (-2.0 / 3.0)
+_SCHEDULE_CONSTANTS = [
+    ScheduleConstants(),
+    # the matrix recipe's thm3 constants
+    ScheduleConstants(eta=0.126, alpha=8.0, b1=8.0, b0=16.0, n=10.0 * _EPS_V2),
+    # md-portfolio's thm1 and thm3 constants; eps1 = 0.7 makes stage targets
+    # that are not powers of two, on which c.eta * lam * e and
+    # c.eta * e * lam round differently (with lam = 3)
+    ScheduleConstants(alpha=3.0, b1=8.0, b0=10.0),
+    ScheduleConstants(eta=0.45, alpha=1.0, b1=8.0, b0=22.4, n=0.5, eps1=0.7),
+]
+
+
+@pytest.mark.parametrize("criterion, mode", list(cli.THEOREMS.values()))
+def test_schedules_equal_each_theorems_closed_form_exactly(criterion, mode):
+    for eps in (1.0, 0.1, 1 / 64, _EPS_V2):
+        for c in _SCHEDULE_CONSTANTS:
+            for lam in (0.3, 3.0):
+                got = schedule_for(criterion, mode, eps, constants=c,
+                                   strong_convexity=lam, beta=0.01)
+                assert got == _expected_schedule(criterion, mode, eps, c, lam, 0.01), (
+                    eps, c, lam)
+
+
+@pytest.mark.parametrize("criterion, mode", list(cli.THEOREMS.values()))
+def test_an_overflowing_schedule_raises_arithmetic_error(criterion, mode):
+    with pytest.raises(ArithmeticError):
+        schedule_for(criterion, mode, 1e-320, strong_convexity=2.0)
+
 
 
 class TestBaseline:
@@ -440,7 +532,7 @@ def test_variance_reduction_beats_plain_minibatch():
             res = pmvr_run(
                 problem, fset, params, x1, RandomSource(100 + seed),
                 trace=TraceConfig(
-                    collect_tau=False, keep_iterates=False,
+                    keep_iterates=False,
                     track_gradient_error=True, metric_every=400,
                 ),
             )
@@ -461,7 +553,7 @@ def test_counters_match_closed_forms_for_every_entry_point(k, b0, b1s, iters, n_
     problem, _ = counted_problem(k)
     fset = Simplex(3)
     x1 = np.full(3, 1 / 3)
-    cfg = TraceConfig(collect_tau=False, keep_iterates=False)
+    cfg = TraceConfig(keep_iterates=False)
     sub = None if n_inner is None else QuadraticSubsolver(1.0, n_inner)
     lmo_per_step = 1 if n_inner is None else n_inner
 
