@@ -169,11 +169,14 @@ def load_french_csv(path, sentinel_policy="error"):
     text or different-width line after the first data row ends the block
     and every later line is skipped. The file is comma-delimited when a
     line's first comma-separated field is a date, whitespace-delimited
-    otherwise. Percent values are divided by 100. Rows containing the
-    sentinel values -99.99 or -999 are rejected per policy: "error" fails
-    loudly (the default; silently shrinking a return series distorts
-    means), "drop" excludes them and reports the count. Every input line
-    ends up in exactly one of the parsed / skipped / rejected tallies.
+    otherwise. Percent values are divided by 100. A row holds a sentinel
+    when one of its values v has ``|v - s| <= 1e-9`` for s = -99.99 or
+    -999; such rows are rejected per policy: "error" fails loudly (the
+    default; silently shrinking a return series distorts means), "drop"
+    excludes them and reports the count. When the block has several faults,
+    the first offending line in file order is the one reported, whether it
+    holds a sentinel or a malformed field. Every input line ends up in
+    exactly one of the parsed / skipped / rejected tallies.
     """
     from .benchmarks import PortfolioData
 
@@ -183,28 +186,28 @@ def load_french_csv(path, sentinel_policy="error"):
         raw_lines = fh.read().splitlines()
 
     comma = any("," in ln and _is_data_row(_split_line(ln.strip(), True)) for ln in raw_lines)
+    strict = sentinel_policy == "error"
     report = LoadReport()
     names = None
     width = None
     ended = False  # the first data block is over
     rows = []
+    row_lines = []  # each row's line number
     pending_header = None
     for lineno, line in enumerate(raw_lines, start=1):
         tokens = _split_line(line.strip(), comma)
         if not ended and _is_data_row(tokens):
-            values = []
-            bad = None
-            for col, tok in enumerate(tokens[1:], start=1):
-                try:
-                    values.append(float(tok))
-                except ValueError:
-                    bad = col
-                    break
-            if bad is not None:
+            try:
+                values = list(map(float, tokens[1:]))
+            except ValueError:
+                if strict and rows:  # an earlier sentinel row is reported first
+                    _find_sentinels(path, rows, row_lines, raw_lines, comma, strict)
+                bad = next(col for col, tok in enumerate(tokens[1:], start=1)
+                           if not _looks_numeric(tok))
                 raise ParseError(
                     f"{path}:{lineno}: malformed numeric field in column {bad}: "
                     f"{tokens[bad]!r}"
-                )
+                ) from None
             if width is None:
                 width = len(values)
                 if pending_header is not None and len(pending_header) == width:
@@ -214,19 +217,8 @@ def load_french_csv(path, sentinel_policy="error"):
                 ended = True
                 report.skipped += 1
                 continue
-            if any(
-                math.isclose(v, s, rel_tol=0.0, abs_tol=1e-9)
-                for v in values
-                for s in SENTINELS
-            ):
-                if sentinel_policy == "error":
-                    raise ParseError(
-                        f"{path}:{lineno}: sentinel value in row dated {tokens[0]}"
-                    )
-                report.rejected += 1
-                continue
             rows.append(values)
-            report.parsed += 1
+            row_lines.append(lineno)
         else:
             # preamble / header text; after the first data row, a blank or
             # text line ends the data block, and every later line is skipped
@@ -237,12 +229,32 @@ def load_french_csv(path, sentinel_policy="error"):
             ended = width is not None
             report.skipped += 1
 
-    if not rows:
+    if rows:
+        block, hit = _find_sentinels(path, rows, row_lines, raw_lines, comma, strict)
+        report.rejected = int(hit.sum())
+        report.parsed = len(rows) - report.rejected
+    if not report.parsed:
         raise ParseError(f"{path}: no usable data rows")
-    returns = np.asarray(rows, dtype=np.float64) / 100.0
+    returns = block[~hit] / 100.0
     if names is None:
         names = [f"asset_{j + 1}" for j in range(returns.shape[1])]
     return PortfolioData(returns=returns, names=list(names), report=report)
+
+
+def _find_sentinels(path, rows, row_lines, raw_lines, comma, strict):
+    """The parsed rows as one array and the mask of those holding a sentinel;
+    when ``strict``, the first such row raises instead. ``|v - s| <= 1e-9``
+    is ``math.isclose(v, s, rel_tol=0.0, abs_tol=1e-9)``, NaN and inf
+    included."""
+    block = np.array(rows, dtype=np.float64)
+    hit = np.zeros(len(rows), dtype=bool)
+    for s in SENTINELS:
+        hit |= (np.abs(block - s) <= 1e-9).any(axis=1)
+    if strict and hit.any():
+        lineno = row_lines[int(hit.argmax())]
+        date = _split_line(raw_lines[lineno - 1].strip(), comma)[0]
+        raise ParseError(f"{path}:{lineno}: sentinel value in row dated {date}")
+    return block, hit
 
 
 def _looks_numeric(tok):

@@ -46,6 +46,10 @@ from .core import ShapeMismatchError
 
 # unit roundoff of float64: every operation is exact up to a factor 1 + d, |d| <= _U
 _U = np.finfo(np.float64).eps / 2
+# the smallest normal float64. A rounding into the subnormal range is exact
+# only up to an absolute 2**-1075, which no factor 1 + d covers; fewer than
+# 2**52 such errors, however amplified by the slack terms' sums, stay below it
+_TINY = np.finfo(np.float64).tiny
 
 
 def _rounded_up(value, ops):
@@ -53,9 +57,10 @@ def _rounded_up(value, ops):
     evaluated as ``value`` with at most ``ops`` roundings in any term.
 
     Each term is off by at most a factor (1 + _U)**ops, about 1 + ops*_U. The
-    margin 4*(ops + 1)*_U covers that and the rounding of this product.
+    margin 4*(ops + 1)*_U covers that and the rounding of this product, and
+    _TINY covers gradual underflow.
     """
-    return value * (1.0 + 4.0 * (ops + 1) * _U)
+    return value * (1.0 + 4.0 * (ops + 1) * _U) + _TINY
 
 
 def project_simplex(p, total=1.0):

@@ -2,9 +2,13 @@ import os
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from pmvr.benchmarks import PortfolioData
 from pmvr.data_io import (
     ConfigError,
+    LoadReport,
     ParseError,
     TraceRow,
     load_french_csv,
@@ -101,6 +105,203 @@ class TestFrenchLoader:
         path.write_text("no data here\n")
         with pytest.raises(ParseError, match="no usable"):
             load_french_csv(str(path))
+
+
+def _write(tmp_path, text):
+    path = tmp_path / "returns.txt"
+    path.write_text(text)
+    return str(path)
+
+
+class TestFrenchLoaderErrorOrder:
+    """The first offending line in file order is the one reported."""
+
+    def test_sentinel_before_malformed_reports_the_sentinel(self, tmp_path):
+        path = _write(tmp_path, "192607 1.0 2.0\n192608 -99.99 2.0\n192609 1.0 oops\n")
+        with pytest.raises(ParseError) as err:
+            load_french_csv(path)
+        assert str(err.value) == f"{path}:2: sentinel value in row dated 192608"
+
+    def test_malformed_before_sentinel_reports_the_field(self, tmp_path):
+        path = _write(tmp_path, "192607 1.0 2.0\n192608 1.0 oops\n192609 -999 2.0\n")
+        for policy in ("error", "drop"):
+            with pytest.raises(ParseError) as err:
+                load_french_csv(path, sentinel_policy=policy)
+            assert str(err.value) == f"{path}:2: malformed numeric field in column 2: 'oops'"
+
+    def test_drop_reports_a_malformed_row_after_a_sentinel_row(self, tmp_path):
+        path = _write(tmp_path, "192607 -99.99 2.0\n192608 1.0 2.0\n192609 x 2.0\n")
+        with pytest.raises(ParseError) as err:
+            load_french_csv(path, sentinel_policy="drop")
+        assert str(err.value) == f"{path}:3: malformed numeric field in column 1: 'x'"
+
+    def test_a_sentinel_first_row_fixes_the_block_width(self, tmp_path):
+        path = _write(
+            tmp_path,
+            "192607 -99.99 1.0 2.0\n192608 1.0 2.0 3.0\n192609 1.0 2.0\n192610 4.0 5.0 6.0\n",
+        )
+        data = load_french_csv(path, sentinel_policy="drop")
+        assert np.array_equal(data.returns, np.array([[1.0, 2.0, 3.0]]) / 100.0)
+        assert (data.report.parsed, data.report.skipped, data.report.rejected) == (1, 2, 1)
+        # so a shorter second row ends the block before any row is kept
+        path = _write(tmp_path, "192607 -999 1.0 2.0\n192608 1.0 2.0\n192609 1.0 2.0\n")
+        with pytest.raises(ParseError, match="no usable data rows"):
+            load_french_csv(path, sentinel_policy="drop")
+
+    def test_only_sentinel_rows_leave_no_usable_data(self, tmp_path):
+        path = _write(tmp_path, "  Agric Food\n192607 -99.99 1.0\n192608 2.0 -999\n\nfooter\n")
+        with pytest.raises(ParseError) as err:
+            load_french_csv(path, sentinel_policy="drop")
+        assert str(err.value) == f"{path}: no usable data rows"
+
+    def test_sentinel_message_names_line_and_date(self):
+        with pytest.raises(ParseError) as err:
+            load_french_csv(FIXTURE12)
+        assert str(err.value) == f"{FIXTURE12}:3: sentinel value in row dated 192608"
+
+
+# --- property test: the loader against a plain line-by-line reference ------
+
+def _ref_tokens(line, comma):
+    line = line.strip()
+    if not comma:
+        return line.split()
+    tokens = [t.strip() for t in line.split(",")]
+    return tokens[1:] if tokens[0] == "" else tokens
+
+
+def _ref_is_row(tokens):
+    return len(tokens) > 1 and tokens[0].isdigit() and 4 <= len(tokens[0]) <= 8
+
+
+def _ref_numeric(tok):
+    try:
+        float(tok)
+    except ValueError:
+        return False
+    return True
+
+
+def reference_load(path, policy):
+    """The documented loader semantics, one line and one value at a time."""
+    with open(path, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    comma = any("," in ln and _ref_is_row(_ref_tokens(ln, True)) for ln in lines)
+    report = LoadReport()
+    header = names = width = None
+    ended = False
+    rows = []
+    for lineno, line in enumerate(lines, start=1):
+        tokens = _ref_tokens(line, comma)
+        if ended or not _ref_is_row(tokens):
+            if width is None and tokens and not any(_ref_numeric(t) for t in tokens):
+                header = tokens
+            ended = width is not None
+            report.skipped += 1
+            continue
+        values = []
+        for col, tok in enumerate(tokens[1:], start=1):
+            try:
+                values.append(float(tok))
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: malformed numeric field in column {col}: {tok!r}"
+                ) from None
+        if width is None:
+            width = len(values)
+            if header is not None and len(header) == width:
+                names = header
+        elif len(values) != width:
+            ended = True
+            report.skipped += 1
+            continue
+        if any(abs(v - s) <= 1e-9 for v in values for s in (-99.99, -999.0)):
+            if policy == "error":
+                raise ParseError(f"{path}:{lineno}: sentinel value in row dated {tokens[0]}")
+            report.rejected += 1
+            continue
+        rows.append(values)
+        report.parsed += 1
+    if not rows:
+        raise ParseError(f"{path}: no usable data rows")
+    if names is None:
+        names = [f"asset_{j + 1}" for j in range(width)]
+    return PortfolioData(returns=np.array(rows) / 100.0, names=names, report=report)
+
+
+def _outcome(load, path, policy):
+    try:
+        data = load(path, policy)
+    except ValueError as exc:  # ParseError, or PortfolioData's non-finite check
+        return type(exc).__name__, str(exc)
+    r = data.report
+    return (data.returns.shape, data.returns.tobytes(), list(data.names),
+            (r.parsed, r.skipped, r.rejected))
+
+
+PREAMBLE = [
+    "  This file was created by CMPT_IND_RETS using the 202401 CRSP database.",
+    "  Copyright 2024, Kenneth R. French",
+    "  Missing data are indicated by -99.99 or -999.",
+    "",
+    "  Average Value Weighted Returns -- Monthly",
+]
+SENTINEL_CELLS = ("-99.99", "-999", "-999.00", "-99.990")
+near_miss = st.builds(
+    lambda s, off: repr(s + off), st.sampled_from((-99.99, -999.0)), st.floats(-2e-9, 2e-9)
+)
+plain_cell = st.floats(-60.0, 80.0).map(lambda v: f"{v:.2f}")
+# per cell: 1 in 40 non-finite, 1 in 20 a sentinel, 1 in 20 a near miss
+cell = st.integers(0, 39).flatmap(lambda k: (
+    st.sampled_from(("nan", "inf", "-inf")) if k == 0
+    else st.sampled_from(SENTINEL_CELLS) if k <= 2
+    else near_miss if k <= 4
+    else plain_cell
+))
+bad_cell = st.sampled_from(("oops", "1.2.3", "", "--5", "12%"))
+
+
+@st.composite
+def french_files(draw):
+    """A French-layout file: preamble, header, block, footer, later block."""
+    comma = draw(st.booleans())
+    sep = "," if comma else "  "
+    width = draw(st.integers(1, 4))
+    dates = iter(range(192607, 199999))
+
+    def row(n):
+        return sep.join([str(next(dates))] + draw(st.lists(cell, min_size=n, max_size=n)))
+
+    lines = draw(st.lists(st.sampled_from(PREAMBLE), max_size=4))
+    if draw(st.booleans()):
+        n_names = max(1, width + draw(st.sampled_from((0, 0, -1, 1))))
+        lines.append(("," if comma else "     ") + sep.join(f"Ind{j}" for j in range(n_names)))
+    block = [row(width) for _ in range(draw(st.integers(0, 6)))]
+    if block and draw(st.booleans()):  # a malformed token somewhere in the block
+        i = draw(st.integers(0, len(block) - 1))
+        parts = block[i].split(sep)
+        parts[draw(st.integers(1, width))] = draw(bad_cell)
+        block[i] = sep.join(parts)
+    lines += block
+    if draw(st.booleans()):  # a footer of a different width
+        lines.append(row(width + draw(st.sampled_from((-1, 1, 2)))))
+    lines += draw(st.lists(st.sampled_from(("", "  Annual footer, text")), max_size=2))
+    if draw(st.booleans()):  # a later block of the same width
+        lines += [row(width) for _ in range(draw(st.integers(1, 3)))]
+        if draw(st.booleans()):
+            lines.append(sep.join([str(next(dates))] + [draw(bad_cell)] * width))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=french_files())
+def test_loader_matches_the_line_by_line_reference(text, tmp_path_factory):
+    path = str(tmp_path_factory.mktemp("french") / "returns.txt")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    for policy in ("error", "drop"):
+        want = _outcome(reference_load, path, policy)
+        assert _outcome(load_french_csv, path, policy) == want
 
 
 class TestTraceRoundTrip:

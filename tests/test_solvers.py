@@ -4,7 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from pmvr import cli, sets, solvers
@@ -835,6 +835,8 @@ def nuclear_state(solver, m=4, n=3, radius=1.0, eta=1.0, seed=0, x1=None):
     start=st.floats(0.0, 1.0),
     seed=st.integers(0, 2**16),
 )
+# a subnormal step size: its roundings err by an absolute 2**-1075
+@example(solver="pmvr", m=1, n=2, log_radius=0.0, eta=5e-324, start=0.0, seed=0)
 def test_carried_bound_covers_every_iterate(solver, m, n, log_radius, eta, start, seed):
     radius = 10.0**log_radius
     gen = np.random.default_rng(seed)
