@@ -17,21 +17,13 @@ from dataclasses import replace
 import numpy as np
 
 from . import __version__
-from .benchmarks import (
-    SingleIndexConfig,
-    mean_deviation_problem,
-    mean_variance_problem,
-    quadratic_distance_problem,
-    single_index_problem,
-    synthetic_portfolio_data,
-    SQRT_SHIFT,
-)
+from .benchmarks import SQRT_SHIFT
 from .checks import run_suites
 from .data_io import (
     ConfigError,
+    PROBLEMS,
     THEOREMS,
     _check_total,
-    load_french_csv,
     load_run_config,
     validate_config,
     write_metadata,
@@ -54,35 +46,7 @@ from .solvers import (
 
 def build_problem(spec):
     """Instantiate (problem, feasible set, default start point) from config."""
-    name = spec["name"]
-    if name in ("mean_variance", "mean_deviation"):
-        source = spec["source"]
-        if source["kind"] == "synthetic":
-            data = synthetic_portfolio_data(
-                d=source["d"], periods=source["periods"], data_seed=source["data_seed"]
-            )
-        else:
-            data = load_french_csv(
-                source["path"], sentinel_policy=source["sentinel_policy"]
-            )
-        build = mean_variance_problem if name == "mean_variance" else mean_deviation_problem
-        problem = build(data, spec["lambda"])
-        fset = Simplex(data.d)
-        x1 = np.full(data.d, 1.0 / data.d)
-        return problem, fset, x1
-    if name == "single_index":
-        problem, fset = single_index_problem(
-            SingleIndexConfig(
-                m=spec["m"], n=spec["n"], s=spec["s"],
-                sigma=spec["sigma"], data_seed=spec["data_seed"],
-            )
-        )
-        return problem, fset, problem.x_start
-    # quadratic_distance
-    fset = Simplex(len(spec["c"]))
-    problem = quadratic_distance_problem(np.asarray(spec["c"]), fset, noise=spec["noise"])
-    d = len(spec["c"])
-    return problem, fset, np.full(d, 1.0 / d)
+    return PROBLEMS[spec["name"]].build(spec)
 
 
 def build_feasible_set(set_spec, problem_spec):
@@ -99,15 +63,7 @@ def build_feasible_set(set_spec, problem_spec):
         return Box(np.asarray(set_spec["lower"]), np.asarray(set_spec["upper"]))
     if kind == "nuclear_ball":
         return NuclearNormBall(set_spec["m"], set_spec["n"], set_spec["radius"])
-    name = problem_spec["name"]
-    if name == "single_index":
-        return Simplex(problem_spec["m"] * problem_spec["n"])
-    if name == "quadratic_distance":
-        return Simplex(len(problem_spec["c"]))
-    source = problem_spec["source"]
-    if source["kind"] == "synthetic":
-        return Simplex(source["d"])
-    return Simplex(load_french_csv(source["path"], sentinel_policy=source["sentinel_policy"]).d)
+    return Simplex(PROBLEMS[problem_spec["name"]].size(problem_spec))
 
 
 def build_schedule(cfg, problem):

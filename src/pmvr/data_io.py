@@ -5,8 +5,9 @@ variants of the Kenneth French library format (auto-detected per file from
 its data rows), reads the file's first data block, converts percent values
 to fractional returns, and accounts for every input line as parsed,
 skipped, or rejected. Run configurations are strict JSON: unknown keys
-fail with a path-like locator. Traces round-trip field-exactly through CSV
-with 17-significant-digit floats.
+fail with a path-like locator. Each problem is one entry of ``PROBLEMS``,
+which both validates its config section and builds it. Traces round-trip
+field-exactly through CSV with 17-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -15,16 +16,17 @@ import json
 import math
 import os
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
+from . import benchmarks
 from .rng import STREAM_LEVEL_STRIDE
+from .sets import Simplex
 
 TRACE_HEADER = "iter,stage,seconds,sfo,lmo,objective,fw_gap,grad_map,beta,opt_gap"
 SENTINELS = (-99.99, -999.0)
 
-PROBLEM_NAMES = ("mean_variance", "mean_deviation", "single_index", "quadratic_distance")
 ALGORITHMS = ("pmvr", "pmvr-v2", "stagewise", "stagewise-v2", "baseline")
 THEOREMS = {
     "thm1": ("fw_gap", "constant"),
@@ -178,8 +180,6 @@ def load_french_csv(path, sentinel_policy="error"):
     holds a sentinel or a malformed field. Every input line ends up in
     exactly one of the parsed / skipped / rejected tallies.
     """
-    from .benchmarks import PortfolioData
-
     if sentinel_policy not in ("error", "drop"):
         raise ValueError(f"unknown sentinel policy {sentinel_policy!r}")
     with open(path, "r", encoding="utf-8") as fh:
@@ -238,7 +238,7 @@ def load_french_csv(path, sentinel_policy="error"):
     returns = block[~hit] / 100.0
     if names is None:
         names = [f"asset_{j + 1}" for j in range(returns.shape[1])]
-    return PortfolioData(returns=returns, names=list(names), report=report)
+    return benchmarks.PortfolioData(returns=returns, names=list(names), report=report)
 
 
 def _find_sentinels(path, rows, row_lines, raw_lines, comma, strict):
@@ -310,72 +310,137 @@ def _check_range(value, path, kind, lo=None, hi=None, lo_open=False):
     return v
 
 
-def _validate_problem(section):
+# --- the problem table ----------------------------------------------------
+
+class Kind(NamedTuple):
+    """A problem or a portfolio data source: its config keys in the order
+    they are checked, each with (type, default, bound), a REQUIRED default
+    marking a required key; the builder of a resolved section; and the
+    length of its flattened point, which a ``{"kind": "simplex"}`` set spans."""
+
+    fields: dict
+    build: Callable
+    size: Callable
+
+
+REQUIRED = object()
+
+
+def _french(source):
+    return load_french_csv(source["path"], sentinel_policy=source["sentinel_policy"])
+
+
+PORTFOLIO_SOURCES = {
+    "synthetic": Kind(
+        {"d": (int, 10, 2), "periods": (int, 500, 1), "data_seed": (int, 0, 0)},
+        lambda src: benchmarks.synthetic_portfolio_data(
+            src["d"], src["periods"], src["data_seed"]),
+        lambda src: src["d"],
+    ),
+    "french_csv": Kind(
+        {"sentinel_policy": (("error", "drop"), "error", None), "path": (str, REQUIRED, None)},
+        _french,
+        lambda src: _french(src).d,  # the file's asset count: it is read again
+    ),
+}
+
+
+def _portfolio(objective, spec):
+    """(problem, simplex, equal weights) over the source's assets."""
+    source = spec["source"]
+    data = PORTFOLIO_SOURCES[source["kind"]].build(source)
+    return objective(data, spec["lambda"]), Simplex(data.d), np.full(data.d, 1.0 / data.d)
+
+
+PORTFOLIO_FIELDS = {
+    "lambda": (float, 1.0, 0.0),
+    "source": (PORTFOLIO_SOURCES, {"kind": "synthetic"}, None),
+}
+
+
+def _portfolio_size(spec):
+    return PORTFOLIO_SOURCES[spec["source"]["kind"]].size(spec["source"])
+
+
+def _single_index(spec):
+    problem, ball = benchmarks.single_index_problem(benchmarks.SingleIndexConfig(
+        m=spec["m"], n=spec["n"], s=spec["s"], sigma=spec["sigma"], data_seed=spec["data_seed"],
+    ))
+    return problem, ball, problem.x_start
+
+
+def _quadratic_distance(spec):
+    d = len(spec["c"])
+    fset = Simplex(d)
+    problem = benchmarks.quadratic_distance_problem(np.asarray(spec["c"]), fset, spec["noise"])
+    return problem, fset, np.full(d, 1.0 / d)
+
+
+# the builders look the constructors up when they run, so a tracer that
+# wraps module attributes sees every build
+PROBLEMS = {
+    "mean_variance": Kind(
+        PORTFOLIO_FIELDS, lambda spec: _portfolio(benchmarks.mean_variance_problem, spec),
+        _portfolio_size,
+    ),
+    "mean_deviation": Kind(
+        PORTFOLIO_FIELDS, lambda spec: _portfolio(benchmarks.mean_deviation_problem, spec),
+        _portfolio_size,
+    ),
+    "single_index": Kind(
+        {"m": (int, 20, 2), "n": (int, 20, 2), "s": (float, 1.0, 1.0),
+         "sigma": (float, 0.1, 0.0), "data_seed": (int, 0, 0)},
+        _single_index,
+        lambda spec: spec["m"] * spec["n"],
+    ),
+    "quadratic_distance": Kind(
+        {"c": (list, [2.0, -1.0], 2), "noise": (float, 0.05, 0.0)},
+        _quadratic_distance,
+        lambda spec: len(spec["c"]),
+    ),
+}
+
+
+def _check_kind(section, path, key, kinds, noun, default=REQUIRED):
+    """A section whose ``key`` picks one of ``kinds``, resolved: unknown keys
+    are refused first, then the kind's fields are checked in order."""
     if not isinstance(section, dict):
-        raise ConfigError("problem", "expected an object")
-    name = _require(section, "name", "problem")
-    if name not in PROBLEM_NAMES:
-        raise ConfigError("problem.name", f"unknown problem {name!r}")
-    out = {"name": name}
-    if name in ("mean_variance", "mean_deviation"):
-        _no_unknown(section, {"name", "lambda", "source"}, "problem")
-        out["lambda"] = _check_range(
-            section.get("lambda", 1.0), "problem.lambda", float, lo=0.0
-        )
-        source = section.get("source", {"kind": "synthetic"})
-        if not isinstance(source, dict):
-            raise ConfigError("problem.source", "expected an object")
-        kind = source.get("kind", "synthetic")
-        if kind == "synthetic":
-            _no_unknown(source, {"kind", "d", "periods", "data_seed"}, "problem.source")
-            out["source"] = {
-                "kind": "synthetic",
-                "d": _check_range(source.get("d", 10), "problem.source.d", int, lo=2),
-                "periods": _check_range(
-                    source.get("periods", 500), "problem.source.periods", int, lo=1
-                ),
-                "data_seed": _check_range(
-                    source.get("data_seed", 0), "problem.source.data_seed", int, lo=0
-                ),
-            }
-        elif kind == "french_csv":
-            _no_unknown(source, {"kind", "path", "sentinel_policy"}, "problem.source")
-            policy = source.get("sentinel_policy", "error")
-            if policy not in ("error", "drop"):
-                raise ConfigError(
-                    "problem.source.sentinel_policy", f"unknown policy {policy!r}"
-                )
-            out["source"] = {
-                "kind": "french_csv",
-                "path": str(_require(source, "path", "problem.source")),
-                "sentinel_policy": policy,
-            }
-        else:
-            raise ConfigError("problem.source.kind", f"unknown source kind {kind!r}")
-    elif name == "single_index":
-        _no_unknown(section, {"name", "m", "n", "s", "sigma", "data_seed"}, "problem")
-        out.update(
-            m=_check_range(section.get("m", 20), "problem.m", int, lo=2),
-            n=_check_range(section.get("n", 20), "problem.n", int, lo=2),
-            s=_check_range(section.get("s", 1.0), "problem.s", float, lo=1.0),
-            sigma=_check_range(section.get("sigma", 0.1), "problem.sigma", float, lo=0.0),
-            data_seed=_check_range(
-                section.get("data_seed", 0), "problem.data_seed", int, lo=0
-            ),
-        )
-    else:  # quadratic_distance
-        _no_unknown(section, {"name", "c", "noise", "data_seed"}, "problem")
-        c = section.get("c", [2.0, -1.0])
-        if not isinstance(c, list) or len(c) < 2:
-            raise ConfigError("problem.c", "expected a list of at least 2 numbers")
-        out["c"] = [float(v) for v in c]
-        out["noise"] = _check_range(
-            section.get("noise", 0.05), "problem.noise", float, lo=0.0
-        )
-        out["data_seed"] = _check_range(
-            section.get("data_seed", 0), "problem.data_seed", int, lo=0
-        )
+        raise ConfigError(path, "expected an object")
+    tag = _require(section, key, path) if default is REQUIRED else section.get(key, default)
+    if not isinstance(tag, str) or tag not in kinds:
+        raise ConfigError(f"{path}.{key}", f"unknown {noun} {tag!r}")
+    fields = kinds[tag].fields
+    _no_unknown(section, {key, *fields}, path)
+    out = {key: tag}
+    for name, (kind, fallback, bound) in fields.items():
+        value = (_require(section, name, path) if fallback is REQUIRED
+                 else section.get(name, fallback))
+        out[name] = _check_field(value, f"{path}.{name}", kind, fallback, bound)
     return out
+
+
+def _check_field(value, path, kind, default, bound):
+    """One field of a ``Kind``. Its type is int or float (at least
+    ``bound``), list (at least ``bound`` finite numbers, one level deep),
+    str (a path), a tuple (one of its values) or a dict of source kinds (a
+    section whose ``kind``, by default the default's, picks its fields)."""
+    if kind is int or kind is float:
+        return _check_range(value, path, kind, lo=bound)
+    if kind is list:
+        if not isinstance(value, list) or len(value) < bound:
+            raise ConfigError(path, f"expected a list of at least {bound} numbers")
+        if _numbers(value, path).ndim != 1:
+            raise ConfigError(path, f"expected a list of numbers, got {value!r}")
+        return [float(v) for v in value]
+    if kind is str:
+        if not isinstance(value, str):
+            raise ConfigError(path, "expected a string path")
+        return value
+    if isinstance(kind, tuple):
+        if value not in kind:
+            raise ConfigError(path, f"unknown policy {value!r}")
+        return value
+    return _check_kind(value, path, "kind", kind, "source kind", default["kind"])
 
 
 # schedule parameters: name -> (type, lower bound, upper bound, lower bound open)
@@ -425,7 +490,7 @@ def _validate_schedule(section, algorithm):
             section, {"theorem", "eps", "constants", "overrides", "modulus"}, "schedule"
         )
         thm = section["theorem"]
-        if thm not in THEOREMS:
+        if not isinstance(thm, str) or thm not in THEOREMS:
             raise ConfigError("schedule.theorem", f"unknown theorem {thm!r}")
         allowed = ALGORITHM_THEOREMS.get(algorithm)  # the baseline fails below
         if allowed is not None and thm not in allowed:
@@ -528,17 +593,17 @@ def _check_total(path, total):
         raise ConfigError(path, f"{total} iterations reach the stream stride {STREAM_LEVEL_STRIDE}")
 
 
-def _box_bound(set_spec, key):
-    value = _require(set_spec, key, "set")
+def _numbers(value, path):
+    """``value``, a (nested) list of finite numbers, as an array."""
     try:
-        bound = np.asarray(value)
+        array = np.asarray(value)
     except ValueError:  # ragged nesting
-        bound = np.asarray(None)
-    if bound.ndim == 0 or bound.size == 0 or bound.dtype.kind not in "iuf":
-        raise ConfigError(f"set.{key}", f"expected a list of numbers, got {value!r}")
-    if not np.all(np.isfinite(bound)):
-        raise ConfigError(f"set.{key}", "expected finite numbers")
-    return bound
+        array = np.asarray(None)
+    if array.ndim == 0 or array.size == 0 or array.dtype.kind not in "iuf":
+        raise ConfigError(path, f"expected a list of numbers, got {value!r}")
+    if not np.all(np.isfinite(array)):
+        raise ConfigError(path, "expected finite numbers")
+    return array
 
 
 def _validate_set(set_spec):
@@ -555,7 +620,8 @@ def _validate_set(set_spec):
     }[kind]
     _no_unknown(set_spec, allowed, "set")
     if kind == "box":
-        lower, upper = _box_bound(set_spec, "lower"), _box_bound(set_spec, "upper")
+        lower, upper = (_numbers(_require(set_spec, key, "set"), f"set.{key}")
+                        for key in ("lower", "upper"))
         if lower.shape != upper.shape:
             raise ConfigError(
                 "set.lower", f"shape {lower.shape} differs from upper's {upper.shape}"
@@ -579,7 +645,7 @@ def validate_config(data, name="run"):
         "metric_every", "jobs", "out", "name",
     }
     _no_unknown(data, top_allowed, "")
-    problem = _validate_problem(_require(data, "problem", ""))
+    problem = _check_kind(_require(data, "problem", ""), "problem", "name", PROBLEMS, "problem")
     algorithm = _require(data, "algorithm", "")
     if algorithm not in ALGORITHMS:
         raise ConfigError("algorithm", f"unknown algorithm {algorithm!r}")

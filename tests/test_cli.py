@@ -6,7 +6,7 @@ import pytest
 
 from pmvr import cli
 from pmvr.checks import run_suites, subsolver_suite
-from pmvr.data_io import read_trace_csv
+from pmvr.data_io import PROBLEMS, read_trace_csv, validate_config
 from pmvr.metrics import expected_lmo, expected_sfo
 
 
@@ -139,6 +139,8 @@ class TestRun:
              "schedule.overrides.b1"),
             ({"theorem": "thm1", "eps": 0.1, "constants": {"eta": float("nan")}},
              "schedule.constants.eta"),
+            ({"theorem": [1], "eps": 0.1}, "schedule.theorem"),
+            ({"theorem": {"thm1": 1}, "eps": 0.1}, "schedule.theorem"),
         ],
     )
     def test_bad_schedule_entry_exits_one_with_locator(self, tmp_path, capsys, schedule, locator):
@@ -223,6 +225,28 @@ class TestRun:
         assert f"error: schedule.eps: {message}" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*.csv"))
 
+    @pytest.mark.parametrize(
+        "problem, locator",
+        [
+            ({"name": "quadratic_distance", "c": ["a", 1]}, "problem.c"),
+            ({"name": "quadratic_distance", "c": [[1], 2]}, "problem.c"),
+            ({"name": "quadratic_distance", "c": [[1, 2], [3, 4]]}, "problem.c"),
+            ({"name": "quadratic_distance", "c": [float("nan"), 1]}, "problem.c"),
+            ({"name": "quadratic_distance", "c": [1e400, 1]}, "problem.c"),
+            ({"name": "quadratic_distance", "c": [None, 1]}, "problem.c"),
+            ({"name": "quadratic_distance", "data_seed": 3}, "problem.data_seed"),
+            ({"name": "mean_variance", "source": {"kind": "french_csv", "path": None}},
+             "problem.source.path"),
+            ({"name": "mean_deviation", "source": {"kind": "french_csv", "path": 5}},
+             "problem.source.path"),
+        ],
+    )
+    def test_bad_problem_value_exits_one_with_locator(self, tmp_path, capsys, problem, locator):
+        cfg = dict(BASE, problem=problem, out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"error: {locator}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_box_set_of_the_right_shape_runs(self, tmp_path):
         cfg = dict(BASE, set={"kind": "box", "lower": [0] * 4, "upper": [0.5] * 4},
                    out=str(tmp_path / "o"))
@@ -242,6 +266,27 @@ class TestRun:
         assert len(calls) == 2
         meta = json.load(open(os.path.join(out, "cfg_meta.json")))
         assert meta["resolved"]["schedule"]["t"] == 30
+
+
+FRENCH_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "industry10_fixture.txt")
+
+
+@pytest.mark.parametrize(
+    "problem",
+    [{"name": name} for name in PROBLEMS]
+    + [{"name": name, "source": {"kind": "french_csv", "path": FRENCH_FIXTURE}}
+       for name in ("mean_variance", "mean_deviation")],
+    ids=lambda p: p["name"] + ("-french_csv" if "source" in p else ""),
+)
+def test_every_problem_builds_and_sizes_its_simplex(problem):
+    spec = validate_config(dict(BASE, problem=problem)).problem
+    built, fset, x1 = cli.build_problem(spec)
+    assert x1.shape == built.x_shape == fset.shape
+    assert fset.contains(x1)
+    simplex = cli.build_feasible_set({"kind": "simplex"}, spec)
+    assert simplex.shape == (x1.size,)
+    # a matrix point does not fit the simplex over its entries
+    assert (simplex.shape == built.x_shape) == (spec["name"] != "single_index")
 
 
 class TestStagewiseConfig:

@@ -1,3 +1,4 @@
+import json
 import os
 
 import numpy as np
@@ -471,3 +472,175 @@ class TestConfigValidation:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             load_run_config(str(path))
+
+
+def _problem_with(section, field, value):
+    """``section`` with the dotted ``field`` (``source.d``) set to ``value``."""
+    out = {k: dict(v) if isinstance(v, dict) else v for k, v in section.items()}
+    *parents, key = field.split(".")
+    inner = out
+    for part in parents:
+        inner = inner[part]
+    inner[key] = value
+    return out
+
+
+def _problem_error(section):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(MINIMAL, problem=section))
+    return err.value.path, err.value.args[1]
+
+
+SYNTHETIC = {"kind": "synthetic"}
+FRENCH = {"kind": "french_csv", "path": "returns.csv"}
+# every numeric problem field: (section holding it, dotted field, type, least value)
+NUMERIC_FIELDS = [
+    ({"name": "mean_variance"}, "lambda", float, 0.0),
+    ({"name": "mean_deviation"}, "lambda", float, 0.0),
+    ({"name": "mean_variance", "source": SYNTHETIC}, "source.d", int, 2),
+    ({"name": "mean_variance", "source": SYNTHETIC}, "source.periods", int, 1),
+    ({"name": "mean_deviation", "source": SYNTHETIC}, "source.data_seed", int, 0),
+    ({"name": "single_index"}, "m", int, 2),
+    ({"name": "single_index"}, "n", int, 2),
+    ({"name": "single_index"}, "s", float, 1.0),
+    ({"name": "single_index"}, "sigma", float, 0.0),
+    ({"name": "single_index"}, "data_seed", int, 0),
+    ({"name": "quadratic_distance"}, "noise", float, 0.0),
+]
+
+
+def _numeric_cases():
+    for section, field, kind, least in NUMERIC_FIELDS:
+        path = f"problem.{field}"
+        below = least - (1 if kind is int else 0.5)
+        yield section, field, below, path, f"value {below} out of range"
+        if kind is int:
+            yield section, field, 2.5, path, "expected an integer, got 2.5"
+            yield section, field, True, path, "expected an integer, got True"
+            yield section, field, float("inf"), path, "expected an integer, got inf"
+        else:
+            yield section, field, "1", path, "expected a number, got '1'"
+            yield section, field, float("nan"), path, "expected a finite number, got nan"
+            yield section, field, float("-inf"), path, "expected a finite number, got -inf"
+
+
+class TestProblemValidation:
+    """Every problem field's locator and message, and the order faults are found in."""
+
+    @pytest.mark.parametrize("section, field, value, path, message", list(_numeric_cases()))
+    def test_bad_numeric_field(self, section, field, value, path, message):
+        assert _problem_error(_problem_with(section, field, value)) == (path, message)
+
+    @pytest.mark.parametrize("section, field, kind, least", NUMERIC_FIELDS)
+    def test_numeric_field_at_its_bound_is_accepted(self, section, field, kind, least):
+        problem = validate_config(
+            dict(MINIMAL, problem=_problem_with(section, field, least))
+        ).problem
+        for part in field.split("."):
+            problem = problem[part]
+        assert problem == least and type(problem) is kind
+
+    @pytest.mark.parametrize("section, path, message", [
+        ([], "problem", "expected an object"),
+        ({"lambda": 1.0}, "problem.name", "required key is missing"),
+        ({"name": "bogus"}, "problem.name", "unknown problem 'bogus'"),
+        ({"name": 3}, "problem.name", "unknown problem 3"),
+        ({"name": None}, "problem.name", "unknown problem None"),
+        ({"name": ["mean_variance"]}, "problem.name", "unknown problem ['mean_variance']"),
+        ({"name": {"a": 1}}, "problem.name", "unknown problem {'a': 1}"),
+        ({"name": "mean_variance", "m": 4}, "problem.m", "unknown key"),
+        ({"name": "mean_deviation", "c": [1, 2]}, "problem.c", "unknown key"),
+        ({"name": "single_index", "lambda": 1.0}, "problem.lambda", "unknown key"),
+        ({"name": "quadratic_distance", "source": {}}, "problem.source", "unknown key"),
+        # unknown keys come first, then the fields in their order
+        ({"name": "single_index", "m": 1, "zz": 0}, "problem.zz", "unknown key"),
+        ({"name": "single_index", "sigma": -1, "m": 1}, "problem.m", "value 1 out of range"),
+        ({"name": "mean_variance", "source": 5, "lambda": -1},
+         "problem.lambda", "value -1.0 out of range"),
+        ({"name": "mean_variance", "source": {"zz": 1}, "lambda": -1},
+         "problem.lambda", "value -1.0 out of range"),
+        ({"name": "quadratic_distance", "noise": -1, "c": 5},
+         "problem.c", "expected a list of at least 2 numbers"),
+        ({"name": "quadratic_distance", "c": [1.0]},
+         "problem.c", "expected a list of at least 2 numbers"),
+        ({"name": "quadratic_distance", "c": []},
+         "problem.c", "expected a list of at least 2 numbers"),
+        ({"name": "quadratic_distance", "c": "21"},
+         "problem.c", "expected a list of at least 2 numbers"),
+        ({"name": "quadratic_distance", "c": {"a": 1, "b": 2}},
+         "problem.c", "expected a list of at least 2 numbers"),
+        # c follows set.lower's rule: finite numbers, one level deep
+        ({"name": "quadratic_distance", "c": ["a", 1]},
+         "problem.c", "expected a list of numbers, got ['a', 1]"),
+        ({"name": "quadratic_distance", "c": ["2", 1]},
+         "problem.c", "expected a list of numbers, got ['2', 1]"),
+        ({"name": "quadratic_distance", "c": [[1], 2]},
+         "problem.c", "expected a list of numbers, got [[1], 2]"),
+        ({"name": "quadratic_distance", "c": [[1, 2], [3, 4]]},
+         "problem.c", "expected a list of numbers, got [[1, 2], [3, 4]]"),
+        ({"name": "quadratic_distance", "c": [float("nan"), 1]},
+         "problem.c", "expected finite numbers"),
+        ({"name": "quadratic_distance", "c": [float("inf"), 1], "noise": -1},
+         "problem.c", "expected finite numbers"),
+        ({"name": "quadratic_distance", "data_seed": 0}, "problem.data_seed", "unknown key"),
+    ])
+    def test_problem_section_fault(self, section, path, message):
+        assert _problem_error(section) == (path, message)
+
+    @pytest.mark.parametrize("source, path, message", [
+        ("synthetic", "problem.source", "expected an object"),
+        ([SYNTHETIC], "problem.source", "expected an object"),
+        ({"kind": "csv"}, "problem.source.kind", "unknown source kind 'csv'"),
+        ({"kind": None}, "problem.source.kind", "unknown source kind None"),
+        ({"kind": ["synthetic"]}, "problem.source.kind", "unknown source kind ['synthetic']"),
+        ({"kind": "csv", "zz": 1}, "problem.source.kind", "unknown source kind 'csv'"),
+        ({"kind": "synthetic", "path": "a.csv"}, "problem.source.path", "unknown key"),
+        ({"d": 4, "lambda": 1.0}, "problem.source.lambda", "unknown key"),
+        ({"kind": "french_csv", "path": "a.csv", "d": 4}, "problem.source.d", "unknown key"),
+        ({"kind": "french_csv", "d": 4}, "problem.source.d", "unknown key"),
+        (dict(FRENCH, sentinel_policy="skip"),
+         "problem.source.sentinel_policy", "unknown policy 'skip'"),
+        (dict(FRENCH, sentinel_policy=None),
+         "problem.source.sentinel_policy", "unknown policy None"),
+        (dict(FRENCH, sentinel_policy=["drop"]),
+         "problem.source.sentinel_policy", "unknown policy ['drop']"),
+        ({"kind": "french_csv"}, "problem.source.path", "required key is missing"),
+        (dict(FRENCH, path=5), "problem.source.path", "expected a string path"),
+        (dict(FRENCH, path=None), "problem.source.path", "expected a string path"),
+        ({"kind": "french_csv", "sentinel_policy": "skip"},
+         "problem.source.sentinel_policy", "unknown policy 'skip'"),
+        ({"kind": "synthetic", "periods": 0, "d": 1}, "problem.source.d", "value 1 out of range"),
+    ])
+    @pytest.mark.parametrize("name", ["mean_variance", "mean_deviation"])
+    def test_source_fault(self, name, source, path, message):
+        assert _problem_error({"name": name, "source": source}) == (path, message)
+
+    @pytest.mark.parametrize("section, resolved", [
+        ({"name": "mean_variance"},
+         {"name": "mean_variance", "lambda": 1.0,
+          "source": {"kind": "synthetic", "d": 10, "periods": 500, "data_seed": 0}}),
+        ({"name": "mean_deviation"},
+         {"name": "mean_deviation", "lambda": 1.0,
+          "source": {"kind": "synthetic", "d": 10, "periods": 500, "data_seed": 0}}),
+        ({"name": "single_index"},
+         {"name": "single_index", "m": 20, "n": 20, "s": 1.0, "sigma": 0.1, "data_seed": 0}),
+        ({"name": "quadratic_distance"},
+         {"name": "quadratic_distance", "c": [2.0, -1.0], "noise": 0.05}),
+        ({"name": "mean_variance", "lambda": 2, "source": {"d": 3}},
+         {"name": "mean_variance", "lambda": 2.0,
+          "source": {"kind": "synthetic", "d": 3, "periods": 500, "data_seed": 0}}),
+        ({"name": "mean_deviation", "source": FRENCH},
+         {"name": "mean_deviation", "lambda": 1.0,
+          "source": {"kind": "french_csv", "path": "returns.csv", "sentinel_policy": "error"}}),
+        ({"name": "mean_deviation", "source": dict(FRENCH, sentinel_policy="drop")},
+         {"name": "mean_deviation", "lambda": 1.0,
+          "source": {"kind": "french_csv", "path": "returns.csv", "sentinel_policy": "drop"}}),
+        ({"name": "single_index", "m": 3, "s": 2, "sigma": 0},
+         {"name": "single_index", "m": 3, "n": 20, "s": 2.0, "sigma": 0.0, "data_seed": 0}),
+        ({"name": "quadratic_distance", "c": [1, 0, -1], "noise": 0},
+         {"name": "quadratic_distance", "c": [1.0, 0.0, -1.0], "noise": 0.0}),
+    ])
+    def test_resolved_section(self, section, resolved):
+        problem = validate_config(dict(MINIMAL, problem=section)).problem
+        # the sidecar's text: an integer where a float belongs would show
+        assert json.dumps(problem, sort_keys=True) == json.dumps(resolved, sort_keys=True)
