@@ -3,7 +3,10 @@
 Exit codes: 0 success, 1 validation error, 2 runtime/solver error,
 3 self-check failure. The default output directory comes from the
 PMVR_OUT_DIR environment variable; everything else arrives via flags or
-the configuration file.
+the configuration file. A run builds its problem and any configured set
+from the entries of ``data_io.PROBLEMS`` and ``data_io.SETS``, once per
+repetition, and creates its output directory only once every repetition
+has returned.
 """
 
 from __future__ import annotations
@@ -22,15 +25,16 @@ from .checks import run_suites
 from .data_io import (
     ConfigError,
     PROBLEMS,
+    SETS,
     THEOREMS,
     _check_total,
     load_run_config,
     validate_config,
+    write_csv,
     write_metadata,
     write_trace_csv,
 )
 from .rng import RandomSource
-from .sets import Box, NuclearNormBall, Simplex
 from .solvers import (
     QuadraticSubsolver,
     ScheduleConstants,
@@ -49,21 +53,20 @@ def build_problem(spec):
     return PROBLEMS[spec["name"]].build(spec)
 
 
-def build_feasible_set(set_spec, problem_spec):
-    """The set a config's ``set`` section names, or None when it names none.
-
-    A simplex spans the problem's flattened point, whose length the problem
-    section gives; for a data file it is the file's asset count, so the
-    file is read here as well.
-    """
+def build_feasible_set(set_spec, problem):
+    """The set a config's resolved ``set`` section names for the built
+    ``problem``, or None when it names none; a set that does not fit the
+    problem's point is a ``set`` ConfigError."""
     if set_spec is None:
         return None
-    kind = set_spec["kind"]
-    if kind == "box":
-        return Box(np.asarray(set_spec["lower"]), np.asarray(set_spec["upper"]))
-    if kind == "nuclear_ball":
-        return NuclearNormBall(set_spec["m"], set_spec["n"], set_spec["radius"])
-    return Simplex(PROBLEMS[problem_spec["name"]].size(problem_spec))
+    fset = SETS[set_spec["kind"]].build(set_spec, problem)
+    if fset.shape != problem.x_shape:
+        raise ConfigError(
+            "set",
+            f"set shape {fset.shape} does not match the problem's "
+            f"point shape {problem.x_shape}",
+        )
+    return fset
 
 
 def build_schedule(cfg, problem):
@@ -119,14 +122,8 @@ def build_schedule(cfg, problem):
 def execute_rep(cfg, seed):
     """One full solver run for one repetition seed; returns (trace, schedule)."""
     problem, fset, x1 = build_problem(cfg.problem)
-    override = build_feasible_set(cfg.set_spec, cfg.problem)
+    override = build_feasible_set(cfg.set_spec, problem)
     if override is not None:
-        if override.shape != problem.x_shape:
-            raise ConfigError(
-                "set",
-                f"set shape {override.shape} does not match the problem's "
-                f"point shape {problem.x_shape}",
-            )
         fset = override
         x1 = fset.project(x1)
     schedule = build_schedule(cfg, problem)
@@ -185,30 +182,12 @@ AGG_HEADER = (
 
 
 def write_aggregate_csv(records, path):
-    def fmt(v):
-        return "" if v is None else f"{v:.17g}"
-
-    lines = [AGG_HEADER]
-    for r in records:
-        lines.append(
-            ",".join(
-                [
-                    str(r["iter"]), str(r["stage"]), str(r["sfo"]), str(r["lmo"]),
-                    fmt(r["seconds_mean"]),
-                    fmt(r["objective_mean"]), fmt(r["objective_std"]),
-                    fmt(r["fw_gap_mean"]), fmt(r["fw_gap_std"]),
-                    fmt(r["grad_map_mean"]), fmt(r["grad_map_std"]),
-                    fmt(r["opt_gap_mean"]), fmt(r["opt_gap_std"]),
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    columns = AGG_HEADER.split(",")
+    write_csv(path, AGG_HEADER, ([r[c] for c in columns] for r in records))
 
 
 def run_config(cfg):
     """Execute all repetitions of a validated config and write the files."""
-    os.makedirs(cfg.out, exist_ok=True)
     seeds = [cfg.seed + i for i in range(cfg.reps)]
     if cfg.jobs > 1 and cfg.reps > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
@@ -217,6 +196,7 @@ def run_config(cfg):
         results = [execute_rep(cfg, seed) for seed in seeds]
     traces = [trace for trace, _ in results]
     schedule = results[0][1]  # built from the config and problem alone
+    os.makedirs(cfg.out, exist_ok=True)
     paths = []
     for idx, trace in enumerate(traces):
         path = os.path.join(cfg.out, f"{cfg.name}_rep{idx:02d}.csv")

@@ -5,9 +5,11 @@ variants of the Kenneth French library format (auto-detected per file from
 its data rows), reads the file's first data block, converts percent values
 to fractional returns, and accounts for every input line as parsed,
 skipped, or rejected. Run configurations are strict JSON: unknown keys
-fail with a path-like locator. Each problem is one entry of ``PROBLEMS``,
-which both validates its config section and builds it. Traces round-trip
-field-exactly through CSV with 17-significant-digit floats.
+fail with a path-like locator. Each problem is one entry of ``PROBLEMS``
+and each feasible set one entry of ``SETS``; an entry both validates its
+config section and builds it, a set for the problem built before it. Traces
+and the aggregate round-trip field-exactly through CSV with
+17-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import numpy as np
 
 from . import benchmarks
 from .rng import STREAM_LEVEL_STRIDE
-from .sets import Simplex
+from .sets import Box, NuclearNormBall, Simplex
 
 TRACE_HEADER = "iter,stage,seconds,sfo,lmo,objective,fw_gap,grad_map,beta,opt_gap"
 SENTINELS = (-99.99, -999.0)
@@ -76,33 +78,24 @@ class TraceRow:
     opt_gap: Optional[float] = None
 
 
-def _fmt(x):
-    return f"{x:.17g}"
+def _cell(value):
+    """One CSV cell: empty for None, 17 significant digits for a float."""
+    if value is None:
+        return ""
+    return f"{value:.17g}" if isinstance(value, float) else str(value)
+
+
+def write_csv(path, header, rows):
+    """UTF-8 comma-separated ``header`` and one line per row of values,
+    given in header order."""
+    lines = [header, *(",".join(map(_cell, row)) for row in rows)]
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+        fh.write("\n".join(lines) + "\n")
 
 
 def write_trace_csv(trace, path):
-    """UTF-8 comma-separated trace with the fixed header; 17-digit floats."""
-    lines = [TRACE_HEADER]
-    for row in trace:
-        opt = "" if row.opt_gap is None else _fmt(row.opt_gap)
-        lines.append(
-            ",".join(
-                [
-                    str(row.iteration),
-                    str(row.stage),
-                    _fmt(row.seconds),
-                    str(row.sfo),
-                    str(row.lmo),
-                    _fmt(row.objective),
-                    _fmt(row.fw_gap),
-                    _fmt(row.grad_map),
-                    _fmt(row.beta),
-                    opt,
-                ]
-            )
-        )
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+    """The trace under the fixed header; a row's fields are in header order."""
+    write_csv(path, TRACE_HEADER, (vars(row).values() for row in trace))
 
 
 def read_trace_csv(path):
@@ -310,24 +303,29 @@ def _check_range(value, path, kind, lo=None, hi=None, lo_open=False):
     return v
 
 
-# --- the problem table ----------------------------------------------------
+# --- the problem and set tables --------------------------------------------
 
 class Kind(NamedTuple):
-    """A problem or a portfolio data source: its config keys in the order
-    they are checked, each with (type, default, bound), a REQUIRED default
-    marking a required key; the builder of a resolved section; and the
-    length of its flattened point, which a ``{"kind": "simplex"}`` set spans."""
+    """A problem, a portfolio data source or a feasible set: its config keys
+    in the order they are checked, each with (type, default, *range), a
+    REQUIRED default marking a required key and a number's range being
+    ``_check_range``'s (lo, hi, lo_open); the builder of a resolved section;
+    and an optional check of the resolved section's fields against each
+    other, given the section and its locator."""
 
     fields: dict
     build: Callable
-    size: Callable
+    check: Optional[Callable] = None
 
 
 REQUIRED = object()
 
 
 def _french(source):
-    return load_french_csv(source["path"], sentinel_policy=source["sentinel_policy"])
+    try:
+        return load_french_csv(source["path"], sentinel_policy=source["sentinel_policy"])
+    except OSError as exc:
+        raise ConfigError("problem.source.path", f"cannot read the file: {exc}") from None
 
 
 PORTFOLIO_SOURCES = {
@@ -335,12 +333,10 @@ PORTFOLIO_SOURCES = {
         {"d": (int, 10, 2), "periods": (int, 500, 1), "data_seed": (int, 0, 0)},
         lambda src: benchmarks.synthetic_portfolio_data(
             src["d"], src["periods"], src["data_seed"]),
-        lambda src: src["d"],
     ),
     "french_csv": Kind(
-        {"sentinel_policy": (("error", "drop"), "error", None), "path": (str, REQUIRED, None)},
+        {"sentinel_policy": (("error", "drop"), "error"), "path": (str, REQUIRED)},
         _french,
-        lambda src: _french(src).d,  # the file's asset count: it is read again
     ),
 }
 
@@ -354,12 +350,8 @@ def _portfolio(objective, spec):
 
 PORTFOLIO_FIELDS = {
     "lambda": (float, 1.0, 0.0),
-    "source": (PORTFOLIO_SOURCES, {"kind": "synthetic"}, None),
+    "source": (PORTFOLIO_SOURCES, {"kind": "synthetic"}),
 }
-
-
-def _portfolio_size(spec):
-    return PORTFOLIO_SOURCES[spec["source"]["kind"]].size(spec["source"])
 
 
 def _single_index(spec):
@@ -381,57 +373,87 @@ def _quadratic_distance(spec):
 PROBLEMS = {
     "mean_variance": Kind(
         PORTFOLIO_FIELDS, lambda spec: _portfolio(benchmarks.mean_variance_problem, spec),
-        _portfolio_size,
     ),
     "mean_deviation": Kind(
         PORTFOLIO_FIELDS, lambda spec: _portfolio(benchmarks.mean_deviation_problem, spec),
-        _portfolio_size,
     ),
     "single_index": Kind(
         {"m": (int, 20, 2), "n": (int, 20, 2), "s": (float, 1.0, 1.0),
          "sigma": (float, 0.1, 0.0), "data_seed": (int, 0, 0)},
         _single_index,
-        lambda spec: spec["m"] * spec["n"],
     ),
     "quadratic_distance": Kind(
         {"c": (list, [2.0, -1.0], 2), "noise": (float, 0.05, 0.0)},
         _quadratic_distance,
-        lambda spec: len(spec["c"]),
+    ),
+}
+
+
+def _box_bounds(box, path):
+    lower, upper = np.asarray(box["lower"]), np.asarray(box["upper"])
+    if lower.shape != upper.shape:
+        raise ConfigError(
+            f"{path}.lower", f"shape {lower.shape} differs from upper's {upper.shape}"
+        )
+    if np.any(lower > upper):
+        raise ConfigError(f"{path}.lower", "lower must not exceed upper coordinatewise")
+
+
+# a set's builder takes its resolved section and the problem built before it;
+# a simplex spans the problem's flattened point
+SETS = {
+    "simplex": Kind({}, lambda spec, problem: Simplex(problem.levels[0].in_dim)),
+    "box": Kind(
+        {"lower": (np.ndarray, REQUIRED), "upper": (np.ndarray, REQUIRED)},
+        lambda spec, problem: Box(spec["lower"], spec["upper"]),
+        _box_bounds,
+    ),
+    "nuclear_ball": Kind(
+        {"m": (int, REQUIRED, 1), "n": (int, REQUIRED, 1),
+         "radius": (float, REQUIRED, 0.0, None, True)},
+        lambda spec, problem: NuclearNormBall(spec["m"], spec["n"], spec["radius"]),
     ),
 }
 
 
 def _check_kind(section, path, key, kinds, noun, default=REQUIRED):
     """A section whose ``key`` picks one of ``kinds``, resolved: unknown keys
-    are refused first, then the kind's fields are checked in order."""
+    are refused first, then the kind's fields are checked in order, then the
+    kind's own check runs."""
     if not isinstance(section, dict):
         raise ConfigError(path, "expected an object")
     tag = _require(section, key, path) if default is REQUIRED else section.get(key, default)
     if not isinstance(tag, str) or tag not in kinds:
         raise ConfigError(f"{path}.{key}", f"unknown {noun} {tag!r}")
-    fields = kinds[tag].fields
-    _no_unknown(section, {key, *fields}, path)
+    entry = kinds[tag]
+    _no_unknown(section, {key, *entry.fields}, path)
     out = {key: tag}
-    for name, (kind, fallback, bound) in fields.items():
-        value = (_require(section, name, path) if fallback is REQUIRED
-                 else section.get(name, fallback))
-        out[name] = _check_field(value, f"{path}.{name}", kind, fallback, bound)
+    for name, spec in entry.fields.items():
+        value = _require(section, name, path) if spec[1] is REQUIRED else section.get(name, spec[1])
+        out[name] = _check_field(value, f"{path}.{name}", *spec)
+    if entry.check is not None:
+        entry.check(out, path)
     return out
 
 
-def _check_field(value, path, kind, default, bound):
-    """One field of a ``Kind``. Its type is int or float (at least
+def _check_field(value, path, kind, default, *bound):
+    """One field of a ``Kind``. Its type is int or float (in the range
     ``bound``), list (at least ``bound`` finite numbers, one level deep),
-    str (a path), a tuple (one of its values) or a dict of source kinds (a
-    section whose ``kind``, by default the default's, picks its fields)."""
+    np.ndarray (finite numbers nested to any depth, kept as given), str (a
+    path), a tuple (one of its values) or a dict of source kinds (a section
+    whose ``kind``, by default the default's, picks its fields)."""
     if kind is int or kind is float:
-        return _check_range(value, path, kind, lo=bound)
+        return _check_range(value, path, kind, *bound)
     if kind is list:
-        if not isinstance(value, list) or len(value) < bound:
-            raise ConfigError(path, f"expected a list of at least {bound} numbers")
+        least, = bound
+        if not isinstance(value, list) or len(value) < least:
+            raise ConfigError(path, f"expected a list of at least {least} numbers")
         if _numbers(value, path).ndim != 1:
             raise ConfigError(path, f"expected a list of numbers, got {value!r}")
         return [float(v) for v in value]
+    if kind is np.ndarray:
+        _numbers(value, path)
+        return value
     if kind is str:
         if not isinstance(value, str):
             raise ConfigError(path, "expected a string path")
@@ -443,14 +465,14 @@ def _check_field(value, path, kind, default, bound):
     return _check_kind(value, path, "kind", kind, "source kind", default["kind"])
 
 
-# schedule parameters: name -> (type, lower bound, upper bound, lower bound open)
+# schedule parameters: name -> (type, *range), the range as in a Kind's fields
 PARAM_FIELDS = {
-    "eta": (float, 0.0, 1.0, False),
+    "eta": (float, 0.0, 1.0),
     "alpha": (float, 0.0, 1.0, True),
-    "b0": (int, 1, None, False),
-    "b1": (int, 1, None, False),
-    "t": (int, 1, None, False),
-    "n": (int, 1, None, False),
+    "b0": (int, 1),
+    "b1": (int, 1),
+    "t": (int, 1),
+    "n": (int, 1),
     "coeff": (float, 0.0, None, True),
 }
 
@@ -464,8 +486,7 @@ def _validate_params(block, path, required=(), allowed=tuple(PARAM_FIELDS)):
         _require(block, key, path)
     out = {}
     for key, value in block.items():
-        kind, lo, hi, lo_open = PARAM_FIELDS[key]
-        out[key] = _check_range(value, f"{path}.{key}", kind, lo=lo, hi=hi, lo_open=lo_open)
+        out[key] = _check_range(value, f"{path}.{key}", *PARAM_FIELDS[key])
     return out
 
 
@@ -606,36 +627,6 @@ def _numbers(value, path):
     return array
 
 
-def _validate_set(set_spec):
-    """Check a ``set`` section's keys and values; the section stays as given."""
-    if not isinstance(set_spec, dict):
-        raise ConfigError("set", "expected an object")
-    kind = set_spec.get("kind")
-    if kind not in ("simplex", "box", "nuclear_ball"):
-        raise ConfigError("set.kind", f"unknown set kind {kind!r}")
-    allowed = {
-        "simplex": {"kind"},
-        "box": {"kind", "lower", "upper"},
-        "nuclear_ball": {"kind", "m", "n", "radius"},
-    }[kind]
-    _no_unknown(set_spec, allowed, "set")
-    if kind == "box":
-        lower, upper = (_numbers(_require(set_spec, key, "set"), f"set.{key}")
-                        for key in ("lower", "upper"))
-        if lower.shape != upper.shape:
-            raise ConfigError(
-                "set.lower", f"shape {lower.shape} differs from upper's {upper.shape}"
-            )
-        if np.any(lower > upper):
-            raise ConfigError("set.lower", "lower must not exceed upper coordinatewise")
-    elif kind == "nuclear_ball":
-        for key in ("m", "n"):
-            _check_range(_require(set_spec, key, "set"), f"set.{key}", int, lo=1)
-        _check_range(
-            _require(set_spec, "radius", "set"), "set.radius", float, lo=0.0, lo_open=True
-        )
-
-
 def validate_config(data, name="run"):
     """Validate a parsed configuration dict into a RunConfig."""
     if not isinstance(data, dict):
@@ -653,8 +644,8 @@ def validate_config(data, name="run"):
     if algorithm == "baseline" and schedule["mode"] != "explicit":
         raise ConfigError("schedule", "the baseline takes explicit parameters only")
     set_spec = data.get("set")
-    if set_spec is not None:
-        _validate_set(set_spec)
+    if set_spec is not None:  # a missing kind is an unknown one
+        set_spec = _check_kind(set_spec, "set", "kind", SETS, "set kind", default=None)
     seed = _check_range(_require(data, "seed", ""), "seed", int, lo=0)
     beta = _check_range(data.get("beta", 1.0), "beta", float, lo=0.0, lo_open=True)
     reps = _check_range(data.get("reps", 1), "reps", int, lo=1)

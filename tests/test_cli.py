@@ -4,9 +4,9 @@ import os
 import numpy as np
 import pytest
 
-from pmvr import cli
+from pmvr import cli, data_io
 from pmvr.checks import run_suites, subsolver_suite
-from pmvr.data_io import PROBLEMS, read_trace_csv, validate_config
+from pmvr.data_io import PROBLEMS, ConfigError, read_trace_csv, validate_config
 from pmvr.metrics import expected_lmo, expected_sfo
 
 
@@ -279,14 +279,58 @@ FRENCH_FIXTURE = os.path.join(os.path.dirname(__file__), "data", "industry10_fix
     ids=lambda p: p["name"] + ("-french_csv" if "source" in p else ""),
 )
 def test_every_problem_builds_and_sizes_its_simplex(problem):
-    spec = validate_config(dict(BASE, problem=problem)).problem
-    built, fset, x1 = cli.build_problem(spec)
+    cfg = validate_config(dict(BASE, problem=problem, set={"kind": "simplex"}))
+    built, fset, x1 = cli.build_problem(cfg.problem)
     assert x1.shape == built.x_shape == fset.shape
     assert fset.contains(x1)
-    simplex = cli.build_feasible_set({"kind": "simplex"}, spec)
-    assert simplex.shape == (x1.size,)
-    # a matrix point does not fit the simplex over its entries
-    assert (simplex.shape == built.x_shape) == (spec["name"] != "single_index")
+    if cfg.problem["name"] == "single_index":
+        # a matrix point does not fit the simplex over its entries
+        with pytest.raises(ConfigError, match=rf"set shape \({x1.size},\) does not match"):
+            cli.build_feasible_set(cfg.set_spec, built)
+    else:
+        assert cli.build_feasible_set(cfg.set_spec, built).shape == x1.shape
+
+
+def test_no_set_builds_nothing_and_reads_no_problem():
+    assert cli.build_feasible_set(None, None) is None
+
+
+class TestFrenchSource:
+    @staticmethod
+    def _config(tmp_path, path, jobs=1, **extra):
+        problem = {"name": "mean_variance", "source": {"kind": "french_csv", "path": path}}
+        cfg = dict(BASE, problem=problem, reps=2, jobs=jobs, out=str(tmp_path / "o"), **extra)
+        return write_config(tmp_path, cfg)
+
+    def test_file_read_once_per_repetition_with_a_simplex_set(self, tmp_path, monkeypatch):
+        calls = []
+        load = data_io.load_french_csv
+
+        def counted(path, **kwargs):
+            calls.append(path)
+            return load(path, **kwargs)
+
+        monkeypatch.setattr(data_io, "load_french_csv", counted)
+        path = self._config(tmp_path, FRENCH_FIXTURE, set={"kind": "simplex"})
+        assert cli.main(["run", "--config", path]) == 0
+        assert calls == [FRENCH_FIXTURE] * 2
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_missing_file_exits_one_with_locator_and_writes_nothing(
+        self, tmp_path, capsys, jobs
+    ):
+        path = self._config(tmp_path, str(tmp_path / "absent.txt"), jobs)
+        assert cli.main(["run", "--config", path]) == 1
+        assert "error: problem.source.path: cannot read" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_malformed_file_exits_two_and_writes_nothing(self, tmp_path, capsys, jobs):
+        data = tmp_path / "bad.txt"
+        data.write_text("       Food  Beer\n192607  0.5  oops\n")
+        assert cli.main(["run", "--config", self._config(tmp_path, str(data), jobs)]) == 2
+        assert "malformed numeric field" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
 
 class TestStagewiseConfig:

@@ -644,3 +644,129 @@ class TestProblemValidation:
         problem = validate_config(dict(MINIMAL, problem=section)).problem
         # the sidecar's text: an integer where a float belongs would show
         assert json.dumps(problem, sort_keys=True) == json.dumps(resolved, sort_keys=True)
+
+
+def _set_error(set_spec):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(MINIMAL, set=set_spec))
+    return err.value.path, err.value.args[1]
+
+
+BALL = {"kind": "nuclear_ball", "m": 2, "n": 3, "radius": 1.5}
+BOX = {"kind": "box", "lower": [0, 0], "upper": [1, 1]}
+
+
+def _number_cases():
+    # each number's value just below its range: m, n >= 1 and radius > 0
+    for key, kind, below in (("m", int, 0), ("n", int, 0), ("radius", float, 0)):
+        path = f"set.{key}"
+        missing = {k: v for k, v in BALL.items() if k != key}
+        yield missing, path, "required key is missing"
+        yield dict(BALL, **{key: below}), path, f"value {kind(below)} out of range"
+        yield dict(BALL, **{key: -1}), path, f"value {kind(-1)} out of range"
+        if kind is int:
+            yield dict(BALL, **{key: 2.5}), path, "expected an integer, got 2.5"
+            yield dict(BALL, **{key: True}), path, "expected an integer, got True"
+            yield dict(BALL, **{key: "2"}), path, "expected an integer, got '2'"
+            yield dict(BALL, **{key: float("inf")}), path, "expected an integer, got inf"
+        else:
+            yield dict(BALL, **{key: "1"}), path, "expected a number, got '1'"
+            yield dict(BALL, **{key: [1.0]}), path, "expected a number, got [1.0]"
+            yield dict(BALL, **{key: float("nan")}), path, "expected a finite number, got nan"
+            yield dict(BALL, **{key: float("inf")}), path, "expected a finite number, got inf"
+
+
+def _bounds_cases():
+    for key in ("lower", "upper"):
+        path = f"set.{key}"
+        yield {k: v for k, v in BOX.items() if k != key}, path, "required key is missing"
+        for bad in ("low", 3, None, [], [[0, 1], [2]], [True, False], ["0", 1], [None, 1],
+                    {"a": 0, "b": 1}):
+            yield dict(BOX, **{key: bad}), path, f"expected a list of numbers, got {bad!r}"
+        for bad in ([float("nan"), 1], [0, float("-inf")], [[0, 1], [float("inf"), 1]]):
+            yield dict(BOX, **{key: bad}), path, "expected finite numbers"
+
+
+class TestSetValidation:
+    """Every ``set`` fault's locator and message, and the order faults are found in."""
+
+    @pytest.mark.parametrize("set_spec, path, message", [
+        ([], "set", "expected an object"),
+        ("simplex", "set", "expected an object"),
+        (5, "set", "expected an object"),
+        ({}, "set.kind", "unknown set kind None"),
+        ({"m": 2}, "set.kind", "unknown set kind None"),
+        ({"kind": None}, "set.kind", "unknown set kind None"),
+        ({"kind": "ball"}, "set.kind", "unknown set kind 'ball'"),
+        ({"kind": 3}, "set.kind", "unknown set kind 3"),
+        ({"kind": ["simplex"]}, "set.kind", "unknown set kind ['simplex']"),
+        ({"kind": {"a": 1}}, "set.kind", "unknown set kind {'a': 1}"),
+        # the kind is checked before the keys it allows
+        ({"kind": "ball", "zz": 1}, "set.kind", "unknown set kind 'ball'"),
+        ({"kind": "simplex", "d": 3}, "set.d", "unknown key"),
+        ({"kind": "simplex", "lower": [0]}, "set.lower", "unknown key"),
+        (dict(BOX, m=2), "set.m", "unknown key"),
+        (dict(BOX, radius=1.0), "set.radius", "unknown key"),
+        (dict(BALL, lower=[0]), "set.lower", "unknown key"),
+        (dict(BALL, d=3), "set.d", "unknown key"),
+    ])
+    def test_set_section_fault(self, set_spec, path, message):
+        assert _set_error(set_spec) == (path, message)
+
+    @pytest.mark.parametrize("set_spec, path, message", list(_number_cases()))
+    def test_ball_number_fault(self, set_spec, path, message):
+        assert _set_error(set_spec) == (path, message)
+
+    @pytest.mark.parametrize("set_spec, path, message", list(_bounds_cases()))
+    def test_box_bounds_fault(self, set_spec, path, message):
+        assert _set_error(set_spec) == (path, message)
+
+    @pytest.mark.parametrize("set_spec, path, message", [
+        ({"kind": "box", "lower": [0, 0], "upper": [1, 1, 1]},
+         "set.lower", "shape (2,) differs from upper's (3,)"),
+        ({"kind": "box", "lower": [[0, 0]], "upper": [0, 0]},
+         "set.lower", "shape (1, 2) differs from upper's (2,)"),
+        ({"kind": "box", "lower": [0, 2], "upper": [1, 1]},
+         "set.lower", "lower must not exceed upper coordinatewise"),
+        ({"kind": "box", "lower": [[0, 0], [0, 1.5]], "upper": [[1, 1], [1, 1]]},
+         "set.lower", "lower must not exceed upper coordinatewise"),
+    ])
+    def test_box_cross_fault(self, set_spec, path, message):
+        assert _set_error(set_spec) == (path, message)
+
+    @pytest.mark.parametrize("set_spec, path, message", [
+        # unknown keys first, then the fields in order, then the box's cross checks
+        ({"kind": "box", "lower": "x", "zz": 1}, "set.zz", "unknown key"),
+        ({"kind": "nuclear_ball", "radius": 0, "zz": 1}, "set.zz", "unknown key"),
+        ({"kind": "nuclear_ball", "radius": 0, "n": 0, "m": 0},
+         "set.m", "value 0 out of range"),
+        ({"kind": "nuclear_ball", "radius": 0, "m": 2}, "set.n", "required key is missing"),
+        ({"kind": "nuclear_ball", "radius": 0, "n": 2, "m": 2},
+         "set.radius", "value 0.0 out of range"),
+        ({"kind": "box", "upper": "x"}, "set.lower", "required key is missing"),
+        ({"kind": "box", "upper": [0], "lower": "x"},
+         "set.lower", "expected a list of numbers, got 'x'"),
+        ({"kind": "box", "lower": [2, 2, 2], "upper": "x"},
+         "set.upper", "expected a list of numbers, got 'x'"),
+        ({"kind": "box", "lower": [2, 2, 2]}, "set.upper", "required key is missing"),
+        ({"kind": "box", "lower": [2, 2], "upper": [1, 1, 1]},
+         "set.lower", "shape (2,) differs from upper's (3,)"),
+    ])
+    def test_fault_order(self, set_spec, path, message):
+        assert _set_error(set_spec) == (path, message)
+
+    @pytest.mark.parametrize("set_spec", [
+        {"kind": "simplex"},
+        {"kind": "nuclear_ball", "m": 1, "n": 1, "radius": 1e-300},
+        BALL,
+        BOX,
+        {"kind": "box", "lower": [0.5, -1], "upper": [0.5, 2]},
+        {"kind": "box", "lower": [[0, 0], [0, 0]], "upper": [[1, 1], [1, 1.5]]},
+        {"kind": "box", "lower": [[[-1]]], "upper": [[[1]]]},
+    ])
+    def test_accepted_set_keeps_its_values(self, set_spec):
+        assert validate_config(dict(MINIMAL, set=set_spec)).set_spec == set_spec
+
+    def test_no_set_is_none(self):
+        assert validate_config(dict(MINIMAL)).set_spec is None
+        assert validate_config(dict(MINIMAL, set=None)).set_spec is None
