@@ -5,8 +5,9 @@ Exit codes: 0 success, 1 validation error, 2 runtime/solver error,
 PMVR_OUT_DIR environment variable; everything else arrives via flags or
 the configuration file. A run builds its problem and any configured set
 from the entries of ``data_io.PROBLEMS`` and ``data_io.SETS``, once per
-repetition, and creates its output directory only once every repetition
-has returned.
+repetition, runs the schedule that validation resolved with the entry point
+its ``data_io.ALGORITHMS`` entry names, and creates its output directory
+only once every repetition has returned.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import argparse
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
 
 import numpy as np
 
@@ -23,29 +23,21 @@ from . import __version__
 from .benchmarks import SQRT_SHIFT
 from .checks import run_suites
 from .data_io import (
+    ALGORITHMS,
     ConfigError,
     PROBLEMS,
     SETS,
     THEOREMS,
-    _check_total,
+    describe_schedule,
     load_run_config,
+    resolve_schedule,
     validate_config,
     write_csv,
     write_metadata,
     write_trace_csv,
 )
 from .rng import RandomSource
-from .solvers import (
-    QuadraticSubsolver,
-    ScheduleConstants,
-    SolverParams,
-    StageSchedule,
-    TraceConfig,
-    pmvr_run,
-    projected_baseline_run,
-    schedule_for,
-    stagewise_run,
-)
+from .solvers import TraceConfig, pmvr_run, projected_baseline_run, stagewise_run
 
 
 def build_problem(spec):
@@ -70,53 +62,11 @@ def build_feasible_set(set_spec, problem):
 
 
 def build_schedule(cfg, problem):
-    """Resolve the schedule section into SolverParams or a StageSchedule."""
-    sched = cfg.schedule
-    if sched["mode"] == "theorem":
-        criterion, batch_mode = THEOREMS[sched["theorem"]]
-        constants = ScheduleConstants(**sched["constants"])
-        lam = sched.get("modulus", problem.metadata.strong_convexity)
-        if criterion == "strongly_convex_gap" and (lam is None or lam <= 0):
-            raise ConfigError(
-                "schedule.modulus",
-                "strongly convex schedules need a positive modulus "
-                "(set schedule.modulus or use a problem that declares one)",
-            )
-        try:
-            out = schedule_for(
-                criterion, batch_mode, sched["eps"], constants=constants,
-                strong_convexity=lam, beta=cfg.beta,
-            )
-        except ArithmeticError:  # so small an eps that the count overflows
-            raise ConfigError("schedule.eps", "the iteration count overflows") from None
-        overrides = dict(sched["overrides"])
-        if overrides:
-            n = overrides.pop("n", None)
-            if "t" in overrides:
-                overrides["iters"] = overrides.pop("t")
-            out = replace(out, **overrides)
-            if n is not None and out.subsolver is not None:
-                out = replace(out, subsolver=replace(out.subsolver, inner_iters=n))
-        # validation resolved every length but that of a modulus taken from
-        # the problem, which is known only now
-        _check_total("schedule.eps", sum(p.iters for p in getattr(out, "stages", [out])))
-        return out
-
-    def params(block):  # validation puts n and coeff together, for -v2 only
-        sub = None
-        if "n" in block:
-            sub = QuadraticSubsolver(coeff=block["coeff"], inner_iters=block["n"])
-        return SolverParams(
-            eta=block["eta"], alpha=block["alpha"], b0=block["b0"],
-            b1=block["b1"], iters=block["t"], subsolver=sub,
-        )
-
-    if sched["mode"] == "explicit":
-        return params(sched["explicit"])
-    # explicit stages share the schedule's b0, n and coeff
-    stages = [params({**sched, **st}) for st in sched["stages"]]
-    targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
-    return StageSchedule(stages=stages, targets=targets)
+    """The config's SolverParams or StageSchedule, as validation resolved it
+    or, if it takes the problem's modulus, as resolved for ``problem``."""
+    if cfg.resolved is not None:
+        return cfg.resolved
+    return resolve_schedule(cfg.schedule, cfg.beta, problem)
 
 
 def execute_rep(cfg, seed):
@@ -131,16 +81,12 @@ def execute_rep(cfg, seed):
     trace_cfg = TraceConfig(
         metric_every=cfg.metric_every, beta=cfg.beta, keep_iterates=False
     )
-    if cfg.algorithm == "baseline":
-        block = cfg.schedule["explicit"]
-        result = projected_baseline_run(
-            problem, fset, block["eta"], block["alpha"], block["b1"],
-            block["t"], x1, rng, trace=trace_cfg,
-        )
-    elif cfg.algorithm in ("stagewise", "stagewise-v2"):
-        result = stagewise_run(problem, fset, schedule, x1, rng, trace=trace_cfg)
-    else:
-        result = pmvr_run(problem, fset, schedule, x1, rng, trace=trace_cfg)
+    entry = ALGORITHMS[cfg.algorithm]
+    # the entry point is looked up now, so a wrapper installed on this
+    # module is the one that runs; the baseline takes its parameters singly
+    args = (schedule,) if entry.theorems else (
+        schedule.eta, schedule.alpha, schedule.b1, schedule.iters)
+    result = globals()[entry.run](problem, fset, *args, x1, rng, trace=trace_cfg)
     return result.trace, schedule
 
 
@@ -216,7 +162,7 @@ def run_config(cfg):
             "resolved": {
                 "problem": cfg.problem,
                 "algorithm": cfg.algorithm,
-                "schedule": _describe_schedule(schedule),
+                "schedule": describe_schedule(schedule),
                 "beta": cfg.beta,
                 "seeds": seeds,
                 "metric_every": cfg.metric_every,
@@ -227,24 +173,6 @@ def run_config(cfg):
         },
     )
     return paths, agg_path, meta_path
-
-
-def _describe_schedule(schedule):
-    if isinstance(schedule, SolverParams):
-        return _params_dict(schedule)
-    return {
-        "stages": [_params_dict(p) for p in schedule.stages],
-        "targets": schedule.targets,
-        "eps1": schedule.eps1,
-    }
-
-
-def _params_dict(p):
-    out = {"eta": p.eta, "alpha": p.alpha, "b0": p.b0, "b1": p.b1, "t": p.iters}
-    if p.subsolver is not None:
-        out["n"] = p.subsolver.inner_iters
-        out["coeff"] = p.subsolver.coeff
-    return out
 
 
 def cmd_run(args):

@@ -7,9 +7,11 @@ to fractional returns, and accounts for every input line as parsed,
 skipped, or rejected. Run configurations are strict JSON: unknown keys
 fail with a path-like locator. Each problem is one entry of ``PROBLEMS``
 and each feasible set one entry of ``SETS``; an entry both validates its
-config section and builds it, a set for the problem built before it. Traces
-and the aggregate round-trip field-exactly through CSV with
-17-significant-digit floats.
+config section and builds it, a set for the problem built before it. Each
+algorithm is one entry of ``ALGORITHMS``, and ``resolve_schedule`` alone
+turns a ``schedule`` section into solver parameters, once per config, when
+it is validated. Traces and the aggregate round-trip field-exactly through
+CSV with 17-significant-digit floats.
 """
 
 from __future__ import annotations
@@ -17,33 +19,41 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional
+from dataclasses import dataclass, field, replace
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import benchmarks
 from .rng import STREAM_LEVEL_STRIDE
 from .sets import Box, NuclearNormBall, Simplex
+from .solvers import (
+    THEOREMS, QuadraticSubsolver, ScheduleConstants, SolverParams, StageSchedule, TraceRow,
+    schedule_for,
+)
 
 TRACE_HEADER = "iter,stage,seconds,sfo,lmo,objective,fw_gap,grad_map,beta,opt_gap"
 SENTINELS = (-99.99, -999.0)
 
-ALGORITHMS = ("pmvr", "pmvr-v2", "stagewise", "stagewise-v2", "baseline")
-THEOREMS = {
-    "thm1": ("fw_gap", "constant"),
-    "thm2": ("fw_gap", "large"),
-    "thm3": ("grad_map", "constant"),
-    "thm4": ("grad_map", "large"),
-    "thm5": ("convex_gap", "constant"),
-    "thm6": ("convex_gap", "large"),
-    "thm7": ("strongly_convex_gap", "constant"),
-    "thm8": ("strongly_convex_gap", "large"),
+
+class Algorithm(NamedTuple):
+    """An algorithm's theorems (none: explicit parameters only), whether it
+    runs a stage list and the quadratic subsolver, and the name of its
+    solver entry point, which ``cli`` looks up when a repetition runs."""
+
+    theorems: tuple
+    stagewise: bool
+    subsolver: bool
+    run: str
+
+
+ALGORITHMS = {
+    "pmvr": Algorithm(("thm1", "thm2"), False, False, "pmvr_run"),
+    "pmvr-v2": Algorithm(("thm3", "thm4"), False, True, "pmvr_run"),
+    "stagewise": Algorithm(("thm5", "thm6"), True, False, "stagewise_run"),
+    "stagewise-v2": Algorithm(("thm7", "thm8"), True, True, "stagewise_run"),
+    "baseline": Algorithm((), False, False, "projected_baseline_run"),
 }
-# the theorems each algorithm runs: the -v2 variants are the ones with the
-# quadratic subsolver, the stage-wise ones those with a stage list
-ALGORITHM_THEOREMS = {"pmvr": ("thm1", "thm2"), "pmvr-v2": ("thm3", "thm4"),
-                      "stagewise": ("thm5", "thm6"), "stagewise-v2": ("thm7", "thm8")}
 
 
 class ConfigError(ValueError):
@@ -63,20 +73,6 @@ class ParseError(ValueError):
 
 
 # --- trace rows -----------------------------------------------------------
-
-@dataclass
-class TraceRow:
-    iteration: int
-    stage: int
-    seconds: float
-    sfo: int
-    lmo: int
-    objective: float
-    fw_gap: float
-    grad_map: float
-    beta: float
-    opt_gap: Optional[float] = None
-
 
 def _cell(value):
     """One CSV cell: empty for None, 17 significant digits for a float."""
@@ -274,6 +270,9 @@ class RunConfig:
     out: str
     name: str
     raw: dict = field(repr=False, default_factory=dict)
+    # the schedule resolved once, at validation; None only for a thm7/thm8
+    # schedule that takes its modulus from the problem
+    resolved: Union[SolverParams, StageSchedule, None] = None
 
 
 def _require(section, key, path):
@@ -291,7 +290,7 @@ def _no_unknown(section, allowed, path):
 def _check_range(value, path, kind, lo=None, hi=None, lo_open=False):
     if kind is int and (isinstance(value, bool) or not isinstance(value, int)):
         raise ConfigError(path, f"expected an integer, got {value!r}")
-    if kind is float and not isinstance(value, (int, float)):
+    if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(path, f"expected a number, got {value!r}")
     v = kind(value)
     if not math.isfinite(v):
@@ -491,6 +490,7 @@ def _validate_params(block, path, required=(), allowed=tuple(PARAM_FIELDS)):
 
 
 def _validate_schedule(section, algorithm):
+    entry = ALGORITHMS[algorithm]
     if not isinstance(section, dict):
         raise ConfigError("schedule", "expected an object")
     modes = [k for k in ("theorem", "explicit", "stages") if k in section]
@@ -499,11 +499,11 @@ def _validate_schedule(section, algorithm):
             "schedule", "exactly one of theorem | explicit | stages is required"
         )
     mode = modes[0]
-    if mode == "explicit" and algorithm in ("stagewise", "stagewise-v2"):
+    if mode == "explicit" and entry.stagewise:
         raise ConfigError(
             "schedule.explicit", "stage-wise algorithms take a theorem or stages"
         )
-    if mode == "stages" and algorithm not in ("stagewise", "stagewise-v2"):
+    if mode == "stages" and not entry.stagewise:
         raise ConfigError("schedule.stages", f"{algorithm} is not stage-wise")
     out = {"mode": mode}
     if mode == "theorem":
@@ -513,10 +513,10 @@ def _validate_schedule(section, algorithm):
         thm = section["theorem"]
         if not isinstance(thm, str) or thm not in THEOREMS:
             raise ConfigError("schedule.theorem", f"unknown theorem {thm!r}")
-        allowed = ALGORITHM_THEOREMS.get(algorithm)  # the baseline fails below
-        if allowed is not None and thm not in allowed:
+        if entry.theorems and thm not in entry.theorems:  # the baseline fails later
             raise ConfigError(
-                "schedule.theorem", f"{algorithm} runs {' or '.join(allowed)}, not {thm}"
+                "schedule.theorem",
+                f"{algorithm} runs {' or '.join(entry.theorems)}, not {thm}",
             )
         out["theorem"] = thm
         out["eps"] = _check_range(
@@ -527,10 +527,7 @@ def _validate_schedule(section, algorithm):
         if not isinstance(constants, dict):
             raise ConfigError("schedule.constants", "expected an object")
         # order constants scale the schedule's terms, so any positive value fits
-        _no_unknown(
-            constants, {"eta", "alpha", "b0", "b1", "t", "n", "eps1"},
-            "schedule.constants",
-        )
+        _no_unknown(constants, vars(ScheduleConstants()), "schedule.constants")
         out["constants"] = {
             k: _check_range(v, f"schedule.constants.{k}", float, lo=0.0, lo_open=True)
             for k, v in constants.items()
@@ -539,12 +536,16 @@ def _validate_schedule(section, algorithm):
             section.get("overrides", {}), "schedule.overrides",
             allowed=("eta", "alpha", "b0", "b1", "t", "n"),
         )
-        if overrides and algorithm.startswith("stagewise"):
+        if overrides and entry.stagewise:
             raise ConfigError(
                 "schedule.overrides", "overrides apply to single-run schedules only"
             )
+        if "n" in overrides and not entry.subsolver:
+            raise ConfigError("schedule.overrides.n", f"{algorithm} runs no subsolver for n")
         out["overrides"] = overrides
         if "modulus" in section:
+            if THEOREMS[thm][0] != "strongly_convex_gap":
+                raise ConfigError("schedule.modulus", f"{thm} takes no modulus")
             out["modulus"] = _check_range(
                 section["modulus"], "schedule.modulus", float, lo=0.0, lo_open=True
             )
@@ -572,46 +573,101 @@ def _validate_schedule(section, algorithm):
             )
             for idx, st in enumerate(stages)
         ]
-    if mode != "theorem":  # the -v2 algorithms, and only they, run the subsolver
+    if mode != "theorem":
         block = out["explicit"] if mode == "explicit" else out
         where = "schedule.explicit" if mode == "explicit" else "schedule"
         for key in ("n", "coeff"):
-            if (key in block) != algorithm.endswith("-v2"):
+            if (key in block) != entry.subsolver:
                 what = "needs" if key not in block else "runs no subsolver for"
                 raise ConfigError(f"{where}.{key}", f"{algorithm} {what} {key}")
-    _check_length(out)
     return out
 
 
-def _check_length(sched):
-    """Refuse 2**20 or more iterations in total: level i's late batches would
-    repeat level i+1's sample streams. A thm7/thm8 schedule without
-    ``modulus`` takes the problem's, so ``cli.build_schedule`` checks it once
-    the problem is built."""
-    if sched["mode"] == "explicit":
-        path, total = "schedule.explicit.t", sched["explicit"]["t"]
-    elif sched["mode"] == "stages":
-        path, total = "schedule.stages", sum(st["t"] for st in sched["stages"])
-    elif "t" in sched["overrides"]:
-        path, total = "schedule.overrides.t", sched["overrides"]["t"]
-    elif sched["theorem"] in ("thm7", "thm8") and "modulus" not in sched:
-        return
-    else:
-        from .solvers import ScheduleConstants, schedule_for  # late: solvers imports us
+# --- the schedule resolver ---------------------------------------------------
 
-        path = "schedule.eps"
+# the config key of each SolverParams field but the subsolver, whose are n and coeff
+KEY_TO_FIELD = {"eta": "eta", "alpha": "alpha", "b0": "b0", "b1": "b1", "t": "iters"}
+OVERFLOW = f"the iteration count overflows the stream stride {STREAM_LEVEL_STRIDE}"
+
+
+def resolve_schedule(sched, beta, problem=None):
+    """A checked ``schedule`` section as SolverParams or a StageSchedule.
+
+    A theorem's rates come from ``schedule_for``, ``beta`` being the
+    subsolver's curvature, and its ``overrides`` replace them; explicit
+    stages share the section's ``b0``, ``n`` and ``coeff``. 2**20 or more
+    iterations in total are refused under the locator of the count: level
+    i's late batches would repeat level i+1's sample streams. A thm7/thm8
+    schedule without ``modulus`` takes ``problem``'s, and is None if no
+    problem is given.
+    """
+    mode = sched["mode"]
+    if mode == "explicit":
+        path, out = "schedule.explicit.t", _params(sched["explicit"])
+    elif mode == "stages":
+        stages = [_params({**sched, **st}) for st in sched["stages"]]
+        targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
+        path, out = "schedule.stages", StageSchedule(stages=stages, targets=targets)
+    else:
+        criterion, batch_mode = THEOREMS[sched["theorem"]]
+        lam = sched.get("modulus")
+        if criterion == "strongly_convex_gap" and lam is None:
+            if problem is None:
+                return None
+            lam = problem.metadata.strong_convexity
+            if lam is None or lam <= 0:
+                raise ConfigError(
+                    "schedule.modulus",
+                    "strongly convex schedules need a positive modulus "
+                    "(set schedule.modulus or use a problem that declares one)",
+                )
+        overrides = {KEY_TO_FIELD.get(k, k): v for k, v in sched["overrides"].items()}
+        if "iters" in overrides:  # a fixed length is checked before any rate is evaluated
+            _check_total("schedule.overrides.t", overrides["iters"])
         try:
-            out = schedule_for(*THEOREMS[sched["theorem"]], sched["eps"],
-                               ScheduleConstants(**sched["constants"]), sched.get("modulus"))
-            total = sum(p.iters for p in getattr(out, "stages", [out]))
+            out = schedule_for(
+                criterion, batch_mode, sched["eps"], ScheduleConstants(**sched["constants"]),
+                strong_convexity=lam, beta=beta,
+            )
         except ArithmeticError:  # so small an eps that the count overflows
-            total = math.inf
-    _check_total(path, total)
+            raise ConfigError("schedule.eps", OVERFLOW) from None
+        if "n" in overrides:  # validation admits n only where the subsolver runs
+            overrides["subsolver"] = replace(out.subsolver, inner_iters=overrides.pop("n"))
+        path, out = "schedule.eps", replace(out, **overrides)
+    _check_total(path, sum(p.iters for p in getattr(out, "stages", [out])))
+    return out
+
+
+def _params(block):
+    """SolverParams from config keys, ``n`` and ``coeff`` coming together."""
+    sub = None
+    if "n" in block:
+        sub = QuadraticSubsolver(coeff=block["coeff"], inner_iters=block["n"])
+    return SolverParams(**{f: block[k] for k, f in KEY_TO_FIELD.items()}, subsolver=sub)
 
 
 def _check_total(path, total):
     if total >= STREAM_LEVEL_STRIDE:
         raise ConfigError(path, f"{total} iterations reach the stream stride {STREAM_LEVEL_STRIDE}")
+
+
+def describe_schedule(schedule):
+    """A resolved schedule in config keys, as the metadata sidecar records it."""
+    if isinstance(schedule, SolverParams):
+        return _params_dict(schedule)
+    return {
+        "stages": [_params_dict(p) for p in schedule.stages],
+        "targets": schedule.targets,
+        "eps1": schedule.eps1,
+    }
+
+
+def _params_dict(p):
+    out = {k: getattr(p, f) for k, f in KEY_TO_FIELD.items()}
+    if p.subsolver is not None:
+        out["n"] = p.subsolver.inner_iters
+        out["coeff"] = p.subsolver.coeff
+    return out
 
 
 def _numbers(value, path):
@@ -638,16 +694,25 @@ def validate_config(data, name="run"):
     _no_unknown(data, top_allowed, "")
     problem = _check_kind(_require(data, "problem", ""), "problem", "name", PROBLEMS, "problem")
     algorithm = _require(data, "algorithm", "")
-    if algorithm not in ALGORITHMS:
+    if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
         raise ConfigError("algorithm", f"unknown algorithm {algorithm!r}")
     schedule = _validate_schedule(_require(data, "schedule", ""), algorithm)
-    if algorithm == "baseline" and schedule["mode"] != "explicit":
+    # beta is the subsolver's curvature in the resolved schedule, but its own
+    # fault is reported after the schedule's, the set's and the seed's
+    beta, beta_fault = data.get("beta", 1.0), None
+    try:
+        beta = _check_range(beta, "beta", float, lo=0.0, lo_open=True)
+    except ConfigError as exc:
+        beta, beta_fault = 1.0, exc
+    resolved = resolve_schedule(schedule, beta)
+    if not ALGORITHMS[algorithm].theorems and schedule["mode"] != "explicit":
         raise ConfigError("schedule", "the baseline takes explicit parameters only")
     set_spec = data.get("set")
     if set_spec is not None:  # a missing kind is an unknown one
         set_spec = _check_kind(set_spec, "set", "kind", SETS, "set kind", default=None)
     seed = _check_range(_require(data, "seed", ""), "seed", int, lo=0)
-    beta = _check_range(data.get("beta", 1.0), "beta", float, lo=0.0, lo_open=True)
+    if beta_fault is not None:
+        raise beta_fault
     reps = _check_range(data.get("reps", 1), "reps", int, lo=1)
     jobs = _check_range(data.get("jobs", 1), "jobs", int, lo=1)
     metric_every = data.get("metric_every")
@@ -672,6 +737,7 @@ def validate_config(data, name="run"):
         out=out_dir,
         name=run_name,
         raw=data,
+        resolved=resolved,
     )
 
 

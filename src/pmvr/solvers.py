@@ -28,7 +28,6 @@ from typing import Optional
 
 import numpy as np
 
-from .data_io import TraceRow
 from .estimators import (
     GradientTracker,
     ValueTrackers,
@@ -129,11 +128,20 @@ class StageSchedule:
             raise ValueError("a stage schedule needs at least one stage")
         if len(self.targets) != len(self.stages):
             raise ValueError("one accuracy target per stage required")
-        for a, b in zip(self.stages, self.stages[1:]):
-            if b.iters < a.iters:
-                raise ValueError("stage iteration counts must be non-decreasing")
-            if b.eta > a.eta + 1e-15 or b.alpha > a.alpha + 1e-15:
-                raise ValueError("eta and alpha must be non-increasing across stages")
+
+
+@dataclass
+class TraceRow:
+    iteration: int
+    stage: int
+    seconds: float
+    sfo: int
+    lmo: int
+    objective: float
+    fw_gap: float
+    grad_map: float
+    beta: float
+    opt_gap: Optional[float] = None
 
 
 @dataclass
@@ -451,8 +459,14 @@ def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
     Initialization happens once, before stage 1; every later stage continues
     from the previous stage's final state (never re-initialized). Stage
     boundaries are tagged 1..S in the trace, and per-stage end snapshots are
-    returned for inspection.
+    returned for inspection. Stages whose T decreases, or eta or alpha
+    increases, raise ValueError.
     """
+    for a, b in zip(schedule.stages, schedule.stages[1:]):
+        if b.iters < a.iters:
+            raise ValueError("stage iteration counts must be non-decreasing")
+        if b.eta > a.eta + 1e-15 or b.alpha > a.alpha + 1e-15:
+            raise ValueError("eta and alpha must be non-increasing across stages")
     stages = list(enumerate(schedule.stages, start=1))
     return _run_stages(problem, fset, stages, x0, rng, trace, _init_state, pmvr_step)
 
@@ -486,10 +500,11 @@ class ScheduleConstants:
     eps1: float = 1.0
 
 
-# Every theorem's rates as (power of eps, power of the modulus lambda) for
-# eta, alpha, B0, B1, T and the subsolver's N; the stage-wise rows read eps
-# as each stage's target, except N, which takes the final eps. B0 None is
-# the strongly convex c.b0 * max(1/lambda, 1), and N None runs no subsolver.
+# Every theorem's rates, in the order of Theorems 1-8, as (power of eps, power
+# of the modulus lambda) for eta, alpha, B0, B1, T and the subsolver's N; the
+# stage-wise rows read eps as each stage's target, except N, which takes the
+# final eps. B0 None is the strongly convex c.b0 * max(1/lambda, 1), and N
+# None runs no subsolver.
 _ORDERS = {
     ("fw_gap", "constant"): ((2, 0), (2, 0), (-1, 0), (0, 0), (-3, 0), None),
     ("fw_gap", "large"): ((1, 0), (1, 0), (-1, 0), (-1, 0), (-2, 0), None),
@@ -500,6 +515,7 @@ _ORDERS = {
     ("strongly_convex_gap", "constant"): ((1, 1), (1, 1), None, (0, 0), (-1, -1), (-1, 1)),
     ("strongly_convex_gap", "large"): ((0, 1), (0, 1), None, (-1, 0), (0, -1), (-1, 1)),
 }
+THEOREMS = {f"thm{i}": row for i, row in enumerate(_ORDERS, start=1)}
 CRITERIA = tuple(dict.fromkeys(criterion for criterion, _ in _ORDERS))
 BATCH_MODES = tuple(dict.fromkeys(mode for _, mode in _ORDERS))
 

@@ -1,13 +1,21 @@
 import json
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from pmvr import cli, data_io
+from pmvr import cli, data_io, solvers
 from pmvr.checks import run_suites, subsolver_suite
 from pmvr.data_io import PROBLEMS, ConfigError, read_trace_csv, validate_config
 from pmvr.metrics import expected_lmo, expected_sfo
+from pmvr.solvers import (
+    QuadraticSubsolver,
+    ScheduleConstants,
+    SolverParams,
+    StageSchedule,
+    schedule_for,
+)
 
 
 def write_config(tmp_path, payload, name="cfg.json"):
@@ -348,6 +356,119 @@ class TestStagewiseConfig:
         trace = read_trace_csv(os.path.join(out, "cfg_rep00.csv"))
         assert max(row.stage for row in trace) >= 2
         assert trace[-1].opt_gap is not None
+
+
+def reference_schedule(cfg, problem):
+    """The schedule of a validated config, resolved as the command line
+    resolved it per repetition before validation kept one."""
+    sched = cfg.schedule
+    if sched["mode"] == "theorem":
+        criterion, batch_mode = cli.THEOREMS[sched["theorem"]]
+        lam = sched.get("modulus", problem.metadata.strong_convexity)
+        out = schedule_for(
+            criterion, batch_mode, sched["eps"], constants=ScheduleConstants(**sched["constants"]),
+            strong_convexity=lam, beta=cfg.beta,
+        )
+        overrides = dict(sched["overrides"])
+        n = overrides.pop("n", None)
+        if "t" in overrides:
+            overrides["iters"] = overrides.pop("t")
+        out = replace(out, **overrides)
+        if n is not None:
+            out = replace(out, subsolver=replace(out.subsolver, inner_iters=n))
+        return out
+
+    def params(block):
+        sub = None
+        if "n" in block:
+            sub = QuadraticSubsolver(coeff=block["coeff"], inner_iters=block["n"])
+        return SolverParams(eta=block["eta"], alpha=block["alpha"], b0=block["b0"],
+                            b1=block["b1"], iters=block["t"], subsolver=sub)
+
+    if sched["mode"] == "explicit":
+        return params(sched["explicit"])
+    stages = [params({**sched, **st}) for st in sched["stages"]]
+    return StageSchedule(stages=stages, targets=[1.0 / 2**s for s in range(1, len(stages) + 1)])
+
+
+STAGE = {"eta": 0.2, "alpha": 0.5, "b1": 2, "t": 4}
+LATER = {"eta": 0.1, "alpha": 0.25, "b1": 3, "t": 6}
+EXPLICIT = {"eta": 0.05, "alpha": 0.5, "b0": 3, "b1": 2, "t": 7}
+
+
+class TestScheduleResolution:
+    @pytest.mark.parametrize("algorithm, schedule", [
+        ("pmvr", {"theorem": "thm1", "eps": 0.3}),
+        ("pmvr", {"theorem": "thm2", "eps": 0.3, "constants": {"t": 2.0, "b0": 3.0}}),
+        ("pmvr-v2", {"theorem": "thm3", "eps": 0.3, "constants": {"n": 0.5}}),
+        ("pmvr-v2", {"theorem": "thm4", "eps": 0.3}),
+        ("stagewise", {"theorem": "thm5", "eps": 0.2}),
+        ("stagewise", {"theorem": "thm6", "eps": 0.2, "constants": {"eps1": 0.5}}),
+        ("stagewise-v2", {"theorem": "thm7", "eps": 0.2}),
+        ("stagewise-v2", {"theorem": "thm7", "eps": 0.2, "modulus": 3.0}),
+        ("stagewise-v2", {"theorem": "thm8", "eps": 0.2}),
+        ("stagewise-v2", {"theorem": "thm8", "eps": 0.2, "modulus": 0.5}),
+        ("pmvr", {"explicit": EXPLICIT}),
+        ("pmvr-v2", {"explicit": dict(EXPLICIT, n=4, coeff=0.75)}),
+        ("baseline", {"explicit": {"eta": 0.05, "alpha": 1, "b1": 2, "t": 9}}),
+        ("stagewise", {"stages": [STAGE, LATER], "b0": 5}),
+        ("stagewise-v2", {"stages": [STAGE, LATER], "n": 3, "coeff": 0.5}),
+        # a stage list the stage-wise run refuses still resolves
+        ("stagewise", {"stages": [LATER, STAGE]}),
+        *[("pmvr-v2", {"theorem": "thm3", "eps": 0.3, "overrides": {key: value}})
+          for key, value in (("eta", 1), ("alpha", 0.5), ("b0", 4), ("b1", 5), ("t", 11),
+                             ("n", 6))],
+        ("pmvr", {"theorem": "thm1", "eps": 0.3,
+                  "overrides": {"eta": 0.2, "alpha": 0.4, "b0": 2, "b1": 3, "t": 12}}),
+    ])
+    def test_resolved_schedule_is_the_per_repetition_one(self, algorithm, schedule):
+        raw = dict(BASE, problem={"name": "quadratic_distance"}, algorithm=algorithm,
+                   schedule=schedule, beta=0.25)
+        cfg = validate_config(raw)
+        problem, _, _ = cli.build_problem(cfg.problem)
+        want = reference_schedule(cfg, problem)
+        assert cli.build_schedule(cfg, problem) == want
+        takes_problem_modulus = schedule.get("theorem") in ("thm7", "thm8") and (
+            "modulus" not in schedule)
+        assert (cfg.resolved is None) == takes_problem_modulus
+        if not takes_problem_modulus:
+            assert cfg.resolved == want
+
+    @pytest.mark.parametrize("overrides", [{}, {"overrides": {"t": 30}}])
+    def test_schedule_resolved_once_per_config(self, tmp_path, monkeypatch, overrides):
+        calls = []
+        resolve = solvers.schedule_for
+
+        def counted(*args, **kwargs):
+            calls.append(args[:2])
+            return resolve(*args, **kwargs)
+
+        for module in (solvers, data_io, cli):
+            if hasattr(module, "schedule_for"):
+                monkeypatch.setattr(module, "schedule_for", counted)
+        raw = dict(BASE, reps=3, out=str(tmp_path / "o"),
+                   schedule={"theorem": "thm1", "eps": 0.2, **overrides})
+        cli.run_config(validate_config(raw))
+        assert calls == [("fw_gap", "constant")]
+
+    @pytest.mark.parametrize("stages, message", [
+        ([LATER, STAGE], "stage iteration counts must be non-decreasing"),
+        ([STAGE, dict(STAGE, alpha=0.75)], "eta and alpha must be non-increasing across stages"),
+    ])
+    def test_a_stage_list_out_of_order_fails_at_run_time(self, tmp_path, capsys, stages, message):
+        cfg = dict(BASE, algorithm="stagewise", schedule={"stages": stages},
+                   out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_a_modulus_from_the_problem_is_required(self):
+        cfg = validate_config(dict(BASE, algorithm="stagewise-v2",
+                                   schedule={"theorem": "thm8", "eps": 0.2}))
+        problem, _, _ = cli.build_problem(cfg.problem)
+        with pytest.raises(ConfigError, match="positive modulus") as err:
+            cli.build_schedule(cfg, problem)
+        assert err.value.path == "schedule.modulus"
 
 
 class TestCheck:

@@ -522,6 +522,9 @@ def _numeric_cases():
             yield section, field, "1", path, "expected a number, got '1'"
             yield section, field, float("nan"), path, "expected a finite number, got nan"
             yield section, field, float("-inf"), path, "expected a finite number, got -inf"
+    for section, field, kind, _ in NUMERIC_FIELDS:  # a boolean is not a number either
+        if kind is float:
+            yield section, field, True, f"problem.{field}", "expected a number, got True"
 
 
 class TestProblemValidation:
@@ -674,6 +677,7 @@ def _number_cases():
             yield dict(BALL, **{key: [1.0]}), path, "expected a number, got [1.0]"
             yield dict(BALL, **{key: float("nan")}), path, "expected a finite number, got nan"
             yield dict(BALL, **{key: float("inf")}), path, "expected a finite number, got inf"
+    yield dict(BALL, radius=True), "set.radius", "expected a number, got True"
 
 
 def _bounds_cases():
@@ -770,3 +774,340 @@ class TestSetValidation:
     def test_no_set_is_none(self):
         assert validate_config(dict(MINIMAL)).set_spec is None
         assert validate_config(dict(MINIMAL, set=None)).set_spec is None
+
+
+def _schedule_error(algorithm, schedule, **top):
+    with pytest.raises(ConfigError) as err:
+        validate_config(dict(MINIMAL, algorithm=algorithm, schedule=schedule, **top))
+    return err.value.path, err.value.args[1]
+
+
+EXPLICIT = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 5}
+EXPLICIT_V2 = dict(EXPLICIT, n=2, coeff=1.0)
+STAGE = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 5}
+STAGES_V2 = {"stages": [STAGE], "n": 2, "coeff": 1.0}
+RUNS = {"pmvr": ("thm1", "thm2"), "pmvr-v2": ("thm3", "thm4"),
+        "stagewise": ("thm5", "thm6"), "stagewise-v2": ("thm7", "thm8")}
+THEOREM_NAMES = [f"thm{i}" for i in range(1, 9)]
+STRIDE = "iterations reach the stream stride 1048576"
+OVERFLOW = "the iteration count overflows the stream stride 1048576"
+
+
+def _theorem(thm, **keys):
+    """A theorem schedule at eps 0.5; thm7 and thm8 get a modulus."""
+    modulus = {"modulus": 2.0} if thm in ("thm7", "thm8") else {}
+    return {"theorem": thm, "eps": 0.5, **modulus, **keys}
+
+
+def _pairing_cases():
+    for algorithm in ("pmvr", "pmvr-v2", "stagewise", "stagewise-v2", "baseline"):
+        for thm in THEOREM_NAMES:
+            if algorithm == "baseline":
+                fault = ("schedule", "the baseline takes explicit parameters only")
+            elif thm in RUNS[algorithm]:
+                fault = None
+            else:
+                fault = ("schedule.theorem",
+                         f"{algorithm} runs {' or '.join(RUNS[algorithm])}, not {thm}")
+            yield algorithm, thm, fault
+
+
+# every schedule number: (algorithm, schedule holding the value V, locator,
+# type, range as _check_range's (lo, hi, lo_open))
+def _number_fields():
+    yield "pmvr", lambda v: {"theorem": "thm1", "eps": v}, "eps", float, (0.0, 1.0, True)
+    for key in ("eta", "alpha", "b0", "b1", "t", "n", "eps1"):
+        yield ("pmvr", lambda v, k=key: _theorem("thm1", constants={k: v}),
+               f"constants.{key}", float, (0.0, None, True))
+    params = {"eta": (float, (0.0, 1.0, False)), "alpha": (float, (0.0, 1.0, True)),
+              "b0": (int, (1, None, False)), "b1": (int, (1, None, False)),
+              "t": (int, (1, None, False)), "n": (int, (1, None, False)),
+              "coeff": (float, (0.0, None, True))}
+    for key in ("eta", "alpha", "b0", "b1", "t", "n"):
+        yield ("pmvr-v2", lambda v, k=key: _theorem("thm3", overrides={k: v}),
+               f"overrides.{key}", *params[key])
+    yield ("stagewise-v2", lambda v: {"theorem": "thm7", "eps": 0.5, "modulus": v},
+           "modulus", float, (0.0, None, True))
+    for key, (kind, bound) in params.items():
+        yield ("pmvr-v2", lambda v, k=key: {"explicit": dict(EXPLICIT_V2, **{k: v})},
+               f"explicit.{key}", kind, bound)
+    for key in ("b0", "n", "coeff"):
+        yield ("stagewise-v2", lambda v, k=key: dict(STAGES_V2, **{k: v}), key, *params[key])
+    for key in ("eta", "alpha", "b1", "t"):
+        yield ("stagewise", lambda v, k=key: {"stages": [STAGE, dict(STAGE, **{k: v})]},
+               f"stages[1].{key}", *params[key])
+
+
+NUMBER_FIELDS = list(_number_fields())
+
+
+def _number_faults():
+    for algorithm, schedule, field, kind, (lo, hi, lo_open) in NUMBER_FIELDS:
+        path = f"schedule.{field}"
+        below = kind(lo if lo_open else lo - (1 if kind is int else 0.5))
+        yield algorithm, schedule(below), path, f"value {below} out of range"
+        if hi is not None:
+            yield algorithm, schedule(hi + 0.5), path, f"value {hi + 0.5} out of range"
+        if kind is int:
+            for bad in (2.5, True, float("inf"), "2", None):
+                yield algorithm, schedule(bad), path, f"expected an integer, got {bad!r}"
+        else:
+            for bad in ("0.5", None, [0.5], True, False):
+                yield algorithm, schedule(bad), path, f"expected a number, got {bad!r}"
+            for bad in (float("nan"), float("-inf")):
+                yield algorithm, schedule(bad), path, f"expected a finite number, got {bad!r}"
+
+
+def _number_bounds():
+    """Each number at the ends of its range that the range admits."""
+    for algorithm, schedule, field, kind, (lo, hi, lo_open) in NUMBER_FIELDS:
+        if not lo_open:
+            yield algorithm, schedule(kind(lo)), field
+        if hi is not None:
+            yield algorithm, schedule(kind(hi)), field
+
+
+class TestScheduleValidation:
+    """Every ``schedule`` fault's locator and message, and the order faults are found in."""
+
+    @pytest.mark.parametrize("algorithm, schedule, path, message", [
+        ("pmvr", [], "schedule", "expected an object"),
+        ("pmvr", "thm1", "schedule", "expected an object"),
+        ("pmvr", None, "schedule", "expected an object"),
+        # exactly one mode
+        ("pmvr", {}, "schedule", "exactly one of theorem | explicit | stages is required"),
+        ("pmvr", {"eps": 0.1}, "schedule",
+         "exactly one of theorem | explicit | stages is required"),
+        ("pmvr", {"theorem": "thm1", "eps": 0.1, "explicit": EXPLICIT}, "schedule",
+         "exactly one of theorem | explicit | stages is required"),
+        ("stagewise", {"theorem": "thm5", "eps": 0.1, "stages": [STAGE]}, "schedule",
+         "exactly one of theorem | explicit | stages is required"),
+        ("stagewise", {"explicit": EXPLICIT, "stages": [STAGE]}, "schedule",
+         "exactly one of theorem | explicit | stages is required"),
+        # the mode against the algorithm
+        ("stagewise", {"explicit": EXPLICIT}, "schedule.explicit",
+         "stage-wise algorithms take a theorem or stages"),
+        ("stagewise-v2", {"explicit": EXPLICIT_V2}, "schedule.explicit",
+         "stage-wise algorithms take a theorem or stages"),
+        ("pmvr", {"stages": [STAGE]}, "schedule.stages", "pmvr is not stage-wise"),
+        ("pmvr-v2", STAGES_V2, "schedule.stages", "pmvr-v2 is not stage-wise"),
+        ("baseline", {"stages": [STAGE]}, "schedule.stages", "baseline is not stage-wise"),
+        # unknown keys, per mode
+        ("pmvr", _theorem("thm1", oops=1), "schedule.oops", "unknown key"),
+        ("pmvr", _theorem("thm1", b0=1), "schedule.b0", "unknown key"),
+        ("pmvr-v2", _theorem("thm3", coeff=1.0), "schedule.coeff", "unknown key"),
+        ("pmvr", {"explicit": EXPLICIT, "eps": 0.1}, "schedule.eps", "unknown key"),
+        ("pmvr", {"explicit": EXPLICIT, "b0": 1}, "schedule.b0", "unknown key"),
+        ("stagewise", {"stages": [STAGE], "eps": 0.1}, "schedule.eps", "unknown key"),
+        ("stagewise", {"stages": [STAGE], "t": 5}, "schedule.t", "unknown key"),
+        ("pmvr", {"explicit": dict(EXPLICIT, zz=1)}, "schedule.explicit.zz", "unknown key"),
+        ("pmvr", {"explicit": dict(EXPLICIT, eps=0.1)}, "schedule.explicit.eps",
+         "unknown key"),
+        ("stagewise", {"stages": [dict(STAGE, b0=1)]}, "schedule.stages[0].b0", "unknown key"),
+        ("stagewise-v2", dict(STAGES_V2, stages=[STAGE, dict(STAGE, n=2)]),
+         "schedule.stages[1].n", "unknown key"),
+        ("pmvr", _theorem("thm1", constants={"zz": 1.0}), "schedule.constants.zz",
+         "unknown key"),
+        ("pmvr-v2", _theorem("thm3", overrides={"coeff": 1.0}), "schedule.overrides.coeff",
+         "unknown key"),
+        ("pmvr", _theorem("thm1", overrides={"eps1": 1.0}), "schedule.overrides.eps1",
+         "unknown key"),
+        # theorem names
+        ("pmvr", {"theorem": "thm9", "eps": 0.1}, "schedule.theorem", "unknown theorem 'thm9'"),
+        ("pmvr", {"theorem": "THM1", "eps": 0.1}, "schedule.theorem", "unknown theorem 'THM1'"),
+        ("pmvr", {"theorem": None, "eps": 0.1}, "schedule.theorem", "unknown theorem None"),
+        ("pmvr", {"theorem": 1, "eps": 0.1}, "schedule.theorem", "unknown theorem 1"),
+        ("pmvr", {"theorem": ["thm1"], "eps": 0.1}, "schedule.theorem",
+         "unknown theorem ['thm1']"),
+        # required keys
+        ("pmvr", {"theorem": "thm1"}, "schedule.eps", "required key is missing"),
+        *[("pmvr", {"explicit": {k: v for k, v in EXPLICIT.items() if k != key}},
+           f"schedule.explicit.{key}", "required key is missing") for key in EXPLICIT],
+        *[("stagewise", {"stages": [STAGE, {k: v for k, v in STAGE.items() if k != key}]},
+           f"schedule.stages[1].{key}", "required key is missing") for key in STAGE],
+        # blocks that are not objects, and empty stage lists
+        ("pmvr", _theorem("thm1", constants=[]), "schedule.constants", "expected an object"),
+        ("pmvr", _theorem("thm1", constants=None), "schedule.constants", "expected an object"),
+        ("pmvr", _theorem("thm1", overrides=[]), "schedule.overrides", "expected an object"),
+        ("pmvr", _theorem("thm1", overrides=5), "schedule.overrides", "expected an object"),
+        ("pmvr", {"explicit": []}, "schedule.explicit", "expected an object"),
+        ("pmvr", {"explicit": None}, "schedule.explicit", "expected an object"),
+        ("stagewise", {"stages": []}, "schedule.stages", "expected a non-empty list"),
+        ("stagewise", {"stages": STAGE}, "schedule.stages", "expected a non-empty list"),
+        ("stagewise", {"stages": None}, "schedule.stages", "expected a non-empty list"),
+        ("stagewise", {"stages": [5]}, "schedule.stages[0]", "expected an object"),
+        ("stagewise", {"stages": [STAGE, []]}, "schedule.stages[1]", "expected an object"),
+        # overrides are for single-run schedules
+        ("stagewise", _theorem("thm5", overrides={"t": 5}), "schedule.overrides",
+         "overrides apply to single-run schedules only"),
+        ("stagewise-v2", _theorem("thm7", overrides={"eta": 0.5}), "schedule.overrides",
+         "overrides apply to single-run schedules only"),
+        # n and coeff: the -v2 algorithms need both, the others take neither
+        ("pmvr", {"explicit": EXPLICIT_V2}, "schedule.explicit.n", "pmvr runs no subsolver for n"),
+        ("pmvr", {"explicit": dict(EXPLICIT, coeff=1.0)}, "schedule.explicit.coeff",
+         "pmvr runs no subsolver for coeff"),
+        ("baseline", {"explicit": dict(EXPLICIT, n=2)}, "schedule.explicit.n",
+         "baseline runs no subsolver for n"),
+        ("pmvr-v2", {"explicit": EXPLICIT}, "schedule.explicit.n", "pmvr-v2 needs n"),
+        ("pmvr-v2", {"explicit": dict(EXPLICIT, n=2)}, "schedule.explicit.coeff",
+         "pmvr-v2 needs coeff"),
+        ("pmvr-v2", {"explicit": dict(EXPLICIT, coeff=1.0)}, "schedule.explicit.n",
+         "pmvr-v2 needs n"),
+        ("stagewise", dict(STAGES_V2), "schedule.n", "stagewise runs no subsolver for n"),
+        ("stagewise", {"stages": [STAGE], "coeff": 1.0}, "schedule.coeff",
+         "stagewise runs no subsolver for coeff"),
+        ("stagewise-v2", {"stages": [STAGE]}, "schedule.n", "stagewise-v2 needs n"),
+        ("stagewise-v2", {"stages": [STAGE], "n": 2}, "schedule.coeff",
+         "stagewise-v2 needs coeff"),
+        # 2**20 iterations or more, under the locator of the count
+        ("pmvr", {"explicit": dict(EXPLICIT, t=2**20)}, "schedule.explicit.t", f"1048576 {STRIDE}"),
+        ("baseline", {"explicit": dict(EXPLICIT, t=2**21)}, "schedule.explicit.t",
+         f"2097152 {STRIDE}"),
+        ("stagewise", {"stages": [dict(STAGE, t=2**19), dict(STAGE, t=2**19)]},
+         "schedule.stages", f"1048576 {STRIDE}"),
+        ("pmvr", _theorem("thm1", overrides={"t": 2**20}), "schedule.overrides.t",
+         f"1048576 {STRIDE}"),
+        ("pmvr", {"theorem": "thm1", "eps": 0.0098}, "schedule.eps", f"1062483 {STRIDE}"),
+        ("stagewise", {"theorem": "thm5", "eps": 0.0005}, "schedule.eps", f"5592404 {STRIDE}"),
+        ("stagewise-v2", {"theorem": "thm7", "eps": 4.76837158203125e-07, "modulus": 2.0},
+         "schedule.eps", f"2097151 {STRIDE}"),
+        # one message for a count too large to compute, also under a set length
+        ("pmvr", {"theorem": "thm1", "eps": 1e-200}, "schedule.eps", OVERFLOW),
+        ("pmvr", {"theorem": "thm1", "eps": 1e-320, "overrides": {"t": 10}},
+         "schedule.eps", OVERFLOW),
+        ("stagewise-v2", {"theorem": "thm8", "eps": 1e-320, "modulus": 2.0},
+         "schedule.eps", OVERFLOW),
+        # keys that nothing would read
+        ("pmvr", _theorem("thm1", overrides={"n": 5}), "schedule.overrides.n",
+         "pmvr runs no subsolver for n"),
+        ("pmvr", _theorem("thm2", overrides={"t": 5, "n": 5}), "schedule.overrides.n",
+         "pmvr runs no subsolver for n"),
+        ("baseline", _theorem("thm1", overrides={"n": 5}), "schedule.overrides.n",
+         "baseline runs no subsolver for n"),
+        *[(algorithm, _theorem(thm, modulus=2.0), "schedule.modulus", f"{thm} takes no modulus")
+          for algorithm, thms in RUNS.items() for thm in thms if thm not in ("thm7", "thm8")],
+        ("baseline", _theorem("thm1", modulus=2.0), "schedule.modulus", "thm1 takes no modulus"),
+    ])
+    def test_schedule_fault(self, algorithm, schedule, path, message):
+        assert _schedule_error(algorithm, schedule) == (path, message)
+
+    @pytest.mark.parametrize("algorithm, thm, fault", list(_pairing_cases()))
+    def test_algorithm_theorem_pairing(self, algorithm, thm, fault):
+        raw = dict(MINIMAL, algorithm=algorithm, schedule=_theorem(thm))
+        if fault is None:
+            assert validate_config(raw).schedule["theorem"] == thm
+        else:
+            assert _schedule_error(algorithm, _theorem(thm)) == fault
+
+    @pytest.mark.parametrize("algorithm, schedule, path, message", list(_number_faults()))
+    def test_number_fault(self, algorithm, schedule, path, message):
+        assert _schedule_error(algorithm, schedule) == (path, message)
+
+    @pytest.mark.parametrize("algorithm, schedule, field", list(_number_bounds()))
+    def test_number_at_its_bound_is_accepted(self, algorithm, schedule, field):
+        validate_config(dict(MINIMAL, algorithm=algorithm, schedule=schedule))
+
+    @pytest.mark.parametrize("algorithm, schedule, top, path, message", [
+        # the algorithm, then the schedule, then the fields after it
+        ("sgd", [], {}, "algorithm", "unknown algorithm 'sgd'"),
+        (["pmvr"], [], {}, "algorithm", "unknown algorithm ['pmvr']"),
+        ("pmvr", [], {"seed": -1, "beta": 0}, "schedule", "expected an object"),
+        ("pmvr", {"theorem": "thm1", "eps": 0}, {"set": 5, "beta": "x"},
+         "schedule.eps", "value 0.0 out of range"),
+        ("pmvr", {"theorem": "thm1", "eps": 0.0098}, {"set": 5, "seed": -1, "beta": 0},
+         "schedule.eps", f"1062483 {STRIDE}"),
+        ("baseline", _theorem("thm1"), {"set": 5, "beta": 0},
+         "schedule", "the baseline takes explicit parameters only"),
+        ("pmvr", _theorem("thm1"), {"set": 5, "beta": 0}, "set", "expected an object"),
+        ("pmvr", _theorem("thm1"), {"seed": -1, "beta": 0}, "seed", "value -1 out of range"),
+        ("pmvr-v2", _theorem("thm3"), {"beta": 0}, "beta", "value 0.0 out of range"),
+        ("pmvr-v2", _theorem("thm3"), {"beta": True}, "beta", "expected a number, got True"),
+        ("pmvr", _theorem("thm1"), {"beta": "1"}, "beta", "expected a number, got '1'"),
+        # within the section: the mode, then its keys, then the values in order
+        ("stagewise", {"explicit": [], "theorem": "thm1"}, {}, "schedule",
+         "exactly one of theorem | explicit | stages is required"),
+        ("stagewise", {"explicit": []}, {}, "schedule.explicit",
+         "stage-wise algorithms take a theorem or stages"),
+        ("pmvr", {"stages": [], "zz": 1}, {}, "schedule.stages", "pmvr is not stage-wise"),
+        ("pmvr", {"theorem": "thm9", "eps": 0, "zz": 1}, {}, "schedule.zz", "unknown key"),
+        ("pmvr", {"theorem": "thm9", "eps": 0}, {}, "schedule.theorem", "unknown theorem 'thm9'"),
+        ("pmvr", {"theorem": "thm3", "eps": 0}, {}, "schedule.theorem",
+         "pmvr runs thm1 or thm2, not thm3"),
+        ("pmvr", {"theorem": "thm1", "eps": 0, "constants": []}, {}, "schedule.eps",
+         "value 0.0 out of range"),
+        ("pmvr", _theorem("thm1", constants={"eta": 0}, overrides=[]), {},
+         "schedule.constants.eta", "value 0.0 out of range"),
+        ("pmvr", _theorem("thm1", constants={"zz": 0, "eta": 0}), {},
+         "schedule.constants.zz", "unknown key"),
+        ("pmvr", _theorem("thm1", overrides={"t": 0, "eta": 2}), {},
+         "schedule.overrides.t", "value 0 out of range"),
+        ("pmvr", _theorem("thm1", overrides={"eta": 2, "t": 0}), {},
+         "schedule.overrides.eta", "value 2.0 out of range"),
+        ("stagewise", _theorem("thm5", overrides={"t": 0}), {},
+         "schedule.overrides.t", "value 0 out of range"),
+        ("stagewise-v2", {"theorem": "thm7", "eps": 0.5, "overrides": {"t": 5}, "modulus": 0},
+         {}, "schedule.overrides", "overrides apply to single-run schedules only"),
+        ("stagewise", {"theorem": "thm7", "eps": 0.5, "modulus": 0}, {},
+         "schedule.theorem", "stagewise runs thm5 or thm6, not thm7"),
+        ("pmvr", {"explicit": {"eta": 2, "zz": 1}}, {}, "schedule.explicit.zz", "unknown key"),
+        ("pmvr", {"explicit": {"t": 0}}, {}, "schedule.explicit.eta", "required key is missing"),
+        ("pmvr", {"explicit": dict(EXPLICIT, t=0, eta=2)}, {},
+         "schedule.explicit.eta", "value 2.0 out of range"),
+        ("pmvr", {"explicit": dict(EXPLICIT_V2, t=2**20)}, {},
+         "schedule.explicit.n", "pmvr runs no subsolver for n"),
+        ("pmvr-v2", {"explicit": dict(EXPLICIT, n=0)}, {},
+         "schedule.explicit.n", "value 0 out of range"),
+        ("stagewise", {"stages": [], "b0": 0}, {}, "schedule.stages",
+         "expected a non-empty list"),
+        ("stagewise", {"stages": [5], "b0": 0}, {}, "schedule.b0", "value 0 out of range"),
+        ("stagewise", {"stages": [dict(STAGE, t=0), 5]}, {}, "schedule.stages[0].t",
+         "value 0 out of range"),
+        ("stagewise", dict(STAGES_V2, stages=[dict(STAGE, t=2**20)]), {},
+         "schedule.n", "stagewise runs no subsolver for n"),
+        # a set length is checked before the rates, which may overflow
+        ("pmvr", {"theorem": "thm1", "eps": 1e-320, "overrides": {"t": 2**20}}, {},
+         "schedule.overrides.t", f"1048576 {STRIDE}"),
+        # the keys nothing reads are refused after the pairing and the ranges
+        ("stagewise", {"theorem": "thm7", "eps": 0.5, "modulus": 1.0}, {},
+         "schedule.theorem", "stagewise runs thm5 or thm6, not thm7"),
+        ("pmvr", {"theorem": "thm3", "eps": 0.5, "overrides": {"n": 5}}, {},
+         "schedule.theorem", "pmvr runs thm1 or thm2, not thm3"),
+        ("pmvr", _theorem("thm1", overrides={"n": 5, "eta": 2}), {},
+         "schedule.overrides.eta", "value 2.0 out of range"),
+        ("stagewise", _theorem("thm5", overrides={"n": 5}), {},
+         "schedule.overrides", "overrides apply to single-run schedules only"),
+        ("pmvr", _theorem("thm1", overrides={"n": 5}, modulus=0), {},
+         "schedule.overrides.n", "pmvr runs no subsolver for n"),
+        ("pmvr", _theorem("thm1", constants={"eta": 0}, modulus=2.0), {},
+         "schedule.constants.eta", "value 0.0 out of range"),
+        ("pmvr", _theorem("thm1", modulus=0), {}, "schedule.modulus", "thm1 takes no modulus"),
+        ("pmvr", {"theorem": "thm1", "eps": 0.0098, "modulus": 2.0}, {},
+         "schedule.modulus", "thm1 takes no modulus"),
+    ])
+    def test_fault_order(self, algorithm, schedule, top, path, message):
+        assert _schedule_error(algorithm, schedule, **top) == (path, message)
+
+    @pytest.mark.parametrize("algorithm, schedule, resolved", [
+        ("pmvr", {"theorem": "thm1", "eps": 1},
+         {"mode": "theorem", "theorem": "thm1", "eps": 1.0, "constants": {}, "overrides": {}}),
+        ("pmvr-v2", _theorem("thm3", constants={"n": 2}, overrides={"eta": 1, "n": 3}),
+         {"mode": "theorem", "theorem": "thm3", "eps": 0.5, "constants": {"n": 2.0},
+          "overrides": {"eta": 1.0, "n": 3}}),
+        ("stagewise-v2", {"theorem": "thm8", "eps": 0.5, "modulus": 3},
+         {"mode": "theorem", "theorem": "thm8", "eps": 0.5, "constants": {}, "overrides": {},
+          "modulus": 3.0}),
+        ("stagewise-v2", {"theorem": "thm8", "eps": 0.5},
+         {"mode": "theorem", "theorem": "thm8", "eps": 0.5, "constants": {}, "overrides": {}}),
+        ("baseline", {"explicit": {"eta": 1, "alpha": 1, "b1": 2, "t": 3}},
+         {"mode": "explicit", "explicit": {"eta": 1.0, "alpha": 1.0, "b1": 2, "t": 3, "b0": 1}}),
+        ("pmvr-v2", {"explicit": dict(EXPLICIT_V2, coeff=2)},
+         {"mode": "explicit", "explicit": dict(EXPLICIT_V2, coeff=2.0, b0=1)}),
+        ("stagewise", {"stages": [STAGE], "b0": 4},
+         {"mode": "stages", "b0": 4, "stages": [STAGE]}),
+        ("stagewise-v2", STAGES_V2,
+         {"mode": "stages", "n": 2, "coeff": 1.0, "b0": 1, "stages": [STAGE]}),
+    ])
+    def test_validated_section(self, algorithm, schedule, resolved):
+        cfg = validate_config(dict(MINIMAL, algorithm=algorithm, schedule=schedule))
+        # RunConfig.schedule keeps the validated section, with its numbers typed
+        assert json.dumps(cfg.schedule, sort_keys=True) == json.dumps(resolved, sort_keys=True)
