@@ -132,8 +132,7 @@ def mean_variance_problem(data, lam):
         _return_and_weights_level(data, -1.0),
         Level(d + 1, 1, f2, j2, f2_exact, j2_exact, samples=FiniteSamples(periods)),
     ]
-    meta = ProblemMetadata(notes={"lambda": lam, "dataset_periods": periods})
-    return CompositionalProblem(levels, metadata=meta, name="mean_variance")
+    return CompositionalProblem(levels, name="mean_variance")
 
 
 def mean_deviation_problem(data, lam):
@@ -208,10 +207,7 @@ def mean_deviation_problem(data, lam):
         Level(d + 1, 2, g2, jg2, g2_exact, jg2_exact, samples=space),
         Level(2, 1, g3, jg3, g3_exact, jg3_exact, samples=space),
     ]
-    meta = ProblemMetadata(
-        notes={"lambda": lam, "sqrt_shift": SQRT_SHIFT, "dataset_periods": periods}
-    )
-    return CompositionalProblem(levels, metadata=meta, name="mean_deviation")
+    return CompositionalProblem(levels, name="mean_deviation")
 
 
 def mean_deviation_direct(data, lam, x):
@@ -337,10 +333,7 @@ def single_index_problem(config):
         return (d_q2 - 2.0 * d_pq).reshape(-1, 1)
 
     level = Level(m * n, 1, loss, loss_grad, exact_loss, exact_grad, samples=space)
-    meta = ProblemMetadata(
-        f_star=sigma**2,
-        notes={"sigma": sigma, "noise_var": nu, "radius": s},
-    )
+    meta = ProblemMetadata(f_star=sigma**2)
     problem = CompositionalProblem(
         [level], x_shape=(m, n), metadata=meta, name="single_index"
     )
@@ -393,11 +386,7 @@ def quadratic_distance_problem(c, fset, noise=0.05):
     level = Level(d, 1, value, jac, value_exact, jac_exact,
                   samples=GenerativeSamples(draw))
     proj = fset.project(c)
-    meta = ProblemMetadata(
-        f_star=float((proj - c) @ (proj - c)),
-        strong_convexity=2.0,
-        notes={"noise": noise},
-    )
+    meta = ProblemMetadata(f_star=float((proj - c) @ (proj - c)), strong_convexity=2.0)
     return CompositionalProblem([level], metadata=meta, name="quadratic_distance")
 
 

@@ -176,15 +176,7 @@ def run_config(cfg):
 
 
 def cmd_run(args):
-    cfg = load_run_config(args.config)
-    data = dict(cfg.raw)
-    if args.seed is not None:
-        data["seed"] = args.seed
-    if args.reps is not None:
-        data["reps"] = args.reps
-    if args.out is not None:
-        data["out"] = args.out
-    cfg = validate_config(data, name=cfg.name)
+    cfg = load_run_config(args.config, seed=args.seed, reps=args.reps, out=args.out)
     paths, agg_path, meta_path = run_config(cfg)
     for p in paths:
         print(f"trace: {p}")

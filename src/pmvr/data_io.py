@@ -595,11 +595,12 @@ def resolve_schedule(sched, beta, problem=None):
 
     A theorem's rates come from ``schedule_for``, ``beta`` being the
     subsolver's curvature, and its ``overrides`` replace them; explicit
-    stages share the section's ``b0``, ``n`` and ``coeff``. 2**20 or more
-    iterations in total are refused under the locator of the count: level
-    i's late batches would repeat level i+1's sample streams. A thm7/thm8
-    schedule without ``modulus`` takes ``problem``'s, and is None if no
-    problem is given.
+    stages share the section's ``b0``, ``n`` and ``coeff``, and a list out
+    of StageSchedule's order is refused under ``schedule.stages``. 2**20 or
+    more iterations in total are refused under the locator of the count:
+    level i's late batches would repeat level i+1's sample streams. A
+    thm7/thm8 schedule without ``modulus`` takes ``problem``'s, and is None
+    if no problem is given.
     """
     mode = sched["mode"]
     if mode == "explicit":
@@ -607,7 +608,10 @@ def resolve_schedule(sched, beta, problem=None):
     elif mode == "stages":
         stages = [_params({**sched, **st}) for st in sched["stages"]]
         targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
-        path, out = "schedule.stages", StageSchedule(stages=stages, targets=targets)
+        try:
+            path, out = "schedule.stages", StageSchedule(stages=stages, targets=targets)
+        except ValueError as exc:  # stages out of order
+            raise ConfigError("schedule.stages", str(exc)) from None
     else:
         criterion, batch_mode = THEOREMS[sched["theorem"]]
         lam = sched.get("modulus")
@@ -741,13 +745,18 @@ def validate_config(data, name="run"):
     )
 
 
-def load_run_config(path):
-    """Parse and validate a JSON run configuration file."""
+def load_run_config(path, seed=None, reps=None, out=None):
+    """Parse a JSON run configuration file and validate it, once, with each
+    of ``seed``, ``reps`` and ``out`` that is given replacing the file's
+    key of that name."""
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ConfigError("", f"invalid JSON: {exc}") from exc
+    flags = {"seed": seed, "reps": reps, "out": out}
+    if isinstance(data, dict):  # any other root is refused by validation
+        data.update((k, v) for k, v in flags.items() if v is not None)
     stem = os.path.splitext(os.path.basename(path))[0]
     return validate_config(data, name=stem)
 

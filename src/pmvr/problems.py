@@ -22,13 +22,12 @@ metrics are computed exactly instead of by Monte Carlo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Optional
 
 import numpy as np
 
 from .core import ShapeMismatchError, matmul_chain
-from .rng import generator_for
 
 
 class FiniteSamples:
@@ -90,7 +89,6 @@ class ProblemMetadata:
 
     f_star: Optional[float] = None
     strong_convexity: Optional[float] = None
-    notes: dict = field(default_factory=dict)
 
 
 class CompositionalProblem:
@@ -168,10 +166,11 @@ def _chain_gradient(problem, x, values):
     return problem.unflatten(grad.reshape(-1))
 
 
-def sample_batch(level, rng, batch_size):
-    """Draw batch_size i.i.d. samples from the level's sample space."""
+def sample_batch(level, gen, batch_size):
+    """Draw batch_size i.i.d. samples from the level's sample space with
+    the numpy Generator ``gen``."""
     if batch_size < 1:
         raise ValueError("batch size must be >= 1")
     if level.samples is None:
         raise ValueError("level has no sample space")
-    return level.samples.draw(generator_for(rng), int(batch_size))
+    return level.samples.draw(gen, int(batch_size))

@@ -181,12 +181,3 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, path={self.path})"
-
-
-def generator_for(rng):
-    """Accept either a RandomSource or a bare numpy Generator."""
-    if isinstance(rng, RandomSource):
-        return rng.generator
-    if isinstance(rng, np.random.Generator):
-        return rng
-    raise TypeError(f"expected RandomSource or numpy Generator, got {type(rng)!r}")

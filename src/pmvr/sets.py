@@ -21,7 +21,7 @@ carry None and admit by ``contains``, which simplex and box keep, since
 theirs is O(d). The nuclear ball carries an upper bound B on the nuclear
 norm:
 
-* a full SVD gives it for the start point;
+* a full SVD gives it for a start point or a subsolver anchor;
 * an LMO atom ``-r u v^T`` has ``||z||_* <= r ||u|| ||v||``, an O(m + n)
   number from the atom's own factors;
 * a projection reuses the singular values it already has;
@@ -267,8 +267,6 @@ class NuclearNormBall(FeasibleSet):
         return x, _rounded_up(size + slack, self.m + self.n + k + 8)
 
     def _combine(self, bound, atom_bound, eta):
-        if bound is None:  # the public subsolver's anchor carries no bound
-            return None
         # ||(1 - eta) x + eta z||_* <= |1 - eta| B + |eta| B_z. Each entry of
         # the computed x + eta (z - x), or (1 - eta) x + eta z, is off by at
         # most 4 _U ((1 + |eta|) |x| + |eta| |z|); that error matrix has

@@ -117,7 +117,12 @@ class SolverParams:
 
 @dataclass
 class StageSchedule:
-    """Per-stage parameters with geometrically shrinking accuracy targets."""
+    """Per-stage parameters with geometrically shrinking accuracy targets.
+
+    The stage-wise adaptation runs stages whose T does not decrease and
+    whose eta and alpha do not increase; a list that breaks this, or has no
+    stage, or a target count other than its stage count, raises ValueError.
+    """
 
     stages: list
     targets: list
@@ -128,6 +133,11 @@ class StageSchedule:
             raise ValueError("a stage schedule needs at least one stage")
         if len(self.targets) != len(self.stages):
             raise ValueError("one accuracy target per stage required")
+        for a, b in zip(self.stages, self.stages[1:]):
+            if b.iters < a.iters:
+                raise ValueError("stage iteration counts must be non-decreasing")
+            if b.eta > a.eta + 1e-15 or b.alpha > a.alpha + 1e-15:
+                raise ValueError("eta and alpha must be non-increasing across stages")
 
 
 @dataclass
@@ -200,9 +210,10 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None):
     if n_iters < 1:
         raise ValueError("n_iters must be >= 1")
     x_t = np.asarray(x_t, dtype=np.float64)
-    if not fset.contains(x_t, FEASIBILITY_TOL):
+    bound = fset._bound(x_t)
+    if not fset._admits(x_t, bound, FEASIBILITY_TOL):
         raise FeasibilityError("subsolver anchor point is infeasible")
-    return _fw_subsolve(v, x_t, None, coeff, n_iters, fset, gamma)[0]
+    return _fw_subsolve(v, x_t, bound, coeff, n_iters, fset, gamma)[0]
 
 
 def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset, gamma=None):
@@ -459,14 +470,9 @@ def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
     Initialization happens once, before stage 1; every later stage continues
     from the previous stage's final state (never re-initialized). Stage
     boundaries are tagged 1..S in the trace, and per-stage end snapshots are
-    returned for inspection. Stages whose T decreases, or eta or alpha
-    increases, raise ValueError.
+    returned for inspection. The stages' order was checked when
+    ``schedule`` was built (see StageSchedule).
     """
-    for a, b in zip(schedule.stages, schedule.stages[1:]):
-        if b.iters < a.iters:
-            raise ValueError("stage iteration counts must be non-decreasing")
-        if b.eta > a.eta + 1e-15 or b.alpha > a.alpha + 1e-15:
-            raise ValueError("eta and alpha must be non-increasing across stages")
     stages = list(enumerate(schedule.stages, start=1))
     return _run_stages(problem, fset, stages, x0, rng, trace, _init_state, pmvr_step)
 

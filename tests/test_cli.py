@@ -83,6 +83,31 @@ class TestRun:
         meta = json.load(open(os.path.join(out, "cfg_meta.json")))
         assert meta["resolved"]["seeds"] == [9, 10]
 
+    @pytest.mark.parametrize("seed", [None, -1, 1.5, "7"])
+    def test_seed_flag_stands_in_for_the_files_seed(self, tmp_path, seed):
+        out = str(tmp_path / "runs")
+        cfg = {k: v for k, v in BASE.items() if k != "seed"}
+        if seed is not None:
+            cfg["seed"] = seed
+        path = write_config(tmp_path, dict(cfg, out=out))
+        assert cli.main(["run", "--config", path, "--seed", "4"]) == 0
+        meta = json.load(open(os.path.join(out, "cfg_meta.json")))
+        assert meta["resolved"]["seeds"] == [4]
+        assert meta["config"]["seed"] == 4
+
+    def test_a_run_validates_once(self, tmp_path, monkeypatch):
+        validations, resolutions = [], []
+        validate, resolve = data_io.validate_config, solvers.schedule_for
+        for module in (data_io, cli):
+            monkeypatch.setattr(module, "validate_config",
+                                lambda *a, **k: validations.append(a) or validate(*a, **k))
+        monkeypatch.setattr(data_io, "schedule_for",
+                            lambda *a, **k: resolutions.append(a[:2]) or resolve(*a, **k))
+        path = write_config(tmp_path, dict(BASE, out=str(tmp_path / "runs")))
+        assert cli.main(["run", "--config", path, "--seed", "2"]) == 0
+        assert len(validations) == 1
+        assert resolutions == [("fw_gap", "constant")]
+
     def test_counter_trace_consistency(self, tmp_path):
         out = str(tmp_path / "runs")
         cfg = {
@@ -413,8 +438,6 @@ class TestScheduleResolution:
         ("baseline", {"explicit": {"eta": 0.05, "alpha": 1, "b1": 2, "t": 9}}),
         ("stagewise", {"stages": [STAGE, LATER], "b0": 5}),
         ("stagewise-v2", {"stages": [STAGE, LATER], "n": 3, "coeff": 0.5}),
-        # a stage list the stage-wise run refuses still resolves
-        ("stagewise", {"stages": [LATER, STAGE]}),
         *[("pmvr-v2", {"theorem": "thm3", "eps": 0.3, "overrides": {key: value}})
           for key, value in (("eta", 1), ("alpha", 0.5), ("b0", 4), ("b1", 5), ("t", 11),
                              ("n", 6))],
@@ -456,11 +479,33 @@ class TestScheduleResolution:
         ([STAGE, dict(STAGE, alpha=0.75)], "eta and alpha must be non-increasing across stages"),
     ])
     def test_a_stage_list_out_of_order_fails_at_run_time(self, tmp_path, capsys, stages, message):
+        # `pmvr run` refuses it at validation, before any problem or output is built
         cfg = dict(BASE, algorithm="stagewise", schedule={"stages": stages},
                    out=str(tmp_path / "o"))
-        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 2
-        assert f"error: {message}" in capsys.readouterr().err
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert f"error: schedule.stages: {message}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+    def test_a_stage_list_out_of_order_builds_no_problem(self, tmp_path, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_problem", lambda spec: built.append(spec))
+        cfg = dict(BASE, algorithm="stagewise", schedule={"stages": [STAGE, LATER, STAGE]},
+                   out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err.startswith("error: schedule.stages: ")
+        assert built == []
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("stages, message", [
+        ([LATER, STAGE], "stage iteration counts must be non-decreasing"),
+        ([STAGE, dict(STAGE, eta=0.25)], "eta and alpha must be non-increasing across stages"),
+        ([STAGE, dict(STAGE, alpha=0.75)], "eta and alpha must be non-increasing across stages"),
+    ])
+    def test_stage_schedule_refuses_stages_out_of_order(self, stages, message):
+        params = [SolverParams(eta=st["eta"], alpha=st["alpha"], b0=1, b1=st["b1"],
+                               iters=st["t"]) for st in stages]
+        with pytest.raises(ValueError, match=message):
+            StageSchedule(stages=params, targets=[0.5, 0.25])
 
     def test_a_modulus_from_the_problem_is_required(self):
         cfg = validate_config(dict(BASE, algorithm="stagewise-v2",

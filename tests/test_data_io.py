@@ -415,9 +415,9 @@ class TestConfigValidation:
 
     def test_stages_summing_to_the_stride_are_refused(self):
         stage = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 2**19}
-        schedule = {"stages": [stage, dict(stage, t=2**19 - 1)]}
+        schedule = {"stages": [dict(stage, t=2**19 - 1), stage]}
         validate_config(dict(MINIMAL, algorithm="stagewise", schedule=schedule))
-        schedule["stages"][1]["t"] = 2**19
+        schedule["stages"][0]["t"] = 2**19
         with pytest.raises(ConfigError, match="stream stride") as err:
             validate_config(dict(MINIMAL, algorithm="stagewise", schedule=schedule))
         assert err.value.path == "schedule.stages"
@@ -785,6 +785,8 @@ def _schedule_error(algorithm, schedule, **top):
 EXPLICIT = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 5}
 EXPLICIT_V2 = dict(EXPLICIT, n=2, coeff=1.0)
 STAGE = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 5}
+# a first stage that every in-range later stage follows in order
+FIRST = {"eta": 1.0, "alpha": 1.0, "b1": 1, "t": 1}
 STAGES_V2 = {"stages": [STAGE], "n": 2, "coeff": 1.0}
 RUNS = {"pmvr": ("thm1", "thm2"), "pmvr-v2": ("thm3", "thm4"),
         "stagewise": ("thm5", "thm6"), "stagewise-v2": ("thm7", "thm8")}
@@ -834,7 +836,7 @@ def _number_fields():
     for key in ("b0", "n", "coeff"):
         yield ("stagewise-v2", lambda v, k=key: dict(STAGES_V2, **{k: v}), key, *params[key])
     for key in ("eta", "alpha", "b1", "t"):
-        yield ("stagewise", lambda v, k=key: {"stages": [STAGE, dict(STAGE, **{k: v})]},
+        yield ("stagewise", lambda v, k=key: {"stages": [FIRST, dict(STAGE, **{k: v})]},
                f"stages[1].{key}", *params[key])
 
 

@@ -138,6 +138,16 @@ class TestSubsolver:
         with pytest.raises(FeasibilityError):
             quadratic_fw_subsolve(np.zeros(2), np.array([2.0, 2.0]), 1.0, 3, Simplex(2))
 
+    def test_infeasible_nuclear_anchor_rejected(self):
+        from pmvr.solvers import FeasibilityError
+
+        ball = NuclearNormBall(3, 4, 1.0)
+        v = np.random.default_rng(2).standard_normal((3, 4))
+        w = quadratic_fw_subsolve(v, np.eye(3, 4) / 3.0, 1.0, 5, ball)
+        assert ball.contains(w, 1e-9)
+        with pytest.raises(FeasibilityError):
+            quadratic_fw_subsolve(v, np.eye(3, 4) / 2.0, 1.0, 3, ball)
+
 
 class TestPmvrStep:
     def test_linear_objective_one_step_to_vertex(self):
