@@ -14,7 +14,7 @@ from pmvr.benchmarks import (
     mean_variance_problem,
     synthetic_portfolio_data,
 )
-from pmvr.solvers import projected_baseline_run
+from pmvr.solvers import SolverParams, projected_baseline_run
 
 data = synthetic_portfolio_data(d=10, periods=500, data_seed=0)
 fset = Simplex(10)
@@ -36,8 +36,6 @@ print(f"returned iterate tau={res.tau}, weights {np.round(res.x_tau, 3)}")
 print("\n== mean-deviation (three levels) ==")
 # the smoothed square root is steep near zero variance, so this objective
 # wants heavier per-step averaging than the two-level one
-from pmvr.solvers import SolverParams
-
 params3 = SolverParams(eta=0.01, alpha=0.03, b0=100, b1=8, iters=1000)
 problem3 = mean_deviation_problem(data, lam=1.0)
 res3 = pmvr_run(problem3, fset, params3, x1, RandomSource(7),
@@ -46,7 +44,9 @@ for row in res3.trace:
     print(f"iter {row.iteration:>5}: F = {row.objective:.6f}, fw gap = {row.fw_gap:.3e}")
 
 print("\n== projected-gradient baseline (sanity comparator) ==")
-resb = projected_baseline_run(problem, fset, 0.05, 0.5, 2, 1000, x1, RandomSource(7),
+# the same entry-point signature; the baseline draws no B0 batch
+paramsb = SolverParams(eta=0.05, alpha=0.5, b0=1, b1=2, iters=1000)
+resb = projected_baseline_run(problem, fset, paramsb, x1, RandomSource(7),
                               trace=TraceConfig(metric_every=500, keep_iterates=False))
 for row in resb.trace:
     print(f"iter {row.iteration:>5}: F = {row.objective:.6f}, fw gap = {row.fw_gap:.3e}")

@@ -163,7 +163,7 @@ def gradient_suite(seed=0, points=5, tol=1e-5):
     return results
 
 
-def subsolver_suite(seed=0, pairs=50, gamma=None):
+def subsolver_suite(seed=0, pairs=50):
     """Certificate g(w_{N+1}) - g(w*) <= 2*coeff*D^2/(N+2) on the simplex."""
     results = []
     gen = RandomSource(seed).split(3).generator
@@ -180,7 +180,7 @@ def subsolver_suite(seed=0, pairs=50, gamma=None):
             def g(w):
                 return inner(v, w - x_t) + 0.5 * coeff * inner(w - x_t, w - x_t)
 
-            w = quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=gamma)
+            w = quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset)
             w_star = fset.project(x_t - v / coeff)
             worst = max(worst, g(w) - g(w_star) - bound)
         results.append(

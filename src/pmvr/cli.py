@@ -17,8 +17,6 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-import numpy as np
-
 from . import __version__
 from .benchmarks import SQRT_SHIFT
 from .checks import run_suites
@@ -32,7 +30,7 @@ from .data_io import (
     load_run_config,
     resolve_schedule,
     validate_config,
-    write_csv,
+    write_aggregate_csv,
     write_metadata,
     write_trace_csv,
 )
@@ -81,55 +79,12 @@ def execute_rep(cfg, seed):
     trace_cfg = TraceConfig(
         metric_every=cfg.metric_every, beta=cfg.beta, keep_iterates=False
     )
-    entry = ALGORITHMS[cfg.algorithm]
     # the entry point is looked up now, so a wrapper installed on this
-    # module is the one that runs; the baseline takes its parameters singly
-    args = (schedule,) if entry.theorems else (
-        schedule.eta, schedule.alpha, schedule.b1, schedule.iters)
-    result = globals()[entry.run](problem, fset, *args, x1, rng, trace=trace_cfg)
+    # module is the one that runs
+    result = globals()[ALGORITHMS[cfg.algorithm].run](
+        problem, fset, schedule, x1, rng, trace=trace_cfg
+    )
     return result.trace, schedule
-
-
-def aggregate_rows(traces):
-    """Mean/std per metric across repetitions, aligned on the iteration grid."""
-    grids = [[(r.iteration, r.stage) for r in t] for t in traces]
-    if any(g != grids[0] for g in grids[1:]):
-        raise RuntimeError("repetitions produced different iteration grids")
-    out = []
-    for idx, (iteration, stage) in enumerate(grids[0]):
-        rows = [t[idx] for t in traces]
-
-        def stats(attr):
-            vals = [getattr(r, attr) for r in rows]
-            if any(v is None for v in vals):
-                return None, None
-            arr = np.asarray(vals, dtype=np.float64)
-            return float(arr.mean()), float(arr.std())
-
-        record = {
-            "iter": iteration,
-            "stage": stage,
-            "sfo": rows[0].sfo,
-            "lmo": rows[0].lmo,
-            "seconds_mean": float(np.mean([r.seconds for r in rows])),
-        }
-        for attr in ("objective", "fw_gap", "grad_map", "opt_gap"):
-            mean, std = stats(attr)
-            record[f"{attr}_mean"] = mean
-            record[f"{attr}_std"] = std
-        out.append(record)
-    return out
-
-
-AGG_HEADER = (
-    "iter,stage,sfo,lmo,seconds_mean,objective_mean,objective_std,"
-    "fw_gap_mean,fw_gap_std,grad_map_mean,grad_map_std,opt_gap_mean,opt_gap_std"
-)
-
-
-def write_aggregate_csv(records, path):
-    columns = AGG_HEADER.split(",")
-    write_csv(path, AGG_HEADER, ([r[c] for c in columns] for r in records))
 
 
 def run_config(cfg):
@@ -149,7 +104,7 @@ def run_config(cfg):
         write_trace_csv(trace, path)
         paths.append(path)
     agg_path = os.path.join(cfg.out, f"{cfg.name}_agg.csv")
-    write_aggregate_csv(aggregate_rows(traces), agg_path)
+    write_aggregate_csv(traces, agg_path)
     meta_path = os.path.join(cfg.out, f"{cfg.name}_meta.json")
     problem_notes = {}
     if cfg.problem["name"] == "mean_deviation":

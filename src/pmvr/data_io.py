@@ -11,7 +11,8 @@ config section and builds it, a set for the problem built before it. Each
 algorithm is one entry of ``ALGORITHMS``, and ``resolve_schedule`` alone
 turns a ``schedule`` section into solver parameters, once per config, when
 it is validated. Traces and the aggregate round-trip field-exactly through
-CSV with 17-significant-digit floats.
+CSV with 17-significant-digit floats, their columns written out once, in
+``TRACE_COLUMNS`` and ``AGGREGATE_CRITERIA``.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .solvers import (
     schedule_for,
 )
 
-TRACE_HEADER = "iter,stage,seconds,sfo,lmo,objective,fw_gap,grad_map,beta,opt_gap"
 SENTINELS = (-99.99, -999.0)
 
 
@@ -74,6 +74,25 @@ class ParseError(ValueError):
 
 # --- trace rows -----------------------------------------------------------
 
+def _optional_float(cell):
+    return None if cell == "" else float(cell)
+
+
+# each trace CSV column and the parser of its cells, in TraceRow field order
+TRACE_COLUMNS = {
+    "iter": int, "stage": int, "seconds": float, "sfo": int, "lmo": int,
+    "objective": float, "fw_gap": float, "grad_map": float, "beta": float,
+    "opt_gap": _optional_float,
+}
+TRACE_HEADER = ",".join(TRACE_COLUMNS)
+# the criteria the aggregate averages across repetitions
+AGGREGATE_CRITERIA = ("objective", "fw_gap", "grad_map", "opt_gap")
+AGGREGATE_HEADER = ",".join(
+    ["iter", "stage", "sfo", "lmo", "seconds_mean"]
+    + [f"{c}_{stat}" for c in AGGREGATE_CRITERIA for stat in ("mean", "std")]
+)
+
+
 def _cell(value):
     """One CSV cell: empty for None, 17 significant digits for a float."""
     if value is None:
@@ -95,30 +114,49 @@ def write_trace_csv(trace, path):
 
 
 def read_trace_csv(path):
+    """The TraceRows of a trace file. A wrong header, field count or cell
+    raises ParseError naming the path and line, and a cell's column."""
     with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip()]
-    if not lines or lines[0] != TRACE_HEADER:
-        raise ParseError(f"{path}: header mismatch, expected {TRACE_HEADER!r}")
+        lines = [(n, ln.rstrip("\n")) for n, ln in enumerate(fh, start=1) if ln.strip()]
+    if not lines or lines[0][1] != TRACE_HEADER:
+        where = f"{path}:{lines[0][0]}" if lines else str(path)
+        raise ParseError(f"{where}: header mismatch, expected {TRACE_HEADER!r}")
     rows = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 10:
-            raise ParseError(f"{path}: expected 10 fields, got {len(parts)}: {ln!r}")
-        rows.append(
-            TraceRow(
-                iteration=int(parts[0]),
-                stage=int(parts[1]),
-                seconds=float(parts[2]),
-                sfo=int(parts[3]),
-                lmo=int(parts[4]),
-                objective=float(parts[5]),
-                fw_gap=float(parts[6]),
-                grad_map=float(parts[7]),
-                beta=float(parts[8]),
-                opt_gap=None if parts[9] == "" else float(parts[9]),
-            )
-        )
+    for lineno, ln in lines[1:]:
+        cells = ln.split(",")
+        if len(cells) != len(TRACE_COLUMNS):
+            raise ParseError(f"{path}:{lineno}: expected {len(TRACE_COLUMNS)} fields, "
+                             f"got {len(cells)}: {ln!r}")
+        values = []
+        for col, ((name, parse), cell) in enumerate(zip(TRACE_COLUMNS.items(), cells), 1):
+            try:
+                values.append(parse(cell))
+            except ValueError:
+                raise ParseError(
+                    f"{path}:{lineno}: malformed {name} in column {col}: {cell!r}"
+                ) from None
+        rows.append(TraceRow(*values))
     return rows
+
+
+def write_aggregate_csv(traces, path):
+    """Per row of the repetitions' ``traces`` (one iteration grid), each
+    criterion's mean and population std, empty if any repetition's is."""
+    grids = [[(r.iteration, r.stage) for r in t] for t in traces]
+    if any(g != grids[0] for g in grids[1:]):
+        raise RuntimeError("repetitions produced different iteration grids")
+
+    def aggregate(rows):
+        first = rows[0]
+        out = [first.iteration, first.stage, first.sfo, first.lmo,
+               float(np.mean([r.seconds for r in rows]))]
+        for name in AGGREGATE_CRITERIA:
+            values = [getattr(r, name) for r in rows]
+            arr = None if None in values else np.asarray(values, dtype=np.float64)
+            out += [None, None] if arr is None else [float(arr.mean()), float(arr.std())]
+        return out
+
+    write_csv(path, AGGREGATE_HEADER, (aggregate(rows) for rows in zip(*traces)))
 
 
 # --- Kenneth French industry files ----------------------------------------

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ShapeMismatchError
-from .problems import GenerativeSamples, sample_batch
+from .problems import GenerativeSamples, _checked, sample_batch
 from .rng import STREAM_LEVEL_STRIDE, RandomSource
 
 
@@ -59,13 +58,6 @@ class _Stream:
 # Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
 # per-sample gradients, and its streamed draw holds one slice of samples
 _SLICE_ENTRIES = 2**16
-
-
-def _checked(out, want, oracle):
-    out = np.asarray(out, dtype=np.float64)
-    if out.shape != want:
-        raise ShapeMismatchError(f"{oracle} oracle returned shape {out.shape}, expected {want}")
-    return out
 
 
 def _batch_size(batch):
@@ -126,11 +118,10 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         for cut, part in _parts(level, batch, size, width):
             n = cut.stop - cut.start
             for p, chain in enumerate(chains):
-                value = _checked(level.value(chain[i], part), (n, level.out_dim), "value")
+                value = _checked(level.value(chain[i], part), (n, level.out_dim), i, "value")
                 sums[p] = sums[p] + value.sum(axis=0)
-                jac = _checked(
-                    level.jacobian(chain[i], part), (n, level.in_dim, level.out_dim), "jacobian"
-                )
+                jac = _checked(level.jacobian(chain[i], part),
+                               (n, level.in_dim, level.out_dim), i, "jacobian")
                 jac = jac if prods[p] is None else prods[p][cut] @ jac
                 if last:
                     jacs[p] = jacs[p] + jac.sum(axis=0)

@@ -131,12 +131,23 @@ class CompositionalProblem:
         return np.asarray(vec, dtype=np.float64).reshape(self.x_shape)
 
 
+def _checked(out, want, i, oracle):
+    """``out`` as float64; ShapeMismatchError naming level i + 1 and its
+    ``oracle`` unless its shape is ``want``."""
+    out = np.asarray(out, dtype=np.float64)
+    if out.shape != want:
+        raise ShapeMismatchError(f"level {i + 1} {oracle} oracle returned shape "
+                                 f"{out.shape}, expected {want}")
+    return out
+
+
 def exact_inner_values(problem, x):
-    """[y^1 .. y^K] with y^i = f_i(y^{i-1}) and y^0 = x; y^K holds F(x)."""
+    """[y^1 .. y^K] with y^i = f_i(y^{i-1}) and y^0 = x; y^K holds F(x).
+    Each y^i must have shape (out_dim,), which a scalar counts as."""
     y = problem.flatten(x)
     out = []
-    for level in problem.levels:
-        y = np.atleast_1d(np.asarray(level.exact_value(y), dtype=np.float64))
+    for i, level in enumerate(problem.levels):
+        y = _checked(np.atleast_1d(level.exact_value(y)), (level.out_dim,), i, "exact_value")
         out.append(y)
     final = out[-1]
     f_star = problem.metadata.f_star
@@ -146,6 +157,7 @@ def exact_inner_values(problem, x):
             f"bound {f_star}"
         )
     return out
+
 
 def objective(problem, x):
     """F(x) as a float."""
@@ -158,11 +170,13 @@ def exact_gradient(problem, x):
 
 
 def _chain_gradient(problem, x, values):
-    """Exact-Jacobian chain product at x and its inner values [y^1 .. y^K]."""
+    """Chain product of the (in_dim, out_dim) exact Jacobians at x and its
+    inner values [y^1 .. y^K]."""
     chain_inputs = [problem.flatten(x)] + values[:-1]
-    grad = matmul_chain(
-        [level.exact_jacobian(u) for level, u in zip(problem.levels, chain_inputs)]
-    )
+    grad = matmul_chain([
+        _checked(level.exact_jacobian(u), (level.in_dim, level.out_dim), i, "exact_jacobian")
+        for i, (level, u) in enumerate(zip(problem.levels, chain_inputs))
+    ])
     return problem.unflatten(grad.reshape(-1))
 
 

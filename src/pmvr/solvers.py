@@ -11,7 +11,8 @@ SVD per step with an O(1) bound on the nuclear norm; a full check runs at
 the start point and at every metric row. The stage-wise solver runs one
 stage per target accuracy, warm-starting the iterate and both trackers
 from the previous stage; the projected baseline is a different step over
-one stage.
+one stage. The three entry points share the signature (problem, fset,
+schedule, x1, rng, trace=None), with SolverParams or a StageSchedule.
 Parameter schedules turn a target accuracy into concrete constants: one
 table gives, for each theorem's (criterion, batch mode), every
 parameter's power of the accuracy and of the strong convexity modulus,
@@ -173,7 +174,6 @@ class SolverState:
     gradient: Optional[GradientTracker] = None
     prev_chain: Optional[list] = None
     t: int = 0
-    warned_batch: bool = False
 
 
 @dataclass
@@ -199,7 +199,7 @@ class RunResult:
     stage_ends: list = field(default_factory=list)
 
 
-def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None):
+def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset):
     """Approximately minimize <v, w-x_t> + (coeff/2)||w-x_t||^2 over the set.
 
     Runs n_iters Frank-Wolfe steps from w_1 = x_t and returns w_{N+1}, whose
@@ -213,18 +213,16 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset, gamma=None):
     bound = fset._bound(x_t)
     if not fset._admits(x_t, bound, FEASIBILITY_TOL):
         raise FeasibilityError("subsolver anchor point is infeasible")
-    return _fw_subsolve(v, x_t, bound, coeff, n_iters, fset, gamma)[0]
+    return _fw_subsolve(v, x_t, bound, coeff, n_iters, fset)[0]
 
 
-def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset, gamma=None):
+def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset):
     """The subsolver's loop on an anchor the caller has certified by
     ``bound``; returns w and its certificate."""
-    if gamma is None:
-        gamma = classic_gamma
     w = x_t.copy()
     for n in range(1, n_iters + 1):
         s, s_bound = fset._lmo(v + coeff * (w - x_t))
-        g = gamma(n)
+        g = classic_gamma(n)
         w = (1.0 - g) * w + g * s
         bound = fset._combine(bound, s_bound, g)
     return w, bound
@@ -238,8 +236,19 @@ def _feasible_state(fset, x1):
     return SolverState(x=x1, counters=OracleCounters(), bound=bound)
 
 
+def _warn_oversized(problem, name, b):
+    """Warn when the batch size ``name`` = b exceeds a level's finite
+    dataset, which its batches are then drawn from with replacement."""
+    for level in problem.levels:
+        if isinstance(level.samples, FiniteSamples) and b > level.samples.size:
+            warnings.warn(f"batch size {name} = {b} exceeds dataset size "
+                          f"{level.samples.size}; sampling with replacement", stacklevel=3)
+            return
+
+
 def _init_state(problem, fset, params, x1, rng):
     state = _feasible_state(fset, x1)
+    _warn_oversized(problem, "B0", params.b0)
     state.trackers, state.gradient = init_trackers(
         problem, state.x, params.b0, rng, params.alpha, state.counters
     )
@@ -274,26 +283,6 @@ def _check_finite(state, iteration):
             raise NonFiniteStateError(iteration, level if level <= k else None)
 
 
-def _draw_batches(state, problem, b, rng):
-    """Per-level batches of size b for the next iteration: a finite
-    dataset's drawn now, a generative level's streamed by the walk.
-
-    Warns once per run when b exceeds a finite dataset, since the batch is
-    then drawn with replacement.
-    """
-    if not state.warned_batch:
-        for level in problem.levels:
-            if isinstance(level.samples, FiniteSamples) and b > level.samples.size:
-                warnings.warn(
-                    f"batch size {b} exceeds dataset size "
-                    f"{level.samples.size}; sampling with replacement",
-                    stacklevel=3,
-                )
-                state.warned_batch = True
-                break
-    return _level_batches(problem, rng, state.t + 1, b, streamed=True)
-
-
 def pmvr_step(state, problem, fset, params, rng):
     """One full iteration: tracker updates on shared batches, direction, move.
 
@@ -302,7 +291,7 @@ def pmvr_step(state, problem, fset, params, rng):
     oracle cost is K*B1; later iterations cost 2*K*B1.
     """
     t = state.t + 1
-    batches = _draw_batches(state, problem, params.b1, rng)
+    batches = _level_batches(problem, rng, t, params.b1, streamed=True)
     # prev_chain is None until the first step has run
     new_chain = storm_update(
         state.trackers, state.gradient, problem, state.x, state.prev_chain, batches,
@@ -334,7 +323,7 @@ def _baseline_step(state, problem, fset, params, rng):
     """Moving-average inner values, a mini-batch chain gradient at them, and
     a projected gradient step; costs K*B1 SFO calls and no LMO call."""
     t = state.t + 1
-    batches = _draw_batches(state, problem, params.b1, rng)
+    batches = _level_batches(problem, rng, t, params.b1, streamed=True)
     averages = state.trackers.u
     alpha = state.trackers.alpha
 
@@ -392,7 +381,9 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
     a certified iterate with the set's full ``contains``, since the steps
     check only its certificate. A run of STREAM_LEVEL_STRIDE or more iterations
     in total raises ValueError before initialization: its late batches
-    would repeat the next level's sample streams.
+    would repeat the next level's sample streams. Each distinct step batch
+    size B1 larger than a finite dataset warns once, before initialization
+    (``init`` checks its own B0).
     """
     total = sum(params.iters for _, params in stages)
     if total >= STREAM_LEVEL_STRIDE:
@@ -400,6 +391,8 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
             f"{total} iterations in total reach the per-level stream stride "
             f"{STREAM_LEVEL_STRIDE}; level i's late batches would repeat level i+1's"
         )
+    for b1 in dict.fromkeys(params.b1 for _, params in stages):
+        _warn_oversized(problem, "B1", b1)
     cfg = trace if trace is not None else TraceConfig()
     t0 = time.perf_counter()
     state = init(problem, fset, stages[0][1], x1, rng)
@@ -464,7 +457,7 @@ def pmvr_run(problem, fset, params, x1, rng, trace=None):
     )
 
 
-def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
+def stagewise_run(problem, fset, schedule, x1, rng, trace=None):
     """Sequential stages warm-starting the iterate and both trackers.
 
     Initialization happens once, before stage 1; every later stage continues
@@ -474,18 +467,19 @@ def stagewise_run(problem, fset, schedule, x0, rng, trace=None):
     ``schedule`` was built (see StageSchedule).
     """
     stages = list(enumerate(schedule.stages, start=1))
-    return _run_stages(problem, fset, stages, x0, rng, trace, _init_state, pmvr_step)
+    return _run_stages(problem, fset, stages, x1, rng, trace, _init_state, pmvr_step)
 
 
-def projected_baseline_run(problem, fset, eta, alpha, b, iters, x1, rng, trace=None):
+def projected_baseline_run(problem, fset, params, x1, rng, trace=None):
     """Projected compositional-gradient baseline for sanity comparisons.
 
     Inner values are tracked by a plain moving average; the gradient is a
     momentum-free mini-batch chain product at those averaged values; the
-    iterate moves by a projected gradient step. Uses the projection oracle,
-    so its LMO counter stays at zero.
+    iterate moves by a projected gradient step. It reads ``params.eta``,
+    ``alpha``, ``b1`` and ``iters``; it draws no initialization batch, so
+    ``params.b0`` is unused. Uses the projection oracle, so its LMO counter
+    stays at zero.
     """
-    params = SolverParams(eta=eta, alpha=alpha, b0=b, b1=b, iters=iters)
     return _run_stages(
         problem, fset, [(0, params)], x1, rng, trace, _init_baseline_state, _baseline_step
     )

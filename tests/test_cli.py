@@ -1,3 +1,4 @@
+import inspect
 import json
 import os
 from dataclasses import replace
@@ -516,6 +517,22 @@ class TestScheduleResolution:
         assert err.value.path == "schedule.modulus"
 
 
+def test_every_algorithm_entry_point_takes_one_signature():
+    """``execute_rep`` calls each entry point as (problem, fset, schedule,
+    x1, rng, trace=...); the schedule slot is ``params`` or ``schedule``."""
+    shapes = set()
+    for entry in data_io.ALGORITHMS.values():
+        parameters = list(inspect.signature(getattr(solvers, entry.run)).parameters.values())
+        assert parameters[2].name in ("params", "schedule")
+        shapes.add(tuple(
+            ("schedule" if i == 2 else p.name, p.kind, p.default)
+            for i, p in enumerate(parameters)
+        ))
+    (shape,) = shapes
+    assert [name for name, _, _ in shape] == ["problem", "fset", "schedule", "x1", "rng", "trace"]
+    assert shape[-1][2] is None
+
+
 class TestCheck:
     def test_all_suites_green(self):
         results = run_suites("all")
@@ -526,9 +543,10 @@ class TestCheck:
         out = capsys.readouterr().out
         assert "[PASS]" in out
 
-    def test_corrupted_gamma_rule_fails_subsolver_suite(self):
+    def test_corrupted_gamma_rule_fails_subsolver_suite(self, monkeypatch):
         # negative control: a wrong inner step size must break the certificate
-        results = subsolver_suite(gamma=lambda n: 0.9)
+        monkeypatch.setattr(solvers, "classic_gamma", lambda n: 0.9)
+        results = subsolver_suite()
         assert any(not r.passed for r in results)
 
 

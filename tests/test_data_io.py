@@ -8,6 +8,9 @@ from hypothesis import strategies as st
 
 from pmvr.benchmarks import PortfolioData
 from pmvr.data_io import (
+    AGGREGATE_HEADER,
+    TRACE_COLUMNS,
+    TRACE_HEADER,
     ConfigError,
     LoadReport,
     ParseError,
@@ -16,6 +19,7 @@ from pmvr.data_io import (
     load_run_config,
     read_trace_csv,
     validate_config,
+    write_aggregate_csv,
     write_trace_csv,
 )
 
@@ -346,6 +350,67 @@ class TestTraceRoundTrip:
         path.write_text("iter,bogus\n")
         with pytest.raises(ParseError, match="header"):
             read_trace_csv(str(path))
+
+    def test_headers_are_pinned(self):
+        assert TRACE_HEADER == (
+            "iter,stage,seconds,sfo,lmo,objective,fw_gap,grad_map,beta,opt_gap"
+        )
+        assert AGGREGATE_HEADER == (
+            "iter,stage,sfo,lmo,seconds_mean,objective_mean,objective_std,"
+            "fw_gap_mean,fw_gap_std,grad_map_mean,grad_map_std,opt_gap_mean,opt_gap_std"
+        )
+        assert len(TRACE_COLUMNS) == len(vars(TraceRow(0, 0, 0.0, 0, 0, 0.0, 0.0, 0.0, 1.0)))
+
+    def test_malformed_cell_is_located(self, tmp_path):
+        path = tmp_path / "t.csv"
+        rows = [TraceRow(i, 0, 0.5, 4 * i, i, -1.0, 0.1, 0.2, 1.0, None) for i in range(3)]
+        write_trace_csv(rows, str(path))
+        lines = path.read_text().splitlines()
+        lines[2] = lines[2].replace("-1", "x")
+        path.write_text("\n".join(lines) + "\n")
+        with pytest.raises(ParseError) as err:
+            read_trace_csv(str(path))
+        assert str(err.value) == f"{path}:3: malformed objective in column 6: 'x'"
+
+    @pytest.mark.parametrize("cells", [9, 11])
+    def test_wrong_field_count_is_located(self, tmp_path, cells):
+        path = tmp_path / "t.csv"
+        row = ",".join(["1"] * cells)
+        path.write_text(f"{TRACE_HEADER}\n\n0,0,0.5,0,0,1,0,0,1,\n{row}\n")
+        with pytest.raises(ParseError, match=rf"t\.csv:4: expected 10 fields, got {cells}"):
+            read_trace_csv(str(path))
+
+
+class TestAggregate:
+    @staticmethod
+    def trace(objectives, opt_gaps):
+        return [TraceRow(i, 0, 0.25 * (i + 1), 10 * i, i, obj, 0.5, 0.25, 1.0, gap)
+                for i, (obj, gap) in enumerate(zip(objectives, opt_gaps))]
+
+    def test_rows_are_mean_and_std_in_header_order(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        traces = [self.trace([1.0, 2.0], [0.5, 0.25]), self.trace([3.0, 2.0], [1.5, 0.75])]
+        write_aggregate_csv(traces, str(path))
+        assert path.read_text().splitlines() == [
+            AGGREGATE_HEADER,
+            "0,0,0,0,0.25,2,1,0.5,0,0.25,0,1,0.5",
+            "1,0,10,1,0.5,2,0,0.5,0,0.25,0,0.5,0.25",
+        ]
+
+    def test_an_opt_gap_one_repetition_left_empty_stays_empty(self, tmp_path):
+        path = tmp_path / "agg.csv"
+        traces = [self.trace([1.0, 2.0], [0.5, None]), self.trace([3.0, 2.0], [1.5, 0.75])]
+        write_aggregate_csv(traces, str(path))
+        lines = path.read_text().splitlines()
+        assert lines[1:] == [
+            "0,0,0,0,0.25,2,1,0.5,0,0.25,0,1,0.5",
+            "1,0,10,1,0.5,2,0,0.5,0,0.25,0,,",
+        ]
+
+    def test_different_iteration_grids_are_refused(self, tmp_path):
+        traces = [self.trace([1.0, 2.0], [None, None]), self.trace([1.0], [None])]
+        with pytest.raises(RuntimeError, match="different iteration grids"):
+            write_aggregate_csv(traces, str(tmp_path / "agg.csv"))
 
 
 MINIMAL = {

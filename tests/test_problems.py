@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,6 +98,38 @@ def test_dimension_mismatch_fails_at_construction():
         CompositionalProblem(
             [Level(2, 2, None, None, None, None)]  # final level must be scalar
         )
+
+
+@pytest.mark.parametrize("level, oracle, bad, message", [
+    (1, "exact_value", lambda x: np.array([x[0] ** 2, 0.0]),
+     r"level 1 exact_value oracle returned shape \(2,\), expected \(1,\)"),
+    (2, "exact_value", lambda y: np.array([[np.sin(y[0])]]),
+     r"level 2 exact_value oracle returned shape \(1, 1\), expected \(1,\)"),
+    (2, "exact_jacobian", lambda y: np.array([np.cos(y[0])]),
+     r"level 2 exact_jacobian oracle returned shape \(1,\), expected \(1, 1\)"),
+])
+def test_exact_oracles_of_the_wrong_shape_name_their_level(level, oracle, bad, message):
+    problem = square_then_sine()
+    problem.levels[level - 1] = replace(problem.levels[level - 1], **{oracle: bad})
+    with pytest.raises(ShapeMismatchError, match=message):
+        exact_gradient(problem, np.array([1.0]))
+
+
+def test_exact_jacobian_must_not_be_transposed():
+    level = linear_level([1.0, 2.0])
+    level = replace(level, exact_jacobian=lambda x: np.array([[1.0, 2.0]]))
+    problem = CompositionalProblem([level])
+    assert objective(problem, np.array([0.5, 0.5])) == pytest.approx(1.5)
+    with pytest.raises(
+        ShapeMismatchError,
+        match=r"level 1 exact_jacobian oracle returned shape \(1, 2\), expected \(2, 1\)",
+    ):
+        exact_gradient(problem, np.array([0.5, 0.5]))
+
+
+def test_a_scalar_exact_value_counts_as_one_output():
+    level = replace(linear_level([1.0, 2.0]), exact_value=lambda x: float(x @ [1.0, 2.0]))
+    assert exact_inner_values(CompositionalProblem([level]), np.array([0.5, 0.5]))[0].shape == (1,)
 
 
 def test_sample_batch_singleton():

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -478,8 +479,8 @@ class TestBaseline:
     def test_monotone_decrease_on_noiseless_quadratic(self):
         problem, box = self.quadratic_box_problem()
         res = projected_baseline_run(
-            problem, box, 0.1, 1.0, 1, 30, np.array([0.9, 0.9]), RandomSource(8),
-            trace=TraceConfig(metric_every=1),
+            problem, box, SolverParams(eta=0.1, alpha=1.0, b0=1, b1=1, iters=30),
+            np.array([0.9, 0.9]), RandomSource(8), trace=TraceConfig(metric_every=1),
         )
         objs = [row.objective for row in res.trace]
         assert all(b <= a + 1e-12 for a, b in zip(objs, objs[1:]))
@@ -487,12 +488,9 @@ class TestBaseline:
     def test_feasible_and_deterministic(self):
         problem = two_level_tracking_problem()
         fset = Simplex(5)
-        a = projected_baseline_run(
-            problem, fset, 0.05, 0.5, 2, 20, np.full(5, 0.2), RandomSource(9)
-        )
-        b = projected_baseline_run(
-            problem, fset, 0.05, 0.5, 2, 20, np.full(5, 0.2), RandomSource(9)
-        )
+        params = SolverParams(eta=0.05, alpha=0.5, b0=2, b1=2, iters=20)
+        a = projected_baseline_run(problem, fset, params, np.full(5, 0.2), RandomSource(9))
+        b = projected_baseline_run(problem, fset, params, np.full(5, 0.2), RandomSource(9))
         for xa, xb in zip(a.iterates, b.iterates):
             assert np.array_equal(xa, xb)
             assert fset.contains(xa, 1e-9)
@@ -500,20 +498,40 @@ class TestBaseline:
         assert a.state.counters.sfo == 20 * 2 * 2
 
 
-def test_oversized_batch_warns_once_per_run():
+def test_oversized_batch_warns_once_per_run(monkeypatch):
+    """Each batch size above a 2-record dataset warns once per run, before
+    the run's first draw; the baseline never checks its unused B0. The
+    (B0, B1) cases run in one test, so a case fails with its sizes named."""
     data = PortfolioData(np.array([[0.01, 0.0], [0.0, 0.01]]))
     problem = mean_variance_problem(data, 1.0)
     fset = Simplex(2)
-    params = SolverParams(eta=0.1, alpha=0.5, b0=1, b1=5, iters=3)  # b1 > 2 records
-    rng = RandomSource(17)
-    state = _init_state(problem, fset, params, np.array([0.5, 0.5]), rng)
-    with pytest.warns(UserWarning, match="replacement"):
-        pmvr_step(state, problem, fset, params, rng)
-    import warnings as _warnings
+    x1 = np.array([0.5, 0.5])
+    draw = FiniteSamples.draw
+    warned_at_first_draw = []
 
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("error")
-        pmvr_step(state, problem, fset, params, rng)  # warned once already
+    def recorded_draw(self, gen, count):
+        if not warned_at_first_draw:
+            warned_at_first_draw.append(len(caught))
+        return draw(self, gen, count)
+
+    monkeypatch.setattr(FiniteSamples, "draw", recorded_draw)
+    for b0, b1 in [(1, 5), (3, 1), (3, 5), (2, 2)]:
+        params = SolverParams(eta=0.1, alpha=0.5, b0=b0, b1=b1, iters=3)
+        b0_warning = [f"B0 = {b0}"] if b0 > 2 else []
+        b1_warning = [f"B1 = {b1}"] if b1 > 2 else []
+        for run, want in ((pmvr_run, b0_warning + b1_warning),
+                          (projected_baseline_run, b1_warning)):
+            warned_at_first_draw.clear()
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                run(problem, fset, params, x1, RandomSource(17))
+            case = (b0, b1, run.__name__)
+            assert sorted(str(w.message) for w in caught) == sorted(
+                f"batch size {name} exceeds dataset size 2; sampling with replacement"
+                for name in want
+            ), case
+            assert all(w.category is UserWarning for w in caught), case
+            assert warned_at_first_draw == [len(want)], case
 
 
 def test_solver_params_validation():
@@ -572,8 +590,8 @@ def test_counters_match_closed_forms_for_every_entry_point(k, b0, b1s, iters, n_
     assert res.state.counters.sfo == expected_sfo(p.iters, k, b0, p.b1)
     assert res.state.counters.lmo == expected_lmo(p.iters, n_inner)
 
-    res = projected_baseline_run(problem, fset, 0.1, 0.4, b1s[0], iters[0], x1,
-                                 RandomSource(2), trace=cfg)
+    base = SolverParams(eta=0.1, alpha=0.4, b0=b1s[0], b1=b1s[0], iters=iters[0])
+    res = projected_baseline_run(problem, fset, base, x1, RandomSource(2), trace=cfg)
     assert res.state.counters.sfo == expected_baseline_sfo(iters[0], k, b1s[0])
     assert res.state.counters.lmo == 0
 
@@ -648,7 +666,7 @@ class TestNonFiniteGuard:
         )
         params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=10)
         with pytest.raises(NonFiniteStateError) as err:
-            projected_baseline_run(problem, fset, 0.1, 0.5, 2, 10, x1, RandomSource(0))
+            projected_baseline_run(problem, fset, params, x1, RandomSource(0))
         assert (err.value.iteration, err.value.level) == (1, None)
         with pytest.raises(NonFiniteStateError) as err:
             pmvr_run(problem, fset, params, x1, RandomSource(0))
@@ -738,7 +756,7 @@ RUNS = {
         x1, rng,
     ),
     "baseline": lambda p, fset, x1, rng: projected_baseline_run(
-        p, fset, 0.05, 0.5, 3, 12, x1, rng
+        p, fset, SolverParams(eta=0.05, alpha=0.5, b0=3, b1=3, iters=12), x1, rng
     ),
 }
 
@@ -779,7 +797,8 @@ def stride_runs(total):
             x1, RandomSource(1),
         ),
         "baseline": lambda: projected_baseline_run(
-            problem, fset, 0.05, 0.5, 1, total, x1, RandomSource(1)
+            problem, fset, SolverParams(eta=0.05, alpha=0.5, b0=1, b1=1, iters=total),
+            x1, RandomSource(1),
         ),
     }
 
@@ -905,7 +924,8 @@ def test_full_checks_run_only_at_the_start_and_the_metric_rows(solver, monkeypat
     x1 = np.zeros((4, 3))
     trace = TraceConfig(metric_every=5)
     if solver == "baseline":
-        projected_baseline_run(problem, fset, 0.5, 0.5, 2, 10, x1, RandomSource(0), trace=trace)
+        params = SolverParams(eta=0.5, alpha=0.5, b0=2, b1=2, iters=10)
+        projected_baseline_run(problem, fset, params, x1, RandomSource(0), trace=trace)
     else:
         params = SolverParams(eta=0.5, alpha=0.5, b0=2, b1=2, iters=10,
                               subsolver=SOLVER_STEPS[solver][2])
