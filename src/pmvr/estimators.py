@@ -1,9 +1,11 @@
 """Variance-reduced recursive trackers for inner values and the gradient.
 
-Both trackers follow the same recursion: new estimate = (1-a)*previous +
-batch mean at the new point - (1-a)*batch mean at the old point, with the
-SAME batch used for both means, which keeps the difference term small when
-consecutive points are close.
+Every tracker follows one recursion: new estimate = (1-a)*previous + batch
+mean at the new point - (1-a)*batch mean at the old point, with the SAME
+batch used for both means, which keeps the difference term small when
+consecutive points are close. An empty tracker (None) takes the batch mean,
+so initialization is one update on the B0 batch; with no old point the
+recursion is the moving average (1-a)*previous + a*mean, as the baseline's.
 
 Every update is one walk along the level chain. It asks each level for its
 stochastic first-order oracles (one SFO: a sample's value and Jacobian) at
@@ -29,7 +31,7 @@ from .rng import STREAM_LEVEL_STRIDE, RandomSource
 
 @dataclass
 class ValueTrackers:
-    """u[i] tracks f_{i+1}(u^i); the last entry tracks the scalar objective."""
+    """u[i] tracks f_{i+1}(u^i), the last entry the scalar objective; None is empty."""
 
     u: list
     alpha: float
@@ -37,7 +39,7 @@ class ValueTrackers:
 
 @dataclass
 class GradientTracker:
-    """v tracks the overall gradient, in the decision variable's shape."""
+    """v tracks the overall gradient in the decision variable's shape; None is empty."""
 
     v: np.ndarray
     alpha: float
@@ -161,42 +163,41 @@ def _level_batches(problem, rng, t, size, streamed=False):
 
 
 def init_trackers(problem, x1, b0, rng, alpha, counters=None):
-    """Plain B0-sample mini-batch means along the chain u^0 = x1.
+    """Plain B0-sample mini-batch means along the chain u^0 = x1: one update
+    of empty trackers on the batch of iteration 0.
 
     Each level draws its own batch from the substream (level, iteration 0),
-    a generative level's slice by slice inside the walk. One walk evaluates
-    each sample's (value, Jacobian) pair once per level: the value means
-    are the trackers and the next chain inputs, and the Jacobian chain
-    product's mean is the gradient tracker.
+    a generative level's slice by slice inside the walk, and each sample's
+    (value, Jacobian) pair is evaluated once per level.
     """
     if b0 < 1:
         raise ValueError("initialization batch size must be >= 1")
-    u = []
-
-    def keep(i, mean, _):
-        u.append(mean)
-        return mean
-
+    trackers = ValueTrackers(u=[None] * problem.k, alpha=alpha)
+    gradient = GradientTracker(v=None, alpha=alpha)
     batches = _level_batches(problem, rng, 0, b0, streamed=True)
-    _, v, _ = _walk(problem, x1, None, batches, keep, counters)
-    return ValueTrackers(u=u, alpha=alpha), GradientTracker(v=problem.unflatten(v), alpha=alpha)
+    storm_update(trackers, gradient, problem, x1, None, batches, counters)
+    return trackers, gradient
 
 
 def _recursion(prev, alpha, mean_new, mean_old):
-    """The module docstring's recursion; no old mean: the points coincide."""
+    """The module docstring's recursion; None: an empty tracker or no old mean."""
+    if prev is None:
+        return mean_new
     if mean_old is None:
         mean_old = mean_new
     return (1.0 - alpha) * prev + alpha * mean_old + (mean_new - mean_old)
 
 
 def storm_update(trackers, gradient, problem, x, old_chain, batches, counters=None):
-    """Recursive update of every value tracker and of the gradient tracker.
+    """Recursive update of every value tracker and of the gradient tracker;
+    an empty one (None) becomes its batch mean.
 
     The new chain runs from the iterate ``x`` through the updated value
-    trackers. ``old_chain`` is the previous step's, or None on a first
-    step, whose iterate has not moved, so each level is evaluated at one
-    point. ``batches`` holds one batch per level: drawn samples, or a
-    generative level's _Stream (``_level_batches(..., streamed=True)``).
+    trackers. ``old_chain`` is the previous step's, or None with no old
+    point (a first step, whose iterate has not moved, or a moving average),
+    so each level is evaluated at one point. ``batches`` holds one batch per
+    level: drawn samples, or a generative level's _Stream
+    (``_level_batches(..., streamed=True)``).
     Returns the new chain.
     """
 
@@ -205,6 +206,6 @@ def storm_update(trackers, gradient, problem, x, old_chain, batches, counters=No
         return trackers.u[i]
 
     new_chain, g_new, g_old = _walk(problem, x, old_chain, batches, track, counters)
-    v = _recursion(problem.flatten(gradient.v), gradient.alpha, g_new, g_old)
-    gradient.v = problem.unflatten(v)
+    prev = None if gradient.v is None else problem.flatten(gradient.v)
+    gradient.v = problem.unflatten(_recursion(prev, gradient.alpha, g_new, g_old))
     return new_chain

@@ -33,7 +33,6 @@ from .estimators import (
     GradientTracker,
     ValueTrackers,
     _level_batches,
-    _walk,
     init_trackers,
     storm_update,
 )
@@ -228,37 +227,37 @@ def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset):
     return w, bound
 
 
-def _feasible_state(fset, x1):
+def _warn_oversized(problem, name, b, stacklevel):
+    """Warn when the batch size ``name`` = b exceeds a level's finite
+    dataset, which its batches are then drawn from with replacement.
+    ``stacklevel`` names the frame that called the solver's entry point."""
+    for level in problem.levels:
+        if isinstance(level.samples, FiniteSamples) and b > level.samples.size:
+            warnings.warn(f"batch size {name} = {b} exceeds dataset size {level.samples.size}; "
+                          "sampling with replacement", stacklevel=stacklevel)
+            return
+
+
+def _init_baseline_state(problem, fset, params, x1, rng):
+    """The starting state every solver shares: a certified x1 and empty
+    trackers, which the baseline's first step fills."""
     x1 = np.asarray(x1, dtype=np.float64).copy()
     bound = fset._bound(x1)
     if not fset._admits(x1, bound, FEASIBILITY_TOL):
         raise FeasibilityError("initial point is infeasible")
-    return SolverState(x=x1, counters=OracleCounters(), bound=bound)
-
-
-def _warn_oversized(problem, name, b):
-    """Warn when the batch size ``name`` = b exceeds a level's finite
-    dataset, which its batches are then drawn from with replacement."""
-    for level in problem.levels:
-        if isinstance(level.samples, FiniteSamples) and b > level.samples.size:
-            warnings.warn(f"batch size {name} = {b} exceeds dataset size "
-                          f"{level.samples.size}; sampling with replacement", stacklevel=3)
-            return
+    return SolverState(x=x1, counters=OracleCounters(), bound=bound,
+                       trackers=ValueTrackers(u=[None] * problem.k, alpha=params.alpha),
+                       gradient=GradientTracker(v=None, alpha=params.alpha))
 
 
 def _init_state(problem, fset, params, x1, rng):
-    state = _feasible_state(fset, x1)
-    _warn_oversized(problem, "B0", params.b0)
+    """The shared starting state, its trackers filled by the B0 update."""
+    state = _init_baseline_state(problem, fset, params, x1, rng)
+    # _warn_oversized < _init_state < _run_stages < entry point < its caller
+    _warn_oversized(problem, "B0", params.b0, stacklevel=5)
     state.trackers, state.gradient = init_trackers(
         problem, state.x, params.b0, rng, params.alpha, state.counters
     )
-    return state
-
-
-def _init_baseline_state(problem, fset, params, x1, rng):
-    state = _feasible_state(fset, x1)
-    state.trackers = ValueTrackers(u=[None] * problem.k, alpha=params.alpha)
-    state.gradient = GradientTracker(v=None, alpha=params.alpha)
     return state
 
 
@@ -320,20 +319,13 @@ def pmvr_step(state, problem, fset, params, rng):
 
 
 def _baseline_step(state, problem, fset, params, rng):
-    """Moving-average inner values, a mini-batch chain gradient at them, and
+    """Moving-average inner values and a mini-batch chain gradient at them,
+    one tracker update with no old point on an emptied gradient tracker, then
     a projected gradient step; costs K*B1 SFO calls and no LMO call."""
     t = state.t + 1
     batches = _level_batches(problem, rng, t, params.b1, streamed=True)
-    averages = state.trackers.u
-    alpha = state.trackers.alpha
-
-    def average(i, mean, _):
-        prev = averages[i]
-        averages[i] = mean if prev is None else (1.0 - alpha) * prev + alpha * mean
-        return averages[i]
-
-    _, v, _ = _walk(problem, state.x, None, batches, average, state.counters)
-    state.gradient.v = problem.unflatten(v)
+    state.gradient.v = None
+    storm_update(state.trackers, state.gradient, problem, state.x, None, batches, state.counters)
     _check_finite(state, t)
     x_new, bound = fset._project(state.x - params.eta * state.gradient.v)
     if not fset._admits(x_new, bound, FEASIBILITY_TOL):
@@ -392,7 +384,8 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
             f"{STREAM_LEVEL_STRIDE}; level i's late batches would repeat level i+1's"
         )
     for b1 in dict.fromkeys(params.b1 for _, params in stages):
-        _warn_oversized(problem, "B1", b1)
+        # _warn_oversized < _run_stages < entry point < its caller
+        _warn_oversized(problem, "B1", b1, stacklevel=4)
     cfg = trace if trace is not None else TraceConfig()
     t0 = time.perf_counter()
     state = init(problem, fset, stages[0][1], x1, rng)
@@ -473,12 +466,12 @@ def stagewise_run(problem, fset, schedule, x1, rng, trace=None):
 def projected_baseline_run(problem, fset, params, x1, rng, trace=None):
     """Projected compositional-gradient baseline for sanity comparisons.
 
-    Inner values are tracked by a plain moving average; the gradient is a
-    momentum-free mini-batch chain product at those averaged values; the
-    iterate moves by a projected gradient step. It reads ``params.eta``,
-    ``alpha``, ``b1`` and ``iters``; it draws no initialization batch, so
-    ``params.b0`` is unused. Uses the projection oracle, so its LMO counter
-    stays at zero.
+    Inner values are tracked by a plain moving average (the tracker update
+    with no old point); the gradient is a mini-batch chain product at them
+    (the update of an emptied tracker); the iterate moves by a projected
+    gradient step. It reads ``params.eta``, ``alpha``, ``b1`` and ``iters``;
+    it draws no initialization batch, so ``params.b0`` is unused. Uses the
+    projection oracle, so its LMO counter stays at zero.
     """
     return _run_stages(
         problem, fset, [(0, params)], x1, rng, trace, _init_baseline_state, _baseline_step

@@ -518,3 +518,31 @@ def test_storm_update_equals_the_direct_recursion(name, seed, b, alpha):
     for got, want in zip(got_chain, want_chain, strict=True):
         assert_rel_close(got, want)
     assert counters.sfo == 2 * problem.k * b
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    name=st.sampled_from(sorted(UPDATE_PROBLEMS)),
+    seed=st.integers(0, 2**32 - 1),
+    b=st.integers(1, 12),
+    alpha=st.floats(0.0, 1.0),
+    moved=st.booleans(),
+)
+def test_empty_trackers_take_their_batch_means(name, seed, b, alpha, moved):
+    """An empty tracker (None) becomes its batch mean at any alpha, with or
+    without an old chain: the value means along the chain they make, and
+    the gradient mean at it."""
+    problem = UPDATE_PROBLEMS[name]()
+    gen = np.random.default_rng(seed)
+    x_old, x_new = (
+        gen.dirichlet(np.ones(problem.levels[0].in_dim)).reshape(problem.x_shape)
+        for _ in range(2)
+    )
+    old_chain = [problem.flatten(x_old)] + exact_inner_values(problem, x_old)[:-1]
+    batches = _level_batches(problem, RandomSource(seed), 3, b)
+    trackers = ValueTrackers(u=[None] * problem.k, alpha=alpha)
+    grad = GradientTracker(v=None, alpha=alpha)
+    storm_update(trackers, grad, problem, x_new, old_chain if moved else None, batches)
+    want = per_sample_means(problem, [x_new] + trackers.u[:-1], batches)
+    for got, w in zip(trackers.u + [problem.flatten(grad.v)], want, strict=True):
+        assert_rel_close(got, w)

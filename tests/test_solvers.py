@@ -534,6 +534,46 @@ def test_oversized_batch_warns_once_per_run(monkeypatch):
             assert warned_at_first_draw == [len(want)], case
 
 
+def test_oversized_batch_warnings_name_the_entry_points_caller():
+    """Both warnings point at the line that called the entry point, not at
+    a line inside the solvers, for all three entry points."""
+    data = PortfolioData(np.array([[0.01, 0.0], [0.0, 0.01]]))
+    problem = mean_variance_problem(data, 1.0)
+    params = SolverParams(eta=0.1, alpha=0.5, b0=3, b1=5, iters=2)
+    for run, schedule, count in ((pmvr_run, params, 2),
+                                 (stagewise_run, StageSchedule([params], [0.5]), 2),
+                                 (projected_baseline_run, params, 1)):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            run(problem, Simplex(2), schedule, np.array([0.5, 0.5]), RandomSource(17))
+        assert [w.filename for w in caught] == [__file__] * count, run.__name__
+
+
+def test_baseline_averages_exact_values_and_takes_the_chain_gradient_at_them():
+    """With zero-noise oracles, the baseline's trackers after each step are
+    the moving averages (1 - alpha) * u + alpha * f_i(.) of the exact inner
+    values along the averaged chain, and its gradient is the exact chain
+    gradient at those averages."""
+    problem = two_level_tracking_problem(value_noise=0.0, jac_noise=0.0)
+    fset = Simplex(5)
+    alpha = 0.3
+    params = SolverParams(eta=0.2, alpha=alpha, b0=1, b1=3, iters=3)
+    rng = RandomSource(4)
+    state = _init_baseline_state(problem, fset, params, np.full(5, 0.2), rng)
+    u = [None, None]
+    for _ in range(3):
+        x = state.x
+        _baseline_step(state, problem, fset, params, rng)
+        point = x
+        for i, level in enumerate(problem.levels):
+            value = level.exact_value(point)
+            u[i] = value if u[i] is None else (1.0 - alpha) * u[i] + alpha * value
+            point = u[i]
+        jac = problem.levels[0].exact_jacobian(x) @ problem.levels[1].exact_jacobian(u[0])
+        for got, want in zip(state.trackers.u + [state.gradient.v], u + [jac.reshape(-1)]):
+            np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
 def test_solver_params_validation():
     with pytest.raises(ValueError):
         SolverParams(eta=1.2, alpha=0.5, b0=1, b1=1, iters=1)
