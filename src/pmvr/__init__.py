@@ -44,11 +44,6 @@ from .solvers import (
     schedule_for,
     stagewise_run,
 )
-from .estimators import (
-    GradientTracker,
-    ValueTrackers,
-    init_trackers,
-    storm_update,
-)
+from .estimators import init_trackers, storm_update
 
 __version__ = "0.1.0"

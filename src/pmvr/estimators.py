@@ -1,8 +1,11 @@
 """Variance-reduced recursive trackers for inner values and the gradient.
 
-Every tracker follows one recursion: new estimate = (1-a)*previous + batch
-mean at the new point - (1-a)*batch mean at the old point, with the SAME
-batch used for both means, which keeps the difference term small when
+The STORM state is plain arrays: u[i] tracks f_{i+1}(u^i) (the last entry
+the scalar objective) and v the overall gradient in the decision
+variable's shape. Every tracker follows one recursion with the momentum a
+the caller passes (a solver stage's alpha): new estimate = (1-a)*previous
++ batch mean at the new point - (1-a)*batch mean at the old point, with the
+SAME batch used for both means, which keeps the difference term small when
 consecutive points are close. An empty tracker (None) takes the batch mean,
 so initialization is one update on the B0 batch; with no old point the
 recursion is the moving average (1-a)*previous + a*mean, as the baseline's.
@@ -27,22 +30,6 @@ import numpy as np
 
 from .problems import GenerativeSamples, _checked, sample_batch
 from .rng import STREAM_LEVEL_STRIDE, RandomSource
-
-
-@dataclass
-class ValueTrackers:
-    """u[i] tracks f_{i+1}(u^i), the last entry the scalar objective; None is empty."""
-
-    u: list
-    alpha: float
-
-
-@dataclass
-class GradientTracker:
-    """v tracks the overall gradient in the decision variable's shape; None is empty."""
-
-    v: np.ndarray
-    alpha: float
 
 
 @dataclass(frozen=True)
@@ -139,32 +126,33 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     return chains[0][:-1], grads[0], grads[1]
 
 
-def _level_batches(problem, rng, t, size, streamed=False):
+def _level_batches(problem, rng, t, size):
     """One batch per level for iteration t, from the substream (level, t).
 
     Each level owns its substream, so the order of the draws does not
     change any batch. The draws share the source's one rekeyed generator,
-    so a level's draw ends before the next level's rekey. ``streamed``
-    leaves a generative level's batch to the walk as a _Stream, drawn in
-    consecutive per-slice parts that GenerativeSamples' contract makes equal
-    to the whole draw here. A finite dataset's batch is drawn whole either
-    way: it is a few int64s, and numpy's bounded-integer draw drops its
-    buffered 32-bit half at the end of every call, so parts would change
-    the stream.
+    so a level's draw ends before the next level's rekey. A generative
+    level's batch is left to the walk as a _Stream, drawn in consecutive
+    per-slice parts that GenerativeSamples' contract makes equal to the
+    whole draw ``sample_batch(level, rng.child_generator(index), size)``. A
+    finite dataset's batch is drawn whole: it is a few int64s, and numpy's
+    bounded-integer draw drops its buffered 32-bit half at the end of every
+    call, so parts would change the stream.
     """
     batches = []
     for i, level in enumerate(problem.levels, start=1):
         index = i * STREAM_LEVEL_STRIDE + t
-        if streamed and isinstance(level.samples, GenerativeSamples):
+        if isinstance(level.samples, GenerativeSamples):
             batches.append(_Stream(rng, index, size))
         else:
             batches.append(sample_batch(level, rng.child_generator(index), size))
     return batches
 
 
-def init_trackers(problem, x1, b0, rng, alpha, counters=None):
+def init_trackers(problem, x1, b0, rng, counters=None):
     """Plain B0-sample mini-batch means along the chain u^0 = x1: one update
-    of empty trackers on the batch of iteration 0.
+    of empty trackers on the batch of iteration 0, so no momentum is read.
+    Returns (u, v).
 
     Each level draws its own batch from the substream (level, iteration 0),
     a generative level's slice by slice inside the walk, and each sample's
@@ -172,11 +160,9 @@ def init_trackers(problem, x1, b0, rng, alpha, counters=None):
     """
     if b0 < 1:
         raise ValueError("initialization batch size must be >= 1")
-    trackers = ValueTrackers(u=[None] * problem.k, alpha=alpha)
-    gradient = GradientTracker(v=None, alpha=alpha)
-    batches = _level_batches(problem, rng, 0, b0, streamed=True)
-    storm_update(trackers, gradient, problem, x1, None, batches, counters)
-    return trackers, gradient
+    batches = _level_batches(problem, rng, 0, b0)
+    u, v, _ = storm_update([None] * problem.k, None, 1.0, problem, x1, None, batches, counters)
+    return u, v
 
 
 def _recursion(prev, alpha, mean_new, mean_old):
@@ -188,24 +174,25 @@ def _recursion(prev, alpha, mean_new, mean_old):
     return (1.0 - alpha) * prev + alpha * mean_old + (mean_new - mean_old)
 
 
-def storm_update(trackers, gradient, problem, x, old_chain, batches, counters=None):
-    """Recursive update of every value tracker and of the gradient tracker;
-    an empty one (None) becomes its batch mean.
+def storm_update(u, v, alpha, problem, x, old_chain, batches, counters=None):
+    """Recursive update at momentum ``alpha`` of the value trackers ``u``
+    and the gradient tracker ``v``; an empty one (None) becomes its batch
+    mean. Returns (new u, new v, new chain); of its arguments, only
+    ``counters`` changes.
 
     The new chain runs from the iterate ``x`` through the updated value
     trackers. ``old_chain`` is the previous step's, or None with no old
     point (a first step, whose iterate has not moved, or a moving average),
     so each level is evaluated at one point. ``batches`` holds one batch per
-    level: drawn samples, or a generative level's _Stream
-    (``_level_batches(..., streamed=True)``).
-    Returns the new chain.
+    level: drawn samples, or a generative level's _Stream (as
+    ``_level_batches`` makes).
     """
+    u = list(u)
 
     def track(i, mean_new, mean_old):
-        trackers.u[i] = _recursion(trackers.u[i], trackers.alpha, mean_new, mean_old)
-        return trackers.u[i]
+        u[i] = _recursion(u[i], alpha, mean_new, mean_old)
+        return u[i]
 
     new_chain, g_new, g_old = _walk(problem, x, old_chain, batches, track, counters)
-    prev = None if gradient.v is None else problem.flatten(gradient.v)
-    gradient.v = problem.unflatten(_recursion(prev, gradient.alpha, g_new, g_old))
-    return new_chain
+    prev = None if v is None else problem.flatten(v)
+    return u, problem.unflatten(_recursion(prev, alpha, g_new, g_old)), new_chain

@@ -64,10 +64,14 @@ def _rounded_up(value, ops):
 
 
 def project_simplex(p, total=1.0):
-    """Euclidean projection onto {x >= 0, sum(x) = total} by sort-and-threshold."""
+    """Euclidean projection onto {x >= 0, sum(x) = total} by sort-and-threshold;
+    a point with a NaN or infinite entry raises ValueError."""
     p = np.asarray(p, dtype=np.float64)
     d = p.size
     u = np.sort(p)[::-1]
+    # the sort puts a NaN or +inf first and a -inf last
+    if not (math.isfinite(u[0]) and math.isfinite(u[-1])):
+        raise ValueError("cannot project a point with a non-finite entry onto the simplex")
     css = np.cumsum(u) - total
     ks = np.arange(1, d + 1)
     cond = u - css / ks > 0

@@ -1,8 +1,9 @@
 """Projection-free variance-reduced solvers and their parameter schedules.
 
 Every solver is a list of (stage tag, params) stages run by one driver
-with a step function. The pmvr step updates the STORM trackers on shared
-per-level batches, asks the feasible set for a direction (plain LMO, or
+with a step function. The pmvr step updates the STORM trackers, plain
+arrays on the solver state, on shared per-level batches at its stage's
+momentum alpha, asks the feasible set for a direction (plain LMO, or
 the quadratic Frank-Wolfe subsolver when a curvature coefficient is
 configured), and moves by a convex combination, so every iterate stays
 feasible by construction. Each step checks its iterate through the set's
@@ -29,13 +30,7 @@ from typing import Optional
 
 import numpy as np
 
-from .estimators import (
-    GradientTracker,
-    ValueTrackers,
-    _level_batches,
-    init_trackers,
-    storm_update,
-)
+from .estimators import _level_batches, init_trackers, storm_update
 from .metrics import OracleCounters, _fw_gap, _gradient_mapping
 from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
 from .rng import STREAM_LEVEL_STRIDE, STREAM_TAU_BASE
@@ -160,17 +155,19 @@ class SolverState:
     trackers.
 
     ``bound`` is what the set's certificate hooks carry for x (on the
-    nuclear ball an upper bound on its nuclear norm, else None). pmvr keeps
-    the STORM trackers and the previous chain point; the baseline keeps its
-    moving averages in ``trackers.u`` and its last mini-batch gradient in
-    ``gradient.v``.
+    nuclear ball an upper bound on its nuclear norm, else None). ``u`` holds
+    the K value trackers and ``v`` the gradient tracker in x's shape, each
+    None while empty; their momentum is not state but each stage's
+    ``params.alpha``. pmvr keeps the STORM trackers and the previous chain
+    point; the baseline keeps its moving averages in ``u`` and its last
+    mini-batch gradient in ``v``.
     """
 
     x: np.ndarray
     counters: OracleCounters
     bound: Optional[float] = None
-    trackers: Optional[ValueTrackers] = None
-    gradient: Optional[GradientTracker] = None
+    u: list = field(default_factory=list)
+    v: Optional[np.ndarray] = None
     prev_chain: Optional[list] = None
     t: int = 0
 
@@ -245,9 +242,7 @@ def _init_baseline_state(problem, fset, params, x1, rng):
     bound = fset._bound(x1)
     if not fset._admits(x1, bound, FEASIBILITY_TOL):
         raise FeasibilityError("initial point is infeasible")
-    return SolverState(x=x1, counters=OracleCounters(), bound=bound,
-                       trackers=ValueTrackers(u=[None] * problem.k, alpha=params.alpha),
-                       gradient=GradientTracker(v=None, alpha=params.alpha))
+    return SolverState(x=x1, counters=OracleCounters(), bound=bound, u=[None] * problem.k)
 
 
 def _init_state(problem, fset, params, x1, rng):
@@ -255,9 +250,7 @@ def _init_state(problem, fset, params, x1, rng):
     state = _init_baseline_state(problem, fset, params, x1, rng)
     # _warn_oversized < _init_state < _run_stages < entry point < its caller
     _warn_oversized(problem, "B0", params.b0, stacklevel=5)
-    state.trackers, state.gradient = init_trackers(
-        problem, state.x, params.b0, rng, params.alpha, state.counters
-    )
+    state.u, state.v = init_trackers(problem, state.x, params.b0, rng, state.counters)
     return state
 
 
@@ -271,13 +264,8 @@ def _check_finite(state, iteration):
     at all because a feasibility certificate never reads x itself. The
     baseline's averages are None until its first step fills them.
     """
-    arrays = [state.x, *state.trackers.u, state.gradient.v]
-    # a NaN or infinity makes the total non-finite, so a finite total
-    # clears every entry with one reduction per array
-    if math.isfinite(sum(np.add.reduce(a, None) for a in arrays if a is not None)):
-        return
-    k = len(state.trackers.u)
-    for level, a in enumerate(arrays):  # level 0 is the iterate
+    k = len(state.u)
+    for level, a in enumerate([state.x, *state.u, state.v]):  # level 0 is the iterate
         if a is not None and not np.isfinite(a).all():
             raise NonFiniteStateError(iteration, level if level <= k else None)
 
@@ -290,15 +278,15 @@ def pmvr_step(state, problem, fset, params, rng):
     oracle cost is K*B1; later iterations cost 2*K*B1.
     """
     t = state.t + 1
-    batches = _level_batches(problem, rng, t, params.b1, streamed=True)
+    batches = _level_batches(problem, rng, t, params.b1)
     # prev_chain is None until the first step has run
-    new_chain = storm_update(
-        state.trackers, state.gradient, problem, state.x, state.prev_chain, batches,
+    state.u, state.v, new_chain = storm_update(
+        state.u, state.v, params.alpha, problem, state.x, state.prev_chain, batches,
         state.counters,
     )
     _check_finite(state, t)
 
-    v = state.gradient.v
+    v = state.v
     if params.subsolver is None:
         z, z_bound = fset._lmo(v)
         state.counters.lmo += 1
@@ -320,14 +308,15 @@ def pmvr_step(state, problem, fset, params, rng):
 
 def _baseline_step(state, problem, fset, params, rng):
     """Moving-average inner values and a mini-batch chain gradient at them,
-    one tracker update with no old point on an emptied gradient tracker, then
+    one tracker update with no old point and an empty gradient tracker, then
     a projected gradient step; costs K*B1 SFO calls and no LMO call."""
     t = state.t + 1
-    batches = _level_batches(problem, rng, t, params.b1, streamed=True)
-    state.gradient.v = None
-    storm_update(state.trackers, state.gradient, problem, state.x, None, batches, state.counters)
+    batches = _level_batches(problem, rng, t, params.b1)
+    state.u, state.v, _ = storm_update(
+        state.u, None, params.alpha, problem, state.x, None, batches, state.counters
+    )
     _check_finite(state, t)
-    x_new, bound = fset._project(state.x - params.eta * state.gradient.v)
+    x_new, bound = fset._project(state.x - params.eta * state.v)
     if not fset._admits(x_new, bound, FEASIBILITY_TOL):
         raise FeasibilityError(f"baseline iterate infeasible at iteration {t}")
     state.x = x_new
@@ -365,7 +354,7 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
     stage's params; ``step`` advances it by one iteration. Row 0 (tag 0)
     records x1; a stage then emits a row every ``metric_every`` iterations
     (default T/200) and at its end. Each stage continues from the previous
-    one's state, taking over only its momentum alpha, and ends with an
+    one's state, each step reading its stage's alpha, and ends with an
     (x, u, v, t) snapshot. ``tau`` names an iteration of the first stage
     whose starting point is kept as ``x_tau``. The iterate and the trackers
     are checked for non-finite values after initialization, and by each
@@ -396,13 +385,12 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
     x_tau = None
     stage_ends = []
     for tag, params in stages:
-        state.trackers.alpha = state.gradient.alpha = params.alpha
         every = cfg.metric_every or max(1, params.iters // 200)
         for j in range(1, params.iters + 1):
             x_pre = state.x
             step(state, problem, fset, params, rng)
             if grad_errors is not None:
-                diff = state.gradient.v - exact_gradient(problem, x_pre)
+                diff = state.v - exact_gradient(problem, x_pre)
                 grad_errors.append(float(np.vdot(diff, diff)))
             if j == tau:
                 x_tau = x_pre.copy()
@@ -416,12 +404,7 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
                     )
                 rows.append(_metric_row(problem, fset, state, cfg, tag, t0))
         stage_ends.append(
-            (
-                state.x.copy(),
-                [u.copy() for u in state.trackers.u],
-                state.gradient.v.copy(),
-                state.t,
-            )
+            (state.x.copy(), [u.copy() for u in state.u], state.v.copy(), state.t)
         )
     return RunResult(
         trace=rows,
@@ -468,7 +451,7 @@ def projected_baseline_run(problem, fset, params, x1, rng, trace=None):
 
     Inner values are tracked by a plain moving average (the tracker update
     with no old point); the gradient is a mini-batch chain product at them
-    (the update of an emptied tracker); the iterate moves by a projected
+    (the update of an empty tracker); the iterate moves by a projected
     gradient step. It reads ``params.eta``, ``alpha``, ``b1`` and ``iters``;
     it draws no initialization batch, so ``params.b0`` is unused. Uses the
     projection oracle, so its LMO counter stays at zero.

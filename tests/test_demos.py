@@ -1,4 +1,6 @@
-"""Every script in demos/ runs to completion against the current package."""
+"""Every script in demos/ runs to completion against the current package,
+with an overflow or invalid floating-point operation (RuntimeWarning) an
+error, as in-process tests take it from the pytest configuration."""
 
 import os
 import subprocess
@@ -18,7 +20,7 @@ def test_demo_runs(demo, tmp_path):
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env,
+        [sys.executable, "-W", "error::RuntimeWarning", str(demo)], cwd=tmp_path, env=env,
         capture_output=True, text=True, timeout=300,
     )
     assert done.returncode == 0, done.stderr

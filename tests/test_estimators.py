@@ -16,8 +16,6 @@ from pmvr.benchmarks import (
 from pmvr.core import ShapeMismatchError
 from pmvr.estimators import (
     _SLICE_ENTRIES,
-    GradientTracker,
-    ValueTrackers,
     _level_batches,
     _Stream,
     _walk,
@@ -32,8 +30,9 @@ from pmvr.problems import (
     Level,
     exact_gradient,
     exact_inner_values,
+    sample_batch,
 )
-from pmvr.rng import RandomSource
+from pmvr.rng import STREAM_LEVEL_STRIDE, RandomSource
 
 
 def additive_noise_scalar_level():
@@ -96,23 +95,16 @@ def finite_noisy_problem(size=6):
     return CompositionalProblem([l1, l2])
 
 
-def idle_gradient(problem):
-    """A gradient tracker for tests that only read the value trackers."""
-    return GradientTracker(v=np.zeros(problem.x_shape), alpha=0.5)
-
-
 class TestInit:
     def test_zero_noise_matches_exact_chain(self):
         problem = deterministic_two_level()
         x = np.array([0.3, 0.9])
         counters = OracleCounters()
-        trackers, grad = init_trackers(
-            problem, x, 4, RandomSource(1), alpha=0.5, counters=counters
-        )
+        u, v = init_trackers(problem, x, 4, RandomSource(1), counters=counters)
         values = exact_inner_values(problem, x)
-        for u, y in zip(trackers.u, values):
-            assert np.allclose(u, y, atol=1e-15)
-        assert np.allclose(grad.v, exact_gradient(problem, x), atol=1e-15)
+        for got, y in zip(u, values):
+            assert np.allclose(got, y, atol=1e-15)
+        assert np.allclose(v, exact_gradient(problem, x), atol=1e-15)
         assert counters.sfo == 2 * 4
 
     def test_full_sweep_gives_exact_values(self):
@@ -129,13 +121,13 @@ class TestInit:
     def test_singleton_batch(self):
         problem = finite_noisy_problem()
         x = np.array([0.5, 0.5])
-        trackers, _ = init_trackers(problem, x, 1, RandomSource(3), alpha=1.0)
-        assert len(trackers.u) == 2
+        u, _ = init_trackers(problem, x, 1, RandomSource(3))
+        assert len(u) == 2
 
     def test_rejects_empty_batch(self):
         problem = deterministic_two_level()
         with pytest.raises(ValueError):
-            init_trackers(problem, np.zeros(2), 0, RandomSource(0), alpha=1.0)
+            init_trackers(problem, np.zeros(2), 0, RandomSource(0))
 
     def test_rejects_an_oracle_that_ignores_the_batch_axis(self):
         problem = deterministic_two_level()
@@ -143,51 +135,44 @@ class TestInit:
             problem.levels[1], value=lambda y, s: np.array([y[0] * y[1]])
         )
         with pytest.raises(ShapeMismatchError, match=r"value oracle returned shape \(1,\)"):
-            init_trackers(problem, np.zeros(2), 3, RandomSource(0), alpha=1.0)
+            init_trackers(problem, np.zeros(2), 3, RandomSource(0))
 
 
 class TestValueUpdate:
     def test_momentum_off_is_batch_mean(self):
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
-        trackers = ValueTrackers(u=[np.array([9.0])], alpha=1.0)
-        storm_update(
-            trackers, idle_gradient(problem), problem, np.array([2.0]), [np.array([1.0])],
+        u, _, _ = storm_update(
+            [np.array([9.0])], None, 1.0, problem, np.array([2.0]), [np.array([1.0])],
             [[0.25, -0.25]],
         )
-        got = trackers.u[0]
+        got = u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_substitution(self):
         # 0.5*2 + f(1.5; 0) - 0.5*f(1.0; 0) = 2.0
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
-        trackers = ValueTrackers(u=[np.array([2.0])], alpha=0.5)
-        storm_update(
-            trackers, idle_gradient(problem), problem, np.array([1.5]), [np.array([1.0])],
-            [[0.0]],
+        u, _, _ = storm_update(
+            [np.array([2.0])], None, 0.5, problem, np.array([1.5]), [np.array([1.0])], [[0.0]]
         )
-        got = trackers.u[0]
+        got = u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_telescoping_is_bit_stationary(self):
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
         before = np.array([0.123456789e-3])
-        trackers = ValueTrackers(u=[before.copy()], alpha=0.0)
         point = np.array([1.7])
-        storm_update(trackers, idle_gradient(problem), problem, point, [point], [[0.4, -1.2]])
-        got = trackers.u[0]
+        u, _, _ = storm_update([before.copy()], None, 0.0, problem, point, [point], [[0.4, -1.2]])
+        got = u[0]
         assert got[0] == before[0]  # exact bit-level equality
 
     def test_rejects_empty_batch(self):
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
-        trackers = ValueTrackers(u=[np.zeros(1)], alpha=0.5)
         with pytest.raises(ValueError):
-            storm_update(
-                trackers, idle_gradient(problem), problem, np.zeros(1), [np.zeros(1)], [[]]
-            )
+            storm_update([np.zeros(1)], None, 0.5, problem, np.zeros(1), [np.zeros(1)], [[]])
 
 
 class TestGradientUpdate:
@@ -195,10 +180,9 @@ class TestGradientUpdate:
         problem = deterministic_two_level()
         x = np.array([0.2, 0.5])
         chain = [x, problem.levels[0].exact_value(x)]
-        tracker = GradientTracker(v=np.zeros(2), alpha=1.0)
-        trackers = ValueTrackers(u=[np.zeros(2), np.zeros(1)], alpha=1.0)
-        storm_update(trackers, tracker, problem, x, chain, [[0], [0]])
-        got = tracker.v
+        _, got, _ = storm_update(
+            [np.zeros(2), np.zeros(1)], np.zeros(2), 1.0, problem, x, chain, [[0], [0]]
+        )
         assert np.allclose(got, exact_gradient(problem, x), atol=1e-12)
 
     def test_identical_chains_alpha_zero_stationary(self):
@@ -206,33 +190,34 @@ class TestGradientUpdate:
         x = np.array([0.4, 0.6])
         chain = [x, problem.levels[0].exact_value(x)]
         v0 = np.array([0.31, -0.17])
-        tracker = GradientTracker(v=v0.copy(), alpha=0.0)
         # the level-1 tracker holds the old chain's input, so both chains agree
-        trackers = ValueTrackers(u=[chain[1].copy(), np.zeros(1)], alpha=0.0)
-        storm_update(trackers, tracker, problem, x, list(chain), [[2, 4], [1, 3]])
-        got = tracker.v
+        _, got, _ = storm_update(
+            [chain[1].copy(), np.zeros(1)], v0.copy(), 0.0, problem, x, list(chain),
+            [[2, 4], [1, 3]],
+        )
         assert np.array_equal(got, v0)
 
     def test_wrong_chain_length(self):
         problem = deterministic_two_level()
-        tracker = GradientTracker(v=np.zeros(2), alpha=0.5)
-        trackers = ValueTrackers(u=[np.zeros(2), np.zeros(1)], alpha=0.5)
         with pytest.raises(ValueError):
-            storm_update(trackers, tracker, problem, np.zeros(2), [np.zeros(2)], [[0], [0]])
+            storm_update(
+                [np.zeros(2), np.zeros(1)], np.zeros(2), 0.5, problem, np.zeros(2),
+                [np.zeros(2)], [[0], [0]],
+            )
 
 
 def test_deterministic_mode_tracks_exact_quantities():
     # zero-noise oracles with alpha = 1 reproduce the exact chain each step
     problem = deterministic_two_level()
     x = np.array([0.3, 0.7])
-    trackers, grad = init_trackers(problem, x, 2, RandomSource(5), alpha=1.0)
+    u, v = init_trackers(problem, x, 2, RandomSource(5))
     for step in range(10):
         x = x + 0.01 * np.array([1.0, -1.0])
-        storm_update(trackers, grad, problem, x, None, [[0], [0]])
+        u, v, _ = storm_update(u, v, 1.0, problem, x, None, [[0], [0]])
         values = exact_inner_values(problem, x)
-        for u, y in zip(trackers.u, values):
-            assert np.abs(u - y).max() <= 1e-12
-        assert np.abs(grad.v - exact_gradient(problem, x)).max() <= 1e-12
+        for got, y in zip(u, values):
+            assert np.abs(got - y).max() <= 1e-12
+        assert np.abs(v - exact_gradient(problem, x)).max() <= 1e-12
 
 
 # --- batch means against single-sample batches ------------------------------
@@ -245,6 +230,15 @@ PROBLEMS = {
 }
 
 
+def whole_batches(problem, rng, t, size):
+    """Every level's batch of iteration t drawn whole from its substream:
+    the reference for the batches ``_level_batches`` leaves to the walk."""
+    return [
+        sample_batch(level, rng.child_generator(i * STREAM_LEVEL_STRIDE + t), size)
+        for i, level in enumerate(problem.levels, start=1)
+    ]
+
+
 def batch_case(name, seed, b):
     """A problem, a random point's exact chain u^0..u^{K-1}, and per-level
     batches of size b from the solver's substreams."""
@@ -252,7 +246,7 @@ def batch_case(name, seed, b):
     gen = np.random.default_rng(seed)
     x = gen.dirichlet(np.ones(problem.levels[0].in_dim))
     chain = [x] + exact_inner_values(problem, x)[:-1]
-    return problem, chain, _level_batches(problem, RandomSource(seed), 1, b)
+    return problem, chain, whole_batches(problem, RandomSource(seed), 1, b)
 
 
 def sample(batch, j):
@@ -341,7 +335,7 @@ def test_streamed_initialization_keeps_one_slice_of_samples_alive():
     slice_bytes = 8 * level.in_dim
     tracemalloc.start()
     try:
-        init_trackers(problem, problem.x_start, 64, RandomSource(5), alpha=1.0)
+        init_trackers(problem, problem.x_start, 64, RandomSource(5))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -403,30 +397,27 @@ def test_streamed_draws_equal_a_walk_over_materialized_batches(b):
     problem = mixed_problem()
     assert _SLICE_ENTRIES // max(lv.in_dim * lv.out_dim for lv in problem.levels) == 3
     x = np.random.default_rng(b).normal(size=problem.levels[0].in_dim)
-    streamed = _level_batches(problem, RandomSource(9), 1, b, streamed=True)
+    streamed = _level_batches(problem, RandomSource(9), 1, b)
     assert [type(bt) for bt in streamed] == [_Stream, np.ndarray, _Stream]
 
     counters = OracleCounters()
-    trackers, grad = init_trackers(problem, x, b, RandomSource(8), 0.5, counters)
+    init_u, init_v = init_trackers(problem, x, b, RandomSource(8), counters)
     u = []
 
     def keep(i, mean, _):
         u.append(mean)
         return mean
 
-    _, v, _ = _walk(problem, x, None, _level_batches(problem, RandomSource(8), 0, b), keep)
-    assert all(np.array_equal(got, want) for got, want in zip(trackers.u, u, strict=True))
-    assert np.array_equal(grad.v, v)
+    _, v, _ = _walk(problem, x, None, whole_batches(problem, RandomSource(8), 0, b), keep)
+    assert all(np.array_equal(got, want) for got, want in zip(init_u, u, strict=True))
+    assert np.array_equal(init_v, v)
     assert counters.sfo == problem.k * b
 
-    old_chain = [x] + trackers.u[:-1]
+    old_chain = [x] + init_u[:-1]
     x_new = x + 0.01
     runs = []
-    for batches in (streamed, _level_batches(problem, RandomSource(9), 1, b)):
-        tr = ValueTrackers(u=[a.copy() for a in trackers.u], alpha=0.5)
-        g = GradientTracker(v=grad.v.copy(), alpha=0.5)
-        chain = storm_update(tr, g, problem, x_new, old_chain, batches)
-        runs.append((tr.u, g.v, chain))
+    for batches in (streamed, whole_batches(problem, RandomSource(9), 1, b)):
+        runs.append(storm_update(init_u, init_v, 0.5, problem, x_new, old_chain, batches))
     (got_u, got_v, got_chain), (want_u, want_v, want_chain) = runs
     assert all(np.array_equal(a, c) for a, c in zip(got_u, want_u, strict=True))
     assert np.array_equal(got_v, want_v)
@@ -438,21 +429,19 @@ def test_streamed_draws_equal_a_walk_over_materialized_batches(b):
     name=st.sampled_from(sorted(PROBLEMS)),
     seed=st.integers(0, 2**32 - 1),
     b=st.integers(1, 40),
-    alpha=st.floats(0.01, 1.0),
 )
-def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed, b, alpha):
+def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed, b):
     problem, chain, batches = batch_case(name, seed, b)
-    trackers, grad = init_trackers(problem, chain[0], b, RandomSource(seed + 1), alpha)
-    trackers.alpha = grad.alpha = 0.0
-    u_before = [u.copy() for u in trackers.u]
-    v_before = grad.v.copy()
+    u, v = init_trackers(problem, chain[0], b, RandomSource(seed + 1))
+    u_before = [a.copy() for a in u]
+    v_before = v.copy()
     # the new chain's inputs are the trackers themselves, so the old chain
     # holds equal but distinct arrays and the old and new means are computed
     # apart
     old_chain = [chain[0].copy()] + u_before[:-1]
-    storm_update(trackers, grad, problem, chain[0], old_chain, batches)
-    assert all(np.array_equal(u, ub) for u, ub in zip(trackers.u, u_before))
-    assert np.array_equal(grad.v, v_before)
+    u, v, _ = storm_update(u, v, 0.0, problem, chain[0], old_chain, batches)
+    assert all(np.array_equal(a, ub) for a, ub in zip(u, u_before))
+    assert np.array_equal(v, v_before)
 
 
 # --- storm_update against the recursion from direct oracle calls ------------
@@ -464,17 +453,16 @@ UPDATE_PROBLEMS = {
 }
 
 
-def direct_recursion(problem, trackers, v, x, old_chain, batches):
+def direct_recursion(problem, prev_u, prev_v, alpha, x, old_chain, batches):
     """The tracker recursion from whole-batch value means and a Python loop
     of per-sample Jacobian products, level by level."""
-    a_u, a_v = trackers.alpha, v.alpha
     new_point = problem.flatten(x)
     new_chain, u = [new_point], []
     prods = {"new": None, "old": None}
     for i, (level, batch) in enumerate(zip(problem.levels, batches)):
         m_new = level.value(new_point, batch).mean(axis=0)
         m_old = level.value(old_chain[i], batch).mean(axis=0)
-        u.append((1.0 - a_u) * trackers.u[i] + a_u * m_old + (m_new - m_old))
+        u.append((1.0 - alpha) * prev_u[i] + alpha * m_old + (m_new - m_old))
         for key, point in (("new", new_point), ("old", old_chain[i])):
             jac = level.jacobian(point, batch)
             prev = prods[key]
@@ -483,7 +471,7 @@ def direct_recursion(problem, trackers, v, x, old_chain, batches):
         if i + 1 < problem.k:
             new_chain.append(new_point)
     g_new, g_old = (np.mean(prods[k], axis=0).reshape(-1) for k in ("new", "old"))
-    want_v = (1.0 - a_v) * problem.flatten(v.v) + a_v * g_old + (g_new - g_old)
+    want_v = (1.0 - alpha) * problem.flatten(prev_v) + alpha * g_old + (g_new - g_old)
     return u, problem.unflatten(want_v), new_chain
 
 
@@ -502,22 +490,38 @@ def test_storm_update_equals_the_direct_recursion(name, seed, b, alpha):
         for _ in range(2)
     )
     old_chain = [problem.flatten(x_old)] + exact_inner_values(problem, x_old)[:-1]
-    trackers = ValueTrackers(
-        u=[gen.normal(size=level.out_dim) for level in problem.levels], alpha=alpha
-    )
-    grad = GradientTracker(v=gen.normal(size=problem.x_shape), alpha=alpha)
-    batches = _level_batches(problem, RandomSource(seed), 3, b)
+    prev_u = [gen.normal(size=level.out_dim) for level in problem.levels]
+    prev_v = gen.normal(size=problem.x_shape)
+    batches = whole_batches(problem, RandomSource(seed), 3, b)
     want_u, want_v, want_chain = direct_recursion(
-        problem, trackers, grad, x_new, old_chain, batches
+        problem, prev_u, prev_v, alpha, x_new, old_chain, batches
     )
     counters = OracleCounters()
-    got_chain = storm_update(trackers, grad, problem, x_new, old_chain, batches, counters)
-    for got, want in zip(trackers.u, want_u, strict=True):
+    got_u, got_v, got_chain = storm_update(
+        prev_u, prev_v, alpha, problem, x_new, old_chain, batches, counters
+    )
+    for got, want in zip(got_u, want_u, strict=True):
         assert_rel_close(got, want)
-    assert_rel_close(grad.v, want_v)
+    assert_rel_close(got_v, want_v)
     for got, want in zip(got_chain, want_chain, strict=True):
         assert_rel_close(got, want)
     assert counters.sfo == 2 * problem.k * b
+
+
+def test_storm_update_leaves_its_arguments_unchanged():
+    problem = UPDATE_PROBLEMS["two_level_tracking"]()
+    x = np.full(5, 0.2)
+    u, v = init_trackers(problem, x, 3, RandomSource(2))
+    old_chain = [x] + u[:-1]
+    u_before, v_before = [a.copy() for a in u], v.copy()
+    chain_before = [a.copy() for a in old_chain]
+    batches = _level_batches(problem, RandomSource(3), 1, 4)
+    new_u, new_v, _ = storm_update(u, v, 0.5, problem, x + 0.01, old_chain, batches)
+    assert new_u is not u and len(u) == problem.k
+    assert all(np.array_equal(a, b) for a, b in zip(u, u_before, strict=True))
+    assert np.array_equal(v, v_before)
+    assert all(np.array_equal(a, b) for a, b in zip(old_chain, chain_before, strict=True))
+    assert not np.array_equal(new_v, v_before)
 
 
 @settings(max_examples=30, deadline=None)
@@ -539,10 +543,10 @@ def test_empty_trackers_take_their_batch_means(name, seed, b, alpha, moved):
         for _ in range(2)
     )
     old_chain = [problem.flatten(x_old)] + exact_inner_values(problem, x_old)[:-1]
-    batches = _level_batches(problem, RandomSource(seed), 3, b)
-    trackers = ValueTrackers(u=[None] * problem.k, alpha=alpha)
-    grad = GradientTracker(v=None, alpha=alpha)
-    storm_update(trackers, grad, problem, x_new, old_chain if moved else None, batches)
-    want = per_sample_means(problem, [x_new] + trackers.u[:-1], batches)
-    for got, w in zip(trackers.u + [problem.flatten(grad.v)], want, strict=True):
+    batches = whole_batches(problem, RandomSource(seed), 3, b)
+    u, v, _ = storm_update(
+        [None] * problem.k, None, alpha, problem, x_new, old_chain if moved else None, batches
+    )
+    want = per_sample_means(problem, [x_new] + u[:-1], batches)
+    for got, w in zip(u + [problem.flatten(v)], want, strict=True):
         assert_rel_close(got, w)

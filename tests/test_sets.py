@@ -69,6 +69,11 @@ class TestSimplex:
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-12
             assert fset.contains(pa, 1e-6)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_projection_refuses_a_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            Simplex(3).project(np.array([0.2, bad, 0.5]))
+
     def test_fixed_point(self):
         gen = np.random.default_rng(2)
         fset = Simplex(5)

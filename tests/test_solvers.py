@@ -20,8 +20,8 @@ from pmvr.benchmarks import (
     two_level_tracking_problem,
 )
 from pmvr.core import inner
-from pmvr.metrics import expected_baseline_sfo, expected_lmo, expected_sfo
-from pmvr.estimators import _level_batches
+from pmvr.metrics import OracleCounters, expected_baseline_sfo, expected_lmo, expected_sfo
+from pmvr.estimators import _level_batches, _Stream
 from pmvr.problems import (
     CompositionalProblem,
     FiniteSamples,
@@ -37,9 +37,11 @@ from pmvr.solvers import (
     QuadraticSubsolver,
     ScheduleConstants,
     SolverParams,
+    SolverState,
     StageSchedule,
     TraceConfig,
     _baseline_step,
+    _check_finite,
     _init_baseline_state,
     _init_state,
     pmvr_run,
@@ -166,10 +168,10 @@ class TestPmvrStep:
         params = SolverParams(eta=0.0, alpha=0.5, b0=2, b1=1, iters=1)
         rng = RandomSource(3)
         state = _init_state(problem, fset, params, np.full(3, 1 / 3), rng)
-        v_before = state.gradient.v.copy()
+        v_before = state.v.copy()
         pmvr_step(state, problem, fset, params, rng)
         assert np.array_equal(state.x, np.full(3, 1 / 3))
-        assert not np.array_equal(state.gradient.v, v_before)
+        assert not np.array_equal(state.v, v_before)
 
     def test_simplex_sum_stays_exact(self):
         data = PortfolioData(np.array([[0.01, 0.0], [0.0, 0.01]]))
@@ -278,6 +280,34 @@ class TestStagewise:
         for ua, ub in zip(solo.stage_ends[0][1], u_end1):
             assert np.array_equal(ua, ub)
         assert np.array_equal(solo.stage_ends[0][2], v_end1)
+
+    def test_second_stage_steps_at_its_own_alpha(self):
+        problem = two_level_tracking_problem()
+        fset = Simplex(5)
+        p1 = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=10)
+        p2 = SolverParams(eta=0.02, alpha=0.2, b0=4, b1=2, iters=12)
+        schedule = StageSchedule(stages=[p1, p2], targets=[0.5, 0.25])
+        res = stagewise_run(problem, fset, schedule, np.full(5, 0.2), RandomSource(5))
+        x_end, u_end, v_end, t_end = res.stage_ends[1]
+
+        def replay(params):
+            """Stage 1 alone, then stage 2's steps by hand with ``params``."""
+            rng = RandomSource(5)
+            solo = stagewise_run(
+                problem, fset, StageSchedule(stages=[p1], targets=[0.5]), np.full(5, 0.2), rng
+            )
+            state = solo.state
+            for _ in range(p2.iters):
+                pmvr_step(state, problem, fset, params, rng)
+            return state
+
+        state = replay(p2)
+        assert state.t == t_end == 22
+        assert np.array_equal(state.x, x_end)
+        assert all(np.array_equal(a, b) for a, b in zip(state.u, u_end, strict=True))
+        assert np.array_equal(state.v, v_end)
+        # stage 2's steps at stage 1's alpha end elsewhere
+        assert not np.array_equal(replay(replace(p2, alpha=p1.alpha)).v, v_end)
 
     def test_two_stages_concatenate_into_one_run(self):
         problem = two_level_tracking_problem()
@@ -570,7 +600,7 @@ def test_baseline_averages_exact_values_and_takes_the_chain_gradient_at_them():
             u[i] = value if u[i] is None else (1.0 - alpha) * u[i] + alpha * value
             point = u[i]
         jac = problem.levels[0].exact_jacobian(x) @ problem.levels[1].exact_jacobian(u[0])
-        for got, want in zip(state.trackers.u + [state.gradient.v], u + [jac.reshape(-1)]):
+        for got, want in zip(state.u + [state.v], u + [jac.reshape(-1)]):
             np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
 
 
@@ -712,6 +742,25 @@ class TestNonFiniteGuard:
             pmvr_run(problem, fset, params, x1, RandomSource(0))
         assert (err.value.iteration, err.value.level) == (0, None)
 
+    @pytest.mark.parametrize("where, level", [("x", 0), ("u", 2), ("v", None)])
+    def test_finite_state_whose_total_overflows_passes_silently(self, where, level):
+        # the iterate sums to +inf and the gradient tracker to -inf, so a
+        # total of the entries would overflow and then turn NaN
+        state = SolverState(
+            x=np.array([1e308, 1e308]), counters=OracleCounters(),
+            u=[np.array([1e308, 1e308]), np.array([1.0])], v=np.array([-1e308, -1e308]),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _check_finite(state, 3)
+        if where == "u":
+            state.u[1] = np.array([np.inf])
+        else:
+            setattr(state, where, np.array([1e308, np.inf]))
+        with pytest.raises(NonFiniteStateError) as err:
+            _check_finite(state, 3)
+        assert (err.value.iteration, err.value.level) == (3, level)
+
     def test_cli_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_problem", lambda spec: drifting_nan_problem(1))
         path = tmp_path / "cfg.json"
@@ -760,12 +809,21 @@ def batch_arrays(batch):
     return batch if isinstance(batch, tuple) else (batch,)
 
 
+def drawn(level, batch):
+    """A batch as samples: a generative level's _Stream drawn whole from the
+    substream it names."""
+    if isinstance(batch, _Stream):
+        return sample_batch(level, batch.rng.child_generator(batch.index), batch.size)
+    return batch
+
+
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 @pytest.mark.parametrize("t", [0, 1, 7, STREAM_LEVEL_STRIDE - 1])
 def test_level_batches_equal_per_level_split_streams(name, t):
     problem, _, _ = STREAM_CASES[name]()
     rng = RandomSource(29)
-    got = _level_batches(problem, rng, t, 5)
+    batches = _level_batches(problem, rng, t, 5)
+    got = [drawn(level, b) for level, b in zip(problem.levels, batches)]
     want = [
         sample_batch(level, split_generator(rng, i * STREAM_LEVEL_STRIDE + t), 5)
         for i, level in enumerate(problem.levels, start=1)
