@@ -219,6 +219,10 @@ def mean_deviation_direct(data, lam, x):
     )
 
 
+# variance of each entry of a single-index measurement's perturbation E
+MEASUREMENT_NOISE_VAR = 0.3
+
+
 @dataclass
 class SingleIndexConfig:
     """Low-rank recovery setup: B* = v v^T / ||v v^T||_* inside the ball."""
@@ -227,7 +231,6 @@ class SingleIndexConfig:
     n: int = 20
     s: float = 1.0
     sigma: float = 0.1
-    noise_var: float = 0.3
     data_seed: int = 0
 
     def __post_init__(self):
@@ -248,14 +251,14 @@ def _rect_identity(m, n):
 def single_index_problem(config):
     """Quartic recovery loss E[(y - <A, B>^2)^2] over the nuclear-norm ball.
 
-    Measurements are A = I + E with i.i.d. N(0, noise_var) perturbation and
-    y = <A, B*>^2 + N(0, sigma^2). Because <A, B> and <A, B*> are jointly
-    Gaussian given (B, B*), the expectation (and its gradient) has a closed
-    form in tr(B), ||B||_F^2 and <B, B*>, which the exact oracles use; the
-    known optimum is F* = sigma^2 at B = B*.
+    Measurements are A = I + E with i.i.d. N(0, MEASUREMENT_NOISE_VAR)
+    perturbation and y = <A, B*>^2 + N(0, sigma^2). Because <A, B> and
+    <A, B*> are jointly Gaussian given (B, B*), the expectation (and its
+    gradient) has a closed form in tr(B), ||B||_F^2 and <B, B*>, which the
+    exact oracles use; the known optimum is F* = sigma^2 at B = B*.
     """
     m, n, s = config.m, config.n, config.s
-    nu = config.noise_var
+    nu = MEASUREMENT_NOISE_VAR
     sigma = config.sigma
     gen = RandomSource(config.data_seed).split(0).generator
     if m == n:

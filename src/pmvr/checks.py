@@ -64,10 +64,10 @@ def relative_error(approx, reference):
     return float(np.linalg.norm(np.asarray(approx) - np.asarray(reference)) / scale)
 
 
-def oracle_suite(seed=0):
+def oracle_suite():
     """Simplex and nuclear-ball geometry against exhaustive / full-SVD oracles."""
     results = []
-    gen = RandomSource(seed).split(1).generator
+    gen = RandomSource(0).split(1).generator
 
     # simplex LMO beats every vertex, all dimensions up to 100
     worst = 0.0
@@ -134,11 +134,11 @@ def oracle_suite(seed=0):
     return results
 
 
-def _benchmark_instances(seed=0):
-    data = synthetic_portfolio_data(d=6, periods=80, data_seed=seed)
+def _benchmark_instances():
+    data = synthetic_portfolio_data(d=6, periods=80, data_seed=0)
     mv = mean_variance_problem(data, 1.0)
     md = mean_deviation_problem(data, 1.0)
-    si, ball = single_index_problem(SingleIndexConfig(m=5, n=4, sigma=0.1, data_seed=seed))
+    si, ball = single_index_problem(SingleIndexConfig(m=5, n=4, sigma=0.1, data_seed=0))
     return [
         (mv, Simplex(6)),
         (md, Simplex(6)),
@@ -146,34 +146,34 @@ def _benchmark_instances(seed=0):
     ]
 
 
-def gradient_suite(seed=0, points=5, tol=1e-5):
+def gradient_suite():
     """Chain-rule gradients against central finite differences (h = 1e-6)."""
     results = []
-    gen = RandomSource(seed).split(2).generator
-    for problem, fset in _benchmark_instances(seed):
+    gen = RandomSource(0).split(2).generator
+    for problem, fset in _benchmark_instances():
         worst = 0.0
-        for _ in range(points):
+        for _ in range(5):
             x = fset.project(np.asarray(gen.normal(0.3, 0.5, size=fset.shape)))
             grad = exact_gradient(problem, x)
             fd = finite_difference_gradient(lambda p: objective(problem, p), x)
             worst = max(worst, relative_error(grad, fd))
         results.append(
-            CheckResult("gradients", f"{problem.name}-fd-match", worst <= tol, worst, tol)
+            CheckResult("gradients", f"{problem.name}-fd-match", worst <= 1e-5, worst, 1e-5)
         )
     return results
 
 
-def subsolver_suite(seed=0, pairs=50):
+def subsolver_suite():
     """Certificate g(w_{N+1}) - g(w*) <= 2*coeff*D^2/(N+2) on the simplex."""
     results = []
-    gen = RandomSource(seed).split(3).generator
+    gen = RandomSource(0).split(3).generator
     d = 8
     fset = Simplex(d)
     coeff = 1.0
     for n_iters in (10, 100):
         bound = 2.0 * coeff * fset.diameter**2 / (n_iters + 2)
         worst = -np.inf
-        for _ in range(pairs):
+        for _ in range(50):
             v = gen.normal(0.0, 1.0, size=d)
             x_t = fset.project(gen.normal(0.0, 1.0, size=d))
 
@@ -198,11 +198,11 @@ SUITES = {
 }
 
 
-def run_suites(which="all", seed=0):
+def run_suites(which="all"):
     names = list(SUITES) if which == "all" else [which]
     results = []
     for name in names:
         if name not in SUITES:
             raise ValueError(f"unknown check suite {name!r}")
-        results.extend(SUITES[name](seed=seed))
+        results.extend(SUITES[name]())
     return results

@@ -24,23 +24,21 @@ def inner(x, y):
 
 
 def matmul_chain(jacobians):
-    """Left-to-right product J_1 @ J_2 @ ... @ J_n of matrices.
+    """Left-to-right product J_1 @ J_2 @ ... @ J_n of 2-D matrices.
 
-    A factor is a 2-D matrix or a (B, rows, cols) stack of B matrices; with
-    stacks the product is taken sample by sample (``np.matmul`` broadcasts
-    over the leading batch axis) and has shape (B, rows_1, cols_n). A
-    dimension mismatch between factor i and factor i+1 is reported with
-    the 1-based position of the offending factor.
+    A factor of any other rank raises ShapeMismatchError, and a dimension
+    mismatch between factor i and factor i+1 is reported with the 1-based
+    position of the offending factor.
     """
     if len(jacobians) == 0:
         raise ValueError("matmul_chain requires at least one factor")
     factors = [np.asarray(j, dtype=np.float64) for j in jacobians]
     for j in factors:
-        if j.ndim not in (2, 3):
-            raise ShapeMismatchError(f"chain factors must be 2-D or 3-D, got {j.shape}")
+        if j.ndim != 2:
+            raise ShapeMismatchError(f"chain factors must be 2-D, got {j.shape}")
     out = factors[0]
     for i, j in enumerate(factors[1:], start=2):
-        if out.shape[-1] != j.shape[-2]:
+        if out.shape[1] != j.shape[0]:
             raise ShapeMismatchError(
                 f"dimension mismatch at position {i}: "
                 f"{out.shape} cannot multiply {j.shape}"

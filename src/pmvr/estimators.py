@@ -14,7 +14,8 @@ Every update is one walk along the level chain. It asks each level for its
 stochastic first-order oracles (one SFO: a sample's value and Jacobian) at
 the new and the old chain input, and counts them where it evaluates them.
 The values feed the value trackers, whose updates are the next level's
-inputs; the Jacobians feed one chain product for the gradient tracker.
+inputs; the Jacobians feed one chain product for the gradient tracker. The
+old chain is the previous iterate through the trackers before the update.
 
 The update is evaluated as (1-a)*prev + a*mean_old + (mean_new - mean_old),
 which is algebraically identical and makes the telescoping case exact: with
@@ -85,8 +86,7 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     its samples are never held whole either. ``next_input(i, mean_new,
     mean_old)`` (0-based i, no old mean: None) turns level i's means into
     the next new input. Adds points * B per level to the SFO counter;
-    returns the new chain u^0..u^{K-1} and the flat gradient means at it
-    and at the old one.
+    returns the flat gradient means at the new chain and at the old one.
     """
     levels = problem.levels
     batches = [b if isinstance(b, (tuple, _Stream)) else np.asarray(b) for b in batches]
@@ -123,7 +123,7 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         if not last:
             prods = [j[0] if len(j) == 1 else np.concatenate(j) for j in jacs]
     grads = [j.reshape(-1) / size for j in jacs] + [None]
-    return chains[0][:-1], grads[0], grads[1]
+    return grads[0], grads[1]
 
 
 def _level_batches(problem, rng, t, size):
@@ -161,8 +161,7 @@ def init_trackers(problem, x1, b0, rng, counters=None):
     if b0 < 1:
         raise ValueError("initialization batch size must be >= 1")
     batches = _level_batches(problem, rng, 0, b0)
-    u, v, _ = storm_update([None] * problem.k, None, 1.0, problem, x1, None, batches, counters)
-    return u, v
+    return storm_update([None] * problem.k, None, 1.0, problem, x1, None, batches, counters)
 
 
 def _recursion(prev, alpha, mean_new, mean_old):
@@ -174,25 +173,28 @@ def _recursion(prev, alpha, mean_new, mean_old):
     return (1.0 - alpha) * prev + alpha * mean_old + (mean_new - mean_old)
 
 
-def storm_update(u, v, alpha, problem, x, old_chain, batches, counters=None):
+def storm_update(u, v, alpha, problem, x, x_old, batches, counters=None):
     """Recursive update at momentum ``alpha`` of the value trackers ``u``
     and the gradient tracker ``v``; an empty one (None) becomes its batch
-    mean. Returns (new u, new v, new chain); of its arguments, only
-    ``counters`` changes.
+    mean. Returns (new u, new v); of its arguments, only ``counters``
+    changes.
 
     The new chain runs from the iterate ``x`` through the updated value
-    trackers. ``old_chain`` is the previous step's, or None with no old
-    point (a first step, whose iterate has not moved, or a moving average),
-    so each level is evaluated at one point. ``batches`` holds one batch per
-    level: drawn samples, or a generative level's _Stream (as
-    ``_level_batches`` makes).
+    trackers, the old one [x_old, u[0], .., u[K-2]] from the previous
+    iterate through the trackers as they are. With no old point (``x_old``
+    None: a first step, or a moving average; or empty value trackers) each
+    level is evaluated at one point. ``batches`` holds one batch per level:
+    drawn samples, or a generative level's _Stream (``_level_batches``).
     """
+    old_chain = None
+    if x_old is not None and all(a is not None for a in u):
+        old_chain = [problem.flatten(x_old), *u[:-1]]
     u = list(u)
 
     def track(i, mean_new, mean_old):
         u[i] = _recursion(u[i], alpha, mean_new, mean_old)
         return u[i]
 
-    new_chain, g_new, g_old = _walk(problem, x, old_chain, batches, track, counters)
+    g_new, g_old = _walk(problem, x, old_chain, batches, track, counters)
     prev = None if v is None else problem.flatten(v)
-    return u, problem.unflatten(_recursion(prev, alpha, g_new, g_old)), new_chain
+    return u, problem.unflatten(_recursion(prev, alpha, g_new, g_old))

@@ -3,7 +3,8 @@
 Each set exposes the four operations the solvers and metrics need:
 
 * ``lmo(d)``       -- a minimizer of <x, d> over the set,
-* ``project(p)``   -- the Euclidean-nearest feasible point,
+* ``project(p)``   -- the Euclidean-nearest feasible point (a point with a
+                      NaN or infinite entry raises ValueError naming the set),
 * ``contains(p)``  -- membership up to a tolerance,
 * ``diameter``     -- max pairwise Euclidean/Frobenius distance.
 
@@ -15,7 +16,8 @@ every step of the projected baseline.
 Certified feasibility. The solvers do not run ``contains`` on every iterate.
 Beside each point they carry a certificate, and they ask ``_admits`` instead.
 The private hooks ``_bound`` (a point checked in full), ``_lmo`` and
-``_project`` (a point with its certificate) and ``_combine`` (the
+``_project`` (a point with its certificate: the base class checks the
+point, and each set's ``_nearest`` projects it) and ``_combine`` (the
 certificate of a convex combination) produce it. The base-class defaults
 carry None and admit by ``contains``, which simplex and box keep, since
 theirs is O(d). The nuclear ball carries an upper bound B on the nuclear
@@ -125,9 +127,13 @@ class FeasibleSet:
         raise NotImplementedError
 
     def project(self, point):
-        raise NotImplementedError
+        return self._project(point)[0]
 
     def contains(self, point, tol=1e-9):
+        raise NotImplementedError
+
+    def _nearest(self, p):
+        """``(projection, its certificate)`` of a finite point of the set's shape."""
         raise NotImplementedError
 
     # Certificate hooks (see the module docstring). A certificate of None
@@ -142,8 +148,14 @@ class FeasibleSet:
         return self.lmo(direction), None
 
     def _project(self, point):
-        """``(project(point), its certificate)``."""
-        return self.project(point), None
+        """``(project(point), its certificate)``; every projection passes
+        here, and a point with a NaN or infinite entry raises ValueError."""
+        p = self._check_shape(point)
+        if not np.isfinite(p).all():
+            raise ValueError(
+                f"cannot project a point with a non-finite entry onto {type(self).__name__}"
+            )
+        return self._nearest(p)
 
     def _combine(self, bound, atom_bound, eta):
         """Certificate of ``x + eta (z - x)``, or of ``(1 - eta) x + eta z``,
@@ -172,8 +184,8 @@ class Simplex(FeasibleSet):
         out[int(np.argmin(d))] = 1.0
         return out
 
-    def project(self, point):
-        return project_simplex(self._check_shape(point))
+    def _nearest(self, p):
+        return project_simplex(p), None
 
     def contains(self, point, tol=1e-9):
         p = self._check_shape(point)
@@ -197,8 +209,8 @@ class Box(FeasibleSet):
         d = self._check_shape(direction)
         return np.where(d > 0, self.lower, self.upper)
 
-    def project(self, point):
-        return np.clip(self._check_shape(point), self.lower, self.upper)
+    def _nearest(self, p):
+        return np.clip(p, self.lower, self.upper), None
 
     def contains(self, point, tol=1e-9):
         p = self._check_shape(point)
@@ -220,9 +232,6 @@ class NuclearNormBall(FeasibleSet):
 
     def lmo(self, direction):
         return self._lmo(direction)[0]
-
-    def project(self, point):
-        return self._project(point)[0]
 
     def contains(self, point, tol=1e-9):
         p = self._check_shape(point)
@@ -252,8 +261,7 @@ class NuclearNormBall(FeasibleSet):
         slack = 2.0 * _U * math.sqrt(min(self.shape)) * size
         return z, _rounded_up(size + slack, self.m + self.n + 8)
 
-    def _project(self, point):
-        p = self._check_shape(point)
+    def _nearest(self, p):
         u, sig, vt = np.linalg.svd(p, full_matrices=False)
         if sig.sum() <= self.radius:
             return p, self._svd_bound(sig)

@@ -1,12 +1,14 @@
 """Projection-free variance-reduced solvers and their parameter schedules.
 
 Every solver is a list of (stage tag, params) stages run by one driver
-with a step function. The pmvr step updates the STORM trackers, plain
-arrays on the solver state, on shared per-level batches at its stage's
-momentum alpha, asks the feasible set for a direction (plain LMO, or
-the quadratic Frank-Wolfe subsolver when a curvature coefficient is
-configured), and moves by a convex combination, so every iterate stays
-feasible by construction. Each step checks its iterate through the set's
+with a step function; that loop builds the one start state, a certified
+x1 with empty trackers that pmvr fills by the B0 update. The pmvr step
+updates the STORM trackers, plain arrays on the solver state, on shared
+per-level batches at its stage's momentum alpha (their old chain starts
+at x_prev, the iterate before the last move), asks the feasible set for a
+direction (plain LMO, or the quadratic Frank-Wolfe subsolver when a
+curvature coefficient is configured), and moves by a convex combination,
+so every iterate stays feasible by construction. Each step checks its iterate through the set's
 certificate hooks (``sets.py``), which on the nuclear ball replace a full
 SVD per step with an O(1) bound on the nuclear norm; a full check runs at
 the start point and at every metric row. The stage-wise solver runs one
@@ -158,9 +160,10 @@ class SolverState:
     nuclear ball an upper bound on its nuclear norm, else None). ``u`` holds
     the K value trackers and ``v`` the gradient tracker in x's shape, each
     None while empty; their momentum is not state but each stage's
-    ``params.alpha``. pmvr keeps the STORM trackers and the previous chain
-    point; the baseline keeps its moving averages in ``u`` and its last
-    mini-batch gradient in ``v``.
+    ``params.alpha``. pmvr keeps the STORM trackers and ``x_prev``, its
+    iterate before the last move (None until its first step). The baseline
+    keeps its moving averages in ``u``, its last gradient in ``v``, and
+    never sets ``x_prev``.
     """
 
     x: np.ndarray
@@ -168,7 +171,7 @@ class SolverState:
     bound: Optional[float] = None
     u: list = field(default_factory=list)
     v: Optional[np.ndarray] = None
-    prev_chain: Optional[list] = None
+    x_prev: Optional[np.ndarray] = None
     t: int = 0
 
 
@@ -224,34 +227,25 @@ def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset):
     return w, bound
 
 
-def _warn_oversized(problem, name, b, stacklevel):
+def _warn_oversized(problem, name, b):
     """Warn when the batch size ``name`` = b exceeds a level's finite
-    dataset, which its batches are then drawn from with replacement.
-    ``stacklevel`` names the frame that called the solver's entry point."""
+    dataset, which its batches are then drawn from with replacement. Called
+    from ``_run_stages`` only, it names the caller of the entry point."""
     for level in problem.levels:
         if isinstance(level.samples, FiniteSamples) and b > level.samples.size:
+            # _warn_oversized < _run_stages < entry point < its caller
             warnings.warn(f"batch size {name} = {b} exceeds dataset size {level.samples.size}; "
-                          "sampling with replacement", stacklevel=stacklevel)
+                          "sampling with replacement", stacklevel=4)
             return
 
 
-def _init_baseline_state(problem, fset, params, x1, rng):
-    """The starting state every solver shares: a certified x1 and empty
-    trackers, which the baseline's first step fills."""
+def _start_state(problem, fset, x1):
+    """A certified copy of x1 with empty trackers."""
     x1 = np.asarray(x1, dtype=np.float64).copy()
     bound = fset._bound(x1)
     if not fset._admits(x1, bound, FEASIBILITY_TOL):
         raise FeasibilityError("initial point is infeasible")
     return SolverState(x=x1, counters=OracleCounters(), bound=bound, u=[None] * problem.k)
-
-
-def _init_state(problem, fset, params, x1, rng):
-    """The shared starting state, its trackers filled by the B0 update."""
-    state = _init_baseline_state(problem, fset, params, x1, rng)
-    # _warn_oversized < _init_state < _run_stages < entry point < its caller
-    _warn_oversized(problem, "B0", params.b0, stacklevel=5)
-    state.u, state.v = init_trackers(problem, state.x, params.b0, rng, state.counters)
-    return state
 
 
 def _check_finite(state, iteration):
@@ -279,10 +273,8 @@ def pmvr_step(state, problem, fset, params, rng):
     """
     t = state.t + 1
     batches = _level_batches(problem, rng, t, params.b1)
-    # prev_chain is None until the first step has run
-    state.u, state.v, new_chain = storm_update(
-        state.u, state.v, params.alpha, problem, state.x, state.prev_chain, batches,
-        state.counters,
+    state.u, state.v = storm_update(
+        state.u, state.v, params.alpha, problem, state.x, state.x_prev, batches, state.counters
     )
     _check_finite(state, t)
 
@@ -299,7 +291,7 @@ def pmvr_step(state, problem, fset, params, rng):
     bound = fset._combine(state.bound, z_bound, params.eta)
     if not fset._admits(x_new, bound, FEASIBILITY_TOL):
         raise FeasibilityError(f"iterate left the feasible set at iteration {t}")
-    state.prev_chain = new_chain
+    state.x_prev = state.x
     state.x = x_new
     state.bound = bound
     state.t = t
@@ -312,7 +304,7 @@ def _baseline_step(state, problem, fset, params, rng):
     a projected gradient step; costs K*B1 SFO calls and no LMO call."""
     t = state.t + 1
     batches = _level_batches(problem, rng, t, params.b1)
-    state.u, state.v, _ = storm_update(
+    state.u, state.v = storm_update(
         state.u, None, params.alpha, problem, state.x, None, batches, state.counters
     )
     _check_finite(state, t)
@@ -325,9 +317,8 @@ def _baseline_step(state, problem, fset, params, rng):
     return state
 
 
-def _metric_row(problem, fset, state, cfg, stage, t0):
+def _metric_row(problem, fset, state, cfg, stage, seconds):
     """Trace row from one exact pass: F(x) and grad F(x), then every criterion."""
-    seconds = time.perf_counter() - t0
     x = state.x
     values = exact_inner_values(problem, x)
     f = float(values[-1][0])
@@ -347,24 +338,27 @@ def _metric_row(problem, fset, state, cfg, stage, t0):
     )
 
 
-def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
+def _run_stages(problem, fset, stages, x1, rng, trace, step, b0=None, tau=None):
     """The one outer loop: run (stage tag, params) stages in order.
 
-    ``init(problem, fset, params, x1, rng)`` builds the state with the first
-    stage's params; ``step`` advances it by one iteration. Row 0 (tag 0)
-    records x1; a stage then emits a row every ``metric_every`` iterations
-    (default T/200) and at its end. Each stage continues from the previous
-    one's state, each step reading its stage's alpha, and ends with an
-    (x, u, v, t) snapshot. ``tau`` names an iteration of the first stage
-    whose starting point is kept as ``x_tau``. The iterate and the trackers
-    are checked for non-finite values after initialization, and by each
-    step after it updates them. Every metric row after a step first checks
-    a certified iterate with the set's full ``contains``, since the steps
-    check only its certificate. A run of STREAM_LEVEL_STRIDE or more iterations
-    in total raises ValueError before initialization: its late batches
-    would repeat the next level's sample streams. Each distinct step batch
-    size B1 larger than a finite dataset warns once, before initialization
-    (``init`` checks its own B0).
+    Every run starts from a certified x1 with empty trackers, which the B0
+    update fills when ``b0`` is given; ``step`` advances the state by one
+    iteration. Row 0 (tag 0) records x1; a stage then emits a row every
+    ``metric_every`` iterations (default T/200) and at its end. Each stage
+    continues from the previous one's state, each step reading its stage's
+    alpha, and ends with an (x, u, v, t) snapshot. ``tau`` names an
+    iteration of the first stage whose starting point is kept as ``x_tau``.
+    The iterate and the trackers are checked for non-finite values after
+    initialization, and by each step after it updates them. Every metric
+    row after a step first checks a certified iterate with the set's full
+    ``contains``, since the steps check only its certificate. A row's
+    ``seconds`` is the wall time since the run started (before x1 is
+    checked) less the time spent in earlier rows and their checks. A run of
+    STREAM_LEVEL_STRIDE or more iterations in total raises ValueError before
+    initialization: its late batches would repeat the next level's sample
+    streams. Each distinct step batch size B1 larger than a finite dataset
+    warns once, before x1 is checked, and a B0 that is larger warns after
+    it, before the B0 draw.
     """
     total = sum(params.iters for _, params in stages)
     if total >= STREAM_LEVEL_STRIDE:
@@ -373,13 +367,17 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
             f"{STREAM_LEVEL_STRIDE}; level i's late batches would repeat level i+1's"
         )
     for b1 in dict.fromkeys(params.b1 for _, params in stages):
-        # _warn_oversized < _run_stages < entry point < its caller
-        _warn_oversized(problem, "B1", b1, stacklevel=4)
+        _warn_oversized(problem, "B1", b1)
     cfg = trace if trace is not None else TraceConfig()
-    t0 = time.perf_counter()
-    state = init(problem, fset, stages[0][1], x1, rng)
+    t0 = time.perf_counter()  # moved on by each row's time, so the clock stops there
+    state = _start_state(problem, fset, x1)
+    if b0 is not None:
+        _warn_oversized(problem, "B0", b0)
+        state.u, state.v = init_trackers(problem, state.x, b0, rng, state.counters)
     _check_finite(state, 0)
-    rows = [_metric_row(problem, fset, state, cfg, 0, t0)]
+    start = time.perf_counter()
+    rows = [_metric_row(problem, fset, state, cfg, 0, start - t0)]
+    t0 += time.perf_counter() - start
     iterates = [state.x.copy()] if cfg.keep_iterates else []
     grad_errors = [] if cfg.track_gradient_error else None
     x_tau = None
@@ -397,12 +395,14 @@ def _run_stages(problem, fset, stages, x1, rng, trace, init, step, tau=None):
             if cfg.keep_iterates:
                 iterates.append(state.x.copy())
             if j % every == 0 or j == params.iters:
+                start = time.perf_counter()
                 # a step that carried no certificate has run contains itself
                 if state.bound is not None and not fset.contains(state.x, FEASIBILITY_TOL):
                     raise FeasibilityError(
                         f"iterate fails the full feasibility check at iteration {state.t}"
                     )
-                rows.append(_metric_row(problem, fset, state, cfg, tag, t0))
+                rows.append(_metric_row(problem, fset, state, cfg, tag, start - t0))
+                t0 += time.perf_counter() - start
         stage_ends.append(
             (state.x.copy(), [u.copy() for u in state.u], state.v.copy(), state.t)
         )
@@ -428,9 +428,7 @@ def pmvr_run(problem, fset, params, x1, rng, trace=None):
     """
     tau_gen = rng.split(STREAM_TAU_BASE + 0).generator
     tau = int(tau_gen.integers(1, params.iters + 1))
-    return _run_stages(
-        problem, fset, [(0, params)], x1, rng, trace, _init_state, pmvr_step, tau
-    )
+    return _run_stages(problem, fset, [(0, params)], x1, rng, trace, pmvr_step, params.b0, tau)
 
 
 def stagewise_run(problem, fset, schedule, x1, rng, trace=None):
@@ -443,7 +441,7 @@ def stagewise_run(problem, fset, schedule, x1, rng, trace=None):
     ``schedule`` was built (see StageSchedule).
     """
     stages = list(enumerate(schedule.stages, start=1))
-    return _run_stages(problem, fset, stages, x1, rng, trace, _init_state, pmvr_step)
+    return _run_stages(problem, fset, stages, x1, rng, trace, pmvr_step, stages[0][1].b0)
 
 
 def projected_baseline_run(problem, fset, params, x1, rng, trace=None):
@@ -456,9 +454,7 @@ def projected_baseline_run(problem, fset, params, x1, rng, trace=None):
     it draws no initialization batch, so ``params.b0`` is unused. Uses the
     projection oracle, so its LMO counter stays at zero.
     """
-    return _run_stages(
-        problem, fset, [(0, params)], x1, rng, trace, _init_baseline_state, _baseline_step
-    )
+    return _run_stages(problem, fset, [(0, params)], x1, rng, trace, _baseline_step)
 
 
 # --- parameter schedules -------------------------------------------------

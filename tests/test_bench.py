@@ -2,10 +2,13 @@
 
 A one-second traced run wraps every layer of pmvr from outside (including
 the ``Level`` oracle fields by name), so a library change that breaks the
-tracer or the recipe path fails here rather than in the benchmark.
+tracer or the recipe path fails here rather than in the benchmark. A
+one-second untraced run (``--trace 0``, the mode the benchmark's bounds
+read) must report exactly the end-to-end metrics of ``BENCHMARK.json``.
 """
 
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -15,14 +18,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
-@pytest.mark.parametrize("workload", ["matrix-20", "matrix-200", "md-portfolio"])
-def test_traced_bench_run_is_correct(workload):
+def bench_run(workload, trace):
+    """The last line of one one-second bench run, a JSON object."""
     done = subprocess.run(
         [sys.executable, str(ROOT / "bench" / "run.py"), "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--trace", "1"],
+         "--seed", "1", "--seconds", "1", "--trace", str(trace)],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr
     last = json.loads(done.stdout.strip().splitlines()[-1])
     assert last["correct"] is True
     assert last["failed"] == 0
+    return last
+
+
+@pytest.mark.parametrize("workload", ["matrix-20", "matrix-200", "md-portfolio"])
+def test_traced_bench_run_is_correct(workload):
+    bench_run(workload, 1)
+
+
+def test_timed_bench_run_reports_every_end_to_end_metric():
+    last = bench_run("matrix-20", 0)
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert sorted(last["metrics"]) == sorted(m["name"] for m in declared)
+    for name, entry in last["metrics"].items():
+        assert math.isfinite(entry["value"]), name

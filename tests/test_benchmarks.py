@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pmvr.benchmarks import (
+    MEASUREMENT_NOISE_VAR,
     PortfolioData,
     SingleIndexConfig,
     mean_deviation_direct,
@@ -245,7 +246,7 @@ def single_index_reference(problem, config, gen, count):
     np.fill_diagonal(eye, 1.0)
     a, y = [], []
     for _ in range(count):
-        a.append(eye + gen.normal(0.0, np.sqrt(config.noise_var), size=eye.shape))
+        a.append(eye + gen.normal(0.0, np.sqrt(MEASUREMENT_NOISE_VAR), size=eye.shape))
         y.append(float(np.vdot(a[-1], problem.b_star)) ** 2)
         if config.sigma > 0:
             y[-1] += gen.normal(0.0, config.sigma)

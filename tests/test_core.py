@@ -61,23 +61,17 @@ def test_matmul_chain_associative():
     assert np.allclose(left, full, rtol=1e-12)
 
 
-def test_matmul_chain_stacked_equals_per_sample_products():
-    gen = np.random.default_rng(5)
-    stacks = [gen.standard_normal((7, 4, 5)), gen.standard_normal((7, 5, 2)),
-              gen.standard_normal((2, 1))]  # a 2-D factor is shared by every sample
-    got = matmul_chain(stacks)
-    want = [matmul_chain([stacks[0][s], stacks[1][s], stacks[2]]) for s in range(7)]
-    assert got.shape == (7, 4, 1)
-    assert np.array_equal(got, np.array(want))
-
-
 def test_matmul_chain_reports_position():
     with pytest.raises(ShapeMismatchError, match="position 2"):
         matmul_chain([np.zeros((2, 3)), np.zeros((4, 1))])
-    with pytest.raises(ShapeMismatchError, match="position 3"):
-        matmul_chain([np.zeros((5, 2, 3)), np.zeros((5, 3, 4)), np.zeros((5, 2, 1))])
     with pytest.raises(ValueError):
         matmul_chain([])
+
+
+@pytest.mark.parametrize("shape", [(3,), (5, 2, 3)])
+def test_matmul_chain_refuses_a_factor_that_is_not_2d(shape):
+    with pytest.raises(ShapeMismatchError, match="must be 2-D"):
+        matmul_chain([np.zeros((2, 3)), np.zeros(shape)])
 
 
 def test_substreams_are_independent_and_stable():

@@ -142,8 +142,8 @@ class TestValueUpdate:
     def test_momentum_off_is_batch_mean(self):
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
-        u, _, _ = storm_update(
-            [np.array([9.0])], None, 1.0, problem, np.array([2.0]), [np.array([1.0])],
+        u, _ = storm_update(
+            [np.array([9.0])], None, 1.0, problem, np.array([2.0]), np.array([1.0]),
             [[0.25, -0.25]],
         )
         got = u[0]
@@ -153,8 +153,8 @@ class TestValueUpdate:
         # 0.5*2 + f(1.5; 0) - 0.5*f(1.0; 0) = 2.0
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
-        u, _, _ = storm_update(
-            [np.array([2.0])], None, 0.5, problem, np.array([1.5]), [np.array([1.0])], [[0.0]]
+        u, _ = storm_update(
+            [np.array([2.0])], None, 0.5, problem, np.array([1.5]), np.array([1.0]), [[0.0]]
         )
         got = u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-15)
@@ -164,7 +164,7 @@ class TestValueUpdate:
         problem = CompositionalProblem([level])
         before = np.array([0.123456789e-3])
         point = np.array([1.7])
-        u, _, _ = storm_update([before.copy()], None, 0.0, problem, point, [point], [[0.4, -1.2]])
+        u, _ = storm_update([before.copy()], None, 0.0, problem, point, point, [[0.4, -1.2]])
         got = u[0]
         assert got[0] == before[0]  # exact bit-level equality
 
@@ -172,17 +172,16 @@ class TestValueUpdate:
         level = additive_noise_scalar_level()
         problem = CompositionalProblem([level])
         with pytest.raises(ValueError):
-            storm_update([np.zeros(1)], None, 0.5, problem, np.zeros(1), [np.zeros(1)], [[]])
+            storm_update([np.zeros(1)], None, 0.5, problem, np.zeros(1), np.zeros(1), [[]])
 
 
 class TestGradientUpdate:
     def test_momentum_off_noiseless_is_exact_chain(self):
         problem = deterministic_two_level()
         x = np.array([0.2, 0.5])
-        chain = [x, problem.levels[0].exact_value(x)]
-        _, got, _ = storm_update(
-            [np.zeros(2), np.zeros(1)], np.zeros(2), 1.0, problem, x, chain, [[0], [0]]
-        )
+        # the level-1 tracker holds the old chain's input f_1(x)
+        u = [problem.levels[0].exact_value(x), np.zeros(1)]
+        _, got = storm_update(u, np.zeros(2), 1.0, problem, x, x, [[0], [0]])
         assert np.allclose(got, exact_gradient(problem, x), atol=1e-12)
 
     def test_identical_chains_alpha_zero_stationary(self):
@@ -190,19 +189,18 @@ class TestGradientUpdate:
         x = np.array([0.4, 0.6])
         chain = [x, problem.levels[0].exact_value(x)]
         v0 = np.array([0.31, -0.17])
-        # the level-1 tracker holds the old chain's input, so both chains agree
-        _, got, _ = storm_update(
-            [chain[1].copy(), np.zeros(1)], v0.copy(), 0.0, problem, x, list(chain),
-            [[2, 4], [1, 3]],
+        # the level-1 tracker is the old chain's input, so both chains agree
+        _, got = storm_update(
+            [chain[1].copy(), np.zeros(1)], v0.copy(), 0.0, problem, x, x, [[2, 4], [1, 3]]
         )
         assert np.array_equal(got, v0)
 
     def test_wrong_chain_length(self):
+        # one value tracker for two levels: the old chain it makes is too short
         problem = deterministic_two_level()
         with pytest.raises(ValueError):
             storm_update(
-                [np.zeros(2), np.zeros(1)], np.zeros(2), 0.5, problem, np.zeros(2),
-                [np.zeros(2)], [[0], [0]],
+                [np.zeros(2)], np.zeros(2), 0.5, problem, np.zeros(2), np.zeros(2), [[0], [0]]
             )
 
 
@@ -213,7 +211,7 @@ def test_deterministic_mode_tracks_exact_quantities():
     u, v = init_trackers(problem, x, 2, RandomSource(5))
     for step in range(10):
         x = x + 0.01 * np.array([1.0, -1.0])
-        u, v, _ = storm_update(u, v, 1.0, problem, x, None, [[0], [0]])
+        u, v = storm_update(u, v, 1.0, problem, x, None, [[0], [0]])
         values = exact_inner_values(problem, x)
         for got, y in zip(u, values):
             assert np.abs(got - y).max() <= 1e-12
@@ -262,7 +260,7 @@ def walk_means(problem, chain, batches):
         means.append(mean)
         return chain[i + 1] if i + 1 < len(chain) else None
 
-    _, grad, _ = _walk(problem, chain[0], None, batches, fixed)
+    grad, _ = _walk(problem, chain[0], None, batches, fixed)
     return means + [grad]
 
 
@@ -408,20 +406,18 @@ def test_streamed_draws_equal_a_walk_over_materialized_batches(b):
         u.append(mean)
         return mean
 
-    _, v, _ = _walk(problem, x, None, whole_batches(problem, RandomSource(8), 0, b), keep)
+    v, _ = _walk(problem, x, None, whole_batches(problem, RandomSource(8), 0, b), keep)
     assert all(np.array_equal(got, want) for got, want in zip(init_u, u, strict=True))
     assert np.array_equal(init_v, v)
     assert counters.sfo == problem.k * b
 
-    old_chain = [x] + init_u[:-1]
     x_new = x + 0.01
     runs = []
     for batches in (streamed, whole_batches(problem, RandomSource(9), 1, b)):
-        runs.append(storm_update(init_u, init_v, 0.5, problem, x_new, old_chain, batches))
-    (got_u, got_v, got_chain), (want_u, want_v, want_chain) = runs
+        runs.append(storm_update(init_u, init_v, 0.5, problem, x_new, x, batches))
+    (got_u, got_v), (want_u, want_v) = runs
     assert all(np.array_equal(a, c) for a, c in zip(got_u, want_u, strict=True))
     assert np.array_equal(got_v, want_v)
-    assert all(np.array_equal(a, c) for a, c in zip(got_chain, want_chain, strict=True))
 
 
 @settings(max_examples=60, deadline=None)
@@ -435,11 +431,10 @@ def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed,
     u, v = init_trackers(problem, chain[0], b, RandomSource(seed + 1))
     u_before = [a.copy() for a in u]
     v_before = v.copy()
-    # the new chain's inputs are the trackers themselves, so the old chain
-    # holds equal but distinct arrays and the old and new means are computed
-    # apart
-    old_chain = [chain[0].copy()] + u_before[:-1]
-    u, v, _ = storm_update(u, v, 0.0, problem, chain[0], old_chain, batches)
+    # the old chain runs through the trackers themselves and the new one
+    # through their updates, equal but distinct arrays, so the old and new
+    # means are computed apart
+    u, v = storm_update(u, v, 0.0, problem, chain[0], chain[0].copy(), batches)
     assert all(np.array_equal(a, ub) for a, ub in zip(u, u_before))
     assert np.array_equal(v, v_before)
 
@@ -457,7 +452,7 @@ def direct_recursion(problem, prev_u, prev_v, alpha, x, old_chain, batches):
     """The tracker recursion from whole-batch value means and a Python loop
     of per-sample Jacobian products, level by level."""
     new_point = problem.flatten(x)
-    new_chain, u = [new_point], []
+    u = []
     prods = {"new": None, "old": None}
     for i, (level, batch) in enumerate(zip(problem.levels, batches)):
         m_new = level.value(new_point, batch).mean(axis=0)
@@ -468,11 +463,9 @@ def direct_recursion(problem, prev_u, prev_v, alpha, x, old_chain, batches):
             prev = prods[key]
             prods[key] = list(jac) if prev is None else [p @ j for p, j in zip(prev, jac)]
         new_point = u[-1]
-        if i + 1 < problem.k:
-            new_chain.append(new_point)
     g_new, g_old = (np.mean(prods[k], axis=0).reshape(-1) for k in ("new", "old"))
     want_v = (1.0 - alpha) * problem.flatten(prev_v) + alpha * g_old + (g_new - g_old)
-    return u, problem.unflatten(want_v), new_chain
+    return u, problem.unflatten(want_v)
 
 
 @settings(max_examples=40, deadline=None)
@@ -489,22 +482,16 @@ def test_storm_update_equals_the_direct_recursion(name, seed, b, alpha):
         gen.dirichlet(np.ones(problem.levels[0].in_dim)).reshape(problem.x_shape)
         for _ in range(2)
     )
-    old_chain = [problem.flatten(x_old)] + exact_inner_values(problem, x_old)[:-1]
     prev_u = [gen.normal(size=level.out_dim) for level in problem.levels]
     prev_v = gen.normal(size=problem.x_shape)
+    old_chain = [problem.flatten(x_old)] + prev_u[:-1]
     batches = whole_batches(problem, RandomSource(seed), 3, b)
-    want_u, want_v, want_chain = direct_recursion(
-        problem, prev_u, prev_v, alpha, x_new, old_chain, batches
-    )
+    want_u, want_v = direct_recursion(problem, prev_u, prev_v, alpha, x_new, old_chain, batches)
     counters = OracleCounters()
-    got_u, got_v, got_chain = storm_update(
-        prev_u, prev_v, alpha, problem, x_new, old_chain, batches, counters
-    )
+    got_u, got_v = storm_update(prev_u, prev_v, alpha, problem, x_new, x_old, batches, counters)
     for got, want in zip(got_u, want_u, strict=True):
         assert_rel_close(got, want)
     assert_rel_close(got_v, want_v)
-    for got, want in zip(got_chain, want_chain, strict=True):
-        assert_rel_close(got, want)
     assert counters.sfo == 2 * problem.k * b
 
 
@@ -512,15 +499,13 @@ def test_storm_update_leaves_its_arguments_unchanged():
     problem = UPDATE_PROBLEMS["two_level_tracking"]()
     x = np.full(5, 0.2)
     u, v = init_trackers(problem, x, 3, RandomSource(2))
-    old_chain = [x] + u[:-1]
-    u_before, v_before = [a.copy() for a in u], v.copy()
-    chain_before = [a.copy() for a in old_chain]
+    u_before, v_before, x_before = [a.copy() for a in u], v.copy(), x.copy()
     batches = _level_batches(problem, RandomSource(3), 1, 4)
-    new_u, new_v, _ = storm_update(u, v, 0.5, problem, x + 0.01, old_chain, batches)
+    new_u, new_v = storm_update(u, v, 0.5, problem, x + 0.01, x, batches)
     assert new_u is not u and len(u) == problem.k
     assert all(np.array_equal(a, b) for a, b in zip(u, u_before, strict=True))
     assert np.array_equal(v, v_before)
-    assert all(np.array_equal(a, b) for a, b in zip(old_chain, chain_before, strict=True))
+    assert np.array_equal(x, x_before)
     assert not np.array_equal(new_v, v_before)
 
 
@@ -542,10 +527,9 @@ def test_empty_trackers_take_their_batch_means(name, seed, b, alpha, moved):
         gen.dirichlet(np.ones(problem.levels[0].in_dim)).reshape(problem.x_shape)
         for _ in range(2)
     )
-    old_chain = [problem.flatten(x_old)] + exact_inner_values(problem, x_old)[:-1]
     batches = whole_batches(problem, RandomSource(seed), 3, b)
-    u, v, _ = storm_update(
-        [None] * problem.k, None, alpha, problem, x_new, old_chain if moved else None, batches
+    u, v = storm_update(
+        [None] * problem.k, None, alpha, problem, x_new, x_old if moved else None, batches
     )
     want = per_sample_means(problem, [x_new] + u[:-1], batches)
     for got, w in zip(u + [problem.flatten(v)], want, strict=True):

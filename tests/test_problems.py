@@ -177,7 +177,7 @@ def test_unbiasedness_over_finite_dataset():
 
 def chain_gradient_mean(problem, chain, batches):
     """The walk's gradient mean along the given chain inputs u^0..u^{K-1}."""
-    _, grad, _ = _walk(
+    grad, _ = _walk(
         problem, chain[0], None, batches,
         lambda i, mean, _: chain[i + 1] if i + 1 < len(chain) else mean,
     )

@@ -353,6 +353,26 @@ def test_public_operations_are_the_certified_ones_without_the_certificate():
     assert ball._lmo(np.zeros((4, 7)))[1] == 0.0
 
 
+NON_FINITE_CASES = {
+    "Simplex": (Simplex(3), np.array([0.2, 0.3, 0.5])),
+    "Box": (Box([0.0, 0.0], [1.0, 1.0]), np.array([0.5, 0.5])),
+    "NuclearNormBall": (NuclearNormBall(2, 2, 1.0), np.full((2, 2), 0.1)),
+}
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_every_projection_refuses_a_non_finite_entry_naming_the_set(name, bad):
+    """``project`` and the solvers' ``_project`` raise the same ValueError,
+    which names the set, for a NaN or an infinity in any set."""
+    fset, point = NON_FINITE_CASES[name]
+    point = point.copy()
+    point.flat[1] = bad
+    for project in (fset.project, fset._project):
+        with pytest.raises(ValueError, match=f"non-finite entry onto {name}$"):
+            project(point)
+
+
 def test_sets_without_a_certificate_admit_by_contains():
     for fset, inside, outside in (
         (Simplex(3), np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.6, 0.0])),

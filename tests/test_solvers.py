@@ -2,6 +2,7 @@ import json
 import math
 import warnings
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pmvr.benchmarks import (
 )
 from pmvr.core import inner
 from pmvr.metrics import OracleCounters, expected_baseline_sfo, expected_lmo, expected_sfo
-from pmvr.estimators import _level_batches, _Stream
+from pmvr.estimators import _level_batches, _Stream, init_trackers
 from pmvr.problems import (
     CompositionalProblem,
     FiniteSamples,
@@ -42,8 +43,7 @@ from pmvr.solvers import (
     TraceConfig,
     _baseline_step,
     _check_finite,
-    _init_baseline_state,
-    _init_state,
+    _start_state,
     pmvr_run,
     pmvr_step,
     projected_baseline_run,
@@ -96,6 +96,14 @@ def counted_problem(k, dims=None, dataset=5, seed=0):
             )
         )
     return CompositionalProblem(levels), counts
+
+
+def started(problem, fset, params, x1, rng):
+    """The state a pmvr run steps from: x1 certified, the trackers filled
+    by the B0 update."""
+    state = _start_state(problem, fset, x1)
+    state.u, state.v = init_trackers(problem, state.x, params.b0, rng, state.counters)
+    return state
 
 
 class TestSubsolver:
@@ -158,7 +166,7 @@ class TestPmvrStep:
         problem = linear_problem(c)
         fset = Simplex(3)
         params = SolverParams(eta=1.0, alpha=1.0, b0=1, b1=1, iters=1)
-        state = _init_state(problem, fset, params, np.full(3, 1 / 3), RandomSource(0))
+        state = started(problem, fset, params, np.full(3, 1 / 3), RandomSource(0))
         pmvr_step(state, problem, fset, params, RandomSource(0))
         assert np.array_equal(state.x, np.array([0.0, 1.0, 0.0]))
 
@@ -167,7 +175,7 @@ class TestPmvrStep:
         fset = Simplex(3)
         params = SolverParams(eta=0.0, alpha=0.5, b0=2, b1=1, iters=1)
         rng = RandomSource(3)
-        state = _init_state(problem, fset, params, np.full(3, 1 / 3), rng)
+        state = started(problem, fset, params, np.full(3, 1 / 3), rng)
         v_before = state.v.copy()
         pmvr_step(state, problem, fset, params, rng)
         assert np.array_equal(state.x, np.full(3, 1 / 3))
@@ -179,7 +187,7 @@ class TestPmvrStep:
         fset = Simplex(2)
         params = SolverParams(eta=0.3, alpha=0.5, b0=2, b1=2, iters=3)
         rng = RandomSource(11)
-        state = _init_state(problem, fset, params, np.array([0.5, 0.5]), rng)
+        state = started(problem, fset, params, np.array([0.5, 0.5]), rng)
         for _ in range(3):
             pmvr_step(state, problem, fset, params, rng)
             assert abs(state.x.sum() - 1.0) <= 1e-12
@@ -579,6 +587,24 @@ def test_oversized_batch_warnings_name_the_entry_points_caller():
         assert [w.filename for w in caught] == [__file__] * count, run.__name__
 
 
+@pytest.mark.parametrize("run", [pmvr_run, stagewise_run, projected_baseline_run])
+@pytest.mark.parametrize("case", ["simplex", "nuclear_ball"])
+def test_an_infeasible_start_point_is_refused(run, case):
+    """Every entry point refuses a start point outside its set: on the
+    simplex one whose weights sum to 2, on the unit nuclear ball one of
+    nuclear norm 3."""
+    if case == "simplex":
+        problem, fset, x1 = tracking_case()
+        x1 = 2.0 * x1
+    else:
+        problem, fset, _ = single_index_case()
+        x1 = np.eye(4, 3)
+    params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=2)
+    schedule = StageSchedule([params], [0.5]) if run is stagewise_run else params
+    with pytest.raises(FeasibilityError, match="^initial point is infeasible$"):
+        run(problem, fset, schedule, x1, RandomSource(0))
+
+
 def test_baseline_averages_exact_values_and_takes_the_chain_gradient_at_them():
     """With zero-noise oracles, the baseline's trackers after each step are
     the moving averages (1 - alpha) * u + alpha * f_i(.) of the exact inner
@@ -589,7 +615,7 @@ def test_baseline_averages_exact_values_and_takes_the_chain_gradient_at_them():
     alpha = 0.3
     params = SolverParams(eta=0.2, alpha=alpha, b0=1, b1=3, iters=3)
     rng = RandomSource(4)
-    state = _init_baseline_state(problem, fset, params, np.full(5, 0.2), rng)
+    state = _start_state(problem, fset, np.full(5, 0.2))
     u = [None, None]
     for _ in range(3):
         x = state.x
@@ -931,9 +957,10 @@ def nuclear_linear_problem(m, n, seed, dataset=4):
 
 
 SOLVER_STEPS = {
-    "pmvr": (_init_state, pmvr_step, None),
-    "pmvr-v2": (_init_state, pmvr_step, QuadraticSubsolver(coeff=1.0, inner_iters=3)),
-    "baseline": (_init_baseline_state, _baseline_step, None),
+    "pmvr": (started, pmvr_step, None),
+    "pmvr-v2": (started, pmvr_step, QuadraticSubsolver(coeff=1.0, inner_iters=3)),
+    "baseline": (lambda problem, fset, params, x1, rng: _start_state(problem, fset, x1),
+                 _baseline_step, None),
 }
 
 
@@ -1003,6 +1030,30 @@ def test_a_projection_past_the_radius_is_refused_at_its_iteration(monkeypatch):
     with pytest.raises(FeasibilityError, match="at iteration 3$"):
         advance()
     assert state.t == 2
+
+
+def test_seconds_leave_out_the_metric_rows_and_their_full_checks(monkeypatch):
+    """On a clock that a step moves by 1, a full check by 10 and a metric
+    row by 100, each row's ``seconds`` counts the steps before it only."""
+    clock = [0.0]
+
+    def advancing(by, fn):
+        def advanced(*args, **kwargs):
+            clock[0] += by
+            return fn(*args, **kwargs)
+        return advanced
+
+    problem, fset = nuclear_linear_problem(4, 3, 0), NuclearNormBall(4, 3, 1.0)
+    monkeypatch.setattr(solvers, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(solvers, "pmvr_step", advancing(1.0, pmvr_step))
+    monkeypatch.setattr(solvers, "_metric_row", advancing(100.0, solvers._metric_row))
+    monkeypatch.setattr(fset, "contains", advancing(10.0, fset.contains))
+    params = SolverParams(eta=0.5, alpha=0.5, b0=2, b1=2, iters=6)
+    result = pmvr_run(problem, fset, params, np.zeros((4, 3)), RandomSource(0),
+                      trace=TraceConfig(metric_every=2))
+    assert [(row.iteration, row.seconds) for row in result.trace] == [
+        (0, 0.0), (2, 2.0), (4, 4.0), (6, 6.0)
+    ]
 
 
 def recording(calls, name, method):
