@@ -9,6 +9,7 @@ sample and uses the analytically known expectation for its exact oracles.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -79,7 +80,7 @@ def _return_and_weights_level(data, sign):
         return np.concatenate(([float(rbar @ x)], x))
 
     def jacobian(x, t):
-        jac = np.zeros((len(t), d, d + 1))
+        jac = np.empty((len(t), d, d + 1))
         jac[:, :, 0] = r[t]
         jac[:, :, 1:] = eye
         return jac
@@ -151,7 +152,8 @@ def mean_deviation_problem(data, lam):
 
     def g2(y, t):
         e = r[t] @ y[1:] - y[0]
-        out = np.full((len(t), 2), y[0])
+        out = np.empty((len(t), 2))
+        out[:, 0] = y[0]
         out[:, 1] = e * e
         return out
 
@@ -181,26 +183,26 @@ def mean_deviation_problem(data, lam):
     # below the domain so oracle values stay finite there
     def smooth_sqrt(q):
         if q >= 0.0:
-            return np.sqrt(q + SQRT_SHIFT)
-        return np.sqrt(SQRT_SHIFT) + q / (2.0 * np.sqrt(SQRT_SHIFT))
+            return math.sqrt(q + SQRT_SHIFT)
+        return math.sqrt(SQRT_SHIFT) + q / (2.0 * math.sqrt(SQRT_SHIFT))
 
     def smooth_sqrt_slope(q):
         if q >= 0.0:
-            return 1.0 / (2.0 * np.sqrt(q + SQRT_SHIFT))
-        return 1.0 / (2.0 * np.sqrt(SQRT_SHIFT))
+            return 1.0 / (2.0 * math.sqrt(q + SQRT_SHIFT))
+        return 1.0 / (2.0 * math.sqrt(SQRT_SHIFT))
 
     def g3_exact(z):
         return np.array([-z[0] + lam * smooth_sqrt(z[1])])
 
     # the outer level is deterministic: every sample gets the exact value
     def g3(z, t):
-        return np.repeat(g3_exact(z)[None], len(t), axis=0)
+        return g3_exact(z)[None].repeat(len(t), axis=0)
 
     def jg3_exact(z):
         return np.array([[-1.0], [lam * smooth_sqrt_slope(z[1])]])
 
     def jg3(z, t):
-        return np.repeat(jg3_exact(z)[None], len(t), axis=0)
+        return jg3_exact(z)[None].repeat(len(t), axis=0)
 
     levels = [
         _return_and_weights_level(data, 1.0),

@@ -15,7 +15,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from . import __version__
 from .benchmarks import SQRT_SHIFT
@@ -91,6 +90,10 @@ def run_config(cfg):
     """Execute all repetitions of a validated config and write the files."""
     seeds = [cfg.seed + i for i in range(cfg.reps)]
     if cfg.jobs > 1 and cfg.reps > 1:
+        # imported here: concurrent.futures pulls in multiprocessing, and
+        # most runs never start a pool
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             results = list(pool.map(execute_rep, [cfg] * len(seeds), seeds))
     else:

@@ -16,6 +16,8 @@ the new and the old chain input, and counts them where it evaluates them.
 The values feed the value trackers, whose updates are the next level's
 inputs; the Jacobians feed one chain product for the gradient tracker. The
 old chain is the previous iterate through the trackers before the update.
+An oracle's output is read, never written, so an oracle may return an
+array it keeps.
 
 The update is evaluated as (1-a)*prev + a*mean_old + (mean_new - mean_old),
 which is algebraically identical and makes the telescoping case exact: with
@@ -48,6 +50,7 @@ class _Stream:
 # Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
 # per-sample gradients, and its streamed draw holds one slice of samples
 _SLICE_ENTRIES = 2**16
+_F64 = np.dtype(np.float64)
 
 
 def _batch_size(batch):
@@ -56,37 +59,21 @@ def _batch_size(batch):
     return len(batch[0]) if isinstance(batch, tuple) else len(batch)
 
 
-def _parts(level, batch, size, width):
-    """(cut, samples) for each slice of at most ``width`` of a batch's
-    ``size`` samples.
-
-    A _Stream's slices are drawn here, one by one as the walk reaches them,
-    from its rekeyed substream; the next level's rekey comes only after the
-    last one.
-    """
-    streamed = isinstance(batch, _Stream)
-    if streamed:
-        gen = batch.rng.child_generator(batch.index)
-    for lo in range(0, size, width):
-        cut = slice(lo, min(lo + width, size))
-        if streamed:
-            yield cut, sample_batch(level, gen, cut.stop - lo)
-        else:
-            yield cut, tuple(a[cut] for a in batch) if isinstance(batch, tuple) else batch[cut]
-
-
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
     """Evaluate each level's (value, Jacobian) pairs on its batch at its new
     chain input and, unless ``old_chain`` is None, at its old one.
 
-    Per slice of at most _SLICE_ENTRIES entries of the largest Jacobian, the
-    values are summed into the level's mean and the Jacobians multiply a
-    running per-sample product, reduced at the last level: K = 1 keeps one
-    slice alive, and a streamed batch (_Stream) is drawn slice by slice, so
-    its samples are never held whole either. ``next_input(i, mean_new,
-    mean_old)`` (0-based i, no old mean: None) turns level i's means into
-    the next new input. Adds points * B per level to the SFO counter;
-    returns the flat gradient means at the new chain and at the old one.
+    The batch is cut into slices of at most _SLICE_ENTRIES entries of the
+    largest Jacobian, planned once per walk; a batch that fits in one slice
+    goes to the oracles as it is. Per slice, the values are summed into the
+    level's mean and the Jacobians multiply a running per-sample product,
+    reduced at the last level: K = 1 keeps one slice alive, and a streamed
+    batch (_Stream) is drawn slice by slice from its rekeyed substream, the
+    next level's rekey coming only after its last slice, so its samples are
+    never held whole either. ``next_input(i, mean_new, mean_old)`` (0-based
+    i, no old mean: None) turns level i's means into the next new input.
+    Adds points * B per level to the SFO counter; returns the flat gradient
+    means at the new chain and at the old one.
     """
     levels = problem.levels
     batches = [b if isinstance(b, (tuple, _Stream)) else np.asarray(b) for b in batches]
@@ -97,23 +84,41 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     if len(batches) != len(levels) or (old_chain is not None and len(old_chain) != len(levels)):
         raise ValueError("the walk needs one batch and one old chain input per level")
     width = max(1, _SLICE_ENTRIES // max(lv.in_dim * lv.out_dim for lv in levels))
+    cuts = [slice(lo, min(lo + width, size)) for lo in range(0, size, width)]
+    whole = len(cuts) == 1
     chains = [[problem.flatten(x)]] + ([] if old_chain is None else [old_chain])
     prods = [None] * len(chains)
     for i, (level, batch) in enumerate(zip(levels, batches)):
         last = i == len(levels) - 1
+        streamed = isinstance(batch, _Stream)
+        gen = batch.rng.child_generator(batch.index) if streamed else None
         # running sums, so a slice is dropped once reduced; the product of
         # the levels so far is kept whole until the next level's input is known
         sums, jacs = [0.0] * len(chains), [0.0 if last else [] for _ in chains]
-        for cut, part in _parts(level, batch, size, width):
+        for cut in cuts:
             n = cut.stop - cut.start
+            if streamed:
+                part = sample_batch(level, gen, n)
+            elif whole:
+                part = batch
+            else:
+                part = tuple(a[cut] for a in batch) if isinstance(batch, tuple) else batch[cut]
+            vshape, jshape = (n, level.out_dim), (n, level.in_dim, level.out_dim)
             for p, chain in enumerate(chains):
-                value = _checked(level.value(chain[i], part), (n, level.out_dim), i, "value")
+                # _checked runs unless its fast path holds: float64 and the right shape
+                value = level.value(chain[i], part)
+                if type(value) is not np.ndarray or value.dtype is not _F64 or value.shape != vshape:
+                    value = _checked(value, vshape, i, "value")
                 sums[p] = sums[p] + value.sum(axis=0)
-                jac = _checked(level.jacobian(chain[i], part),
-                               (n, level.in_dim, level.out_dim), i, "jacobian")
-                jac = jac if prods[p] is None else prods[p][cut] @ jac
+                jac = level.jacobian(chain[i], part)
+                if type(jac) is not np.ndarray or jac.dtype is not _F64 or jac.shape != jshape:
+                    jac = _checked(jac, jshape, i, "jacobian")
+                if prods[p] is not None:
+                    jac = (prods[p] if whole else prods[p][cut]) @ jac
                 if last:
                     jacs[p] = jacs[p] + jac.sum(axis=0)
+                elif whole:
+                    jacs[p] = jac
                 else:
                     jacs[p].append(jac)
         if counters is not None:
@@ -121,7 +126,7 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         means = [s.reshape(-1) / size for s in sums] + [None]
         chains[0].append(next_input(i, means[0], means[1]))
         if not last:
-            prods = [j[0] if len(j) == 1 else np.concatenate(j) for j in jacs]
+            prods = jacs if whole else [np.concatenate(j) for j in jacs]
     grads = [j.reshape(-1) / size for j in jacs] + [None]
     return grads[0], grads[1]
 
@@ -170,7 +175,10 @@ def _recursion(prev, alpha, mean_new, mean_old):
         return mean_new
     if mean_old is None:
         mean_old = mean_new
-    return (1.0 - alpha) * prev + alpha * mean_old + (mean_new - mean_old)
+    out = (1.0 - alpha) * prev
+    out += alpha * mean_old
+    out += mean_new - mean_old
+    return out
 
 
 def storm_update(u, v, alpha, problem, x, x_old, batches, counters=None):
@@ -184,8 +192,11 @@ def storm_update(u, v, alpha, problem, x, x_old, batches, counters=None):
     iterate through the trackers as they are. With no old point (``x_old``
     None: a first step, or a moving average; or empty value trackers) each
     level is evaluated at one point. ``batches`` holds one batch per level:
-    drawn samples, or a generative level's _Stream (``_level_batches``).
+    drawn samples, or a generative level's _Stream (``_level_batches``). A
+    ``u`` of other than K trackers raises ValueError before any draw.
     """
+    if len(u) != problem.k:
+        raise ValueError(f"K = {problem.k} levels need K value trackers, got len(u) = {len(u)}")
     old_chain = None
     if x_old is not None and all(a is not None for a in u):
         old_chain = [problem.flatten(x_old), *u[:-1]]

@@ -94,7 +94,7 @@ def top_singular_pair(matrix):
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    scale = np.abs(m).max(initial=0.0)
+    scale = max(m.max(initial=0.0), -m.min(initial=0.0))  # np.abs(m).max() without its copy
     if scale == 0.0:
         raise ValueError("top_singular_pair is undefined for the zero matrix")
 
@@ -103,7 +103,7 @@ def top_singular_pair(matrix):
     _, vecs = np.linalg.eigh(a.T @ a)  # eigenvalues ascending
     v = vecs[:, -1]
     av = a @ v
-    sigma = np.linalg.norm(av)
+    sigma = math.sqrt(av @ av)
     u = av / sigma
     if transposed:
         u, v = v, u
@@ -181,7 +181,7 @@ class Simplex(FeasibleSet):
         # vertex at the minimal coordinate; argmin breaks ties to the lowest index
         d = self._check_shape(direction)
         out = np.zeros(self.d)
-        out[int(np.argmin(d))] = 1.0
+        out[d.argmin()] = 1.0
         return out
 
     def _nearest(self, p):
@@ -249,11 +249,12 @@ class NuclearNormBall(FeasibleSet):
 
     def _lmo(self, direction):
         d = self._check_shape(direction)
-        if not np.any(d):
+        if not d.any():
             # every feasible point is optimal against the zero direction
             return np.zeros(self.shape), 0.0
         _, u, v = top_singular_pair(d)
-        z = -self.radius * np.outer(u, v)
+        z = np.multiply.outer(u, v)
+        z *= -self.radius
         # ||r u v^T||_* = r ||u|| ||v||. Each entry of z is off by at most
         # 2 _U of its exact value (two roundings), an error matrix of nuclear
         # norm at most sqrt(min(m, n)) times its Frobenius norm

@@ -8,9 +8,11 @@ per-level batches at its stage's momentum alpha (their old chain starts
 at x_prev, the iterate before the last move), asks the feasible set for a
 direction (plain LMO, or the quadratic Frank-Wolfe subsolver when a
 curvature coefficient is configured), and moves by a convex combination,
-so every iterate stays feasible by construction. Each step checks its iterate through the set's
-certificate hooks (``sets.py``), which on the nuclear ball replace a full
-SVD per step with an O(1) bound on the nuclear norm; a full check runs at
+so every iterate stays feasible by construction (the move and each
+subsolver update compute into one new array, never into one a set
+returned). Each step checks its iterate through the set's certificate
+hooks (``sets.py``), which on the nuclear ball replace a full SVD per
+step with an O(1) bound on the nuclear norm; a full check runs at
 the start point and at every metric row. The stage-wise solver runs one
 stage per target accuracy, warm-starting the iterate and both trackers
 from the previous stage; the projected baseline is a different step over
@@ -217,12 +219,17 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset):
 
 def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset):
     """The subsolver's loop on an anchor the caller has certified by
-    ``bound``; returns w and its certificate."""
+    ``bound``; returns w and its certificate. Each step builds its direction
+    in one new array and updates w, its own copy of x_t, in place."""
     w = x_t.copy()
     for n in range(1, n_iters + 1):
-        s, s_bound = fset._lmo(v + coeff * (w - x_t))
+        d = w - x_t  # v + coeff * (w - x_t), in one array
+        d *= coeff
+        d += v
+        s, s_bound = fset._lmo(d)
         g = classic_gamma(n)
-        w = (1.0 - g) * w + g * s
+        w *= 1.0 - g  # (1 - g) * w + g * s; s is the set's, never written
+        w += g * s
         bound = fset._combine(bound, s_bound, g)
     return w, bound
 
@@ -287,7 +294,9 @@ def pmvr_step(state, problem, fset, params, rng):
         z, z_bound = _fw_subsolve(v, state.x, state.bound, sub.coeff, sub.inner_iters, fset)
         state.counters.lmo += sub.inner_iters
 
-    x_new = state.x + params.eta * (z - state.x)
+    x_new = z - state.x  # x + eta * (z - x), in one array; z is never written
+    x_new *= params.eta
+    x_new += state.x
     bound = fset._combine(state.bound, z_bound, params.eta)
     if not fset._admits(x_new, bound, FEASIBILITY_TOL):
         raise FeasibilityError(f"iterate left the feasible set at iteration {t}")

@@ -1,6 +1,8 @@
 import inspect
 import json
 import os
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -588,3 +590,20 @@ class TestReproduce:
             os.path.join(tmp_path, "matrix_desk_pmvr-v2_agg.csv"), "fw_gap_mean"
         )
         assert last < first / 5.0
+
+
+def test_importing_the_cli_loads_no_process_pool_modules():
+    """``import pmvr.cli`` leaves concurrent.futures and multiprocessing
+    unloaded (a run imports them only when it starts a pool), so a run with
+    jobs = 1 does not carry their memory."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    code = ("import sys, pmvr.cli; print(sorted(m for m in "
+            "('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"

@@ -534,3 +534,21 @@ def test_empty_trackers_take_their_batch_means(name, seed, b, alpha, moved):
     want = per_sample_means(problem, [x_new] + u[:-1], batches)
     for got, w in zip(u + [problem.flatten(v)], want, strict=True):
         assert_rel_close(got, w)
+
+
+@pytest.mark.parametrize("trackers", [1, 3])
+@pytest.mark.parametrize("moved", [False, True])
+def test_storm_update_refuses_a_tracker_count_other_than_k(trackers, moved, monkeypatch):
+    """One value tracker per level: a list of another length is refused,
+    naming K and its length, before any sample is drawn or counted."""
+    problem = two_level_tracking_problem()
+    x = np.full(5, 0.2)
+    u, v = init_trackers(problem, x, 3, RandomSource(2))
+    u = (u + [u[-1]])[:trackers]
+    batches = _level_batches(problem, RandomSource(3), 1, 4)
+    monkeypatch.setattr(RandomSource, "child_generator",
+                        lambda *args: pytest.fail("a batch was drawn"))
+    counters = OracleCounters()
+    with pytest.raises(ValueError, match=rf"K = 2 .*len\(u\) = {trackers}$"):
+        storm_update(u, v, 0.5, problem, x + 0.01, x if moved else None, batches, counters)
+    assert counters.sfo == 0

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from pmvr.core import ShapeMismatchError, inner
 from pmvr.sets import (
+    _U,
     Box,
     NuclearNormBall,
     Simplex,
+    _rounded_up,
     top_singular_pair,
 )
 
@@ -138,6 +140,12 @@ class TestTopSingularPair:
             top_singular_pair(np.zeros((3, 3)))
 
 
+def test_top_singular_pair_refuses_an_empty_matrix_as_the_zero_matrix():
+    for shape in ((0, 3), (3, 0), (0, 0)):
+        with pytest.raises(ValueError, match="undefined for the zero matrix"):
+            top_singular_pair(np.zeros(shape))
+
+
 class TestNuclearNormBall:
     def test_lmo_diagonal_direction(self):
         ball = NuclearNormBall(2, 2, 1.0)
@@ -230,6 +238,49 @@ def test_nuclear_lmo_attains_radius_times_top_singular_value(case, radius):
     sigma1 = np.linalg.svd(d, compute_uv=False)[0]
     assert abs(-inner(z, d) - radius * sigma1) <= 1e-12 * radius * sigma1
     assert np.linalg.svd(z, compute_uv=False).sum() <= radius + 1e-9
+
+
+def reference_nuclear_lmo(ball, direction):
+    """The nuclear-ball LMO and its certificate as first written: the same
+    Gram eigensolve, with ``np.abs(m).max()``, ``np.linalg.norm`` and
+    ``-r * np.outer(u, v)``."""
+    m = np.asarray(direction, dtype=np.float64)
+    if not np.any(m):
+        return np.zeros(ball.shape), 0.0
+    scale = np.abs(m).max(initial=0.0)
+    transposed = m.shape[0] < m.shape[1]
+    a = (m.T if transposed else m) / scale
+    _, vecs = np.linalg.eigh(a.T @ a)
+    v = vecs[:, -1]
+    av = a @ v
+    u = av / np.linalg.norm(av)
+    if transposed:
+        u, v = v, u
+    z = -ball.radius * np.outer(u, v)
+    size = ball.radius * math.sqrt((u @ u) * (v @ v))
+    slack = 2.0 * _U * math.sqrt(min(ball.shape)) * size
+    return z, _rounded_up(size + slack, ball.m + ball.n + 8)
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (7, 5), (5, 7), (200, 3), (3, 200), (1, 9)])
+@pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
+def test_nuclear_lmo_keeps_the_bits_of_its_reference(shape, scale):
+    """Atom and certificate equal the reference formula's bit for bit, at
+    entry scales from 1e-300 to 1e300, with signed zeros among the entries,
+    for the negated direction, the same one in Fortran order, and a
+    direction of signed zeros only."""
+    gen = np.random.default_rng(shape[0] * 1000 + shape[1])
+    ball = NuclearNormBall(*shape, radius=gen.uniform(0.5, 3.0))
+    d = gen.standard_normal(shape) * scale
+    zeros = gen.random(shape)
+    d[zeros < 0.1] = -0.0
+    d[zeros > 0.9] = 0.0
+    signed_zeros = np.where(gen.random(shape) < 0.5, -0.0, 0.0)
+    for direction in (d, -d, d.T.copy().T, signed_zeros):
+        z, bound = ball._lmo(direction)
+        want_z, want_bound = reference_nuclear_lmo(ball, direction)
+        assert z.shape == want_z.shape and z.tobytes() == want_z.tobytes()
+        assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)

@@ -1098,3 +1098,68 @@ def test_nan_iterate_stops_a_nuclear_ball_run_at_that_iteration(monkeypatch):
         pmvr_run(problem, ball, params, x1, RandomSource(0))
     assert (err.value.iteration, err.value.level) == (5, 0)
     assert str(err.value) == "iterate x is non-finite at iteration 5"
+
+
+# --- what a set or an oracle returns is never written into -----------------
+
+
+class CachedVertexSimplex(Simplex):
+    """A simplex whose LMO returns one cached array per vertex, every time."""
+
+    def __init__(self, d):
+        super().__init__(d)
+        self.vertices = np.eye(d)
+
+    def lmo(self, direction):
+        return self.vertices[super().lmo(direction).argmax()]
+
+
+def cached_oracles(problem):
+    """``problem`` with every level's value and Jacobian oracle answering a
+    (point, batch) pair it has seen with the array it returned then. Returns
+    the problem and the cache, whose entries pair each array with a copy."""
+    cache = {}
+
+    def cached(i, name, oracle):
+        def answer(point, batch):
+            key = (i, name, point.tobytes(), np.asarray(batch).tobytes())
+            if key not in cache:
+                out = oracle(point, batch)
+                cache[key] = (out, out.copy())
+            return cache[key][0]
+
+        return answer
+
+    levels = [
+        replace(level, value=cached(i, "value", level.value),
+                jacobian=cached(i, "jacobian", level.jacobian))
+        for i, level in enumerate(problem.levels)
+    ]
+    return CompositionalProblem(levels, problem.x_shape, problem.metadata), cache
+
+
+CACHED_RUNS = {
+    "pmvr": (pmvr_run, SolverParams(eta=0.1, alpha=0.3, b0=4, b1=3, iters=12)),
+    "pmvr_subsolver": (pmvr_run, SolverParams(
+        eta=0.1, alpha=0.3, b0=4, b1=3, iters=12,
+        subsolver=QuadraticSubsolver(coeff=0.5, inner_iters=4))),
+    "baseline": (projected_baseline_run, SolverParams(eta=0.05, alpha=0.5, b0=3, b1=3, iters=12)),
+}
+
+
+@pytest.mark.parametrize("run", sorted(CACHED_RUNS))
+def test_solvers_never_write_into_arrays_a_set_or_an_oracle_returns(run):
+    """An oracle or a set may hand out an array it keeps: the steps, the
+    subsolver and the walk compute into arrays of their own, so the cached
+    ones stay as they were and the trace is the one of fresh arrays."""
+    entry, params = CACHED_RUNS[run]
+    problem, fset, x1 = portfolio_case()
+    want_rows, want_x = trace_values(entry(problem, fset, params, x1, RandomSource(5)))
+    cached_problem, cache = cached_oracles(problem)
+    cached_set = CachedVertexSimplex(fset.d)
+    rows, x_final = trace_values(entry(cached_problem, cached_set, params, x1, RandomSource(5)))
+    assert rows == want_rows
+    assert x_final.tobytes() == want_x.tobytes()
+    assert cached_set.vertices.tobytes() == np.eye(fset.d).tobytes()
+    changed = [key[:2] for key, (out, copy) in cache.items() if out.tobytes() != copy.tobytes()]
+    assert cache and changed == []
