@@ -141,22 +141,36 @@ def read_trace_csv(path):
 
 def write_aggregate_csv(traces, path):
     """Per row of the repetitions' ``traces`` (one iteration grid), each
-    criterion's mean and population std, empty if any repetition's is."""
+    criterion's mean and population std, empty if any repetition's is.
+
+    Each column is one C-ordered (rows, repetitions) array, reduced along
+    its rows in one pass: the same reduction, element order included, as
+    a row's own mean and std. Only the (rows, columns, 2) table of the
+    results is kept, and a row's cells are made as it is written.
+    """
     grids = [[(r.iteration, r.stage) for r in t] for t in traces]
     if any(g != grids[0] for g in grids[1:]):
         raise RuntimeError("repetitions produced different iteration grids")
+    names = ("seconds", *AGGREGATE_CRITERIA)
 
-    def aggregate(rows):
-        first = rows[0]
-        out = [first.iteration, first.stage, first.sfo, first.lmo,
-               float(np.mean([r.seconds for r in rows]))]
-        for name in AGGREGATE_CRITERIA:
-            values = [getattr(r, name) for r in rows]
-            arr = None if None in values else np.asarray(values, dtype=np.float64)
-            out += [None, None] if arr is None else [float(arr.mean()), float(arr.std())]
+    def stats(name):
+        values = [[getattr(r, name) for r in reps] for reps in zip(*traces)]
+        arr = np.array(values, dtype=np.float64).reshape(len(values), len(traces))
+        return np.stack((arr.mean(axis=1), arr.std(axis=1)), axis=1), [None in v for v in values]
+
+    table = np.empty((len(traces[0]), len(names), 2))
+    missing = np.empty((len(traces[0]), len(names)), dtype=bool)
+    for k, name in enumerate(names):
+        table[:, k], missing[:, k] = stats(name)
+
+    def cells(first, row, gaps):
+        (seconds, _), *pairs = row.tolist()
+        out = [first.iteration, first.stage, first.sfo, first.lmo, seconds]
+        for pair, gap in zip(pairs, gaps.tolist()[1:]):
+            out += (None, None) if gap else pair
         return out
 
-    write_csv(path, AGGREGATE_HEADER, (aggregate(rows) for rows in zip(*traces)))
+    write_csv(path, AGGREGATE_HEADER, (cells(*row) for row in zip(traces[0], table, missing)))
 
 
 # --- Kenneth French industry files ----------------------------------------

@@ -109,14 +109,14 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
                 value = level.value(chain[i], part)
                 if type(value) is not np.ndarray or value.dtype is not _F64 or value.shape != vshape:
                     value = _checked(value, vshape, i, "value")
-                sums[p] = sums[p] + value.sum(axis=0)
+                sums[p] = sums[p] + np.add.reduce(value, axis=0)
                 jac = level.jacobian(chain[i], part)
                 if type(jac) is not np.ndarray or jac.dtype is not _F64 or jac.shape != jshape:
                     jac = _checked(jac, jshape, i, "jacobian")
                 if prods[p] is not None:
                     jac = (prods[p] if whole else prods[p][cut]) @ jac
                 if last:
-                    jacs[p] = jacs[p] + jac.sum(axis=0)
+                    jacs[p] = jacs[p] + np.add.reduce(jac, axis=0)
                 elif whole:
                     jacs[p] = jac
                 else:

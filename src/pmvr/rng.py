@@ -16,12 +16,18 @@ Stream index conventions used by the solvers:
 The per-level batches come from ``child_generator(index)``, which yields
 exactly the stream of ``split(index).generator`` without building a
 ``SeedSequence``, a ``Philox`` and a ``Generator`` for each one. The source
-hashes its seed and path into a ``SeedSequence`` entropy pool once; each
-call mixes in the index words, derives the same 2 x 64-bit Philox key that
+hashes its seed and path into a ``SeedSequence`` entropy pool once. It then
+derives the keys of 256 consecutive stream indices at a time, the aligned
+block around the index asked for, in one pass of numpy uint32 arithmetic:
+the same mixing of the index words into the pool and the same
+``generate_state`` hash, applied to arrays, so each key is the 2 x 64-bit
+Philox key that
 ``SeedSequence(seed, spawn_key=path + (index,)).generate_state(2, np.uint64)``
-gives, and writes it, with a zero counter and an empty output buffer, into
-one Philox generator that the source owns and reuses. Every substream keeps
-its values.
+gives. The source keeps one block per stream family (``index >> 20``, so
+one per level), for at most 32 families (4 KiB each), so a run's
+consecutive iterations cost one lookup per draw. Each call writes its key,
+with a zero counter and an empty output buffer, into one Philox generator
+that the source owns and reuses. Every substream keeps its values.
 
 These streams are also unchanged by batched oracles and by the estimators'
 per-slice draws: a finite dataset draws its batch with one ``integers``
@@ -49,6 +55,11 @@ _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
 _INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
 _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 
+# keys are derived for aligned blocks of _BLOCK stream indices, and at most
+# one block per stream family (index >> 20) of at most _FAMILIES families is kept
+_BLOCK = 256
+_FAMILIES = 32
+
 
 def _hash_constants(init, mult, n):
     """The n (xor, multiply) constant pairs of n successive hash steps."""
@@ -60,8 +71,13 @@ def _hash_constants(init, mult, n):
     return consts, h
 
 
+def _columns(consts):
+    """(xor, multiply) constant pairs as two (n, 1) uint32 columns."""
+    return np.array(consts, dtype=np.uint32).T[:, :, None]
+
+
 # generate_state(2, np.uint64) hashes the four pool words with fixed constants
-_STATE_CONSTANTS = tuple(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)[0])
+_STATE_X, _STATE_M = _columns(_hash_constants(_INIT_B, _MULT_B, _POOL_SIZE)[0])
 
 
 def _nonnegative_int(value, what):
@@ -87,13 +103,20 @@ def _words(n):
 
 def _absorb(pool, consts, word):
     """The pool after SeedSequence mixes one entropy word past the pool size
-    into each pool word, with that word's (xor, multiply) hash constants."""
-    out = []
-    for p, (x, m) in zip(pool, consts):
-        h = (word ^ x) * m & _MASK32
-        r = (_MIX_MULT_L * p - _MIX_MULT_R * (h ^ h >> 16)) & _MASK32
-        out.append(r ^ r >> 16)
-    return out
+    into each pool word, with that word's (xor, multiply) hash constants.
+
+    The pool is a (4, n) uint32 array and the word one int or n of them;
+    uint32 array arithmetic wraps modulo 2**32, as SeedSequence's does,
+    and without a warning.
+    """
+    x, m = _columns(consts)
+    h = word ^ x
+    h *= m
+    h ^= h >> 16
+    h *= _MIX_MULT_R
+    h = _MIX_MULT_L * pool - h
+    h ^= h >> 16
+    return h
 
 
 class RandomSource:
@@ -113,7 +136,8 @@ class RandomSource:
         self.seed = seed
         self.path = tuple(_nonnegative_int(p, "stream path entry") for p in path)
         self._generator = None
-        self._child = None  # (pool, next word's constants, hash constant, Generator)
+        self._child = None  # (pool, hash constant, Generator)
+        self._blocks = {}  # stream family -> (first index, keys) of its block
 
     def split(self, index):
         """Derive the independent substream with the given index."""
@@ -128,8 +152,8 @@ class RandomSource:
         return self._generator
 
     def _child_pool(self):
-        """SeedSequence's entropy pool after the seed and the path words, the
-        hash constants of the next word, and the running hash constant.
+        """SeedSequence's entropy pool after the seed and the path words, as
+        a (4, 1) uint32 array, and the running hash constant.
 
         numpy pads the seed words to the pool size only when a spawn key is
         given; the pool is the same either way, as a missing word hashes as
@@ -139,33 +163,60 @@ class RandomSource:
         ss = np.random.SeedSequence(self.seed, spawn_key=self.path)
         words = sum(len(_words(p)) for p in self.path)
         steps = _POOL_SIZE * (_POOL_SIZE + words)
-        h = _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32
-        consts, h = _hash_constants(h, _MULT_A, _POOL_SIZE)
-        return [int(w) for w in ss.pool], consts, h
+        return ss.pool.reshape(_POOL_SIZE, 1), _INIT_A * pow(_MULT_A, steps, 2**32) & _MASK32
 
-    def _child_key(self, index):
-        """The Philox key of ``split(index)``: the two uint64 words of
-        ``SeedSequence(seed, spawn_key=path + (index,)).generate_state(2, np.uint64)``."""
+    def _block_keys(self, start):
+        """The Philox keys of ``split(start + j)`` for j < _BLOCK, as a
+        (_BLOCK, 2) uint64 array; ``start`` is a multiple of _BLOCK.
+
+        Only the lowest 32-bit word of an index varies within the block,
+        and it is the first one hashed in, so the pool becomes one column
+        per index; the higher words of an index of 2**32 or above continue
+        the hash chain, broadcast over the columns.
+        """
         if self._child is None:
             gen = np.random.Generator(np.random.Philox(key=0))
             self._child = (*self._child_pool(), gen)
-        pool, consts, h, _ = self._child
-        *head, last = _words(_nonnegative_int(index, "stream index"))
-        for w in head:  # an index of 2**32 or above continues the hash chain
-            pool = _absorb(pool, consts, w)
+        pool, h, _ = self._child
+        low, *high = _words(start)
+        for word in (low + np.arange(_BLOCK, dtype=np.uint32), *high):
             consts, h = _hash_constants(h, _MULT_A, _POOL_SIZE)
-        out = []
-        for p, (x, m) in zip(_absorb(pool, consts, last), _STATE_CONSTANTS):
-            h = (p ^ x) * m & _MASK32
-            out.append(h ^ h >> 16)
-        return out[0] | out[1] << 32, out[2] | out[3] << 32
+            pool = _absorb(pool, consts, word)
+        # generate_state's hash, written as little-endian words: each row's
+        # four words read as its two uint64 key words on any platform
+        keys = np.empty((_BLOCK, _POOL_SIZE), dtype="<u4")
+        out = keys.T
+        np.multiply(pool ^ _STATE_X, _STATE_M, out=out)
+        out ^= out >> 16
+        return keys.view("<u8")
+
+    def _child_key(self, index):
+        """The Philox key of ``split(index)``: the two uint64 words of
+        ``SeedSequence(seed, spawn_key=path + (index,)).generate_state(2, np.uint64)``.
+
+        It is read from the keys of the aligned block of _BLOCK indices
+        around ``index``, derived at once. The source keeps the last block
+        of each stream family (``index >> 20``) that it reached, for at
+        most _FAMILIES (32) families, dropping the family it first took in
+        when a new one comes past the cap: at most 32 blocks of 4 KiB,
+        whatever the run's length or access pattern.
+        """
+        index = _nonnegative_int(index, "stream index")
+        family, start = index // STREAM_LEVEL_STRIDE, index - index % _BLOCK
+        block = self._blocks.get(family)
+        if block is None or block[0] != start:
+            if block is None and len(self._blocks) == _FAMILIES:
+                del self._blocks[next(iter(self._blocks))]
+            block = self._blocks[family] = (start, self._block_keys(start))
+        return tuple(block[1][index - start].tolist())
 
     def child_generator(self, index):
         """A Generator drawing exactly the stream of ``split(index).generator``.
 
         The source owns one Philox generator and rekeys it on every call,
         so the returned Generator is valid only until the next call on
-        this source.
+        this source. A call costs a key lookup (a block's derivation once
+        per 256 consecutive indices of a family) and the state set.
         """
         key = self._child_key(index)
         gen = self._child[-1]

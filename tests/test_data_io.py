@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from pmvr.benchmarks import PortfolioData
 from pmvr.data_io import (
+    AGGREGATE_CRITERIA,
     AGGREGATE_HEADER,
     TRACE_COLUMNS,
     TRACE_HEADER,
@@ -20,6 +21,7 @@ from pmvr.data_io import (
     read_trace_csv,
     validate_config,
     write_aggregate_csv,
+    write_csv,
     write_trace_csv,
 )
 
@@ -411,6 +413,46 @@ class TestAggregate:
         traces = [self.trace([1.0, 2.0], [None, None]), self.trace([1.0], [None])]
         with pytest.raises(RuntimeError, match="different iteration grids"):
             write_aggregate_csv(traces, str(tmp_path / "agg.csv"))
+
+    @staticmethod
+    def per_row_aggregate(rows):
+        """One aggregate row by a per-row mean and std, the writer's formula
+        before it reduced whole columns."""
+        first = rows[0]
+        out = [first.iteration, first.stage, first.sfo, first.lmo,
+               float(np.mean([r.seconds for r in rows]))]
+        for name in AGGREGATE_CRITERIA:
+            values = [getattr(r, name) for r in rows]
+            arr = None if None in values else np.asarray(values, dtype=np.float64)
+            out += [None, None] if arr is None else [float(arr.mean()), float(arr.std())]
+        return out
+
+    @pytest.mark.parametrize("reps", [1, 2, 5, 8, 9, 17, 33])
+    def test_column_reductions_write_the_per_row_formula_bytes(self, tmp_path, reps):
+        draw = np.random.default_rng(reps)
+
+        def values(n):
+            # magnitudes from 1e-8 to 1e8, both signs, and signed zeros
+            v = np.where(draw.random(n) < 0.5, -1.0, 1.0) * 10.0 ** draw.uniform(-8, 8, n)
+            v[draw.random(n) < 0.1] = 0.0
+            v[draw.random(n) < 0.1] = -0.0
+            return v.tolist()
+
+        traces = []
+        for _ in range(reps):
+            cols = [values(201) for _ in range(5)]
+            gaps = [None if draw.random() < 0.2 else g for g in values(201)]
+            traces.append([TraceRow(i, i // 50, abs(cols[0][i]), 8 * i, i, *(c[i] for c in cols[1:]),
+                                    gaps[i]) for i in range(201)])
+        traces[0][-1].opt_gap = 1.5  # a row no repetition leaves empty, at reps 1 too
+        for t in traces[1:]:
+            t[-1].opt_gap = -0.0
+        got, want = tmp_path / "got.csv", tmp_path / "want.csv"
+        write_aggregate_csv(traces, str(got))
+        write_csv(str(want), AGGREGATE_HEADER, (self.per_row_aggregate(rows) for rows in zip(*traces)))
+        assert got.read_bytes() == want.read_bytes()
+        lines = got.read_text().splitlines()
+        assert any(ln.endswith(",,") for ln in lines) and not lines[-1].endswith(",,")
 
 
 MINIMAL = {

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pmvr.rng import STREAM_LEVEL_STRIDE, RandomSource
+from pmvr.rng import _FAMILIES, STREAM_LEVEL_STRIDE, RandomSource
 
 SEEDS = st.integers(0, 2**64 - 1)
 # path entries and indices of 2**32 and above hash as more than one word
@@ -117,3 +117,56 @@ def test_numpy_integers_are_accepted_as_python_ints():
 def test_bad_seeds_paths_and_indices_raise_value_error(build):
     with pytest.raises(ValueError, match="non-negative integer|64-bit"):
         build()
+
+
+# indices whose aligned 256-index blocks are checked key by key: two whole
+# blocks from 0, both sides of a level boundary, both sides of the 32-bit
+# word boundary and a tau-stream index
+BLOCK_INDICES = [*range(512), 2**20 - 1, 2**20 + 1, 2**32 - 1, 2**32, 2**32 + 255, 2**40 + 7]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**63 + 5, 2**64 - 1])
+@pytest.mark.parametrize("path", [(), (3,), (7, 2**33)])
+def test_every_key_of_whole_blocks_equals_the_seed_sequence_key(seed, path):
+    src = RandomSource(seed, path)
+    for start in sorted({i - i % 256 for i in BLOCK_INDICES}):
+        for index in range(start, start + 256):
+            assert src._child_key(index) == seed_sequence_key(seed, path, index)
+
+
+@pytest.mark.parametrize("kind", [np.int64, np.uint64, np.uint32, np.int32])
+@pytest.mark.parametrize("index", [0, 255, 256, 2**20 + 1, 2**31 - 1])
+def test_numpy_integer_indices_give_the_python_int_key(kind, index):
+    src = RandomSource(11, (5,))
+    key = src._child_key(kind(index))
+    assert key == seed_sequence_key(11, (5,), index)
+    assert type(key) is tuple and all(type(w) is int for w in key)
+
+
+def test_rekeys_back_and_forth_across_block_boundaries_match_split_generators():
+    src = RandomSource(2**63 + 5, (7,))
+    level = STREAM_LEVEL_STRIDE
+    indices = [255, 256, 255, 0, 511, level + 255, 256, level + 256, level + 255,
+               2**32 - 1, 2**32, 2**32 - 1, 2 * level, level + 256, 2**40 + 7, 255]
+    for index in indices:
+        gen = src.child_generator(index)
+        fresh = src.split(index).generator
+        assert plain_state(gen) == plain_state(fresh)
+        assert np.array_equal(gen.integers(0, 1100, size=9), fresh.integers(0, 1100, size=9))
+
+
+def test_scattered_indices_leave_the_key_cache_within_its_bound():
+    src = RandomSource(4)
+    picks = np.random.default_rng(0)
+    families = picks.integers(0, 3 * _FAMILIES, size=10_000)
+    indices = (families * STREAM_LEVEL_STRIDE + picks.integers(0, STREAM_LEVEL_STRIDE, size=10_000)).tolist()
+    indices[::97] = [2**40 + i for i in range(len(indices[::97]))]
+    for n, index in enumerate(indices):
+        key = src._child_key(index)
+        if n % 250 == 0:
+            assert key == seed_sequence_key(4, (), index)
+        assert len(src._blocks) <= _FAMILIES
+    for family, (start, keys) in src._blocks.items():
+        assert start % 256 == 0 and start // STREAM_LEVEL_STRIDE == family
+        assert keys.shape == (256, 2) and keys.dtype == np.uint64
+    assert sum(keys.nbytes for _, keys in src._blocks.values()) <= _FAMILIES * 4096
