@@ -45,6 +45,9 @@ class _Stream:
     index: int
     size: int
 
+    def __len__(self):
+        return self.size
+
 
 # a slice stacks at most this many entries of the largest per-level
 # Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
@@ -53,82 +56,88 @@ _SLICE_ENTRIES = 2**16
 _F64 = np.dtype(np.float64)
 
 
-def _batch_size(batch):
-    if isinstance(batch, _Stream):
-        return batch.size
-    return len(batch[0]) if isinstance(batch, tuple) else len(batch)
-
-
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
     """Evaluate each level's (value, Jacobian) pairs on its batch at its new
     chain input and, unless ``old_chain`` is None, at its old one.
 
-    The batch is cut into slices of at most _SLICE_ENTRIES entries of the
-    largest Jacobian, planned once per walk; a batch that fits in one slice
-    goes to the oracles as it is. Per slice, the values are summed into the
-    level's mean and the Jacobians multiply a running per-sample product,
-    reduced at the last level: K = 1 keeps one slice alive, and a streamed
-    batch (_Stream) is drawn slice by slice from its rekeyed substream, the
-    next level's rekey coming only after its last slice, so its samples are
-    never held whole either. ``next_input(i, mean_new, mean_old)`` (0-based
-    i, no old mean: None) turns level i's means into the next new input.
-    Adds points * B per level to the SFO counter; returns the flat gradient
-    means at the new chain and at the old one.
+    The batches are checked before any draw or oracle call: one per level,
+    of one non-empty size, with an old chain of one input per level, else
+    ValueError. The slice width, at most _SLICE_ENTRIES entries of the
+    largest Jacobian, is then fixed for the whole walk; a batch that fits
+    in one slice goes to the oracles as it is. Per slice, the values are
+    summed into the level's mean and the Jacobians multiply a running
+    per-sample product, reduced at the last level. Every sum starts from
+    0.0 (``initial=0.0``) and adds the slices in order, so an
+    all-negative-zero column sums to +0.0. K = 1 keeps one slice alive, and
+    a streamed batch (_Stream) is drawn slice by slice from its rekeyed
+    substream, the next level's rekey coming only after its last slice, so
+    its samples are never held whole either. ``next_input(i, mean_new,
+    mean_old)`` (0-based i, no old mean: None) turns level i's means into
+    the next new input. Adds points * B per level to the SFO counter;
+    returns the flat gradient means at the new chain and at the old one.
     """
     levels = problem.levels
-    batches = [b if isinstance(b, (tuple, _Stream)) else np.asarray(b) for b in batches]
-    sizes = {_batch_size(b) for b in batches}
-    size = sizes.pop()
-    if sizes or size == 0:
-        raise ValueError("per-level batches must be non-empty and share one size")
-    if len(batches) != len(levels) or (old_chain is not None and len(old_chain) != len(levels)):
+    k = len(levels)
+    if len(batches) != k or (old_chain is not None and len(old_chain) != k):
         raise ValueError("the walk needs one batch and one old chain input per level")
-    width = max(1, _SLICE_ENTRIES // max(lv.in_dim * lv.out_dim for lv in levels))
-    cuts = [slice(lo, min(lo + width, size)) for lo in range(0, size, width)]
-    whole = len(cuts) == 1
-    chains = [[problem.flatten(x)]] + ([] if old_chain is None else [old_chain])
-    prods = [None] * len(chains)
-    for i, (level, batch) in enumerate(zip(levels, batches)):
-        last = i == len(levels) - 1
+    size, largest = -1, 1
+    for level, batch in zip(levels, batches):
+        n = len(batch[0]) if isinstance(batch, tuple) else len(batch)
+        if n == 0 or size not in (-1, n):
+            raise ValueError("per-level batches must be non-empty and share one size")
+        size, largest = n, max(largest, level.in_dim * level.out_dim)
+    width = max(1, _SLICE_ENTRIES // largest)
+    whole = size <= width
+    old = old_chain is not None
+    chains = [[problem.flatten(x)], old_chain] if old else [[problem.flatten(x)]]
+    prods = None
+    points = range(len(chains))
+    for i, level in enumerate(levels):
+        batch = batches[i]
+        last = i == k - 1
         streamed = isinstance(batch, _Stream)
-        gen = batch.rng.child_generator(batch.index) if streamed else None
+        if streamed:
+            gen = batch.rng.child_generator(batch.index)
+        elif not isinstance(batch, tuple):
+            batch = np.asarray(batch)
         # running sums, so a slice is dropped once reduced; the product of
         # the levels so far is kept whole until the next level's input is known
-        sums, jacs = [0.0] * len(chains), [0.0 if last else [] for _ in chains]
-        for cut in cuts:
-            n = cut.stop - cut.start
+        sums = [None] * len(chains)
+        jacs = [None] * len(chains) if whole or last else [[] for _ in points]
+        for lo in range(0, size, width):
+            hi = min(lo + width, size)
             if streamed:
-                part = sample_batch(level, gen, n)
+                part = sample_batch(level, gen, hi - lo)
             elif whole:
                 part = batch
             else:
-                part = tuple(a[cut] for a in batch) if isinstance(batch, tuple) else batch[cut]
-            vshape, jshape = (n, level.out_dim), (n, level.in_dim, level.out_dim)
-            for p, chain in enumerate(chains):
+                part = tuple(a[lo:hi] for a in batch) if isinstance(batch, tuple) else batch[lo:hi]
+            vshape, jshape = (hi - lo, level.out_dim), (hi - lo, level.in_dim, level.out_dim)
+            for p in points:
                 # _checked runs unless its fast path holds: float64 and the right shape
-                value = level.value(chain[i], part)
+                value = level.value(chains[p][i], part)
                 if type(value) is not np.ndarray or value.dtype is not _F64 or value.shape != vshape:
                     value = _checked(value, vshape, i, "value")
-                sums[p] = sums[p] + np.add.reduce(value, axis=0)
-                jac = level.jacobian(chain[i], part)
+                total = np.add.reduce(value, axis=0, initial=0.0)
+                sums[p] = total if lo == 0 else sums[p] + total
+                jac = level.jacobian(chains[p][i], part)
                 if type(jac) is not np.ndarray or jac.dtype is not _F64 or jac.shape != jshape:
                     jac = _checked(jac, jshape, i, "jacobian")
-                if prods[p] is not None:
-                    jac = (prods[p] if whole else prods[p][cut]) @ jac
+                if i:
+                    jac = (prods[p] if whole else prods[p][lo:hi]) @ jac
                 if last:
-                    jacs[p] = jacs[p] + np.add.reduce(jac, axis=0)
+                    total = np.add.reduce(jac, axis=0, initial=0.0)
+                    jacs[p] = total if lo == 0 else jacs[p] + total
                 elif whole:
                     jacs[p] = jac
                 else:
                     jacs[p].append(jac)
         if counters is not None:
             counters.sfo += len(chains) * size
-        means = [s.reshape(-1) / size for s in sums] + [None]
-        chains[0].append(next_input(i, means[0], means[1]))
+        chains[0].append(next_input(i, sums[0] / size, sums[1] / size if old else None))
         if not last:
             prods = jacs if whole else [np.concatenate(j) for j in jacs]
-    grads = [j.reshape(-1) / size for j in jacs] + [None]
-    return grads[0], grads[1]
+    return jacs[0].reshape(-1) / size, jacs[1].reshape(-1) / size if old else None
 
 
 def _level_batches(problem, rng, t, size):
@@ -193,7 +202,9 @@ def storm_update(u, v, alpha, problem, x, x_old, batches, counters=None):
     None: a first step, or a moving average; or empty value trackers) each
     level is evaluated at one point. ``batches`` holds one batch per level:
     drawn samples, or a generative level's _Stream (``_level_batches``). A
-    ``u`` of other than K trackers raises ValueError before any draw.
+    ``u`` of other than K trackers raises ValueError here, and batches of
+    another count or of mismatched or zero sizes raise it in the walk, once
+    per update; both come before any draw or oracle call.
     """
     if len(u) != problem.k:
         raise ValueError(f"K = {problem.k} levels need K value trackers, got len(u) = {len(u)}")

@@ -264,9 +264,22 @@ def _check_finite(state, iteration):
     iterate is checked first, since the trackers are evaluated at it, and
     at all because a feasibility certificate never reads x itself. The
     baseline's averages are None until its first step fills them.
+
+    The fast path allocates nothing: a sum of squares is finite only if
+    every entry is, so a finite total of ``np.vdot(a, a)`` over the arrays
+    passes. A total that is not finite (a NaN or an infinity, or finite
+    entries whose squares overflow) runs the per-array check, which
+    locates the error or passes the overflow silently.
     """
+    arrays = (state.x, *state.u, state.v)  # level 0 is the iterate
+    total = 0.0
+    for a in arrays:
+        if a is not None:
+            total += float(np.vdot(a, a))
+    if math.isfinite(total):
+        return
     k = len(state.u)
-    for level, a in enumerate([state.x, *state.u, state.v]):  # level 0 is the iterate
+    for level, a in enumerate(arrays):
         if a is not None and not np.isfinite(a).all():
             raise NonFiniteStateError(iteration, level if level <= k else None)
 

@@ -43,3 +43,10 @@ def test_timed_bench_run_reports_every_end_to_end_metric():
     assert sorted(last["metrics"]) == sorted(m["name"] for m in declared)
     for name, entry in last["metrics"].items():
         assert math.isfinite(entry["value"]), name
+
+
+def test_timed_md_portfolio_run_is_correct():
+    """The untimed checks of the path the md-portfolio bounds read: every
+    repetition of a one-second ``--trace 0`` run is checked and correct."""
+    last = bench_run("md-portfolio", 0)
+    assert last["attempted"] > 0

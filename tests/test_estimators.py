@@ -552,3 +552,134 @@ def test_storm_update_refuses_a_tracker_count_other_than_k(trackers, moved, monk
     with pytest.raises(ValueError, match=rf"K = 2 .*len\(u\) = {trackers}$"):
         storm_update(u, v, 0.5, problem, x + 0.01, x if moved else None, batches, counters)
     assert counters.sfo == 0
+
+
+# --- the walk's sums start from 0.0 and add the slices in order -------------
+
+def table_problem(gen, k, records=8):
+    """A K-level problem whose stochastic oracles return rows of fixed
+    tables, indexed by a batch's record indices, whatever the point; and its
+    (values, Jacobians) tables. The entries are unit normals with both
+    signs of zero among them, so the order of a sum shows in its last bits.
+    Level 1's first value column and first Jacobian row are all -0.0, and
+    its next ones span 1e-310 to 1e300 with both signs (a second level's
+    Jacobian stays unit-sized, so the chain product cannot overflow)."""
+    dims = [(4, 1)] if k == 1 else [(4, 3), (3, 1)]
+    tables = []
+    for n_in, n_out in dims:
+        values, jacobians = (
+            gen.standard_normal(shape) * np.where(gen.random(shape) < 0.2, 0.0, 1.0)
+            for shape in ((records, n_out), (records, n_in, n_out))
+        )
+        tables.append((values, jacobians))
+    values, jacobians = tables[0]
+    for a in (values.T, jacobians.transpose(1, 0, 2)):
+        a[0] = -0.0
+        if len(a) > 1:
+            a[1] *= 10.0 ** gen.uniform(-310, 300, a[1].shape)
+    levels = [
+        Level(n_in, n_out, lambda y, s, t=t: t[0][s], lambda y, s, t=t: t[1][s],
+              lambda y: pytest.fail("exact oracle"), lambda y: pytest.fail("exact oracle"),
+              samples=FiniteSamples(records))
+        for (n_in, n_out), t in zip(dims, tables)
+    ]
+    return CompositionalProblem(levels), tables
+
+
+def slice_by_slice_mean(rows_of, size, width):
+    """(0.0 + the sum of each slice's np.add.reduce, in order) / size; the
+    slice rows are ``rows_of(lo, hi)``."""
+    total = 0.0
+    for lo in range(0, size, width):
+        total = total + np.add.reduce(rows_of(lo, min(lo + width, size)), axis=0)
+    return total / size
+
+
+@pytest.mark.parametrize("seed", range(4))
+@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("sliced", [False, True])
+def test_walk_means_are_running_sums_from_zero(seed, k, sliced, monkeypatch):
+    """Every mean the walk forms is its running sum, started at 0.0 and
+    added slice by slice, over B, byte for byte: an all-negative-zero column
+    comes out +0.0, and a batch of several slices adds their sums in order."""
+    gen = np.random.default_rng(seed)
+    problem, tables = table_problem(gen, k)
+    largest = max(lv.in_dim * lv.out_dim for lv in problem.levels)
+    width = 5 if sliced else _SLICE_ENTRIES // largest
+    if sliced:
+        monkeypatch.setattr("pmvr.estimators._SLICE_ENTRIES", 5 * largest)
+    batch = gen.integers(0, 8, size=24)
+    assert (len(batch) > width) == sliced
+    means = []
+
+    def record(i, mean_new, mean_old):
+        means.append((mean_new, mean_old))
+        return mean_new
+
+    x = np.zeros(problem.levels[0].in_dim)
+    old_chain = [x] + [np.zeros(lv.in_dim) for lv in problem.levels[1:]]
+    grads = _walk(problem, x, old_chain, [batch] * k, record)
+
+    def product(lo, hi):
+        rows = tables[0][1][batch[lo:hi]]
+        for _, jacobians in tables[1:]:
+            rows = rows @ jacobians[batch[lo:hi]]
+        return rows
+
+    for (values, _), got in zip(tables, means, strict=True):
+        want = slice_by_slice_mean(lambda lo, hi: values[batch[lo:hi]], 24, width)
+        assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == want.tobytes()
+    want = slice_by_slice_mean(product, 24, width).reshape(-1)
+    assert grads[0].tobytes() == want.tobytes() and grads[1].tobytes() == want.tobytes()
+    assert means[0][0][0] == 0.0 and not np.signbit(means[0][0][0])
+
+
+# --- the walk checks its batches before any draw or oracle call -------------
+
+def refusing_problem():
+    """K = 2: a generative level 1 and a finite level 2 whose oracles fail
+    the test when called."""
+    def oracle(*args):
+        pytest.fail("an oracle was called")
+
+    return CompositionalProblem([
+        Level(1, 2, oracle, oracle, oracle, oracle,
+              samples=GenerativeSamples(lambda gen, n: gen.normal(size=n))),
+        Level(2, 1, oracle, oracle, oracle, oracle, samples=FiniteSamples(4)),
+    ])
+
+
+SIZES_MESSAGE = "per-level batches must be non-empty and share one size"
+COUNT_MESSAGE = "the walk needs one batch and one old chain input per level"
+
+
+@pytest.mark.parametrize("sizes, trackers, message", [
+    ((3, 2), 2, SIZES_MESSAGE),  # mismatched batch sizes
+    ((0, 0), 2, SIZES_MESSAGE),  # an empty batch
+    ((3,), 2, COUNT_MESSAGE),  # one batch for two levels
+    ((3, 3, 3), 2, COUNT_MESSAGE),  # three batches for two levels
+    ((3, 3), 1, r"K = 2 levels need K value trackers, got len\(u\) = 1$"),  # a short old chain
+])
+def test_storm_update_refuses_its_batches_before_any_draw_or_oracle_call(
+        sizes, trackers, message, monkeypatch):
+    problem = refusing_problem()
+    stream = [_Stream(RandomSource(0), STREAM_LEVEL_STRIDE + 1, sizes[0])]
+    batches = stream + [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
+    u = [np.zeros(2), np.zeros(1)][:trackers]
+    monkeypatch.setattr(RandomSource, "child_generator",
+                        lambda *args: pytest.fail("a batch was drawn"))
+    counters = OracleCounters()
+    with pytest.raises(ValueError, match=message):
+        storm_update(u, np.zeros(1), 0.5, problem, np.zeros(1), np.zeros(1), batches, counters)
+    assert counters.sfo == 0
+
+
+def test_walk_refuses_a_short_old_chain_before_any_draw_or_oracle_call(monkeypatch):
+    problem = refusing_problem()
+    batches = [_Stream(RandomSource(0), STREAM_LEVEL_STRIDE + 1, 3), np.zeros(3, dtype=np.int64)]
+    monkeypatch.setattr(RandomSource, "child_generator",
+                        lambda *args: pytest.fail("a batch was drawn"))
+    counters = OracleCounters()
+    with pytest.raises(ValueError, match=COUNT_MESSAGE):
+        _walk(problem, np.zeros(1), [np.zeros(1)], batches, lambda i, m, _: m, counters)
+    assert counters.sfo == 0

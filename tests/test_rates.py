@@ -6,6 +6,14 @@ its criterion at x_tau over fixed seeds. It passes when the least-squares
 slope of log(mean criterion) over log(eps) is at least 0.5. The problems,
 the seeds and this rule were fixed before the first run, and a row whose
 T exponent is raised by one (fewer iterations) fails it.
+
+The theorems bound the expectation over tau, not one draw of it: each seed
+draws one tau, so a seed that draws tau = 1 at every eps floors the x_tau
+mean at its start point's criterion. The E_tau rows average the criterion
+over the iterates x_1..x_T instead, which is that expectation exactly for
+the run's own samples, under the same rule. They reuse the x_tau rows'
+problems and seeds, whose E_tau slopes had been probed before they were
+written.
 """
 
 import numpy as np
@@ -38,6 +46,21 @@ def slope_at_x_tau(row, problem, fset, x1, criterion):
     return means, np.polyfit(np.log(EPS), np.log(means), 1)[0]
 
 
+def slope_over_tau(row, problem, fset, x1, criterion):
+    """The row's mean over seeds of E_tau[criterion(x_tau)], the average over
+    RunResult.iterates[:T] (x_1..x_T), for each eps, and their log-log slope."""
+    means = []
+    for eps in EPS:
+        params = schedule_for(*THEOREMS[row], eps)
+        trace = TraceConfig(metric_every=params.iters)
+        means.append(np.mean([
+            np.mean([criterion(x) for x in run.iterates[:params.iters]])
+            for run in (pmvr_run(problem, fset, params, x1, RandomSource(s), trace=trace)
+                        for s in SEEDS)
+        ]))
+    return means, np.polyfit(np.log(EPS), np.log(means), 1)[0]
+
+
 @pytest.mark.parametrize("row", ["thm1", "thm2"])
 def test_fw_gap_at_x_tau_falls_with_eps(row):
     problem = mean_variance_problem(synthetic_portfolio_data(d=10), 1.0)
@@ -58,6 +81,27 @@ def test_gradient_mapping_at_x_tau_falls_with_eps(row):
     fset = Simplex(10)
     problem = quadratic_distance_problem(5.0 * np.eye(10)[0], fset)
     means, slope = slope_at_x_tau(
+        row, problem, fset, np.full(10, 0.1), lambda x: gradient_mapping(problem, fset, x)
+    )
+    assert slope >= 0.5, (row, means, slope)
+
+
+@pytest.mark.parametrize("row", ["thm1", "thm2"])
+def test_fw_gap_over_tau_falls_with_eps(row):
+    problem = mean_variance_problem(synthetic_portfolio_data(d=10), 1.0)
+    fset = Simplex(10)
+    means, slope = slope_over_tau(
+        row, problem, fset, np.full(10, 0.1), lambda x: fw_gap(problem, fset, x)
+    )
+    assert slope >= 0.5, (row, means, slope)
+
+
+@pytest.mark.parametrize("row", ["thm3", "thm4"])
+def test_gradient_mapping_over_tau_falls_with_eps(row):
+    """The problem of test_gradient_mapping_at_x_tau_falls_with_eps."""
+    fset = Simplex(10)
+    problem = quadratic_distance_problem(5.0 * np.eye(10)[0], fset)
+    means, slope = slope_over_tau(
         row, problem, fset, np.full(10, 0.1), lambda x: gradient_mapping(problem, fset, x)
     )
     assert slope >= 0.5, (row, means, slope)

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 from dataclasses import replace
 from types import SimpleNamespace
@@ -786,6 +787,40 @@ class TestNonFiniteGuard:
         with pytest.raises(NonFiniteStateError) as err:
             _check_finite(state, 3)
         assert (err.value.iteration, err.value.level) == (3, level)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where, level", [
+        ("x", 0), ("u0", 1), ("u1", 2), ("u2", 3), ("v", None),
+    ])
+    def test_a_non_finite_entry_names_its_iteration_and_level(self, bad, where, level):
+        # a K = 3 state; every array before the bad one is finite
+        state = SolverState(
+            x=np.full((2, 3), 0.5), counters=OracleCounters(),
+            u=[np.arange(4.0), np.array([-1.0, 2.0]), np.array([3.0])], v=np.full((2, 3), -0.25),
+        )
+        _check_finite(state, 7)
+        if where.startswith("u"):
+            state.u[int(where[1])][-1] = bad
+        else:
+            getattr(state, where)[1, 2] = bad
+        with pytest.raises(NonFiniteStateError) as err:
+            _check_finite(state, 7)
+        assert (err.value.iteration, err.value.level) == (7, level)
+
+    def test_a_finite_state_allocates_no_iterate_sized_temporary(self):
+        gen = np.random.default_rng(0)
+        state = SolverState(
+            x=gen.standard_normal((200, 200)), counters=OracleCounters(),
+            u=[gen.standard_normal(1)], v=gen.standard_normal((200, 200)),
+        )
+        _check_finite(state, 1)
+        tracemalloc.start()
+        try:
+            _check_finite(state, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 200 * 200  # less than even a boolean mask of the iterate
 
     def test_cli_exits_two(self, tmp_path, monkeypatch, capsys):
         monkeypatch.setattr(cli, "build_problem", lambda spec: drifting_nan_problem(1))
