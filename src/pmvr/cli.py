@@ -157,84 +157,58 @@ DESK_REPS = 5
 
 
 def _reproduce_configs(experiment, scale, data_path):
-    """Configs for the three solvers on one experiment, at desk or paper scale."""
+    """Configs for the three solvers on one experiment, at desk or paper scale:
+    each experiment states its problem, T and schedules, and one block
+    builds the pmvr, pmvr-v2 and baseline configs from them."""
+    v2_extra = {}
     if experiment == "matrix":
         problem = {"name": "single_index", "m": 20, "n": 20, "s": 1.0, "sigma": 0.1}
-        reps = DESK_REPS if scale == "desk" else 50
+        t_run = 2000
         eps_v2 = 2000.0 ** (-2.0 / 3.0)  # thm3 iteration count comes out at 2000
-        return {
-            "pmvr": {
-                "problem": problem, "algorithm": "pmvr",
-                "schedule": {"theorem": "thm1", "eps": 0.1, "overrides": {"t": 2000}},
-                "seed": 1, "reps": reps,
-            },
-            "pmvr-v2": {
-                "problem": problem, "algorithm": "pmvr-v2",
-                "schedule": {
-                    "theorem": "thm3", "eps": eps_v2,
-                    "constants": {"eta": 0.126, "alpha": 8.0, "b1": 8.0,
-                                  "b0": 16.0, "n": 10.0 * eps_v2},
-                },
-                "seed": 1, "reps": reps,
-            },
-            "baseline": {
-                "problem": problem, "algorithm": "baseline",
-                "schedule": {
-                    "explicit": {"eta": 0.05, "alpha": 1.0, "b0": 10, "b1": 1, "t": 2000}
-                },
-                "seed": 1, "reps": reps,
-            },
-        }
-    name = "mean_variance" if experiment == "mv-portfolio" else "mean_deviation"
-    if scale == "desk":
-        source = {"kind": "synthetic", "d": 10, "periods": 500}
-        reps = DESK_REPS
-        t_run = 1000
+        schedules = (
+            {"theorem": "thm1", "eps": 0.1, "overrides": {"t": t_run}},
+            {"theorem": "thm3", "eps": eps_v2,
+             "constants": {"eta": 0.126, "alpha": 8.0, "b1": 8.0, "b0": 16.0,
+                           "n": 10.0 * eps_v2}},
+            {"explicit": {"eta": 0.05, "alpha": 1.0, "b0": 10, "b1": 1, "t": t_run}},
+        )
     else:
-        if not data_path:
+        if scale == "desk":
+            source = {"kind": "synthetic", "d": 10, "periods": 500}
+        elif data_path:
+            source = {"kind": "french_csv", "path": data_path}
+        else:
             raise ConfigError(
                 "data",
                 "paper scale needs the industry returns file; download it from "
                 "the Kenneth R. French data library (see README, 'Full-scale "
                 "data') and pass --data PATH",
             )
-        source = {"kind": "french_csv", "path": data_path}
-        reps = 50
-        t_run = 10000
-    problem = {"name": name, "lambda": 1.0, "source": source}
-    # the three-level deviation objective carries a steep smoothed square
-    # root, so its recipes average harder per step than the two-level one
-    if name == "mean_deviation":
-        pmvr_constants = {"alpha": 3.0, "b1": 8.0, "b0": 10.0}
-        v2_constants = {"eta": 0.45, "alpha": 1.0, "b1": 8.0, "b0": 22.4, "n": 0.5}
-    else:
-        pmvr_constants = {}
-        v2_constants = {"n": 0.5}
+        name = "mean_variance" if experiment == "mv-portfolio" else "mean_deviation"
+        problem = {"name": name, "lambda": 1.0, "source": source}
+        t_run = 1000 if scale == "desk" else 10000
+        # the three-level deviation objective carries a steep smoothed square
+        # root, so its recipes average harder per step than the two-level one
+        if name == "mean_deviation":
+            pmvr_constants = {"alpha": 3.0, "b1": 8.0, "b0": 10.0}
+            v2_constants = {"eta": 0.45, "alpha": 1.0, "b1": 8.0, "b0": 22.4, "n": 0.5}
+        else:
+            pmvr_constants, v2_constants = {}, {"n": 0.5}
+        schedules = (
+            {"theorem": "thm1", "eps": 0.1, "constants": pmvr_constants,
+             "overrides": {"t": t_run}},
+            {"theorem": "thm3", "eps": 0.05, "constants": v2_constants,
+             "overrides": {"t": t_run}},
+            {"explicit": {"eta": 0.05, "alpha": 0.5, "b0": 10, "b1": 1, "t": t_run}},
+        )
+        # the quadratic subsolver's curvature must sit at the problem's
+        # scale (fractional returns), not the unit default
+        v2_extra = {"beta": 0.01}
+    common = {"problem": problem, "seed": 1, "reps": DESK_REPS if scale == "desk" else 50}
     return {
-        "pmvr": {
-            "problem": problem, "algorithm": "pmvr",
-            "schedule": {"theorem": "thm1", "eps": 0.1,
-                         "constants": pmvr_constants, "overrides": {"t": t_run}},
-            "seed": 1, "reps": reps,
-        },
-        "pmvr-v2": {
-            "problem": problem, "algorithm": "pmvr-v2",
-            "schedule": {
-                "theorem": "thm3", "eps": 0.05,
-                "constants": v2_constants, "overrides": {"t": t_run},
-            },
-            # the quadratic subsolver's curvature must sit at the problem's
-            # scale (fractional returns), not the unit default
-            "beta": 0.01,
-            "seed": 1, "reps": reps,
-        },
-        "baseline": {
-            "problem": problem, "algorithm": "baseline",
-            "schedule": {
-                "explicit": {"eta": 0.05, "alpha": 0.5, "b0": 10, "b1": 1, "t": t_run}
-            },
-            "seed": 1, "reps": reps,
-        },
+        algo: dict(common, algorithm=algo, schedule=schedule,
+                   **(v2_extra if algo == "pmvr-v2" else {}))
+        for algo, schedule in zip(("pmvr", "pmvr-v2", "baseline"), schedules)
     }
 
 

@@ -3,10 +3,13 @@
 Each set exposes the four operations the solvers and metrics need:
 
 * ``lmo(d)``       -- a minimizer of <x, d> over the set,
-* ``project(p)``   -- the Euclidean-nearest feasible point (a point with a
-                      NaN or infinite entry raises ValueError naming the set),
+* ``project(p)``   -- the Euclidean-nearest feasible point,
 * ``contains(p)``  -- membership up to a tolerance,
 * ``diameter``     -- max pairwise Euclidean/Frobenius distance.
+
+On every set, ``lmo`` and ``project`` raise a ValueError naming the set for
+an argument with a NaN or infinite entry, and ``contains`` returns False for
+such a point.
 
 The nuclear-ball LMO needs only the top singular pair, computed here by one
 dense eigensolve of the smaller Gram matrix. Its projection and its
@@ -18,10 +21,12 @@ Beside each point they carry a certificate, and they ask ``_admits`` instead.
 The private hooks ``_bound`` (a point checked in full), ``_lmo`` and
 ``_project`` (a point with its certificate: the base class checks the
 point, and each set's ``_nearest`` projects it) and ``_combine`` (the
-certificate of a convex combination) produce it. The base-class defaults
-carry None and admit by ``contains``, which simplex and box keep, since
-theirs is O(d). The nuclear ball carries an upper bound B on the nuclear
-norm:
+certificate of a convex combination) produce it. The public ``lmo`` checks
+its direction and delegates to ``_lmo``, which the solvers call directly
+on directions they have checked themselves. Simplex and box carry None,
+from the base-class defaults and their own ``_lmo``, and admit by
+``contains``, since theirs is O(d). The nuclear ball carries an upper
+bound B on the nuclear norm:
 
 * a full SVD gives it for a start point or a subsolver anchor;
 * an LMO atom ``-r u v^T`` has ``||z||_* <= r ||u|| ||v||``, an O(m + n)
@@ -123,8 +128,18 @@ class FeasibleSet:
             )
         return p
 
+    def _finite(self, array, refusal):
+        """``array`` of the set's shape; a NaN or infinite entry raises
+        ValueError ``cannot <refusal> <set name>``."""
+        a = self._check_shape(array)
+        if not np.isfinite(a).all():
+            raise ValueError(f"cannot {refusal} {type(self).__name__}")
+        return a
+
     def lmo(self, direction):
-        raise NotImplementedError
+        # each set's _lmo(d) returns (lmo(d), its certificate) for a checked d
+        d = self._finite(direction, "take the LMO of a direction with a non-finite entry over")
+        return self._lmo(d)[0]
 
     def project(self, point):
         return self._project(point)[0]
@@ -143,19 +158,10 @@ class FeasibleSet:
         """Certificate of a point that nothing vouches for yet."""
         return None
 
-    def _lmo(self, direction):
-        """``(lmo(direction), its certificate)``."""
-        return self.lmo(direction), None
-
     def _project(self, point):
         """``(project(point), its certificate)``; every projection passes
         here, and a point with a NaN or infinite entry raises ValueError."""
-        p = self._check_shape(point)
-        if not np.isfinite(p).all():
-            raise ValueError(
-                f"cannot project a point with a non-finite entry onto {type(self).__name__}"
-            )
-        return self._nearest(p)
+        return self._nearest(self._finite(point, "project a point with a non-finite entry onto"))
 
     def _combine(self, bound, atom_bound, eta):
         """Certificate of ``x + eta (z - x)``, or of ``(1 - eta) x + eta z``,
@@ -177,12 +183,12 @@ class Simplex(FeasibleSet):
         self.shape = (self.d,)
         self.diameter = np.sqrt(2.0) if d > 1 else 0.0
 
-    def lmo(self, direction):
+    def _lmo(self, direction):
         # vertex at the minimal coordinate; argmin breaks ties to the lowest index
         d = self._check_shape(direction)
         out = np.zeros(self.d)
         out[d.argmin()] = 1.0
-        return out
+        return out, None
 
     def _nearest(self, p):
         return project_simplex(p), None
@@ -205,9 +211,9 @@ class Box(FeasibleSet):
         self.shape = self.lower.shape
         self.diameter = float(np.linalg.norm(self.upper - self.lower))
 
-    def lmo(self, direction):
+    def _lmo(self, direction):
         d = self._check_shape(direction)
-        return np.where(d > 0, self.lower, self.upper)
+        return np.where(d > 0, self.lower, self.upper), None
 
     def _nearest(self, p):
         return np.clip(p, self.lower, self.upper), None
@@ -230,16 +236,20 @@ class NuclearNormBall(FeasibleSet):
         self.shape = (self.m, self.n)
         self.diameter = 2.0 * self.radius
 
-    def lmo(self, direction):
-        return self._lmo(direction)[0]
+    # LAPACK's SVD fails on a NaN or an infinity, so a point that holds one
+    # is refused before it: not contained, and a NaN bound that no
+    # ``_admits`` passes
 
     def contains(self, point, tol=1e-9):
         p = self._check_shape(point)
-        sig = np.linalg.svd(p, compute_uv=False)
-        return bool(sig.sum() <= self.radius + tol)
+        return bool(np.isfinite(p).all()
+                    and np.linalg.svd(p, compute_uv=False).sum() <= self.radius + tol)
 
     def _bound(self, point):
-        return self._svd_bound(np.linalg.svd(self._check_shape(point), compute_uv=False))
+        p = self._check_shape(point)
+        if not np.isfinite(p).all():
+            return math.nan
+        return self._svd_bound(np.linalg.svd(p, compute_uv=False))
 
     def _svd_bound(self, sig):
         # a backward-stable SVD returns each singular value to within a small

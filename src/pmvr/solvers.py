@@ -27,6 +27,7 @@ and each overridable order constant multiplies that rate.
 from __future__ import annotations
 
 import math
+import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -75,6 +76,19 @@ class NonFiniteStateError(RuntimeError):
         return f"{what} is non-finite at iteration {self.iteration}"
 
 
+def _check_counts(obj, *names):
+    """Raise ValueError unless each named field of ``obj`` is an integer >= 1;
+    ``operator.index`` takes Python and numpy integers."""
+    for name in names:
+        value = getattr(obj, name)
+        try:
+            valid = operator.index(value) >= 1
+        except TypeError:
+            valid = False
+        if not valid:
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def classic_gamma(n):
     """Inner Frank-Wolfe step size; yields the 2*coeff*D^2/(N+2) certificate."""
     return 2.0 / (n + 2.0)
@@ -90,8 +104,7 @@ class QuadraticSubsolver:
     def __post_init__(self):
         if self.coeff <= 0:
             raise ValueError("subsolver coefficient must be positive")
-        if self.inner_iters < 1:
-            raise ValueError("subsolver needs at least one inner iteration")
+        _check_counts(self, "inner_iters")
 
 
 @dataclass(frozen=True)
@@ -108,10 +121,7 @@ class SolverParams:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        if self.b0 < 1 or self.b1 < 1:
-            raise ValueError("batch sizes must be >= 1")
-        if self.iters < 1:
-            raise ValueError("iteration count must be >= 1")
+        _check_counts(self, "b0", "b1", "iters")
 
 
 @dataclass
@@ -180,12 +190,19 @@ class SolverState:
 @dataclass
 class TraceConfig:
     """``keep_iterates`` keeps every iterate in ``RunResult.iterates``: 320 KB
-    per step at 200 x 200, so 640 MB for T = 2000. The CLI turns it off."""
+    per step at 200 x 200, so 640 MB for T = 2000. The CLI turns it off.
+    ``metric_every`` must be None or an integer >= 1, and ``beta`` > 0."""
 
     metric_every: Optional[int] = None
     beta: float = 1.0
     track_gradient_error: bool = False
     keep_iterates: bool = True
+
+    def __post_init__(self):
+        if self.metric_every is not None:
+            _check_counts(self, "metric_every")
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive, got {self.beta}")
 
 
 @dataclass

@@ -7,6 +7,7 @@ one-second untraced run (``--trace 0``, the mode the benchmark's bounds
 read) must report exactly the end-to-end metrics of ``BENCHMARK.json``.
 """
 
+import importlib.util
 import json
 import math
 import subprocess
@@ -14,6 +15,9 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from pmvr import cli
+from pmvr.data_io import validate_config
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -50,3 +54,26 @@ def test_timed_md_portfolio_run_is_correct():
     repetition of a one-second ``--trace 0`` run is checked and correct."""
     last = bench_run("md-portfolio", 0)
     assert last["attempted"] > 0
+
+
+def test_bench_recipes_are_the_shipped_desk_recipes_but_for_t(monkeypatch):
+    """Each benchmark workload runs its experiment's ``pmvr reproduce
+    --scale desk`` recipe: every solver resolves to the same eta, alpha, b0,
+    b1, subsolver and beta; only the iteration count may differ."""
+    spec = importlib.util.spec_from_file_location("recipes", ROOT / "bench" / "recipes.py")
+    recipes = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, "recipes", recipes)  # its dataclasses look it up
+    spec.loader.exec_module(recipes)
+
+    def resolved(raw):
+        cfg = validate_config(raw)
+        p = cfg.resolved
+        return p.eta, p.alpha, p.b0, p.b1, p.subsolver, cfg.beta
+
+    for workload, experiment in (("md-portfolio", "md-portfolio"),
+                                 ("matrix-20", "matrix"), ("matrix-200", "matrix")):
+        bench = recipes.recipe_configs(recipes.WORKLOADS[workload], 1, "returns.txt", "out")
+        shipped = cli._reproduce_configs(experiment, "desk", None)
+        assert list(bench) == list(shipped)
+        for algo in shipped:
+            assert resolved(bench[algo]) == resolved(shipped[algo]), (workload, algo)

@@ -424,6 +424,22 @@ def test_every_projection_refuses_a_non_finite_entry_naming_the_set(name, bad):
             project(point)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CASES))
+def test_a_non_finite_point_is_not_contained_and_a_non_finite_direction_has_no_lmo(
+        name, bad, capfd):
+    """``contains`` is False for a point with a NaN or an infinity on every
+    set (the nuclear ball tests it before its SVD, which LAPACK cannot run),
+    and ``lmo`` raises a ValueError naming the set, as ``project`` does."""
+    fset, point = NON_FINITE_CASES[name]
+    point = point.copy()
+    point.flat[1] = bad
+    assert fset.contains(point) is False
+    with pytest.raises(ValueError, match=f"non-finite entry over {name}$"):
+        fset.lmo(point)
+    assert capfd.readouterr().err == ""
+
+
 def test_sets_without_a_certificate_admit_by_contains():
     for fset, inside, outside in (
         (Simplex(3), np.array([0.2, 0.3, 0.5]), np.array([0.6, 0.6, 0.0])),

@@ -606,6 +606,29 @@ def test_an_infeasible_start_point_is_refused(run, case):
         run(problem, fset, schedule, x1, RandomSource(0))
 
 
+def box_case():
+    box = Box([0.0, 0.0], [1.0, 1.0])
+    return quadratic_distance_problem(np.array([2.0, -1.0]), box), box, np.array([0.5, 0.5])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("case", ["simplex", "box", "nuclear_ball"])
+def test_a_non_finite_start_point_or_anchor_is_refused_as_infeasible(case, bad, capfd):
+    """On every set a start point or a subsolver anchor with a NaN or an
+    infinity is infeasible: the run and the subsolver raise FeasibilityError
+    before any step, and LAPACK writes nothing to stderr."""
+    cases = {"simplex": tracking_case, "box": box_case, "nuclear_ball": single_index_case}
+    problem, fset, x1 = cases[case]()
+    x1 = np.array(x1, dtype=np.float64)
+    x1.flat[1] = bad
+    params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=2)
+    with pytest.raises(FeasibilityError, match="^initial point is infeasible$"):
+        pmvr_run(problem, fset, params, x1, RandomSource(0))
+    with pytest.raises(FeasibilityError, match="^subsolver anchor point is infeasible$"):
+        quadratic_fw_subsolve(np.ones(fset.shape), x1, 1.0, 3, fset)
+    assert capfd.readouterr().err == ""
+
+
 def test_baseline_averages_exact_values_and_takes_the_chain_gradient_at_them():
     """With zero-noise oracles, the baseline's trackers after each step are
     the moving averages (1 - alpha) * u + alpha * f_i(.) of the exact inner
@@ -642,6 +665,43 @@ def test_solver_params_validation():
         QuadraticSubsolver(coeff=-1.0, inner_iters=5)
     # eta = 0 stays a valid (degenerate) convex combination
     SolverParams(eta=0.0, alpha=1.0, b0=1, b1=1, iters=1)
+
+
+@pytest.mark.parametrize("value", [2.5, 2.0, "2", None])
+@pytest.mark.parametrize("name", ["b0", "b1", "iters"])
+def test_solver_params_refuse_a_count_that_is_not_an_integer(name, value):
+    """A fractional b0 would draw int(b0)-sample batches while expected_sfo
+    counts b0 of them, and a fractional iters would fail in ``range``."""
+    counts = {"b0": 2, "b1": 2, "iters": 3, name: value}
+    with pytest.raises(ValueError, match=f"^{name} must be an integer"):
+        SolverParams(eta=0.1, alpha=0.5, **counts)
+
+
+@pytest.mark.parametrize("value", [2.5, 3.0, "3"])
+def test_subsolver_refuses_an_inner_iteration_count_that_is_not_an_integer(value):
+    with pytest.raises(ValueError, match="^inner_iters must be an integer"):
+        QuadraticSubsolver(coeff=1.0, inner_iters=value)
+
+
+def test_run_objects_take_numpy_integers():
+    params = SolverParams(eta=0.1, alpha=0.5, b0=np.int64(2), b1=np.int32(3), iters=np.uint8(4),
+                          subsolver=QuadraticSubsolver(coeff=1.0, inner_iters=np.int16(2)))
+    assert (params.b0, params.b1, params.iters, params.subsolver.inner_iters) == (2, 3, 4, 2)
+    assert TraceConfig(metric_every=np.int64(5)).metric_every == 5
+
+
+@pytest.mark.parametrize("metric_every", [0, -5, 2.5])
+def test_trace_config_refuses_a_metric_cadence_below_one(metric_every):
+    """0 used to fall back to the default cadence and -5 to act like 5."""
+    with pytest.raises(ValueError, match="^metric_every must be"):
+        TraceConfig(metric_every=metric_every)
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+def test_trace_config_refuses_a_beta_that_is_not_positive(beta):
+    """Refused at construction, not at row 0 after the B0 draw."""
+    with pytest.raises(ValueError, match="^beta must be positive"):
+        TraceConfig(beta=beta)
 
 
 def test_variance_reduction_beats_plain_minibatch():
@@ -1145,8 +1205,8 @@ class CachedVertexSimplex(Simplex):
         super().__init__(d)
         self.vertices = np.eye(d)
 
-    def lmo(self, direction):
-        return self.vertices[super().lmo(direction).argmax()]
+    def _lmo(self, direction):
+        return self.vertices[super()._lmo(direction)[0].argmax()], None
 
 
 def cached_oracles(problem):
