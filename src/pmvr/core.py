@@ -7,11 +7,25 @@ sets are the only code that cares about the 2-D shape.
 
 from __future__ import annotations
 
+import operator
+
 import numpy as np
 
 
 class ShapeMismatchError(ValueError):
     pass
+
+
+def _count(value, what):
+    """``value`` as an int >= 1, else ValueError ``<what> must be an integer
+    >= 1``; ``operator.index`` takes Python and numpy integers."""
+    try:
+        n = operator.index(value)
+    except TypeError:
+        n = 0
+    if n < 1:
+        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+    return n
 
 
 def inner(x, y):

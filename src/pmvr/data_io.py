@@ -1,17 +1,25 @@
 """Dataset ingestion, run configuration, and trace serialization.
 
 The industry-returns loader accepts the whitespace- and comma-delimited
-variants of the Kenneth French library format (auto-detected per file from
-its data rows), reads the file's first data block, converts percent values
-to fractional returns, and accounts for every input line as parsed,
-skipped, or rejected. Run configurations are strict JSON: unknown keys
-fail with a path-like locator. Each problem is one entry of ``PROBLEMS``
-and each feasible set one entry of ``SETS``; an entry both validates its
-config section and builds it, a set for the problem built before it. Each
-algorithm is one entry of ``ALGORITHMS``, and ``resolve_schedule`` alone
-turns a ``schedule`` section into solver parameters, once per config, when
-it is validated. Traces and the aggregate round-trip field-exactly through
-CSV with 17-significant-digit floats, their columns written out once, in
+variants of the Kenneth French library format (comma-delimited when any
+line is a comma-separated data row) and reads the file's first data block
+in one forward pass. It skips the preamble, keeping its last all-text line
+as the header, then takes rows until the first blank, text or
+different-width line, or the first row with a malformed field, whose
+fields are parsed before its width is compared. One sentinel scan runs
+over the block. Under "error" the block's first sentinel row is reported;
+failing that, under either policy, the malformed row is. It follows every
+row of the block, so the first fault in file order is the one reported.
+The block's rows are parsed or rejected and every other line is skipped.
+
+Run configurations are strict JSON: unknown keys fail with a path-like
+locator. Each problem is one entry of ``PROBLEMS`` and each feasible set
+one entry of ``SETS``; an entry both validates its config section and
+builds it, a set for the problem built before it. Each algorithm is one
+entry of ``ALGORITHMS``, and ``resolve_schedule`` alone turns a
+``schedule`` section into solver parameters, once per config, when it is
+validated. Traces and the aggregate round-trip field-exactly through CSV
+with 17-significant-digit floats, their columns written out once, in
 ``TRACE_COLUMNS`` and ``AGGREGATE_CRITERIA``.
 """
 
@@ -186,10 +194,6 @@ class LoadReport:
         return self.parsed + self.skipped + self.rejected
 
 
-def _is_date_token(tok):
-    return tok.isdigit() and 4 <= len(tok) <= 8
-
-
 def _split_line(line, comma):
     """A stripped line's tokens; a comma line's leading empty field (the
     header's corner cell) is dropped."""
@@ -200,7 +204,8 @@ def _split_line(line, comma):
 
 
 def _is_data_row(tokens):
-    return len(tokens) > 1 and _is_date_token(tokens[0])
+    """More than one token, the first a 4- to 8-digit date."""
+    return len(tokens) > 1 and tokens[0].isdigit() and 4 <= len(tokens[0]) <= 8
 
 
 def load_french_csv(path, sentinel_policy="error"):
@@ -208,94 +213,67 @@ def load_french_csv(path, sentinel_policy="error"):
 
     Only the first data block is read: the library's files follow the
     value-weighted monthly returns with more blocks of the same width
-    (equal-weighted, annual, firm counts, firm sizes), so the first blank,
-    text or different-width line after the first data row ends the block
-    and every later line is skipped. The file is comma-delimited when a
-    line's first comma-separated field is a date, whitespace-delimited
-    otherwise. Percent values are divided by 100. A row holds a sentinel
-    when one of its values v has ``|v - s| <= 1e-9`` for s = -99.99 or
-    -999; such rows are rejected per policy: "error" fails loudly (the
-    default; silently shrinking a return series distorts means), "drop"
-    excludes them and reports the count. When the block has several faults,
-    the first offending line in file order is the one reported, whether it
-    holds a sentinel or a malformed field. Every input line ends up in
-    exactly one of the parsed / skipped / rejected tallies.
+    (equal-weighted, annual, firm counts, firm sizes). The file is
+    comma-delimited when a line's first comma-separated field is a date,
+    whitespace-delimited otherwise. Percent values are divided by 100. A
+    row holds a sentinel when one of its values v has ``|v - s| <= 1e-9``
+    for s = -99.99 or -999 (``math.isclose(v, s, rel_tol=0.0,
+    abs_tol=1e-9)``, NaN and inf included); such rows are rejected per
+    policy: "error" fails loudly (the default; silently shrinking a return
+    series distorts means), "drop" excludes them and reports the count. The
+    module docstring gives the pass that reads the block and the order in
+    which its faults are reported.
     """
     if sentinel_policy not in ("error", "drop"):
         raise ValueError(f"unknown sentinel policy {sentinel_policy!r}")
     with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.read().splitlines()
+        lines = fh.read().splitlines()
 
-    comma = any("," in ln and _is_data_row(_split_line(ln.strip(), True)) for ln in raw_lines)
-    strict = sentinel_policy == "error"
-    report = LoadReport()
-    names = None
-    width = None
-    ended = False  # the first data block is over
+    comma = any("," in ln and _is_data_row(_split_line(ln.strip(), True)) for ln in lines)
+    header = None
     rows = []
-    row_lines = []  # each row's line number
-    pending_header = None
-    for lineno, line in enumerate(raw_lines, start=1):
+    fault = None  # the malformed row that ends the block
+    for lineno, line in enumerate(lines, start=1):
         tokens = _split_line(line.strip(), comma)
-        if not ended and _is_data_row(tokens):
-            try:
-                values = list(map(float, tokens[1:]))
-            except ValueError:
-                if strict and rows:  # an earlier sentinel row is reported first
-                    _find_sentinels(path, rows, row_lines, raw_lines, comma, strict)
-                bad = next(col for col, tok in enumerate(tokens[1:], start=1)
-                           if not _looks_numeric(tok))
-                raise ParseError(
-                    f"{path}:{lineno}: malformed numeric field in column {bad}: "
-                    f"{tokens[bad]!r}"
-                ) from None
-            if width is None:
-                width = len(values)
-                if pending_header is not None and len(pending_header) == width:
-                    names = pending_header
-            elif len(values) != width:
-                # a section with a different column count ends the data block
-                ended = True
-                report.skipped += 1
-                continue
-            rows.append(values)
-            row_lines.append(lineno)
-        else:
-            # preamble / header text; after the first data row, a blank or
-            # text line ends the data block, and every later line is skipped
-            if width is None and tokens and not any(
-                _looks_numeric(t) for t in tokens
-            ):
-                pending_header = tokens
-            ended = width is not None
-            report.skipped += 1
+        if not _is_data_row(tokens):
+            if rows:
+                break
+            if tokens and not any(map(_looks_numeric, tokens)):
+                header = tokens
+            continue
+        try:
+            values = list(map(float, tokens[1:]))
+        except ValueError:
+            bad = next(col for col, tok in enumerate(tokens[1:], 1) if not _looks_numeric(tok))
+            fault = ParseError(
+                f"{path}:{lineno}: malformed numeric field in column {bad}: {tokens[bad]!r}")
+            break
+        if rows and len(values) != len(rows[0]):
+            break
+        if not rows:
+            first = lineno - 1  # the block's first line, 0-based
+        rows.append(values)
 
-    if rows:
-        block, hit = _find_sentinels(path, rows, row_lines, raw_lines, comma, strict)
-        report.rejected = int(hit.sum())
-        report.parsed = len(rows) - report.rejected
-    if not report.parsed:
-        raise ParseError(f"{path}: no usable data rows")
-    returns = block[~hit] / 100.0
-    if names is None:
-        names = [f"asset_{j + 1}" for j in range(returns.shape[1])]
-    return benchmarks.PortfolioData(returns=returns, names=list(names), report=report)
-
-
-def _find_sentinels(path, rows, row_lines, raw_lines, comma, strict):
-    """The parsed rows as one array and the mask of those holding a sentinel;
-    when ``strict``, the first such row raises instead. ``|v - s| <= 1e-9``
-    is ``math.isclose(v, s, rel_tol=0.0, abs_tol=1e-9)``, NaN and inf
-    included."""
+    if not rows:
+        raise fault or ParseError(f"{path}: no usable data rows")
     block = np.array(rows, dtype=np.float64)
     hit = np.zeros(len(rows), dtype=bool)
     for s in SENTINELS:
         hit |= (np.abs(block - s) <= 1e-9).any(axis=1)
-    if strict and hit.any():
-        lineno = row_lines[int(hit.argmax())]
-        date = _split_line(raw_lines[lineno - 1].strip(), comma)[0]
-        raise ParseError(f"{path}:{lineno}: sentinel value in row dated {date}")
-    return block, hit
+    if sentinel_policy == "error" and hit.any():
+        i = first + int(hit.argmax())
+        date = _split_line(lines[i].strip(), comma)[0]
+        raise ParseError(f"{path}:{i + 1}: sentinel value in row dated {date}")
+    if fault:
+        raise fault
+    if hit.all():
+        raise ParseError(f"{path}: no usable data rows")
+    rejected = int(hit.sum())
+    report = LoadReport(parsed=len(rows) - rejected, skipped=len(lines) - len(rows),
+                        rejected=rejected)
+    if header is None or len(header) != block.shape[1]:
+        header = [f"asset_{j + 1}" for j in range(block.shape[1])]
+    return benchmarks.PortfolioData(returns=block[~hit] / 100.0, names=header, report=report)
 
 
 def _looks_numeric(tok):

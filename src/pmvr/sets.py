@@ -48,7 +48,7 @@ import math
 
 import numpy as np
 
-from .core import ShapeMismatchError
+from .core import ShapeMismatchError, _count
 
 
 # unit roundoff of float64: every operation is exact up to a factor 1 + d, |d| <= _U
@@ -177,11 +177,9 @@ class Simplex(FeasibleSet):
     """Probability simplex {x >= 0, sum(x) = 1} in R^d."""
 
     def __init__(self, d):
-        if d < 1:
-            raise ValueError("simplex dimension must be >= 1")
-        self.d = int(d)
+        self.d = _count(d, "simplex dimension")
         self.shape = (self.d,)
-        self.diameter = np.sqrt(2.0) if d > 1 else 0.0
+        self.diameter = np.sqrt(2.0) if self.d > 1 else 0.0
 
     def _lmo(self, direction):
         # vertex at the minimal coordinate; argmin breaks ties to the lowest index
@@ -199,13 +197,15 @@ class Simplex(FeasibleSet):
 
 
 class Box(FeasibleSet):
-    """Axis-aligned box {lower <= x <= upper}."""
+    """Axis-aligned box {lower <= x <= upper} with finite bounds."""
 
     def __init__(self, lower, upper):
         self.lower = np.asarray(lower, dtype=np.float64)
         self.upper = np.asarray(upper, dtype=np.float64)
         if self.lower.shape != self.upper.shape:
             raise ShapeMismatchError("lower and upper bounds must share a shape")
+        if not (np.isfinite(self.lower).all() and np.isfinite(self.upper).all()):
+            raise ValueError("box bounds must be finite")
         if np.any(self.lower > self.upper):
             raise ValueError("box requires lower <= upper coordinatewise")
         self.shape = self.lower.shape
@@ -227,11 +227,9 @@ class NuclearNormBall(FeasibleSet):
     """Matrices in R^{m x n} with nuclear norm at most ``radius``."""
 
     def __init__(self, m, n, radius):
-        if m < 1 or n < 1:
-            raise ValueError("matrix dimensions must be >= 1")
-        if radius <= 0:
-            raise ValueError("radius must be positive")
-        self.m, self.n = int(m), int(n)
+        self.m, self.n = _count(m, "matrix dimension m"), _count(n, "matrix dimension n")
+        if not 0.0 < radius < math.inf:
+            raise ValueError(f"radius must be positive and finite, got {radius!r}")
         self.radius = float(radius)
         self.shape = (self.m, self.n)
         self.diameter = 2.0 * self.radius

@@ -27,7 +27,6 @@ and each overridable order constant multiplies that rate.
 from __future__ import annotations
 
 import math
-import operator
 import time
 import warnings
 from dataclasses import dataclass, field
@@ -35,6 +34,7 @@ from typing import Optional
 
 import numpy as np
 
+from .core import _count
 from .estimators import _level_batches, init_trackers, storm_update
 from .metrics import OracleCounters, _fw_gap, _gradient_mapping
 from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
@@ -76,19 +76,6 @@ class NonFiniteStateError(RuntimeError):
         return f"{what} is non-finite at iteration {self.iteration}"
 
 
-def _check_counts(obj, *names):
-    """Raise ValueError unless each named field of ``obj`` is an integer >= 1;
-    ``operator.index`` takes Python and numpy integers."""
-    for name in names:
-        value = getattr(obj, name)
-        try:
-            valid = operator.index(value) >= 1
-        except TypeError:
-            valid = False
-        if not valid:
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def classic_gamma(n):
     """Inner Frank-Wolfe step size; yields the 2*coeff*D^2/(N+2) certificate."""
     return 2.0 / (n + 2.0)
@@ -102,9 +89,10 @@ class QuadraticSubsolver:
     inner_iters: int
 
     def __post_init__(self):
-        if self.coeff <= 0:
-            raise ValueError("subsolver coefficient must be positive")
-        _check_counts(self, "inner_iters")
+        if not 0.0 < self.coeff < math.inf:
+            raise ValueError(
+                f"subsolver coefficient must be positive and finite, got {self.coeff!r}")
+        _count(self.inner_iters, "inner_iters")
 
 
 @dataclass(frozen=True)
@@ -121,7 +109,8 @@ class SolverParams:
             raise ValueError(f"eta must lie in [0, 1], got {self.eta}")
         if not 0.0 < self.alpha <= 1.0:
             raise ValueError(f"alpha must lie in (0, 1], got {self.alpha}")
-        _check_counts(self, "b0", "b1", "iters")
+        for name in ("b0", "b1", "iters"):
+            _count(getattr(self, name), name)
 
 
 @dataclass
@@ -200,7 +189,7 @@ class TraceConfig:
 
     def __post_init__(self):
         if self.metric_every is not None:
-            _check_counts(self, "metric_every")
+            _count(self.metric_every, "metric_every")
         if not self.beta > 0:
             raise ValueError(f"beta must be positive, got {self.beta}")
 
@@ -221,12 +210,14 @@ def quadratic_fw_subsolve(v, x_t, coeff, n_iters, fset):
     """Approximately minimize <v, w-x_t> + (coeff/2)||w-x_t||^2 over the set.
 
     Runs n_iters Frank-Wolfe steps from w_1 = x_t and returns w_{N+1}, whose
-    suboptimality is at most 2*coeff*D^2/(N+2).
+    suboptimality is at most 2*coeff*D^2/(N+2). A coefficient that is not
+    positive and finite, a count that is not an integer >= 1 or a direction
+    with a NaN or infinite entry raises ValueError.
     """
-    if coeff <= 0:
-        raise ValueError("coeff must be positive")
-    if n_iters < 1:
-        raise ValueError("n_iters must be >= 1")
+    if not 0.0 < coeff < math.inf:
+        raise ValueError(f"coeff must be positive and finite, got {coeff!r}")
+    _count(n_iters, "n_iters")
+    v = fset._finite(v, "subsolve along a direction with a non-finite entry over")
     x_t = np.asarray(x_t, dtype=np.float64)
     bound = fset._bound(x_t)
     if not fset._admits(x_t, bound, FEASIBILITY_TOL):

@@ -290,8 +290,12 @@ def french_files(draw):
         parts[draw(st.integers(1, width))] = draw(bad_cell)
         block[i] = sep.join(parts)
     lines += block
-    if draw(st.booleans()):  # a footer of a different width
-        lines.append(row(width + draw(st.sampled_from((-1, 1, 2)))))
+    if draw(st.booleans()):  # a footer of a different width, which may hold a bad cell
+        n = width + draw(st.sampled_from((-1, 1, 2)))
+        parts = row(n).split(sep)
+        if n and draw(st.booleans()):  # its fields are parsed before its width is compared
+            parts[draw(st.integers(1, n))] = draw(bad_cell)
+        lines.append(sep.join(parts))
     lines += draw(st.lists(st.sampled_from(("", "  Annual footer, text")), max_size=2))
     if draw(st.booleans()):  # a later block of the same width
         lines += [row(width) for _ in range(draw(st.integers(1, 3)))]

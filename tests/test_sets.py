@@ -404,6 +404,30 @@ def test_public_operations_are_the_certified_ones_without_the_certificate():
     assert ball._lmo(np.zeros((4, 7)))[1] == 0.0
 
 
+@pytest.mark.parametrize("build, args, message", [
+    (Box, ([np.nan, 0.0], [1.0, 1.0]), "^box bounds must be finite$"),
+    (Box, ([0.0, 0.0], [np.inf, 1.0]), "^box bounds must be finite$"),
+    (Box, ([-np.inf, 0.0], [1.0, 1.0]), "^box bounds must be finite$"),
+    (NuclearNormBall, (2, 2, np.nan), "^radius must be positive and finite"),
+    (NuclearNormBall, (2, 2, np.inf), "^radius must be positive and finite"),
+    (NuclearNormBall, (2.5, 2, 1.0), "^matrix dimension m must be an integer >= 1"),
+    (NuclearNormBall, (2, "2", 1.0), "^matrix dimension n must be an integer >= 1"),
+    (Simplex, (2.5,), "^simplex dimension must be an integer >= 1"),
+    (Simplex, (3.0,), "^simplex dimension must be an integer >= 1"),
+], ids=lambda v: v.__name__ if isinstance(v, type) else repr(v) if isinstance(v, tuple) else "")
+def test_a_set_refuses_a_constructor_argument_it_cannot_hold(build, args, message):
+    """A NaN bound would make the box's diameter NaN and every start point
+    infeasible, an infinite one its LMO vertices infinite, and Simplex(2.5)
+    would silently build a 2-simplex."""
+    with pytest.raises(ValueError, match=message):
+        build(*args)
+
+
+def test_sets_take_numpy_integer_dimensions():
+    assert Simplex(np.int64(3)).shape == (3,)
+    assert NuclearNormBall(np.int32(2), np.uint8(3), 1.0).shape == (2, 3)
+
+
 NON_FINITE_CASES = {
     "Simplex": (Simplex(3), np.array([0.2, 0.3, 0.5])),
     "Box": (Box([0.0, 0.0], [1.0, 1.0]), np.array([0.5, 0.5])),

@@ -683,6 +683,31 @@ def test_subsolver_refuses_an_inner_iteration_count_that_is_not_an_integer(value
         QuadraticSubsolver(coeff=1.0, inner_iters=value)
 
 
+@pytest.mark.parametrize("coeff", [math.nan, math.inf, 0.0])
+def test_subsolver_refuses_a_coefficient_that_is_not_positive_and_finite(coeff):
+    with pytest.raises(ValueError, match="^subsolver coefficient must be positive and finite"):
+        QuadraticSubsolver(coeff=coeff, inner_iters=3)
+
+
+@pytest.mark.parametrize("coeff, n_iters, bad, message", [
+    (1.0, 2.5, None, "^n_iters must be an integer >= 1"),
+    (1.0, 3.0, None, "^n_iters must be an integer >= 1"),
+    (1.0, "3", None, "^n_iters must be an integer >= 1"),
+    (math.nan, 3, None, "^coeff must be positive and finite"),
+    (math.inf, 3, None, "^coeff must be positive and finite"),
+    (1.0, 3, math.nan, "non-finite entry over Simplex$"),
+    (1.0, 3, -math.inf, "non-finite entry over Simplex$"),
+])
+def test_public_subsolver_refuses_arguments_it_cannot_run(coeff, n_iters, bad, message):
+    """A fractional count used to fail in ``range`` with a TypeError, and a
+    NaN coefficient or direction entry to return a point."""
+    v = np.ones(3)
+    if bad is not None:
+        v[0] = bad
+    with pytest.raises(ValueError, match=message):
+        quadratic_fw_subsolve(v, np.full(3, 1.0 / 3.0), coeff, n_iters, Simplex(3))
+
+
 def test_run_objects_take_numpy_integers():
     params = SolverParams(eta=0.1, alpha=0.5, b0=np.int64(2), b1=np.int32(3), iters=np.uint8(4),
                           subsolver=QuadraticSubsolver(coeff=1.0, inner_iters=np.int16(2)))
