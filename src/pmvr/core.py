@@ -18,9 +18,10 @@ class ShapeMismatchError(ValueError):
 
 def _count(value, what):
     """``value`` as an int >= 1, else ValueError ``<what> must be an integer
-    >= 1``; ``operator.index`` takes Python and numpy integers."""
+    >= 1``; ``operator.index`` takes Python and numpy integers, and a bool,
+    which it would take as 0 or 1, is refused."""
     try:
-        n = operator.index(value)
+        n = 0 if isinstance(value, bool) else operator.index(value)
     except TypeError:
         n = 0
     if n < 1:

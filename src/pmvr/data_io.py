@@ -11,6 +11,11 @@ over the block. Under "error" the block's first sentinel row is reported;
 failing that, under either policy, the malformed row is. It follows every
 row of the block, so the first fault in file order is the one reported.
 The block's rows are parsed or rejected and every other line is skipped.
+Every load reads the file's bytes, but parses them only when they or the
+sentinel policy differ from those of the process's last successful load:
+one slot per process (a pool's workers each keep their own) holds those
+bytes, the policy and their returns, names and LoadReport, and each load
+returns fresh copies of these, which the caller may change.
 
 Run configurations are strict JSON: unknown keys fail with a path-like
 locator. Each problem is one entry of ``PROBLEMS`` and each feasible set
@@ -208,6 +213,11 @@ def _is_data_row(tokens):
     return len(tokens) > 1 and tokens[0].isdigit() and 4 <= len(tokens[0]) <= 8
 
 
+# (bytes, sentinel policy, PortfolioData) of this process's last successful
+# load; a load hands out copies, so no caller can change the slot
+_last_load = None
+
+
 def load_french_csv(path, sentinel_policy="error"):
     """Load an industry-portfolio returns file into PortfolioData.
 
@@ -222,12 +232,31 @@ def load_french_csv(path, sentinel_policy="error"):
     policy: "error" fails loudly (the default; silently shrinking a return
     series distorts means), "drop" excludes them and reports the count. The
     module docstring gives the pass that reads the block and the order in
-    which its faults are reported.
+    which its faults are reported, and the slot that spares a repeated
+    load of the same bytes its parse. Bytes that are not UTF-8 raise
+    ParseError naming the byte offset.
     """
+    global _last_load
     if sentinel_policy not in ("error", "drop"):
         raise ValueError(f"unknown sentinel policy {sentinel_policy!r}")
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    last = _last_load
+    if last is None or last[:2] != (raw, sentinel_policy):
+        last = _last_load = (raw, sentinel_policy, _parse_french(raw, path, sentinel_policy))
+    data = last[2]
+    return benchmarks.PortfolioData(
+        returns=data.returns.copy(), names=list(data.names), report=replace(data.report))
+
+
+def _parse_french(raw, path, sentinel_policy):
+    """The PortfolioData of a file's bytes, in the module docstring's one
+    forward pass. The lines are those of reading the file as UTF-8 text."""
+    try:
+        lines = raw.decode("utf-8").splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(
+            f"{path}: not UTF-8 text at byte offset {exc.start}: {exc.reason}") from None
 
     comma = any("," in ln and _is_data_row(_split_line(ln.strip(), True)) for ln in lines)
     header = None

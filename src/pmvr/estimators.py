@@ -149,9 +149,8 @@ def _level_batches(problem, rng, t, size):
     level's batch is left to the walk as a _Stream, drawn in consecutive
     per-slice parts that GenerativeSamples' contract makes equal to the
     whole draw ``sample_batch(level, rng.child_generator(index), size)``. A
-    finite dataset's batch is drawn whole: it is a few int64s, and numpy's
-    bounded-integer draw drops its buffered 32-bit half at the end of every
-    call, so parts would change the stream.
+    finite dataset's batch is drawn whole: it is a few int64 indices, too
+    few bytes for a streamed draw to save memory.
     """
     batches = []
     for i, level in enumerate(problem.levels, start=1):

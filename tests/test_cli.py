@@ -361,6 +361,15 @@ class TestFrenchSource:
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_a_file_that_is_not_utf8_exits_two_naming_it(self, tmp_path, capsys, jobs):
+        data = tmp_path / "latin1.txt"
+        data.write_bytes(b"       Food  Beer\n192607  0.5  \xff1.0\n")
+        assert cli.main(["run", "--config", self._config(tmp_path, str(data), jobs)]) == 2
+        err = capsys.readouterr().err
+        assert f"error: {data}: not UTF-8 text at byte offset 31" in err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_malformed_file_exits_two_and_writes_nothing(self, tmp_path, capsys, jobs):
         data = tmp_path / "bad.txt"
         data.write_text("       Food  Beer\n192607  0.5  oops\n")

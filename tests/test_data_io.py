@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from pmvr import data_io
 from pmvr.benchmarks import PortfolioData
 from pmvr.data_io import (
     AGGREGATE_CRITERIA,
@@ -241,6 +243,10 @@ def _outcome(load, path, policy):
         data = load(path, policy)
     except ValueError as exc:  # ParseError, or PortfolioData's non-finite check
         return type(exc).__name__, str(exc)
+    return _summary(data)
+
+
+def _summary(data):
     r = data.report
     return (data.returns.shape, data.returns.tobytes(), list(data.names),
             (r.parsed, r.skipped, r.rejected))
@@ -312,7 +318,86 @@ def test_loader_matches_the_line_by_line_reference(text, tmp_path_factory):
         fh.write(text)
     for policy in ("error", "drop"):
         want = _outcome(reference_load, path, policy)
-        assert _outcome(load_french_csv, path, policy) == want
+        # a success fills the slot, so a second load is answered from it
+        assert [_outcome(load_french_csv, path, policy) for _ in range(2)] == [want, want]
+
+
+@settings(max_examples=100, deadline=None)
+@given(text=french_files(), endings=st.lists(st.sampled_from(("\r\n", "\r", "\n")), min_size=1))
+def test_crlf_and_lone_cr_files_load_as_a_text_mode_read_splits_them(
+    text, endings, tmp_path_factory
+):
+    """The loader splits the decoded bytes; the reference reads text mode,
+    which turns CRLF and a lone CR into a newline."""
+    ends = itertools.cycle(endings)
+    path = str(tmp_path_factory.mktemp("french") / "returns.txt")
+    with open(path, "wb") as fh:
+        fh.write("".join(next(ends) if c == "\n" else c for c in text).encode("utf-8"))
+    for policy in ("error", "drop"):
+        assert _outcome(load_french_csv, path, policy) == _outcome(reference_load, path, policy)
+
+
+class TestLoadSlot:
+    """A load parses only bytes or a policy that differ from the last
+    successful load's, and hands out copies of what the slot keeps."""
+
+    def test_a_caller_may_change_what_a_load_returns(self):
+        load_french_csv(FIXTURE_BLOCKS)  # so the next load is a miss
+        want = _outcome(reference_load, FIXTURE10, "error")
+        for _ in range(3):  # the miss's result, then two hits'
+            data = load_french_csv(FIXTURE10)
+            assert _summary(data) == want
+            data.returns[:] = 0.0
+            data.names[0] = "changed"
+            data.names.append("extra")
+            data.report.parsed = data.report.skipped = 0
+
+    def test_new_bytes_of_the_same_size_and_mtime_are_parsed(self, tmp_path):
+        path = _write(tmp_path, "192607 1.00 2.00\n192608 3.00 4.00\n")
+        stamp = os.stat(path)
+        assert load_french_csv(path).returns[0, 0] == 0.01
+        _write(tmp_path, "192607 5.00 2.00\n192608 3.00 4.00\n")
+        os.utime(path, ns=(stamp.st_atime_ns, stamp.st_mtime_ns))
+        now = os.stat(path)
+        assert (now.st_size, now.st_mtime_ns) == (stamp.st_size, stamp.st_mtime_ns)
+        assert load_french_csv(path).returns[0, 0] == 0.05
+
+    def test_the_sentinel_policy_is_part_of_the_key(self):
+        with pytest.raises(ParseError, match="sentinel value"):
+            load_french_csv(FIXTURE12)
+        assert load_french_csv(FIXTURE12, sentinel_policy="drop").report.rejected == 2
+        with pytest.raises(ParseError, match="sentinel value"):
+            load_french_csv(FIXTURE12)
+
+    def test_a_parse_runs_only_for_bytes_or_a_policy_not_in_the_slot(self, tmp_path, monkeypatch):
+        calls = []
+        parse = data_io._parse_french
+
+        def counted(raw, path, policy):
+            calls.append(policy)
+            return parse(raw, path, policy)
+
+        load_french_csv(FIXTURE10)  # so the first load below is a miss
+        monkeypatch.setattr(data_io, "_parse_french", counted)
+        good = "192607 1.0 2.0\n"
+        path = _write(tmp_path, good)
+        for policy in ("error", "error", "drop", "drop", "error"):
+            load_french_csv(path, sentinel_policy=policy)
+        assert calls == ["error", "drop", "error"]
+        _write(tmp_path, "192607 1.0 oops\n")
+        for _ in range(2):  # a failed load is parsed every time and leaves the slot as it was
+            with pytest.raises(ParseError, match="malformed"):
+                load_french_csv(path)
+        _write(tmp_path, good)
+        load_french_csv(path)
+        assert calls == ["error", "drop", "error", "error", "error"]
+
+    def test_bytes_that_are_not_utf8_are_located(self, tmp_path):
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"       Food  Beer\n192607  0.5  \xff1.0\n")
+        with pytest.raises(ParseError) as err:
+            load_french_csv(str(path))
+        assert str(err.value) == f"{path}: not UTF-8 text at byte offset 31: invalid start byte"
 
 
 class TestTraceRoundTrip:

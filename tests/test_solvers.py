@@ -708,6 +708,34 @@ def test_public_subsolver_refuses_arguments_it_cannot_run(coeff, n_iters, bad, m
         quadratic_fw_subsolve(v, np.full(3, 1.0 / 3.0), coeff, n_iters, Simplex(3))
 
 
+COUNTS = {
+    "Simplex": (lambda n: Simplex(n), "simplex dimension"),
+    "NuclearNormBall.m": (lambda n: NuclearNormBall(n, 2, 1.0), "matrix dimension m"),
+    "NuclearNormBall.n": (lambda n: NuclearNormBall(2, n, 1.0), "matrix dimension n"),
+    **{f"SolverParams.{name}": (
+        lambda n, name=name: SolverParams(
+            eta=0.1, alpha=0.5, **{"b0": 2, "b1": 2, "iters": 3, name: n}),
+        name,
+    ) for name in ("b0", "b1", "iters")},
+    "QuadraticSubsolver": (lambda n: QuadraticSubsolver(coeff=1.0, inner_iters=n), "inner_iters"),
+    "TraceConfig": (lambda n: TraceConfig(metric_every=n), "metric_every"),
+    "quadratic_fw_subsolve": (
+        lambda n: quadratic_fw_subsolve(np.ones(3), np.full(3, 1.0 / 3.0), 1.0, n, Simplex(3)),
+        "n_iters",
+    ),
+}
+
+
+@pytest.mark.parametrize("value", [True, False])
+@pytest.mark.parametrize("where", COUNTS)
+def test_every_count_refuses_a_boolean(where, value):
+    """``operator.index(True)`` is 1, so ``Simplex(True)`` used to build a
+    1-simplex and ``SolverParams`` to keep ``iters=True``."""
+    build, what = COUNTS[where]
+    with pytest.raises(ValueError, match=f"^{what} must be an integer >= 1, got {value}$"):
+        build(value)
+
+
 def test_run_objects_take_numpy_integers():
     params = SolverParams(eta=0.1, alpha=0.5, b0=np.int64(2), b1=np.int32(3), iters=np.uint8(4),
                           subsolver=QuadraticSubsolver(coeff=1.0, inner_iters=np.int16(2)))
