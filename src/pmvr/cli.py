@@ -159,7 +159,16 @@ DESK_REPS = 5
 def _reproduce_configs(experiment, scale, data_path):
     """Configs for the three solvers on one experiment, at desk or paper scale:
     each experiment states its problem, T and schedules, and one block
-    builds the pmvr, pmvr-v2 and baseline configs from them."""
+    builds the pmvr, pmvr-v2 and baseline configs from them. Only the
+    portfolio experiments at paper scale read a returns file; a
+    ``data_path`` given anywhere else is a ``data`` ConfigError, not
+    ignored."""
+    if data_path and (experiment == "matrix" or scale == "desk"):
+        raise ConfigError(
+            "data",
+            f"--data is read only by the portfolio experiments at paper scale, "
+            f"not by {experiment} at {scale} scale",
+        )
     v2_extra = {}
     if experiment == "matrix":
         problem = {"name": "single_index", "m": 20, "n": 20, "s": 1.0, "sigma": 0.1}

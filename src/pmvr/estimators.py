@@ -31,8 +31,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problems import GenerativeSamples, _checked, sample_batch
-from .rng import STREAM_LEVEL_STRIDE, RandomSource
+from .core import _count
+from .problems import FiniteSamples, GenerativeSamples, _checked, sample_batch
+from .rng import STREAM_LEVEL_STRIDE, RandomSource, _BlockGenerator
 
 
 @dataclass(frozen=True)
@@ -150,13 +151,20 @@ def _level_batches(problem, rng, t, size):
     per-slice parts that GenerativeSamples' contract makes equal to the
     whole draw ``sample_batch(level, rng.child_generator(index), size)``. A
     finite dataset's batch is drawn whole: it is a few int64 indices, too
-    few bytes for a streamed draw to save memory.
+    few bytes for a streamed draw to save memory. At a step (t >= 1), its
+    ``FiniteSamples.draw`` gets ``_BlockGenerator(rng, index)``, which serves
+    the draw from a block pass over 256 iterations' substreams, checked
+    against numpy's ``Generator.integers``, with numpy's draw as the
+    fallback; the B0 batch (t = 0), the only one of its block a run reads,
+    and any other sample space draw from ``rng.child_generator(index)``.
     """
     batches = []
     for i, level in enumerate(problem.levels, start=1):
         index = i * STREAM_LEVEL_STRIDE + t
         if isinstance(level.samples, GenerativeSamples):
             batches.append(_Stream(rng, index, size))
+        elif t and type(level.samples) is FiniteSamples:
+            batches.append(sample_batch(level, _BlockGenerator(rng, index), size))
         else:
             batches.append(sample_batch(level, rng.child_generator(index), size))
     return batches
@@ -165,14 +173,13 @@ def _level_batches(problem, rng, t, size):
 def init_trackers(problem, x1, b0, rng, counters=None):
     """Plain B0-sample mini-batch means along the chain u^0 = x1: one update
     of empty trackers on the batch of iteration 0, so no momentum is read.
-    Returns (u, v).
+    Returns (u, v); a B0 that is not an integer >= 1 raises ValueError.
 
     Each level draws its own batch from the substream (level, iteration 0),
     a generative level's slice by slice inside the walk, and each sample's
     (value, Jacobian) pair is evaluated once per level.
     """
-    if b0 < 1:
-        raise ValueError("initialization batch size must be >= 1")
+    b0 = _count(b0, "initialization batch size")
     batches = _level_batches(problem, rng, 0, b0)
     return storm_update([None] * problem.k, None, 1.0, problem, x1, None, batches, counters)
 

@@ -27,20 +27,19 @@ from typing import Any, Callable, Optional
 
 import numpy as np
 
-from .core import ShapeMismatchError, matmul_chain
+from .core import ShapeMismatchError, _count, matmul_chain
 
 
 class FiniteSamples:
     """Uniform distribution over dataset record indices 0..size-1.
 
     Expectation means the plain average over records; sampling is with
-    replacement, and a batch is the (B,) array of drawn indices.
+    replacement, and a batch is the (B,) array of drawn indices. The size
+    must be an integer >= 1, else ValueError.
     """
 
     def __init__(self, size):
-        if size < 1:
-            raise ValueError("finite sample space needs at least one record")
-        self.size = int(size)
+        self.size = _count(size, "finite sample space size")
 
     def draw(self, gen, count):
         return gen.integers(0, self.size, size=count)
@@ -182,9 +181,9 @@ def _chain_gradient(problem, x, values):
 
 def sample_batch(level, gen, batch_size):
     """Draw batch_size i.i.d. samples from the level's sample space with
-    the numpy Generator ``gen``."""
-    if batch_size < 1:
-        raise ValueError("batch size must be >= 1")
+    the numpy Generator ``gen``; a batch size that is not an integer >= 1
+    raises ValueError."""
+    batch_size = _count(batch_size, "batch size")
     if level.samples is None:
         raise ValueError("level has no sample space")
-    return level.samples.draw(gen, int(batch_size))
+    return level.samples.draw(gen, batch_size)

@@ -29,6 +29,23 @@ consecutive iterations cost one lookup per draw. Each call writes its key,
 with a zero counter and an empty output buffer, into one Philox generator
 that the source owns and reuses. Every substream keeps its values.
 
+A finite dataset's step batch, ``integers(0, size, size=B)`` on its
+substream, is also drawn a block at a time: ``_BlockGenerator(source,
+index)`` stands in for ``child_generator(index)`` and serves that one call
+from a block draw. It runs Philox4x64-10 (Salmon et al., SC 2011) over the
+block's 256 keys in one pass of numpy uint64 arithmetic, from counter 1 as
+numpy's first output block, splits each output word into its low and then
+its high 32 bits, the order of Philox's ``next_uint32``, and applies
+numpy's bounded-integer step, Lemire's multiply-and-reject (TOMACS 2019):
+the index is ``u * size >> 32`` unless the low word of the product falls
+below ``(2**32 - size) % size``. An index whose batch meets such a
+rejection is drawn by ``child_generator(index)`` instead, which is numpy's
+own ``Generator.integers`` and exact. The tests check the block draw
+against ``Generator.integers``, so a numpy release that changed its
+bounded-integer stream fails them rather than diverging silently. The
+source keeps the last block draw of each stream family, for at most 32
+families of at most 2**16 indices each (512 KiB), and hands out copies.
+
 These streams are also unchanged by batched oracles and by the estimators'
 per-slice draws: a finite dataset draws its batch with one ``integers``
 call, and a generative draw fills its batch arrays sample by sample in the
@@ -59,6 +76,18 @@ _MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
 # one block per stream family (index >> 20) of at most _FAMILIES families is kept
 _BLOCK = 256
 _FAMILIES = 32
+# a block draw holds at most this many indices: batches of up to 256
+_DRAW_ENTRIES = 2**16
+
+# Philox4x64-10 as numpy runs it: each round multiplies counter words 0 and 2
+# by these constants, and each round after the first adds the Weyl
+# increments to the two key words
+_PHILOX_ROUNDS = 10
+_PHILOX_MUL = np.array([[0xD2E7470EE14C6C93], [0xCA5A826395121157]], dtype=np.uint64)
+_PHILOX_WEYL = np.array([[0x9E3779B97F4A7C15], [0xBB67AE8584CAA73B]], dtype=np.uint64)
+_U32 = np.uint64(32)
+_LOW32 = np.uint64(_MASK32)
+_PHILOX_MUL_HI, _PHILOX_MUL_LO = _PHILOX_MUL >> _U32, _PHILOX_MUL & _LOW32
 
 
 def _hash_constants(init, mult, n):
@@ -119,6 +148,73 @@ def _absorb(pool, consts, word):
     return h
 
 
+def _philox(keys, blocks):
+    """The first ``blocks`` output blocks of Philox4x64-10 under each of the
+    (n, 2) uint64 ``keys``, at counters 1 to ``blocks`` (numpy's Philox adds
+    one to its zero counter before its first block): an (n, 4 * blocks)
+    little-endian uint64 array, one row of outputs per key in stream order.
+
+    Each round's 64 x 64-bit products are formed from 32-bit halves. uint64
+    array arithmetic wraps modulo 2**64, as the C code's does, and without
+    a warning.
+    """
+    n = len(keys)
+    key = np.repeat(keys.T, blocks, axis=1)
+    ctr = np.zeros((4, n * blocks), dtype=np.uint64)
+    ctr[0] = np.tile(np.arange(1, blocks + 1, dtype=np.uint64), n)
+    for r in range(_PHILOX_ROUNDS):
+        if r:
+            key += _PHILOX_WEYL
+        x = ctr[::2]
+        xh, xl = x >> _U32, x & _LOW32
+        ll, lh = xl * _PHILOX_MUL_LO, xl * _PHILOX_MUL_HI
+        hl, hi = xh * _PHILOX_MUL_LO, xh * _PHILOX_MUL_HI
+        # the carry out of the middle 32 bits, then the high word
+        ll >>= _U32
+        ll += lh & _LOW32
+        ll += hl & _LOW32
+        ll >>= _U32
+        hi += ll
+        lh >>= _U32
+        hi += lh
+        hl >>= _U32
+        hi += hl
+        # (hi1 ^ c1 ^ k0, lo1, hi0 ^ c3 ^ k1, lo0)
+        new = np.empty_like(ctr)
+        np.bitwise_xor(hi[::-1], ctr[1::2], out=new[::2])
+        new[::2] ^= key
+        np.multiply(x[::-1], _PHILOX_MUL[::-1], out=new[1::2])
+        ctr = new
+    out = np.empty((n * blocks, 4), dtype="<u8")
+    out.T[...] = ctr
+    return out.reshape(n, 4 * blocks)
+
+
+def _lemire(words, high):
+    """numpy's bounded-integer step on (n, count) uint32 ``words`` for a
+    ``high`` in [1, 2**32): the (n, count) int64 indices ``u * high >> 32``,
+    and per row whether any word is rejected, its product's low 32 bits
+    below ``(2**32 - high) % high``."""
+    m = words.astype(np.uint64)
+    m *= np.uint64(high)
+    rejected = (m & _LOW32).min(axis=1) < (2**32 - high) % high
+    m >>= _U32
+    return m.view(np.int64), rejected
+
+
+def _lookup(cache, index, tag, build, *args):
+    """The entry of ``cache`` for the stream family of ``index`` (``index >>
+    20``), rebuilt as ``build(*args)`` unless it was built for ``tag``. When
+    a new family comes past _FAMILIES, the family first taken in is dropped."""
+    family = index // STREAM_LEVEL_STRIDE
+    entry = cache.get(family)
+    if entry is None or entry[0] != tag:
+        if entry is None and len(cache) == _FAMILIES:
+            del cache[next(iter(cache))]
+        entry = cache[family] = (tag, build(*args))
+    return entry[1]
+
+
 class RandomSource:
     """A seeded stream of randomness that can be split into substreams.
 
@@ -138,6 +234,8 @@ class RandomSource:
         self._generator = None
         self._child = None  # (pool, hash constant, Generator)
         self._blocks = {}  # stream family -> (first index, keys) of its block
+        # stream family -> ((first index, high, count), (indices, rejected))
+        self._draws = {}
 
     def split(self, index):
         """Derive the independent substream with the given index."""
@@ -202,13 +300,38 @@ class RandomSource:
         whatever the run's length or access pattern.
         """
         index = _nonnegative_int(index, "stream index")
-        family, start = index // STREAM_LEVEL_STRIDE, index - index % _BLOCK
-        block = self._blocks.get(family)
-        if block is None or block[0] != start:
-            if block is None and len(self._blocks) == _FAMILIES:
-                del self._blocks[next(iter(self._blocks))]
-            block = self._blocks[family] = (start, self._block_keys(start))
-        return tuple(block[1][index - start].tolist())
+        start = index - index % _BLOCK
+        keys = _lookup(self._blocks, index, start, self._block_keys, start)
+        return tuple(keys[index - start].tolist())
+
+    def _draw_block(self, start, high, count):
+        """The ``_lemire`` (indices, rejected) pair of ``count`` draws below
+        ``high`` on each stream of the block from ``start``: its first
+        ``count`` uint32 outputs, eight per Philox output block, under the
+        keys of the key cache."""
+        keys = _lookup(self._blocks, start, start, self._block_keys, start)
+        words = _philox(keys, -(-count // 8)).view("<u4")[:, :count]
+        return _lemire(words, high)
+
+    def _block_integers(self, index, high, count):
+        """``split(index).generator.integers(0, high, size=count)`` for an int
+        ``high`` in [1, 2**32) and an int ``count`` in [1, 256], as a new
+        array.
+
+        It is read from the block draw of the aligned block of _BLOCK
+        indices around ``index``, unless that index's draw met a rejection,
+        which ``child_generator(index)`` then draws. The source keeps the
+        last block draw of each stream family that it reached, for at most
+        _FAMILIES (32) families, dropping the family it first took in when a
+        new one comes past the cap: at most 32 draws of _DRAW_ENTRIES
+        (2**16) int64 indices, whatever the run's length or access pattern.
+        """
+        start = index - index % _BLOCK
+        indices, rejected = _lookup(self._draws, index, (start, high, count),
+                                    self._draw_block, start, high, count)
+        if rejected[index - start]:
+            return self.child_generator(index).integers(0, high, size=count)
+        return indices[index - start].copy()
 
     def child_generator(self, index):
         """A Generator drawing exactly the stream of ``split(index).generator``.
@@ -232,3 +355,42 @@ class RandomSource:
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, path={self.path})"
+
+
+class _BlockGenerator:
+    """A stand-in for ``source.child_generator(index)`` that serves a first
+    call ``integers(0, high, size=count)`` from the source's block draw,
+    for a Python int ``high`` in [1, 2**32) and a Python int ``count`` of at
+    most _DRAW_ENTRIES // _BLOCK (256) at the default dtype and an excluded
+    endpoint. Any other call, or any call after it, goes to
+    ``child_generator(index)``, moved past the served draw by drawing it
+    again, so the stand-in draws the stream of ``child_generator(index)``
+    call for call. Like that generator, it is valid until the next draw
+    on the source.
+    """
+
+    __slots__ = ("_source", "_index", "_served", "_gen")
+
+    def __init__(self, source, index):
+        self._source, self._index = source, index
+        self._served = self._gen = None
+
+    def integers(self, low, high=None, size=None, dtype=np.int64, endpoint=False):
+        if (self._served is None and self._gen is None and type(low) is int and low == 0
+                and type(high) is int and 0 < high < 2**32 and type(size) is int
+                and 0 < size * _BLOCK <= _DRAW_ENTRIES and dtype is np.int64
+                and endpoint is False):
+            self._served = (high, size)
+            return self._source._block_integers(self._index, high, size)
+        return self._generator().integers(low, high, size, dtype, endpoint)
+
+    def __getattr__(self, name):
+        return getattr(self._generator(), name)
+
+    def _generator(self):
+        if self._gen is None:
+            self._gen = self._source.child_generator(self._index)
+            if self._served is not None:
+                high, size = self._served
+                self._gen.integers(0, high, size=size)
+        return self._gen

@@ -568,6 +568,27 @@ class TestReproduce:
         err = capsys.readouterr().err
         assert "French" in err and "--data" in err
 
+    @pytest.mark.parametrize("scale", ["desk", "paper"])
+    @pytest.mark.parametrize("experiment", ["matrix", "mv-portfolio", "md-portfolio"])
+    def test_data_path_is_refused_where_it_would_be_ignored(
+            self, experiment, scale, tmp_path, monkeypatch, capsys):
+        """``--data`` is read only by a portfolio experiment at paper scale;
+        anywhere else the command exits 1 naming ``data`` before any run."""
+        data = tmp_path / "returns.csv"
+        data.write_text("")
+        out = tmp_path / "out"
+        monkeypatch.setenv("PMVR_OUT_DIR", str(out))
+        if experiment != "matrix" and scale == "paper":
+            configs = cli._reproduce_configs(experiment, scale, str(data))
+            assert all(raw["problem"]["source"] == {"kind": "french_csv", "path": str(data)}
+                       for raw in configs.values())
+            return
+        rc = cli.main(["reproduce", "--experiment", experiment, "--scale", scale,
+                       "--data", str(data)])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: data: --data is read only by")
+        assert not out.exists()
+
     @staticmethod
     def _agg_column(path, column):
         import csv

@@ -439,6 +439,30 @@ def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed,
     assert np.array_equal(v, v_before)
 
 
+@pytest.mark.parametrize("t, size, blocked", [(0, 10, False), (1, 8, True), (300, 256, True),
+                                             (2, 257, False)])
+def test_finite_step_batches_are_served_from_block_draws(t, size, blocked):
+    """A finite dataset's step batch comes from a block draw and equals its
+    substream's whole draw; the B0 batch (t = 0) and a batch of more than
+    256 indices are drawn by the rekeyed generator and build no block."""
+    problem = PROBLEMS["mean_deviation"]()
+    rng = RandomSource(5)
+    got = _level_batches(problem, rng, t, size)
+    want = whole_batches(problem, RandomSource(5), t, size)
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+    assert len(rng._draws) == (problem.k if blocked else 0)
+
+
+@pytest.mark.parametrize("b0", [0, 2.5, True, "3"])
+@pytest.mark.parametrize("name", ["finite", "generative"])
+def test_init_trackers_refuses_a_batch_size_that_is_not_an_integer_of_at_least_one(b0, name):
+    problem = (PROBLEMS["two_level_tracking"]() if name == "finite"
+               else single_index_problem(SingleIndexConfig(m=3, n=3))[0])
+    x = np.full(problem.x_shape, 0.2)
+    with pytest.raises(ValueError, match="^initialization batch size must be an integer >= 1"):
+        init_trackers(problem, x, b0, RandomSource(1))
+
+
 # --- storm_update against the recursion from direct oracle calls ------------
 
 UPDATE_PROBLEMS = {

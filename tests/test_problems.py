@@ -151,6 +151,26 @@ def test_sample_batch_rejects_empty():
         sample_batch(level, RandomSource(0).split(1).generator, 0)
 
 
+@pytest.mark.parametrize("build, name", [
+    (lambda: FiniteSamples(2.7), "finite sample space size"),
+    (lambda: FiniteSamples(True), "finite sample space size"),
+    (lambda: FiniteSamples("3"), "finite sample space size"),
+    (lambda: FiniteSamples(0), "finite sample space size"),
+    (lambda: sample_batch(linear_level([1.0]), RandomSource(0).split(1).generator, 2.5),
+     "batch size"),
+    (lambda: sample_batch(linear_level([1.0]), RandomSource(0).split(1).generator, True),
+     "batch size"),
+    (lambda: sample_batch(linear_level([1.0]), RandomSource(0).split(1).generator, "3"),
+     "batch size"),
+])
+def test_finite_sampling_counts_must_be_integers_of_at_least_one(build, name):
+    """A record count or batch size that is a float, a bool or a string is
+    refused with its name, not truncated, taken as 0 or 1, or left to a
+    TypeError."""
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= 1"):
+        build()
+
+
 def test_sample_batch_uniformity():
     level = linear_level([1.0], dataset_size=100)
     batch = sample_batch(level, RandomSource(123).split(2).generator, 100_000)
