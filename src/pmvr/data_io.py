@@ -39,7 +39,6 @@ from typing import Callable, NamedTuple, Optional, Union
 import numpy as np
 
 from . import benchmarks
-from .rng import STREAM_LEVEL_STRIDE
 from .sets import Box, NuclearNormBall, Simplex
 from .solvers import (
     THEOREMS, QuadraticSubsolver, ScheduleConstants, SolverParams, StageSchedule, TraceRow,
@@ -646,7 +645,6 @@ def _validate_schedule(section, algorithm):
 
 # the config key of each SolverParams field but the subsolver, whose are n and coeff
 KEY_TO_FIELD = {"eta": "eta", "alpha": "alpha", "b0": "b0", "b1": "b1", "t": "iters"}
-OVERFLOW = f"the iteration count overflows the stream stride {STREAM_LEVEL_STRIDE}"
 
 
 def resolve_schedule(sched, beta, problem=None):
@@ -654,51 +652,45 @@ def resolve_schedule(sched, beta, problem=None):
 
     A theorem's rates come from ``schedule_for``, ``beta`` being the
     subsolver's curvature, and its ``overrides`` replace them; explicit
-    stages share the section's ``b0``, ``n`` and ``coeff``, and a list out
-    of StageSchedule's order is refused under ``schedule.stages``. 2**20 or
-    more iterations in total are refused under the locator of the count:
-    level i's late batches would repeat level i+1's sample streams. A
+    stages share the section's ``b0``, ``n`` and ``coeff``. A list out of
+    StageSchedule's order is refused under ``schedule.stages``, and an
+    ``eps`` so small that a count overflows under ``schedule.eps``. A
     thm7/thm8 schedule without ``modulus`` takes ``problem``'s, and is None
     if no problem is given.
     """
     mode = sched["mode"]
     if mode == "explicit":
-        path, out = "schedule.explicit.t", _params(sched["explicit"])
-    elif mode == "stages":
+        return _params(sched["explicit"])
+    if mode == "stages":
         stages = [_params({**sched, **st}) for st in sched["stages"]]
         targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
         try:
-            path, out = "schedule.stages", StageSchedule(stages=stages, targets=targets)
+            return StageSchedule(stages=stages, targets=targets)
         except ValueError as exc:  # stages out of order
             raise ConfigError("schedule.stages", str(exc)) from None
-    else:
-        criterion, batch_mode = THEOREMS[sched["theorem"]]
-        lam = sched.get("modulus")
-        if criterion == "strongly_convex_gap" and lam is None:
-            if problem is None:
-                return None
-            lam = problem.metadata.strong_convexity
-            if lam is None or lam <= 0:
-                raise ConfigError(
-                    "schedule.modulus",
-                    "strongly convex schedules need a positive modulus "
-                    "(set schedule.modulus or use a problem that declares one)",
-                )
-        overrides = {KEY_TO_FIELD.get(k, k): v for k, v in sched["overrides"].items()}
-        if "iters" in overrides:  # a fixed length is checked before any rate is evaluated
-            _check_total("schedule.overrides.t", overrides["iters"])
-        try:
-            out = schedule_for(
-                criterion, batch_mode, sched["eps"], ScheduleConstants(**sched["constants"]),
-                strong_convexity=lam, beta=beta,
+    criterion, batch_mode = THEOREMS[sched["theorem"]]
+    lam = sched.get("modulus")
+    if criterion == "strongly_convex_gap" and lam is None:
+        if problem is None:
+            return None
+        lam = problem.metadata.strong_convexity
+        if lam is None or lam <= 0:
+            raise ConfigError(
+                "schedule.modulus",
+                "strongly convex schedules need a positive modulus "
+                "(set schedule.modulus or use a problem that declares one)",
             )
-        except ArithmeticError:  # so small an eps that the count overflows
-            raise ConfigError("schedule.eps", OVERFLOW) from None
-        if "n" in overrides:  # validation admits n only where the subsolver runs
-            overrides["subsolver"] = replace(out.subsolver, inner_iters=overrides.pop("n"))
-        path, out = "schedule.eps", replace(out, **overrides)
-    _check_total(path, sum(p.iters for p in getattr(out, "stages", [out])))
-    return out
+    overrides = {KEY_TO_FIELD.get(k, k): v for k, v in sched["overrides"].items()}
+    try:
+        out = schedule_for(
+            criterion, batch_mode, sched["eps"], ScheduleConstants(**sched["constants"]),
+            strong_convexity=lam, beta=beta,
+        )
+    except ArithmeticError:  # so small an eps that the count overflows
+        raise ConfigError("schedule.eps", "the iteration count overflows") from None
+    if "n" in overrides:  # validation admits n only where the subsolver runs
+        overrides["subsolver"] = replace(out.subsolver, inner_iters=overrides.pop("n"))
+    return replace(out, **overrides)
 
 
 def _params(block):
@@ -707,11 +699,6 @@ def _params(block):
     if "n" in block:
         sub = QuadraticSubsolver(coeff=block["coeff"], inner_iters=block["n"])
     return SolverParams(**{f: block[k] for k, f in KEY_TO_FIELD.items()}, subsolver=sub)
-
-
-def _check_total(path, total):
-    if total >= STREAM_LEVEL_STRIDE:
-        raise ConfigError(path, f"{total} iterations reach the stream stride {STREAM_LEVEL_STRIDE}")
 
 
 def describe_schedule(schedule):

@@ -33,28 +33,29 @@ import numpy as np
 
 from .core import _count
 from .problems import FiniteSamples, GenerativeSamples, _checked, sample_batch
-from .rng import STREAM_LEVEL_STRIDE, RandomSource, _BlockGenerator
 
 
 @dataclass(frozen=True)
 class _Stream:
-    """A generative level's batch that is not drawn yet: ``size`` samples of
-    the substream ``index`` of ``rng``, which the walk draws one slice at a
-    time as it reaches them."""
+    """A generative level's batch that is not drawn yet: the next ``size``
+    samples of its level's generator ``gen``, which the walk draws one
+    slice at a time as it reaches them."""
 
-    rng: RandomSource
-    index: int
+    gen: np.random.Generator
     size: int
 
     def __len__(self):
         return self.size
 
 
+# a finite level draws its indices ahead, this many at a time
+CHUNK = 4096
 # a slice stacks at most this many entries of the largest per-level
 # Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
 # per-sample gradients, and its streamed draw holds one slice of samples
 _SLICE_ENTRIES = 2**16
 _F64 = np.dtype(np.float64)
+_NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
@@ -70,9 +71,8 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     per-sample product, reduced at the last level. Every sum starts from
     0.0 (``initial=0.0``) and adds the slices in order, so an
     all-negative-zero column sums to +0.0. K = 1 keeps one slice alive, and
-    a streamed batch (_Stream) is drawn slice by slice from its rekeyed
-    substream, the next level's rekey coming only after its last slice, so
-    its samples are never held whole either. ``next_input(i, mean_new,
+    a streamed batch (_Stream) is drawn slice by slice from its level's
+    generator, so its samples are never held whole either. ``next_input(i, mean_new,
     mean_old)`` (0-based i, no old mean: None) turns level i's means into
     the next new input. Adds points * B per level to the SFO counter;
     returns the flat gradient means at the new chain and at the old one.
@@ -97,9 +97,7 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         batch = batches[i]
         last = i == k - 1
         streamed = isinstance(batch, _Stream)
-        if streamed:
-            gen = batch.rng.child_generator(batch.index)
-        elif not isinstance(batch, tuple):
+        if not streamed and not isinstance(batch, tuple):
             batch = np.asarray(batch)
         # running sums, so a slice is dropped once reduced; the product of
         # the levels so far is kept whole until the next level's input is known
@@ -108,7 +106,7 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         for lo in range(0, size, width):
             hi = min(lo + width, size)
             if streamed:
-                part = sample_batch(level, gen, hi - lo)
+                part = sample_batch(level, batch.gen, hi - lo)
             elif whole:
                 part = batch
             else:
@@ -141,33 +139,47 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     return jacs[0].reshape(-1) / size, jacs[1].reshape(-1) / size if old else None
 
 
-def _level_batches(problem, rng, t, size):
-    """One batch per level for iteration t, from the substream (level, t).
+def _level_batches(problem, rng, size):
+    """The next batch of ``size`` samples of each level, from its stream
+    ``rng.level(i)``.
 
-    Each level owns its substream, so the order of the draws does not
-    change any batch. The draws share the source's one rekeyed generator,
-    so a level's draw ends before the next level's rekey. A generative
-    level's batch is left to the walk as a _Stream, drawn in consecutive
-    per-slice parts that GenerativeSamples' contract makes equal to the
-    whole draw ``sample_batch(level, rng.child_generator(index), size)``. A
-    finite dataset's batch is drawn whole: it is a few int64 indices, too
-    few bytes for a streamed draw to save memory. At a step (t >= 1), its
-    ``FiniteSamples.draw`` gets ``_BlockGenerator(rng, index)``, which serves
-    the draw from a block pass over 256 iterations' substreams, checked
-    against numpy's ``Generator.integers``, with numpy's draw as the
-    fallback; the B0 batch (t = 0), the only one of its block a run reads,
-    and any other sample space draw from ``rng.child_generator(index)``.
+    A generative level's batch is left to the walk as a _Stream, drawn in
+    consecutive per-slice parts that GenerativeSamples' contract makes equal
+    to the whole draw ``sample_batch(level, gen, size)``. A finite dataset
+    serves the next ``size`` of the indices it drew ahead (``_finite_batch``),
+    and any other sample space draws its batch whole from the generator.
     """
     batches = []
     for i, level in enumerate(problem.levels, start=1):
-        index = i * STREAM_LEVEL_STRIDE + t
+        stream = rng.level(i)
         if isinstance(level.samples, GenerativeSamples):
-            batches.append(_Stream(rng, index, size))
-        elif t and type(level.samples) is FiniteSamples:
-            batches.append(sample_batch(level, _BlockGenerator(rng, index), size))
+            batches.append(_Stream(stream.generator, size))
+        elif type(level.samples) is FiniteSamples:
+            batches.append(_finite_batch(stream, level.samples, size))
         else:
-            batches.append(sample_batch(level, rng.child_generator(index), size))
+            batches.append(sample_batch(level, stream.generator, size))
     return batches
+
+
+def _finite_batch(stream, samples, size):
+    """The next ``size`` indices of a finite level's stream, as a new array:
+    first those it drew ahead, then more drawn CHUNK at a time by
+    ``samples.draw(gen, CHUNK)``.
+
+    numpy draws bounded integers one after another, so the batches are those
+    of one ``samples.draw(gen, size)`` call per batch, whatever CHUNK is.
+    Indices drawn ahead for a dataset of another size are dropped.
+    """
+    if stream.high != samples.size:
+        stream.high, stream.pending = samples.size, _NO_INDICES
+    parts, rest = [], stream.pending
+    while len(rest) < size:
+        parts.append(rest)
+        size -= len(rest)
+        rest = samples.draw(stream.generator, CHUNK)
+    parts.append(rest[:size])
+    stream.pending = rest[size:]
+    return np.concatenate(parts)
 
 
 def init_trackers(problem, x1, b0, rng, counters=None):
@@ -175,12 +187,12 @@ def init_trackers(problem, x1, b0, rng, counters=None):
     of empty trackers on the batch of iteration 0, so no momentum is read.
     Returns (u, v); a B0 that is not an integer >= 1 raises ValueError.
 
-    Each level draws its own batch from the substream (level, iteration 0),
-    a generative level's slice by slice inside the walk, and each sample's
-    (value, Jacobian) pair is evaluated once per level.
+    Each level draws the next batch of its stream, a generative level's
+    slice by slice inside the walk, and each sample's (value, Jacobian) pair
+    is evaluated once per level.
     """
     b0 = _count(b0, "initialization batch size")
-    batches = _level_batches(problem, rng, 0, b0)
+    batches = _level_batches(problem, rng, b0)
     return storm_update([None] * problem.k, None, 1.0, problem, x1, None, batches, counters)
 
 

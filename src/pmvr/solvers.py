@@ -38,13 +38,14 @@ from .core import _count
 from .estimators import _level_batches, init_trackers, storm_update
 from .metrics import OracleCounters, _fw_gap, _gradient_mapping
 from .problems import FiniteSamples, _chain_gradient, exact_gradient, exact_inner_values
-from .rng import STREAM_LEVEL_STRIDE, STREAM_TAU_BASE
+from .rng import STREAM_TAU_BASE
 
 # Slack of every feasibility check. On the nuclear ball the carried bound
 # can gain about 1e-14 * radius per step over the true norm at 200 x 200
 # (4 unit roundoffs times sqrt(min(m, n)) for the step's rounding, plus the
 # rounding up of the bound itself), so about 1e-8 * radius after 2**20
-# steps: inside this tolerance for radii below about 100.
+# steps: inside this tolerance for radii below about 100, and below about
+# 100 / n for a run n times as long.
 FEASIBILITY_TOL = 1e-6
 
 
@@ -300,7 +301,7 @@ def pmvr_step(state, problem, fset, params, rng):
     oracle cost is K*B1; later iterations cost 2*K*B1.
     """
     t = state.t + 1
-    batches = _level_batches(problem, rng, t, params.b1)
+    batches = _level_batches(problem, rng, params.b1)
     state.u, state.v = storm_update(
         state.u, state.v, params.alpha, problem, state.x, state.x_prev, batches, state.counters
     )
@@ -333,7 +334,7 @@ def _baseline_step(state, problem, fset, params, rng):
     one tracker update with no old point and an empty gradient tracker, then
     a projected gradient step; costs K*B1 SFO calls and no LMO call."""
     t = state.t + 1
-    batches = _level_batches(problem, rng, t, params.b1)
+    batches = _level_batches(problem, rng, params.b1)
     state.u, state.v = storm_update(
         state.u, None, params.alpha, problem, state.x, None, batches, state.counters
     )
@@ -383,19 +384,11 @@ def _run_stages(problem, fset, stages, x1, rng, trace, step, b0=None, tau=None):
     row after a step first checks a certified iterate with the set's full
     ``contains``, since the steps check only its certificate. A row's
     ``seconds`` is the wall time since the run started (before x1 is
-    checked) less the time spent in earlier rows and their checks. A run of
-    STREAM_LEVEL_STRIDE or more iterations in total raises ValueError before
-    initialization: its late batches would repeat the next level's sample
-    streams. Each distinct step batch size B1 larger than a finite dataset
-    warns once, before x1 is checked, and a B0 that is larger warns after
-    it, before the B0 draw.
+    checked) less the time spent in earlier rows and their checks. Each
+    distinct step batch size B1 larger than a finite dataset warns once,
+    before x1 is checked, and a B0 that is larger warns after it, before the
+    B0 draw.
     """
-    total = sum(params.iters for _, params in stages)
-    if total >= STREAM_LEVEL_STRIDE:
-        raise ValueError(
-            f"{total} iterations in total reach the per-level stream stride "
-            f"{STREAM_LEVEL_STRIDE}; level i's late batches would repeat level i+1's"
-        )
     for b1 in dict.fromkeys(params.b1 for _, params in stages):
         _warn_oversized(problem, "B1", b1)
     cfg = trace if trace is not None else TraceConfig()

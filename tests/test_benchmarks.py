@@ -316,13 +316,13 @@ GENERATIVE_SPACES = {
 @pytest.mark.parametrize("name", sorted(GENERATIVE_SPACES))
 @pytest.mark.parametrize("b", [4, 9])
 def test_generative_batches_drawn_in_parts_equal_one_draw(name, b):
-    # the estimators draw a generative batch one slice at a time from one
-    # rekeyed generator, which must give the samples of one whole draw
+    # the estimators draw a generative batch one slice at a time from its
+    # level's generator, which must give the samples of one whole draw
     problem = GENERATIVE_SPACES[name]()
     for i, level in enumerate(problem.levels, start=1):
-        gen = RandomSource(11).child_generator(i)
+        gen = RandomSource(11).split(i).generator
         whole = level.samples.draw(gen, b)
-        parts_gen = RandomSource(11).child_generator(i)
+        parts_gen = RandomSource(11).split(i).generator
         parts = [level.samples.draw(parts_gen, n) for n in (1, 2, b - 3)]
         assert len(whole) == len(parts[0])
         for w, *ps in zip(whole, *parts):

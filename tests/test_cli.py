@@ -187,8 +187,6 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, schedule, locator",
         [
-            ("pmvr", {"theorem": "thm1", "eps": 0.1, "overrides": {"t": 1048576}},
-             "schedule.overrides.t"),
             ("pmvr-v2", {"theorem": "thm1", "eps": 0.1}, "schedule.theorem"),
         ],
     )
@@ -240,8 +238,6 @@ class TestRun:
     @pytest.mark.parametrize(
         "eps, message",
         [
-            # thm7 at this eps resolves to 2**21 - 1 iterations
-            (4.76837158203125e-07, "2097151 iterations reach the stream stride 1048576"),
             (1e-320, "the iteration count overflows"),
         ],
     )

@@ -13,6 +13,7 @@ from pmvr.benchmarks import (
     synthetic_portfolio_data,
     two_level_tracking_problem,
 )
+from pmvr import estimators
 from pmvr.core import ShapeMismatchError
 from pmvr.estimators import (
     _SLICE_ENTRIES,
@@ -32,7 +33,7 @@ from pmvr.problems import (
     exact_inner_values,
     sample_batch,
 )
-from pmvr.rng import STREAM_LEVEL_STRIDE, RandomSource
+from pmvr.rng import RandomSource
 
 
 def additive_noise_scalar_level():
@@ -228,11 +229,11 @@ PROBLEMS = {
 }
 
 
-def whole_batches(problem, rng, t, size):
-    """Every level's batch of iteration t drawn whole from its substream:
-    the reference for the batches ``_level_batches`` leaves to the walk."""
+def whole_batches(problem, rng, size):
+    """Every level's first batch drawn whole from its stream: the reference
+    for the batches ``_level_batches`` leaves to the walk."""
     return [
-        sample_batch(level, rng.child_generator(i * STREAM_LEVEL_STRIDE + t), size)
+        sample_batch(level, rng.split(i).generator, size)
         for i, level in enumerate(problem.levels, start=1)
     ]
 
@@ -244,7 +245,7 @@ def batch_case(name, seed, b):
     gen = np.random.default_rng(seed)
     x = gen.dirichlet(np.ones(problem.levels[0].in_dim))
     chain = [x] + exact_inner_values(problem, x)[:-1]
-    return problem, chain, whole_batches(problem, RandomSource(seed), 1, b)
+    return problem, chain, whole_batches(problem, RandomSource(seed), b)
 
 
 def sample(batch, j):
@@ -395,7 +396,7 @@ def test_streamed_draws_equal_a_walk_over_materialized_batches(b):
     problem = mixed_problem()
     assert _SLICE_ENTRIES // max(lv.in_dim * lv.out_dim for lv in problem.levels) == 3
     x = np.random.default_rng(b).normal(size=problem.levels[0].in_dim)
-    streamed = _level_batches(problem, RandomSource(9), 1, b)
+    streamed = _level_batches(problem, RandomSource(9), b)
     assert [type(bt) for bt in streamed] == [_Stream, np.ndarray, _Stream]
 
     counters = OracleCounters()
@@ -406,14 +407,14 @@ def test_streamed_draws_equal_a_walk_over_materialized_batches(b):
         u.append(mean)
         return mean
 
-    v, _ = _walk(problem, x, None, whole_batches(problem, RandomSource(8), 0, b), keep)
+    v, _ = _walk(problem, x, None, whole_batches(problem, RandomSource(8), b), keep)
     assert all(np.array_equal(got, want) for got, want in zip(init_u, u, strict=True))
     assert np.array_equal(init_v, v)
     assert counters.sfo == problem.k * b
 
     x_new = x + 0.01
     runs = []
-    for batches in (streamed, whole_batches(problem, RandomSource(9), 1, b)):
+    for batches in (streamed, whole_batches(problem, RandomSource(9), b)):
         runs.append(storm_update(init_u, init_v, 0.5, problem, x_new, x, batches))
     (got_u, got_v), (want_u, want_v) = runs
     assert all(np.array_equal(a, c) for a, c in zip(got_u, want_u, strict=True))
@@ -439,18 +440,36 @@ def test_identical_chains_at_alpha_zero_leave_trackers_bit_identical(name, seed,
     assert np.array_equal(v, v_before)
 
 
-@pytest.mark.parametrize("t, size, blocked", [(0, 10, False), (1, 8, True), (300, 256, True),
-                                             (2, 257, False)])
-def test_finite_step_batches_are_served_from_block_draws(t, size, blocked):
-    """A finite dataset's step batch comes from a block draw and equals its
-    substream's whole draw; the B0 batch (t = 0) and a batch of more than
-    256 indices are drawn by the rekeyed generator and build no block."""
-    problem = PROBLEMS["mean_deviation"]()
-    rng = RandomSource(5)
-    got = _level_batches(problem, rng, t, size)
-    want = whole_batches(problem, RandomSource(5), t, size)
-    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
-    assert len(rng._draws) == (problem.k if blocked else 0)
+def finite_level(size):
+    """A one-level problem on a finite dataset of ``size`` records whose
+    oracles are never called."""
+    def unused(*args):
+        raise AssertionError("an oracle was called")
+
+    return CompositionalProblem([Level(1, 1, unused, unused, unused, unused,
+                                       samples=FiniteSamples(size))])
+
+
+# B0, then stage 1's B1 for 300 steps, then stage 2's B1 for 5 steps: 5100
+# indices cross the first chunk boundary inside a B1 batch, and the 1000s
+# cross the second one
+STAGE_SIZES = [3000] + [7] * 300 + [1000] * 5
+
+
+@pytest.mark.parametrize("high", [2, 7, 500, 1100, 2**31 + 5, 2**32 - 1])
+@pytest.mark.parametrize("chunk", [1, 5, estimators.CHUNK])
+def test_finite_batches_equal_per_batch_integers_whatever_the_chunk(high, chunk, monkeypatch):
+    """A finite level's batches, served from chunks drawn ahead, are the
+    draws ``integers(0, high, size=B)`` of one call per batch on its
+    generator, so the chunk size is not part of the stream."""
+    monkeypatch.setattr(estimators, "CHUNK", chunk)
+    problem, rng = finite_level(high), RandomSource(13)
+    gen = RandomSource(13).split(1).generator
+    assert sum(STAGE_SIZES) > 2 * estimators.CHUNK
+    for size in STAGE_SIZES:
+        (got,) = _level_batches(problem, rng, size)
+        assert np.array_equal(got, gen.integers(0, high, size=size)), size
+        assert got.flags.owndata and not np.shares_memory(got, rng.level(1).pending)
 
 
 @pytest.mark.parametrize("b0", [0, 2.5, True, "3"])
@@ -509,7 +528,7 @@ def test_storm_update_equals_the_direct_recursion(name, seed, b, alpha):
     prev_u = [gen.normal(size=level.out_dim) for level in problem.levels]
     prev_v = gen.normal(size=problem.x_shape)
     old_chain = [problem.flatten(x_old)] + prev_u[:-1]
-    batches = whole_batches(problem, RandomSource(seed), 3, b)
+    batches = whole_batches(problem, RandomSource(seed), b)
     want_u, want_v = direct_recursion(problem, prev_u, prev_v, alpha, x_new, old_chain, batches)
     counters = OracleCounters()
     got_u, got_v = storm_update(prev_u, prev_v, alpha, problem, x_new, x_old, batches, counters)
@@ -524,7 +543,7 @@ def test_storm_update_leaves_its_arguments_unchanged():
     x = np.full(5, 0.2)
     u, v = init_trackers(problem, x, 3, RandomSource(2))
     u_before, v_before, x_before = [a.copy() for a in u], v.copy(), x.copy()
-    batches = _level_batches(problem, RandomSource(3), 1, 4)
+    batches = _level_batches(problem, RandomSource(3), 4)
     new_u, new_v = storm_update(u, v, 0.5, problem, x + 0.01, x, batches)
     assert new_u is not u and len(u) == problem.k
     assert all(np.array_equal(a, b) for a, b in zip(u, u_before, strict=True))
@@ -551,7 +570,7 @@ def test_empty_trackers_take_their_batch_means(name, seed, b, alpha, moved):
         gen.dirichlet(np.ones(problem.levels[0].in_dim)).reshape(problem.x_shape)
         for _ in range(2)
     )
-    batches = whole_batches(problem, RandomSource(seed), 3, b)
+    batches = whole_batches(problem, RandomSource(seed), b)
     u, v = storm_update(
         [None] * problem.k, None, alpha, problem, x_new, x_old if moved else None, batches
     )
@@ -569,9 +588,8 @@ def test_storm_update_refuses_a_tracker_count_other_than_k(trackers, moved, monk
     x = np.full(5, 0.2)
     u, v = init_trackers(problem, x, 3, RandomSource(2))
     u = (u + [u[-1]])[:trackers]
-    batches = _level_batches(problem, RandomSource(3), 1, 4)
-    monkeypatch.setattr(RandomSource, "child_generator",
-                        lambda *args: pytest.fail("a batch was drawn"))
+    batches = _level_batches(problem, RandomSource(3), 4)
+    monkeypatch.setattr(estimators, "sample_batch", lambda *args: pytest.fail("a batch was drawn"))
     counters = OracleCounters()
     with pytest.raises(ValueError, match=rf"K = 2 .*len\(u\) = {trackers}$"):
         storm_update(u, v, 0.5, problem, x + 0.01, x if moved else None, batches, counters)
@@ -687,11 +705,10 @@ COUNT_MESSAGE = "the walk needs one batch and one old chain input per level"
 def test_storm_update_refuses_its_batches_before_any_draw_or_oracle_call(
         sizes, trackers, message, monkeypatch):
     problem = refusing_problem()
-    stream = [_Stream(RandomSource(0), STREAM_LEVEL_STRIDE + 1, sizes[0])]
+    stream = [_Stream(RandomSource(0).split(1).generator, sizes[0])]
     batches = stream + [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
     u = [np.zeros(2), np.zeros(1)][:trackers]
-    monkeypatch.setattr(RandomSource, "child_generator",
-                        lambda *args: pytest.fail("a batch was drawn"))
+    monkeypatch.setattr(estimators, "sample_batch", lambda *args: pytest.fail("a batch was drawn"))
     counters = OracleCounters()
     with pytest.raises(ValueError, match=message):
         storm_update(u, np.zeros(1), 0.5, problem, np.zeros(1), np.zeros(1), batches, counters)
@@ -700,9 +717,8 @@ def test_storm_update_refuses_its_batches_before_any_draw_or_oracle_call(
 
 def test_walk_refuses_a_short_old_chain_before_any_draw_or_oracle_call(monkeypatch):
     problem = refusing_problem()
-    batches = [_Stream(RandomSource(0), STREAM_LEVEL_STRIDE + 1, 3), np.zeros(3, dtype=np.int64)]
-    monkeypatch.setattr(RandomSource, "child_generator",
-                        lambda *args: pytest.fail("a batch was drawn"))
+    batches = [_Stream(RandomSource(0).split(1).generator, 3), np.zeros(3, dtype=np.int64)]
+    monkeypatch.setattr(estimators, "sample_batch", lambda *args: pytest.fail("a batch was drawn"))
     counters = OracleCounters()
     with pytest.raises(ValueError, match=COUNT_MESSAGE):
         _walk(problem, np.zeros(1), [np.zeros(1)], batches, lambda i, m, _: m, counters)

@@ -2,20 +2,21 @@
 
 Each case runs one config through the CLI's repetition path and hashes its
 trace file with the wall-clock ``seconds`` column blanked. The digests were
-recorded before the tracker updates became one chain walk per step. They
-pin the sample streams, the oracle counters and every LMO decision. The
-LMO-driven solvers move only when a direction changes, so a last-bit change
-of their trackers rarely shows; the baseline's projected step carries the
-last bits of its gradient into the trace, so its cases also pin the
-reduction order of the batch means. The digests hold for one numpy build
-and CPU family: another BLAS or SIMD path may round the last bits
-differently, and then many cases change at once.
+last recorded when each level came to draw all its batches in order from
+one stream. They pin the sample streams, the oracle counters and every LMO
+decision. The LMO-driven solvers move only when a direction changes, so a
+last-bit change of their trackers rarely shows; the baseline's projected
+step carries the last bits of its gradient into the trace, so its cases
+also pin the reduction order of the batch means. The digests hold for one
+numpy build and CPU family: another BLAS or SIMD path may round the last
+bits differently, and then many cases change at once.
 
 The nuclear-ball cases run the single-index problem at 5 x 7, where the
-LMO takes its transposed branch, and were recorded before the solvers
-stopped checking each nuclear-ball iterate with a full SVD. Their baseline
-step size keeps some iterates inside the ball and puts others on its
-boundary, so both branches of the projection are pinned.
+LMO takes its transposed branch. Before the streams changed, their digests
+had held since before the solvers stopped checking each nuclear-ball
+iterate with a full SVD. Their baseline step size keeps some iterates
+inside the ball and puts others on its boundary, so both branches of the
+projection are pinned.
 """
 
 import hashlib
@@ -44,37 +45,37 @@ SETS = {
 }
 GOLDEN = {
     ("mean_deviation", "box", "pmvr"):
-        "cefe459445f649d8b7933c1477d034d6d6f05b92d3ddc09518a5936bdda93415",
+        "707572f2638709759f08869c57fc1b1713c4e3c4ef4831ca6860a696e03a02dc",
     ("mean_deviation", "box", "pmvr-v2"):
-        "1249ebcc48fe4fcf0f02e8b8102bda0beeb77ea4cfca06b06e67cd5c2a03885f",
+        "50798b80190844c19a9d86246ebfb4421ee9a14f8160751ae005783b2823e836",
     ("mean_deviation", "box", "stagewise-v2"):
-        "21edc30c1a365802a34d7ab45ee0d4700ec5d0cd6645235b8c3ceff8e20dfa9a",
+        "782d64479cfdd1d4720882c017fa82e7f6503cc8ff27a283eac8686bcb0115c5",
     ("mean_deviation", "box", "baseline"):
-        "ffb3024417a0f9a044b4a12f14ba113e8b438d5dc3890aecd3d841bf83f32b65",
+        "0b76f6eb96b584f918bd7dcdeaeabe37df8b10cfed4657940543daa46dde0a46",
     ("mean_deviation", "simplex", "pmvr"):
-        "0f6760a1b5db53c1dff67775fa63f4aab35e491fce50bd9781c45203477e8e0f",
+        "7494dc857df97ba010eadfd5b649c15b44242bfb42d5c79ad62708fc59ba0655",
     ("mean_deviation", "simplex", "pmvr-v2"):
-        "0c9ac9b475a2979d4056c258ed78ee7badc3fac79adb734feafbb136201ca933",
+        "ca46747a46d8755fe985d5c762b4abe2c89cd0e5f24702a8a482682a1867fdf5",
     ("mean_deviation", "simplex", "stagewise-v2"):
-        "4e7fef2084a9ccbc481c670dea7dcdeaa9910039b78ff3b92411188ec05e4c4c",
+        "a3a20c24c6436b0fb0176cb5ad9acd1856f4b9b8cb6a033f4c4eb15233843136",
     ("mean_deviation", "simplex", "baseline"):
-        "c3debd76e59d28330e22da50c03f378ba669ba8adcd7d484504318050df83b15",
+        "2a200399d1f7f640312872aca827d8d19344d6be5273272c7cef4ee462cc5f80",
     ("mean_variance", "box", "pmvr"):
-        "031256d96a90067b61bb637f5a34114442ce27609523e21c61d506e123b89ef9",
+        "34b3be0487d012c8569d2dcc47221e8514602ba511b9730052e125a8f8548f9d",
     ("mean_variance", "box", "pmvr-v2"):
-        "bc3b5360ea4ec5ea9792fe5bb346d676372cd386d7cf0d6f4385109d511af24b",
+        "cc4a52758bd1fd81c7cd8bc383c785dbc1d320f895cd48dad036757ee96e746e",
     ("mean_variance", "box", "stagewise-v2"):
-        "537c2bf8de5ec326a32ba48e86818503c8a577f2afbb5b08163bceb222dffcdd",
+        "c8caff2d884023015ca47ad8df70483e13423c838795d4bad2c8850dc76fdb7c",
     ("mean_variance", "box", "baseline"):
-        "a18709987c4eefaef5bf954cb2962e75da2bf974c9e7332c01d8c858c36cbfde",
+        "45ed5cd932b03cdedce3df4189908d72871b9c552f7af44daa56827caa94ce5a",
     ("mean_variance", "simplex", "pmvr"):
-        "682bf6e9ea1c1221b74506c7ac742f2bf6ba1757946c234c58138cf17a9bc0a9",
+        "40c5cb2d26172b033e25f2123f4d21dd2354c29be42c46e1018072335a67f4ad",
     ("mean_variance", "simplex", "pmvr-v2"):
-        "ad6b649a57e87a3678620612377335f4ea6c5fb1e79f83999d6c3ab92123524f",
+        "a8c34e8f0a7aec33c2684678629cc7ce347247dce985d3d0af38467672d3ddb6",
     ("mean_variance", "simplex", "stagewise-v2"):
-        "66ff828049d65f6500ffe2b545770e0b5b52a45169b36d9eed2441abb8be3eb1",
+        "8a5ceefe7b5bc506ea91299a4dbce055bdd26cd462adfe55a33c7f97f9d0dc6a",
     ("mean_variance", "simplex", "baseline"):
-        "ad93872901f83a2bc2b2ecd646b3ec643dfe0c88892f6b17ad1489f364222959",
+        "98e832908c53c883bd60411668f48552d9ceba98ce4b723c20b937f28bc090a1",
 }
 
 
@@ -121,10 +122,10 @@ NUCLEAR_SCHEDULES = {
     "baseline": {"explicit": {"eta": 0.05, "alpha": 0.5, "b0": 4, "b1": 2, "t": 30}},
 }
 NUCLEAR_GOLDEN = {
-    "pmvr": "e571c7c646115eec087aefa966711d09bd666067b0248c07f660bd8b7ba81bde",
-    "pmvr-v2": "528f3647c31bc9a20499c8df36100bd622f9facca13e4a4f090f60193a6b35f3",
-    "stagewise-v2": "af3feff46f0d94e41979a47fd8cc03dc7045bc97cf23b63c99ab0f02f9f64a28",
-    "baseline": "62cd7e75b8592647c4a83fdd6449f448000f1f0a08800ee1707a1a040983b752",
+    "pmvr": "db33a1a06d0aa9703e64506c7adfdbdd83723cd002b1eda5dbb72dd57d50227b",
+    "pmvr-v2": "1c522fa55f5d07e8e6d3704135b5bf044817e400559eb645be699bc753fa0445",
+    "stagewise-v2": "709e2b78ff35bdf035bf7267049373752b94df82670ea7afc8458d4a559e1a8d",
+    "baseline": "27260de86def4c3b5d341baed9c6c393379562dd6cc01ddcd88d80e9294bc0ea",
 }
 
 

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmvr import cli, sets, solvers
+from pmvr import cli, estimators, sets, solvers
 from pmvr.benchmarks import (
     PortfolioData,
     SingleIndexConfig,
@@ -31,7 +31,7 @@ from pmvr.problems import (
     Level,
     sample_batch,
 )
-from pmvr.rng import STREAM_LEVEL_STRIDE, RandomSource
+from pmvr.rng import RandomSource
 from pmvr.sets import Box, NuclearNormBall, Simplex, top_singular_pair
 from pmvr.solvers import (
     FeasibilityError,
@@ -882,6 +882,16 @@ class TestNonFiniteGuard:
             pmvr_run(problem, fset, params, x1, RandomSource(0))
         assert (err.value.iteration, err.value.level) == (0, None)
 
+    def test_a_non_finite_gradient_tracker_is_named_in_the_message(self):
+        problem, fset, x1 = drifting_nan_problem(None)
+        problem.levels[1] = replace(
+            problem.levels[1], jacobian=lambda y, s: np.full((len(s), 2, 1), np.inf)
+        )
+        params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=10)
+        with pytest.raises(NonFiniteStateError) as err:
+            pmvr_run(problem, fset, params, x1, RandomSource(0))
+        assert str(err.value) == "gradient tracker v is non-finite at iteration 0"
+
     @pytest.mark.parametrize("where, level", [("x", 0), ("u", 2), ("v", None)])
     def test_finite_state_whose_total_overflows_passes_silently(self, where, level):
         # the iterate sums to +inf and the gradient tracker to -inf, so a
@@ -973,39 +983,33 @@ STREAM_CASES = {
 }
 
 
-def split_generator(source, index):
-    """The draw of one fresh generator per substream, which the rekeyed
-    ``RandomSource.child_generator`` must reproduce."""
-    return source.split(index).generator
-
-
 def batch_arrays(batch):
     return batch if isinstance(batch, tuple) else (batch,)
 
 
 def drawn(level, batch):
-    """A batch as samples: a generative level's _Stream drawn whole from the
-    substream it names."""
+    """A batch as samples: a generative level's _Stream drawn whole from its
+    level's generator, as the walk would draw it."""
     if isinstance(batch, _Stream):
-        return sample_batch(level, batch.rng.child_generator(batch.index), batch.size)
+        return sample_batch(level, batch.gen, batch.size)
     return batch
 
 
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
-@pytest.mark.parametrize("t", [0, 1, 7, STREAM_LEVEL_STRIDE - 1])
-def test_level_batches_equal_per_level_split_streams(name, t):
+def test_level_batches_continue_one_split_generator_per_level(name):
+    """Successive batches of sizes B0, B1, B1 and another B1 are the
+    successive draws of one fresh generator per level, ``split(i)``'s."""
     problem, _, _ = STREAM_CASES[name]()
     rng = RandomSource(29)
-    batches = _level_batches(problem, rng, t, 5)
-    got = [drawn(level, b) for level, b in zip(problem.levels, batches)]
-    want = [
-        sample_batch(level, split_generator(rng, i * STREAM_LEVEL_STRIDE + t), 5)
-        for i, level in enumerate(problem.levels, start=1)
-    ]
-    assert len(got) == len(want) == problem.k
-    for g, w in zip(got, want):
-        pairs = zip(batch_arrays(g), batch_arrays(w), strict=True)
-        assert all(np.array_equal(a, b) for a, b in pairs)
+    gens = [RandomSource(29).split(i).generator for i in range(1, problem.k + 1)]
+    for size in (5, 3, 3, 7):
+        batches = _level_batches(problem, rng, size)
+        got = [drawn(level, b) for level, b in zip(problem.levels, batches)]
+        want = [sample_batch(level, gen, size) for level, gen in zip(problem.levels, gens)]
+        assert len(got) == len(want) == problem.k
+        for g, w in zip(got, want):
+            pairs = zip(batch_arrays(g), batch_arrays(w), strict=True)
+            assert all(np.array_equal(a, b) for a, b in pairs)
 
 
 def trace_values(result):
@@ -1035,53 +1039,27 @@ RUNS = {
 
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_runs_keep_the_trace_of_one_generator_per_substream(name, run, monkeypatch):
+def test_runs_keep_their_trace_whatever_the_chunk(name, run, monkeypatch):
     problem, fset, x1 = STREAM_CASES[name]()
     rows, x_final = trace_values(RUNS[run](problem, fset, x1, RandomSource(31)))
-    monkeypatch.setattr(RandomSource, "child_generator", split_generator)
+    monkeypatch.setattr(estimators, "CHUNK", 3)
     want_rows, want_x = trace_values(RUNS[run](problem, fset, x1, RandomSource(31)))
     assert rows == want_rows
     assert np.array_equal(x_final, want_x)
 
 
-def untouchable_problem():
-    """A one-level problem whose oracles and sampler fail the test if used."""
-
-    def fail(*args):
-        raise AssertionError("the run started")
-
-    return CompositionalProblem([Level(3, 1, fail, fail, fail, fail, GenerativeSamples(fail))])
-
-
-def stride_runs(total):
-    """The three entry points on an untouchable problem with ``total``
-    iterations in all (the stage-wise run in two stages)."""
-    problem = untouchable_problem()
-    fset = Simplex(3)
-    x1 = np.full(3, 1 / 3)
-    params = SolverParams(eta=0.05, alpha=0.3, b0=2, b1=1, iters=total)
-    first = replace(params, iters=total // 2)
-    second = replace(params, iters=total - total // 2)
-    return {
-        "pmvr": lambda: pmvr_run(problem, fset, params, x1, RandomSource(1)),
-        "stagewise": lambda: stagewise_run(
-            problem, fset, StageSchedule(stages=[first, second], targets=[0.5, 0.25]),
-            x1, RandomSource(1),
-        ),
-        "baseline": lambda: projected_baseline_run(
-            problem, fset, SolverParams(eta=0.05, alpha=0.5, b0=1, b1=1, iters=total),
-            x1, RandomSource(1),
-        ),
-    }
-
-
 @pytest.mark.parametrize("run", sorted(RUNS))
-def test_runs_reaching_the_stream_stride_are_refused_before_initialization(run):
-    with pytest.raises(ValueError, match="stream stride"):
-        stride_runs(STREAM_LEVEL_STRIDE)[run]()
-    # one iteration fewer is accepted: the run starts and meets the oracles
-    with pytest.raises(AssertionError, match="the run started"):
-        stride_runs(STREAM_LEVEL_STRIDE - 1)[run]()
+def test_a_second_run_on_a_source_continues_its_level_streams(run):
+    """A source is a stream: a second run on it draws new batches (tau
+    comes from a fresh split, so it is the same), and a new source with the
+    seed reproduces the first run."""
+    problem, fset, x1 = portfolio_case()
+    rng = RandomSource(31)
+    first, second = (RUNS[run](problem, fset, x1, rng) for _ in range(2))
+    again = RUNS[run](problem, fset, x1, RandomSource(31))
+    assert trace_values(again)[0] == trace_values(first)[0]
+    assert trace_values(second)[0] != trace_values(first)[0]
+    assert second.tau == first.tau
 
 
 # --- certified feasibility on the nuclear ball ------------------------------
