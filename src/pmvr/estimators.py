@@ -72,9 +72,9 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     0.0 (``initial=0.0``) and adds the slices in order, so an
     all-negative-zero column sums to +0.0. K = 1 keeps one slice alive, and
     a streamed batch (_Stream) is drawn slice by slice from its level's
-    generator, so its samples are never held whole either. ``next_input(i, mean_new,
-    mean_old)`` (0-based i, no old mean: None) turns level i's means into
-    the next new input. Adds points * B per level to the SFO counter;
+    generator, so its samples are never held whole either.
+    ``next_input(i, mean_new, mean_old)`` (0-based i, no old mean: None)
+    turns level i's means into the next new input. Adds points * B per level to the SFO counter;
     returns the flat gradient means at the new chain and at the old one.
     """
     levels = problem.levels
@@ -163,8 +163,8 @@ def _level_batches(problem, rng, size):
 
 def _finite_batch(stream, samples, size):
     """The next ``size`` indices of a finite level's stream, as a new array:
-    first those it drew ahead, then more drawn CHUNK at a time by
-    ``samples.draw(gen, CHUNK)``.
+    those it drew ahead, topped up when they run short by one call
+    ``samples.draw(gen, n)`` of n = CHUNK or the shortfall, if larger.
 
     numpy draws bounded integers one after another, so the batches are those
     of one ``samples.draw(gen, size)`` call per batch, whatever CHUNK is.
@@ -172,14 +172,12 @@ def _finite_batch(stream, samples, size):
     """
     if stream.high != samples.size:
         stream.high, stream.pending = samples.size, _NO_INDICES
-    parts, rest = [], stream.pending
-    while len(rest) < size:
-        parts.append(rest)
-        size -= len(rest)
-        rest = samples.draw(stream.generator, CHUNK)
-    parts.append(rest[:size])
-    stream.pending = rest[size:]
-    return np.concatenate(parts)
+    short = size - len(stream.pending)
+    if short > 0:
+        more = samples.draw(stream.generator, max(CHUNK, short))
+        stream.pending = np.concatenate((stream.pending, more))
+    batch, stream.pending = stream.pending[:size].copy(), stream.pending[size:]
+    return batch
 
 
 def init_trackers(problem, x1, b0, rng, counters=None):

@@ -472,6 +472,24 @@ def test_finite_batches_equal_per_batch_integers_whatever_the_chunk(high, chunk,
         assert got.flags.owndata and not np.shares_memory(got, rng.level(1).pending)
 
 
+def test_indices_drawn_ahead_for_another_dataset_size_are_dropped():
+    """A source reused on a smaller dataset at the same level draws that
+    level's next batch afresh, past the chunk it drew ahead."""
+    rng = RandomSource(13)
+    _level_batches(finite_level(1100), rng, 5)
+    (got,) = _level_batches(finite_level(2), rng, 5)
+    gen = RandomSource(13).split(1).generator
+    gen.integers(0, 1100, size=estimators.CHUNK)
+    assert np.array_equal(got, gen.integers(0, 2, size=5))
+
+
+def test_a_batch_larger_than_any_array_fails_in_one_draw():
+    """A finite batch is topped up by one draw of its shortfall, so a size
+    no array can hold fails at once in numpy, not after many chunks."""
+    with pytest.raises(ValueError, match="array is too big"):
+        _level_batches(finite_level(7), RandomSource(1), 2**62)
+
+
 @pytest.mark.parametrize("b0", [0, 2.5, True, "3"])
 @pytest.mark.parametrize("name", ["finite", "generative"])
 def test_init_trackers_refuses_a_batch_size_that_is_not_an_integer_of_at_least_one(b0, name):
