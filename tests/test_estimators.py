@@ -457,7 +457,7 @@ STAGE_SIZES = [3000] + [7] * 300 + [1000] * 5
 
 
 @pytest.mark.parametrize("high", [2, 7, 500, 1100, 2**31 + 5, 2**32 - 1])
-@pytest.mark.parametrize("chunk", [1, 5, estimators.CHUNK])
+@pytest.mark.parametrize("chunk", [1, 1500, estimators.CHUNK])
 def test_finite_batches_equal_per_batch_integers_whatever_the_chunk(high, chunk, monkeypatch):
     """A finite level's batches, served from chunks drawn ahead, are the
     draws ``integers(0, high, size=B)`` of one call per batch on its
