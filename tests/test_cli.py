@@ -187,6 +187,7 @@ class TestRun:
     @pytest.mark.parametrize(
         "algorithm, schedule, locator",
         [
+            ("pmvr", {"theorem": "thm1", "eps": 1e-200}, "schedule.eps"),
             ("pmvr-v2", {"theorem": "thm1", "eps": 0.1}, "schedule.theorem"),
         ],
     )

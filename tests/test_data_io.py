@@ -21,6 +21,7 @@ from pmvr.data_io import (
     load_french_csv,
     load_run_config,
     read_trace_csv,
+    resolve_schedule,
     validate_config,
     write_aggregate_csv,
     write_csv,
@@ -1162,6 +1163,24 @@ class TestScheduleValidation:
     ])
     def test_schedule_fault(self, algorithm, schedule, path, message):
         assert _schedule_error(algorithm, schedule) == (path, message)
+
+    @pytest.mark.parametrize("algorithm, schedule, total", [
+        ("pmvr", {"explicit": dict(EXPLICIT, t=2**20)}, 2**20),
+        ("baseline", {"explicit": dict(EXPLICIT, t=2**21)}, 2**21),
+        ("stagewise", {"stages": [dict(STAGE, t=2**19), dict(STAGE, t=2**19)]}, 2**20),
+        ("pmvr", _theorem("thm1", overrides={"t": 2**20}), 2**20),
+        ("pmvr", {"theorem": "thm1", "eps": 0.0098}, 1062483),
+        ("stagewise", {"theorem": "thm5", "eps": 0.0005}, 5592404),
+        ("stagewise-v2", {"theorem": "thm7", "eps": 4.76837158203125e-07, "modulus": 2.0},
+         2097151),
+    ])
+    def test_counts_of_2_20_iterations_or_more_resolve_in_full(self, algorithm, schedule, total):
+        """Every way of asking for 2**20 iterations or more validates, and
+        the schedule resolves to the whole count, whatever its locator."""
+        cfg = validate_config(dict(MINIMAL, algorithm=algorithm, schedule=schedule))
+        resolved = resolve_schedule(cfg.schedule, cfg.beta)
+        stages = getattr(resolved, "stages", [resolved])
+        assert sum(p.iters for p in stages) == total
 
     @pytest.mark.parametrize("algorithm, thm, fault", list(_pairing_cases()))
     def test_algorithm_theorem_pairing(self, algorithm, thm, fault):

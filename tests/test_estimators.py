@@ -472,6 +472,22 @@ def test_finite_batches_equal_per_batch_integers_whatever_the_chunk(high, chunk,
         assert got.flags.owndata and not np.shares_memory(got, rng.level(1).pending)
 
 
+@pytest.mark.parametrize("steps, size", [(0, 10), (1, 8), (2, 257), (300, 256),
+                                         (1, estimators.CHUNK + 1)])
+def test_finite_step_batches_equal_their_level_streams(steps, size):
+    """On a problem of several finite levels sharing one source, each
+    level's B0 batch and step batches are the draws of its own split
+    generator in order, one ``sample_batch`` call per batch."""
+    problem = PROBLEMS["mean_deviation"]()
+    assert problem.k > 1 and all(isinstance(lv.samples, FiniteSamples) for lv in problem.levels)
+    rng = RandomSource(5)
+    gens = [RandomSource(5).split(i).generator for i in range(1, problem.k + 1)]
+    for b in [10] + [size] * steps:
+        got = _level_batches(problem, rng, b)
+        want = [sample_batch(level, gen, b) for level, gen in zip(problem.levels, gens)]
+        assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
 def test_indices_drawn_ahead_for_another_dataset_size_are_dropped():
     """A source reused on a smaller dataset at the same level draws that
     level's next batch afresh, past the chunk it drew ahead."""

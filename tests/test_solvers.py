@@ -995,14 +995,20 @@ def drawn(level, batch):
     return batch
 
 
+# B0 then step batches: of two stages, of one sample each, and of sizes
+# that cross a finite level's chunk of indices drawn ahead
+SIZE_RUNS = [(5, 3, 3, 7), (1,) * 9, (estimators.CHUNK - 1, 2, estimators.CHUNK), (300, 257, 1)]
+
+
+@pytest.mark.parametrize("sizes", SIZE_RUNS)
 @pytest.mark.parametrize("name", sorted(STREAM_CASES))
-def test_level_batches_continue_one_split_generator_per_level(name):
-    """Successive batches of sizes B0, B1, B1 and another B1 are the
-    successive draws of one fresh generator per level, ``split(i)``'s."""
+def test_level_batches_continue_one_split_generator_per_level(name, sizes):
+    """Successive batches of a B0 and then B1s are the successive draws of
+    one fresh generator per level, ``split(i)``'s."""
     problem, _, _ = STREAM_CASES[name]()
     rng = RandomSource(29)
     gens = [RandomSource(29).split(i).generator for i in range(1, problem.k + 1)]
-    for size in (5, 3, 3, 7):
+    for size in sizes:
         batches = _level_batches(problem, rng, size)
         got = [drawn(level, b) for level, b in zip(problem.levels, batches)]
         want = [sample_batch(level, gen, size) for level, gen in zip(problem.levels, gens)]
@@ -1060,6 +1066,55 @@ def test_a_second_run_on_a_source_continues_its_level_streams(run):
     assert trace_values(again)[0] == trace_values(first)[0]
     assert trace_values(second)[0] != trace_values(first)[0]
     assert second.tau == first.tau
+
+
+def trackers(result):
+    return [*result.state.u, result.state.v]
+
+
+@pytest.mark.parametrize("name", sorted(STREAM_CASES))
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_a_second_run_on_a_source_ends_with_other_trackers(run, name):
+    """The trackers are batch means, so a second run on a source, which
+    continues its level streams, ends with other trackers, and a new source
+    with the seed ends with the first run's. (An iterate can repeat: on the
+    simplex every step may pick the same vertex whatever the noise.)"""
+    problem, fset, x1 = STREAM_CASES[name]()
+    rng = RandomSource(31)
+    first, second = (trackers(RUNS[run](problem, fset, x1, rng)) for _ in range(2))
+    again = trackers(RUNS[run](problem, fset, x1, RandomSource(31)))
+    assert all(np.array_equal(a, b) for a, b in zip(again, first, strict=True))
+    assert all(not np.array_equal(a, b) for a, b in zip(second, first, strict=True))
+
+
+def untouchable_problem():
+    """A one-level problem whose oracles and sampler fail the test if used."""
+
+    def fail(*args):
+        raise AssertionError("the run started")
+
+    return CompositionalProblem([Level(3, 1, fail, fail, fail, fail, GenerativeSamples(fail))])
+
+
+@pytest.mark.parametrize("total", [2**20 - 1, 2**20, 2**32])
+@pytest.mark.parametrize("run", sorted(RUNS))
+def test_runs_of_any_length_start(run, total):
+    """No iteration count is refused: a run of 2**20 iterations or more
+    (the stage-wise run in two stages) starts and meets the oracles."""
+    problem, fset, x1 = untouchable_problem(), Simplex(3), np.full(3, 1 / 3)
+    params = SolverParams(eta=0.05, alpha=0.3, b0=2, b1=1, iters=total)
+    stages = [replace(params, iters=total // 2), replace(params, iters=total - total // 2)]
+    runs = {
+        "pmvr": lambda: pmvr_run(problem, fset, params, x1, RandomSource(1)),
+        "stagewise": lambda: stagewise_run(
+            problem, fset, StageSchedule(stages=stages, targets=[0.5, 0.25]), x1, RandomSource(1)
+        ),
+        "baseline": lambda: projected_baseline_run(
+            problem, fset, replace(params, alpha=0.5, b0=1), x1, RandomSource(1)
+        ),
+    }
+    with pytest.raises(AssertionError, match="the run started"):
+        runs[run]()
 
 
 # --- certified feasibility on the nuclear ball ------------------------------
