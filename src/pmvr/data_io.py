@@ -645,6 +645,10 @@ def _validate_schedule(section, algorithm):
 
 # the config key of each SolverParams field but the subsolver, whose are n and coeff
 KEY_TO_FIELD = {"eta": "eta", "alpha": "alpha", "b0": "b0", "b1": "b1", "t": "iters"}
+# a level draws B0 + sum(T * B1) samples in a run; from 2**63 on, no int64
+# index counts them, and no machine could draw them
+MAX_SAMPLES = 2**63
+SAMPLES_OVERFLOW = "a level would draw 2**63 samples or more"
 
 
 def resolve_schedule(sched, beta, problem=None):
@@ -655,19 +659,23 @@ def resolve_schedule(sched, beta, problem=None):
     stages share the section's ``b0``, ``n`` and ``coeff``. A list out of
     StageSchedule's order is refused under ``schedule.stages``, and an
     ``eps`` so small that a count overflows under ``schedule.eps``. A
-    thm7/thm8 schedule without ``modulus`` takes ``problem``'s, and is None
-    if no problem is given.
+    schedule whose level draws MAX_SAMPLES samples or more is refused under
+    ``schedule.explicit``, ``schedule.stages``, ``schedule.eps`` (before the
+    overrides) or ``schedule.overrides`` (after them). A thm7/thm8 schedule
+    without ``modulus`` takes ``problem``'s, and is None if no problem is
+    given.
     """
     mode = sched["mode"]
     if mode == "explicit":
-        return _params(sched["explicit"])
+        return _check_samples("schedule.explicit", _params(sched["explicit"]))
     if mode == "stages":
         stages = [_params({**sched, **st}) for st in sched["stages"]]
         targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
         try:
-            return StageSchedule(stages=stages, targets=targets)
+            out = StageSchedule(stages=stages, targets=targets)
         except ValueError as exc:  # stages out of order
             raise ConfigError("schedule.stages", str(exc)) from None
+        return _check_samples("schedule.stages", out)
     criterion, batch_mode = THEOREMS[sched["theorem"]]
     lam = sched.get("modulus")
     if criterion == "strongly_convex_gap" and lam is None:
@@ -688,9 +696,20 @@ def resolve_schedule(sched, beta, problem=None):
         )
     except ArithmeticError:  # so small an eps that the count overflows
         raise ConfigError("schedule.eps", "the iteration count overflows") from None
+    _check_samples("schedule.eps", out)
     if "n" in overrides:  # validation admits n only where the subsolver runs
         overrides["subsolver"] = replace(out.subsolver, inner_iters=overrides.pop("n"))
-    return replace(out, **overrides)
+    return _check_samples("schedule.overrides", replace(out, **overrides))
+
+
+def _check_samples(path, schedule):
+    """``schedule``, unless its level draws MAX_SAMPLES samples or more: the
+    first stage's B0, then T * B1 in every stage."""
+    stages = getattr(schedule, "stages", [schedule])
+    total = stages[0].b0 + sum(p.iters * p.b1 for p in stages)
+    if total >= MAX_SAMPLES:
+        raise ConfigError(path, SAMPLES_OVERFLOW)
+    return schedule
 
 
 def _params(block):

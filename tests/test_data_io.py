@@ -12,6 +12,7 @@ from pmvr.benchmarks import PortfolioData
 from pmvr.data_io import (
     AGGREGATE_CRITERIA,
     AGGREGATE_HEADER,
+    SAMPLES_OVERFLOW,
     TRACE_COLUMNS,
     TRACE_HEADER,
     ConfigError,
@@ -1181,6 +1182,29 @@ class TestScheduleValidation:
         resolved = resolve_schedule(cfg.schedule, cfg.beta)
         stages = getattr(resolved, "stages", [resolved])
         assert sum(p.iters for p in stages) == total
+
+    @pytest.mark.parametrize("algorithm, schedule, path", [
+        # thm1's rates at eps 1e-100 ask for about 1e100 samples per batch
+        ("pmvr", {"theorem": "thm1", "eps": 1e-100}, "schedule.eps"),
+        # a theorem's own rates are checked before the overrides replace them
+        ("pmvr", {"theorem": "thm1", "eps": 1e-100, "overrides": {"t": 10, "b0": 1, "b1": 1}},
+         "schedule.eps"),
+        ("stagewise-v2", {"theorem": "thm8", "eps": 1e-60, "modulus": 2.0}, "schedule.eps"),
+        ("pmvr", _theorem("thm1", overrides={"t": 2**62, "b1": 2}), "schedule.overrides"),
+        ("pmvr", _theorem("thm1", overrides={"b0": 2**63}), "schedule.overrides"),
+        ("pmvr", {"explicit": dict(EXPLICIT, b0=2**63 - 5)}, "schedule.explicit"),
+        ("baseline", {"explicit": dict(EXPLICIT, t=2**61, b1=4)}, "schedule.explicit"),
+        ("stagewise", {"stages": [dict(STAGE, t=2**62), dict(STAGE, t=2**62)]},
+         "schedule.stages"),
+    ])
+    def test_a_level_drawing_2_63_samples_or_more_is_refused(self, algorithm, schedule, path):
+        assert _schedule_error(algorithm, schedule) == (path, SAMPLES_OVERFLOW)
+
+    def test_a_level_drawing_just_under_2_63_samples_validates(self):
+        # B0 + T * B1 = 2**63 - 1
+        explicit = dict(EXPLICIT, b0=2**63 - 6)
+        cfg = validate_config(dict(MINIMAL, schedule={"explicit": explicit}))
+        assert resolve_schedule(cfg.schedule, cfg.beta).b0 == 2**63 - 6
 
     @pytest.mark.parametrize("algorithm, thm, fault", list(_pairing_cases()))
     def test_algorithm_theorem_pairing(self, algorithm, thm, fault):
