@@ -48,14 +48,11 @@ class _Stream:
         return self.size
 
 
-# a finite level draws its indices ahead, this many at a time
-CHUNK = 4096
 # a slice stacks at most this many entries of the largest per-level
 # Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
 # per-sample gradients, and its streamed draw holds one slice of samples
 _SLICE_ENTRIES = 2**16
 _F64 = np.dtype(np.float64)
-_NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
@@ -145,9 +142,10 @@ def _level_batches(problem, rng, size):
 
     A generative level's batch is left to the walk as a _Stream, drawn in
     consecutive per-slice parts that GenerativeSamples' contract makes equal
-    to the whole draw ``sample_batch(level, gen, size)``. A finite dataset
-    serves the next ``size`` of the indices it drew ahead (``_finite_batch``),
-    and any other sample space draws its batch whole from the generator.
+    to the whole draw ``sample_batch(level, gen, size)``. A finite dataset's
+    batch is the next ``size`` of the indices its stream draws ahead
+    (``LevelStream.indices``), and any other sample space draws its batch
+    whole from the generator.
     """
     batches = []
     for i, level in enumerate(problem.levels, start=1):
@@ -155,29 +153,10 @@ def _level_batches(problem, rng, size):
         if isinstance(level.samples, GenerativeSamples):
             batches.append(_Stream(stream.generator, size))
         elif type(level.samples) is FiniteSamples:
-            batches.append(_finite_batch(stream, level.samples, size))
+            batches.append(stream.indices(level.samples, size))
         else:
             batches.append(sample_batch(level, stream.generator, size))
     return batches
-
-
-def _finite_batch(stream, samples, size):
-    """The next ``size`` indices of a finite level's stream, as a new array:
-    those it drew ahead, topped up when they run short by one call
-    ``samples.draw(gen, n)`` of n = CHUNK or the shortfall, if larger.
-
-    numpy draws bounded integers one after another, so the batches are those
-    of one ``samples.draw(gen, size)`` call per batch, whatever CHUNK is.
-    Indices drawn ahead for a dataset of another size are dropped.
-    """
-    if stream.high != samples.size:
-        stream.high, stream.pending = samples.size, _NO_INDICES
-    short = size - len(stream.pending)
-    if short > 0:
-        more = samples.draw(stream.generator, max(CHUNK, short))
-        stream.pending = np.concatenate((stream.pending, more))
-    batch, stream.pending = stream.pending[:size].copy(), stream.pending[size:]
-    return batch
 
 
 def init_trackers(problem, x1, b0, rng, counters=None):

@@ -1,19 +1,12 @@
 """Seeded randomness: one source per run, split into independent streams.
 
-All randomness in this package flows through :class:`RandomSource`, a thin
-wrapper around numpy's counter-based Philox generator keyed through
-``SeedSequence``. Identical ``(seed, stream path)`` pairs produce identical
-sample sequences on every platform, and distinct split indices give
-independent streams by construction (distinct Philox keys).
-
-A run draws from two kinds of stream:
-* level ``i`` (1..K) draws all its batches, the initialization batch first
-  and then one per step, in order from one generator, ``split(i).generator``,
-  which the source keeps (``level(i)``). A source is a stream: a second run
-  on the same source continues its level streams where the first stopped,
-  and a new ``RandomSource(seed)`` reproduces a run;
-* ``2**40 + stage`` -- the uniform draw of the returned iterate index, from a
-  fresh split in every run.
+A :class:`RandomSource` keys numpy's Philox generator through
+``SeedSequence(seed, spawn_key=path)``, so a draw is the same on every
+platform and distinct split indices give independent streams. Level ``i``
+(1..K) draws every batch of a run, B0 first and then one per step, in order
+from ``split(i).generator``, which the source keeps (``level(i)``): a second
+run on a source continues its level streams, and a new
+``RandomSource(seed)`` reproduces a run.
 """
 
 from __future__ import annotations
@@ -22,7 +15,9 @@ import operator
 
 import numpy as np
 
-STREAM_TAU_BASE = 2**40
+STREAM_TAU_BASE = 2**40  # split 2**40 + stage draws a run's returned-iterate index
+CHUNK = 4096  # a finite level draws its indices ahead, this many at a time
+_NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 def _nonnegative_int(value, what):
@@ -36,35 +31,42 @@ def _nonnegative_int(value, what):
 
 
 class LevelStream:
-    """Level i's stream on a source: ``generator`` is ``split(i).generator``,
-    drawn in iteration order; ``pending`` holds the indices below ``high``
-    that a finite level drew from it ahead and has not served yet."""
+    """Level i's stream on a source: ``generator`` is ``split(i).generator``; ``ahead``
+    holds indices below ``high`` drawn and not served yet (dropped if ``high`` changes)."""
 
-    __slots__ = ("generator", "high", "pending")
+    __slots__ = ("generator", "high", "ahead")
 
     def __init__(self, generator):
-        self.generator, self.high, self.pending = generator, None, None
+        self.generator, self.high, self.ahead = generator, None, _NO_INDICES
+
+    def indices(self, samples, size):
+        """The next ``size`` indices of the FiniteSamples ``samples``, topped up when
+        short by one ``samples.draw`` of CHUNK or the shortfall if larger. numpy draws
+        bounded integers in sequence, so these equal one draw per batch, whatever CHUNK is."""
+        if self.high != samples.size:
+            self.high, self.ahead = samples.size, _NO_INDICES
+        short = size - len(self.ahead)
+        if short > 0:
+            more = samples.draw(self.generator, max(CHUNK, short))
+            self.ahead = np.concatenate((self.ahead, more)) if len(self.ahead) else more
+        if short >= CHUNK:  # drawn up to the batch's end: hand it over whole
+            batch, self.ahead = self.ahead, _NO_INDICES
+        else:
+            batch, self.ahead = self.ahead[:size].copy(), self.ahead[size:]
+        return batch
 
 
 class RandomSource:
-    """A seeded stream of randomness that can be split into substreams.
-
-    A source is single-owner: it is never shared between concurrent runs,
-    only split. ``split(i)`` derives an independent child stream; the child
-    depends only on ``(seed, path + (i,))``, never on how much the parent
-    has been consumed; ``level(i)`` keeps one such child's generator. The
-    seed is below 2**64; it, the path entries and the split indices are
-    non-negative integers.
-    """
+    """A seeded stream of randomness, never shared between concurrent runs,
+    only split: ``split(i)`` depends on ``(seed, path + (i,))`` alone. The
+    seed (below 2**64), path entries and split indices are integers >= 0."""
 
     def __init__(self, seed, path=()):
         seed = _nonnegative_int(seed, "seed")
         if seed >= 2**64:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed = seed
-        self.path = tuple(_nonnegative_int(p, "stream path entry") for p in path)
-        self._generator = None
-        self._levels = {}
+        self.seed, self.path = seed, tuple(_nonnegative_int(p, "stream path entry") for p in path)
+        self._generator, self._levels = None, {}
 
     def split(self, index):
         """Derive the independent substream with the given index."""
@@ -79,12 +81,10 @@ class RandomSource:
         return self._generator
 
     def level(self, i):
-        """Level i's LevelStream over ``split(i).generator``, made at the
-        first call and kept, so every draw continues the last."""
-        stream = self._levels.get(i)
-        if stream is None:
-            stream = self._levels[i] = LevelStream(self.split(i).generator)
-        return stream
+        """Level i's LevelStream, made at the first call and kept."""
+        if i not in self._levels:
+            self._levels[i] = LevelStream(self.split(i).generator)
+        return self._levels[i]
 
     def __repr__(self):
         return f"RandomSource(seed={self.seed}, path={self.path})"

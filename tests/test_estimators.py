@@ -13,7 +13,7 @@ from pmvr.benchmarks import (
     synthetic_portfolio_data,
     two_level_tracking_problem,
 )
-from pmvr import estimators
+from pmvr import estimators, rng as rng_module
 from pmvr.core import ShapeMismatchError
 from pmvr.estimators import (
     _SLICE_ENTRIES,
@@ -457,23 +457,23 @@ STAGE_SIZES = [3000] + [7] * 300 + [1000] * 5
 
 
 @pytest.mark.parametrize("high", [2, 7, 500, 1100, 2**31 + 5, 2**32 - 1])
-@pytest.mark.parametrize("chunk", [1, 1500, estimators.CHUNK])
+@pytest.mark.parametrize("chunk", [1, 1500, rng_module.CHUNK])
 def test_finite_batches_equal_per_batch_integers_whatever_the_chunk(high, chunk, monkeypatch):
     """A finite level's batches, served from chunks drawn ahead, are the
     draws ``integers(0, high, size=B)`` of one call per batch on its
     generator, so the chunk size is not part of the stream."""
-    monkeypatch.setattr(estimators, "CHUNK", chunk)
+    monkeypatch.setattr(rng_module, "CHUNK", chunk)
     problem, rng = finite_level(high), RandomSource(13)
     gen = RandomSource(13).split(1).generator
-    assert sum(STAGE_SIZES) > 2 * estimators.CHUNK
+    assert sum(STAGE_SIZES) > 2 * rng_module.CHUNK
     for size in STAGE_SIZES:
         (got,) = _level_batches(problem, rng, size)
         assert np.array_equal(got, gen.integers(0, high, size=size)), size
-        assert got.flags.owndata and not np.shares_memory(got, rng.level(1).pending)
+        assert got.flags.owndata and not np.shares_memory(got, rng.level(1).ahead)
 
 
 @pytest.mark.parametrize("steps, size", [(0, 10), (1, 8), (2, 257), (300, 256),
-                                         (1, estimators.CHUNK + 1)])
+                                         (1, rng_module.CHUNK + 1)])
 def test_finite_step_batches_equal_their_level_streams(steps, size):
     """On a problem of several finite levels sharing one source, each
     level's B0 batch and step batches are the draws of its own split
@@ -495,7 +495,7 @@ def test_indices_drawn_ahead_for_another_dataset_size_are_dropped():
     _level_batches(finite_level(1100), rng, 5)
     (got,) = _level_batches(finite_level(2), rng, 5)
     gen = RandomSource(13).split(1).generator
-    gen.integers(0, 1100, size=estimators.CHUNK)
+    gen.integers(0, 1100, size=rng_module.CHUNK)
     assert np.array_equal(got, gen.integers(0, 2, size=5))
 
 
@@ -504,6 +504,21 @@ def test_a_batch_larger_than_any_array_fails_in_one_draw():
     no array can hold fails at once in numpy, not after many chunks."""
     with pytest.raises(ValueError, match="array is too big"):
         _level_batches(finite_level(7), RandomSource(1), 2**62)
+
+
+@pytest.mark.parametrize("held, copies", [(0, 1), (5, 2)])
+def test_a_large_finite_batch_holds_at_most_two_copies_of_its_indices(held, copies):
+    """A batch of CHUNK or more indices is drawn up to its end in one call:
+    with nothing drawn ahead that draw is the batch, and otherwise it is
+    joined once to the indices held, so no third copy is made."""
+    rng = RandomSource(3)
+    if held:
+        _level_batches(finite_level(7), rng, held)
+    tracemalloc.start()
+    (batch,) = _level_batches(finite_level(7), rng, 2**20)
+    peak = tracemalloc.get_traced_memory()[1]
+    tracemalloc.stop()
+    assert batch.nbytes == 2**23 and peak < (copies + 0.25) * batch.nbytes
 
 
 @pytest.mark.parametrize("b0", [0, 2.5, True, "3"])

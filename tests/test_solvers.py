@@ -10,7 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from pmvr import cli, estimators, sets, solvers
+from pmvr import cli, rng as rng_module, sets, solvers
 from pmvr.benchmarks import (
     PortfolioData,
     SingleIndexConfig,
@@ -997,7 +997,7 @@ def drawn(level, batch):
 
 # B0 then step batches: of two stages, of one sample each, and of sizes
 # that cross a finite level's chunk of indices drawn ahead
-SIZE_RUNS = [(5, 3, 3, 7), (1,) * 9, (estimators.CHUNK - 1, 2, estimators.CHUNK), (300, 257, 1)]
+SIZE_RUNS = [(5, 3, 3, 7), (1,) * 9, (rng_module.CHUNK - 1, 2, rng_module.CHUNK), (300, 257, 1)]
 
 
 @pytest.mark.parametrize("sizes", SIZE_RUNS)
@@ -1048,7 +1048,7 @@ RUNS = {
 def test_runs_keep_their_trace_whatever_the_chunk(name, run, monkeypatch):
     problem, fset, x1 = STREAM_CASES[name]()
     rows, x_final = trace_values(RUNS[run](problem, fset, x1, RandomSource(31)))
-    monkeypatch.setattr(estimators, "CHUNK", 3)
+    monkeypatch.setattr(rng_module, "CHUNK", 3)
     want_rows, want_x = trace_values(RUNS[run](problem, fset, x1, RandomSource(31)))
     assert rows == want_rows
     assert np.array_equal(x_final, want_x)
