@@ -244,12 +244,6 @@ class SingleIndexConfig:
             raise ValueError("radius below 1 cannot contain the unit-norm target")
 
 
-def _rect_identity(m, n):
-    eye = np.zeros((m, n))
-    np.fill_diagonal(eye, 1.0)
-    return eye
-
-
 def single_index_problem(config):
     """Quartic recovery loss E[(y - <A, B>^2)^2] over the nuclear-norm ball.
 
@@ -270,24 +264,26 @@ def single_index_problem(config):
         u = gen.standard_normal(m)
         w = gen.standard_normal(n)
         b_star = np.outer(u, w) / (np.linalg.norm(u) * np.linalg.norm(w))
-    eye = _rect_identity(m, n)
+    eye = np.eye(m, n)
     b_trace = float(np.vdot(eye, b_star))
     b_norm2 = float(np.vdot(b_star, b_star))
 
     sd = np.sqrt(nu)
 
     def draw(sample_gen, count):
-        # one sample at a time, in the generator-call order of the stream
-        a = np.empty((count, m, n))
-        y = np.empty(count)
-        for j in range(count):
-            # in place: normal(0, sd) is 0.0 + sd * z, so this is bit-identical
-            sample_gen.standard_normal(out=a[j])
-            a[j] *= sd
-            a[j] += eye
-            y[j] = float(np.vdot(a[j], b_star)) ** 2
-            if sigma > 0:
-                y[j] += sample_gen.normal(0.0, sigma)
+        # row j holds sample j's draws in stream order: its m*n measurement
+        # entries, then its label noise
+        z = sample_gen.standard_normal((count, m * n + (sigma > 0)))
+        # a copy of the measurements when the label column sits beside them
+        a = np.ascontiguousarray(z[:, :m * n]).reshape(count, m, n)
+        # in place, with the bits of eye + normal(0, sd)
+        a *= sd
+        a += eye
+        # one vdot per sample: a batched a @ b_star (or einsum) sums in another
+        # order and changes the last bits of most labels
+        y = np.array([float(np.vdot(a_j, b_star)) ** 2 for a_j in a])
+        if sigma > 0:
+            y += sigma * z[:, -1]
         return a, y
 
     space = GenerativeSamples(draw)
@@ -367,12 +363,10 @@ def quadratic_distance_problem(c, fset, noise=0.05):
     d = c.size
 
     def draw(gen, count):
-        value_noise, grad_noise = np.zeros(count), np.zeros((count, d))
-        if noise > 0:
-            for j in range(count):
-                value_noise[j] = gen.normal(0.0, noise)
-                grad_noise[j] = gen.normal(0.0, noise, size=d)
-        return value_noise, grad_noise
+        # row j: sample j's value noise, then its gradient noise; zero noise
+        # draws nothing
+        z = gen.normal(0.0, noise, (count, d + 1)) if noise > 0 else np.zeros((count, d + 1))
+        return z[:, 0], z[:, 1:]
 
     def value(x, sample):
         diff = x - c
@@ -407,15 +401,14 @@ def two_level_tracking_problem(d=5, p=4, value_noise=0.5, jac_noise=0.5, data_se
     b_vec = gen.normal(0.0, 1.0, size=p)
 
     def draw(sample_gen, count):
-        f1_noise = np.empty((count, p))
-        j1_noise = np.empty((count, d, p))
-        f2_noise = np.empty(count)
-        j2_noise = np.empty((count, p))
-        for j in range(count):
-            f1_noise[j] = sample_gen.normal(0.0, value_noise, size=p)
-            j1_noise[j] = sample_gen.normal(0.0, jac_noise, size=(d, p))
-            f2_noise[j] = sample_gen.normal(0.0, value_noise)
-            j2_noise[j] = sample_gen.normal(0.0, jac_noise, size=p)
+        # row j holds sample j's draws in stream order: f1's value noise, j1's,
+        # f2's and j2's; 0.0 + s * z is what normal(0, s) computes, signed
+        # zeros included
+        z = sample_gen.standard_normal((count, 2 * p + d * p + 1))
+        f1_noise = 0.0 + value_noise * z[:, :p]
+        j1_noise = (0.0 + jac_noise * z[:, p:-p - 1]).reshape(count, d, p)
+        f2_noise = 0.0 + value_noise * z[:, -p - 1]
+        j2_noise = 0.0 + jac_noise * z[:, -p:]
         return f1_noise, j1_noise, f2_noise, j2_noise
 
     space = GenerativeSamples(draw)

@@ -94,7 +94,8 @@ def run_config(cfg):
         # most runs never start a pool
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+        # a pool forks all its workers at the first submit
+        with ProcessPoolExecutor(max_workers=min(cfg.jobs, len(seeds))) as pool:
             results = list(pool.map(execute_rep, [cfg] * len(seeds), seeds))
     else:
         results = [execute_rep(cfg, seed) for seed in seeds]

@@ -31,14 +31,15 @@ with 17-significant-digit floats, their columns written out once, in
 from __future__ import annotations
 
 import json
-import math
 import os
+import sys
 from dataclasses import dataclass, field, replace
 from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
 from . import benchmarks
+from .rng import SEED_LIMIT
 from .sets import Box, NuclearNormBall, Simplex
 from .solvers import (
     THEOREMS, QuadraticSubsolver, ScheduleConstants, SolverParams, StageSchedule, TraceRow,
@@ -350,9 +351,11 @@ def _check_range(value, path, kind, lo=None, hi=None, lo_open=False):
         raise ConfigError(path, f"expected an integer, got {value!r}")
     if kind is float and (isinstance(value, bool) or not isinstance(value, (int, float))):
         raise ConfigError(path, f"expected a number, got {value!r}")
+    # a NaN fails every comparison; an int is compared exactly, never converted
+    if kind is float and not abs(value) <= sys.float_info.max:
+        got = "an integer beyond float range" if isinstance(value, int) else repr(value)
+        raise ConfigError(path, f"expected a finite number, got {got}")
     v = kind(value)
-    if not math.isfinite(v):
-        raise ConfigError(path, f"expected a finite number, got {value!r}")
     if lo is not None and (v <= lo if lo_open else v < lo):
         raise ConfigError(path, f"value {v} out of range")
     if hi is not None and v > hi:
@@ -387,7 +390,8 @@ def _french(source):
 
 PORTFOLIO_SOURCES = {
     "synthetic": Kind(
-        {"d": (int, 10, 2), "periods": (int, 500, 1), "data_seed": (int, 0, 0)},
+        {"d": (int, 10, 2), "periods": (int, 500, 1),
+         "data_seed": (int, 0, 0, SEED_LIMIT - 1)},
         lambda src: benchmarks.synthetic_portfolio_data(
             src["d"], src["periods"], src["data_seed"]),
     ),
@@ -436,7 +440,7 @@ PROBLEMS = {
     ),
     "single_index": Kind(
         {"m": (int, 20, 2), "n": (int, 20, 2), "s": (float, 1.0, 1.0),
-         "sigma": (float, 0.1, 0.0), "data_seed": (int, 0, 0)},
+         "sigma": (float, 0.1, 0.0), "data_seed": (int, 0, 0, SEED_LIMIT - 1)},
         _single_index,
     ),
     "quadratic_distance": Kind(
@@ -779,10 +783,12 @@ def validate_config(data, name="run"):
     set_spec = data.get("set")
     if set_spec is not None:  # a missing kind is an unknown one
         set_spec = _check_kind(set_spec, "set", "kind", SETS, "set kind", default=None)
-    seed = _check_range(_require(data, "seed", ""), "seed", int, lo=0)
+    seed = _check_range(_require(data, "seed", ""), "seed", int, lo=0, hi=SEED_LIMIT - 1)
     if beta_fault is not None:
         raise beta_fault
     reps = _check_range(data.get("reps", 1), "reps", int, lo=1)
+    if seed + reps > SEED_LIMIT:
+        raise ConfigError("reps", "the last seed, seed + reps - 1, must be below 2**64")
     jobs = _check_range(data.get("jobs", 1), "jobs", int, lo=1)
     metric_every = data.get("metric_every")
     if metric_every is not None:
@@ -815,10 +821,11 @@ def load_run_config(path, seed=None, reps=None, out=None):
     of ``seed``, ``reps`` and ``out`` that is given replacing the file's
     key of that name."""
     with open(path, "r", encoding="utf-8") as fh:
-        try:
-            data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ConfigError("", f"invalid JSON: {exc}") from exc
+        text = fh.read()
+    try:
+        data = json.loads(text)
+    except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits
+        raise ConfigError("", f"invalid JSON: {exc}") from exc
     flags = {"seed": seed, "reps": reps, "out": out}
     if isinstance(data, dict):  # any other root is refused by validation
         data.update((k, v) for k, v in flags.items() if v is not None)

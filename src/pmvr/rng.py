@@ -56,14 +56,18 @@ class LevelStream:
         return batch
 
 
+# every seed is below this: one unsigned 64-bit word
+SEED_LIMIT = 2**64
+
+
 class RandomSource:
     """A seeded stream of randomness, never shared between concurrent runs,
     only split: ``split(i)`` depends on ``(seed, path + (i,))`` alone. The
-    seed (below 2**64), path entries and split indices are integers >= 0."""
+    seed (below SEED_LIMIT), path entries and split indices are integers >= 0."""
 
     def __init__(self, seed, path=()):
         seed = _nonnegative_int(seed, "seed")
-        if seed >= 2**64:
+        if seed >= SEED_LIMIT:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
         self.seed, self.path = seed, tuple(_nonnegative_int(p, "stream path entry") for p in path)
         self._generator, self._levels = None, {}

@@ -260,13 +260,13 @@ def quadratic_distance_reference(d, noise, gen, count):
     return np.array([p[0] for p in pairs]), np.array([p[1] for p in pairs])
 
 
-def two_level_tracking_reference(d, p, gen, count):
+def two_level_tracking_reference(d, p, gen, count, value_noise=0.5, jac_noise=0.5):
     samples = [
         (
-            gen.normal(0.0, 0.5, size=p),
-            gen.normal(0.0, 0.5, size=(d, p)),
-            gen.normal(0.0, 0.5),
-            gen.normal(0.0, 0.5, size=p),
+            gen.normal(0.0, value_noise, size=p),
+            gen.normal(0.0, jac_noise, size=(d, p)),
+            gen.normal(0.0, value_noise),
+            gen.normal(0.0, jac_noise, size=p),
         )
         for _ in range(count)
     ]
@@ -301,6 +301,31 @@ def test_batched_draws_keep_the_per_sample_stream(seed, count, kind, noisy):
         assert np.array_equal(g, w)
     # both consumed the same number of draws
     assert gen.random() == ref_gen.random()
+
+
+@pytest.mark.parametrize("count", [1, 6])
+@pytest.mark.parametrize("noise", [0.0, 0.3])
+@pytest.mark.parametrize("kind", ["single_index", "quadratic_distance", "two_level_tracking"])
+def test_generative_draws_keep_the_bytes_of_the_per_sample_reference(kind, noise, count):
+    # bytes, not values: a signed zero must come out as the reference's
+    for seed in range(5):
+        gen = RandomSource(seed).split(3).generator
+        ref_gen = RandomSource(seed).split(3).generator
+        if kind == "single_index":
+            config = SingleIndexConfig(m=5, n=7, sigma=noise)
+            problem, _ = single_index_problem(config)
+            want = single_index_reference(problem, config, ref_gen, count)
+        elif kind == "quadratic_distance":
+            problem = quadratic_distance_problem(np.array([0.2, 0.4, 0.1]), Simplex(3), noise)
+            want = quadratic_distance_reference(3, noise, ref_gen, count)
+        else:
+            problem = two_level_tracking_problem(d=3, p=2, value_noise=noise, jac_noise=noise)
+            want = two_level_tracking_reference(3, 2, ref_gen, count, noise, noise)
+        got = problem.levels[0].samples.draw(gen, count)
+        assert [(g.shape, g.dtype, g.tobytes()) for g in got] == [
+            (w.shape, w.dtype, w.tobytes()) for w in want
+        ]
+        assert gen.random() == ref_gen.random()
 
 
 GENERATIVE_SPACES = {

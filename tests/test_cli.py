@@ -98,6 +98,62 @@ class TestRun:
         assert meta["resolved"]["seeds"] == [4]
         assert meta["config"]["seed"] == 4
 
+    @pytest.mark.parametrize("keys, flags, locator", [
+        ({"seed": 2**64}, [], "seed"),
+        ({"seed": 2**64 - 1, "reps": 2}, [], "reps"),
+        ({}, ["--seed", str(2**64)], "seed"),
+        ({"reps": 2}, ["--seed", str(2**64 - 1)], "reps"),
+        ({"seed": 2**64 - 1}, ["--reps", "2"], "reps"),
+    ])
+    def test_a_seed_of_2_64_or_more_exits_one_before_any_output(
+        self, tmp_path, capsys, keys, flags, locator
+    ):
+        path = write_config(tmp_path, dict(BASE, out=str(tmp_path / "o"), **keys))
+        assert cli.main(["run", "--config", path, *flags]) == 1
+        assert f"error: {locator}:" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("keys, locator", [
+        ({"beta": 10**400}, "beta"),
+        ({"schedule": {"theorem": "thm1", "eps": 10**400}}, "schedule.eps"),
+        ({"problem": {"name": "quadratic_distance", "noise": 10**400}}, "problem.noise"),
+    ])
+    def test_an_integer_beyond_float_range_exits_one_with_its_locator(
+        self, tmp_path, capsys, keys, locator
+    ):
+        path = write_config(tmp_path, dict(BASE, out=str(tmp_path / "o"), **keys))
+        assert cli.main(["run", "--config", path]) == 1
+        assert f"error: {locator}: expected a finite number" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("reps, jobs, workers", [(2, 4, 2), (3, 2, 2), (2, 2, 2)])
+    def test_a_pool_starts_no_more_workers_than_repetitions(
+        self, tmp_path, monkeypatch, reps, jobs, workers
+    ):
+        import concurrent.futures
+
+        started = []
+
+        class InProcessPool:
+            """Records its worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                started.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+        path = write_config(tmp_path, dict(BASE, reps=reps, jobs=jobs, out=str(tmp_path / "o")))
+        assert cli.main(["run", "--config", path]) == 0
+        assert started == [workers]
+        assert len(os.listdir(tmp_path / "o")) == reps + 2  # the traces, aggregate and sidecar
+
     def test_a_run_validates_once(self, tmp_path, monkeypatch):
         validations, resolutions = [], []
         validate, resolve = data_io.validate_config, solvers.schedule_for

@@ -554,6 +554,9 @@ MINIMAL = {
 }
 
 STAGES = {"stages": [{"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 5}]}
+HUGE = 10**400  # an integer beyond float range
+BEYOND_FLOAT = "expected a finite number, got an integer beyond float range"
+LAST_SEED = "the last seed, seed + reps - 1, must be below 2**64"
 
 
 class TestConfigValidation:
@@ -613,6 +616,17 @@ class TestConfigValidation:
         stage = {"eta": 0.1, "alpha": 0.1, "b1": 1, "t": 2**19}
         validate_config(dict(MINIMAL, algorithm="stagewise", schedule={"stages": [stage, stage]}))
 
+    @pytest.mark.parametrize("seed, reps", [(2**64 - 1, 1), (2**64 - 2, 2), (0, 2**64)])
+    def test_seeds_up_to_2_64_minus_1_validate(self, seed, reps):
+        cfg = validate_config(dict(MINIMAL, seed=seed, reps=reps))
+        assert (cfg.seed, cfg.reps) == (seed, reps)
+
+    @pytest.mark.parametrize("seed, reps", [(2**64 - 1, 2), (2**64 - 5, 6), (1, 2**64)])
+    def test_seeds_of_2_64_or_more_over_the_repetitions_are_refused(self, seed, reps):
+        with pytest.raises(ConfigError) as err:
+            validate_config(dict(MINIMAL, seed=seed, reps=reps))
+        assert err.value.args == ("reps", LAST_SEED)
+
     def test_unknown_key_rejected_with_locator(self):
         bad = dict(MINIMAL, schedule={"theorem": "thm1", "eps": 0.1, "oops": 1})
         with pytest.raises(ConfigError) as err:
@@ -657,6 +671,14 @@ class TestConfigValidation:
         path.write_text("{nope")
         with pytest.raises(ConfigError, match="JSON"):
             load_run_config(str(path))
+
+    def test_an_integer_python_will_not_parse_is_invalid_json(self, tmp_path):
+        # Python parses an integer of at most 4300 digits by default
+        path = tmp_path / "cfg.json"
+        path.write_text('{"seed": ' + "1" * 5000 + "}")
+        with pytest.raises(ConfigError, match="invalid JSON: Exceeds the limit") as err:
+            load_run_config(str(path))
+        assert err.value.path == ""
 
 
 def _problem_with(section, field, value):
@@ -710,14 +732,32 @@ def _numeric_cases():
     for section, field, kind, _ in NUMERIC_FIELDS:  # a boolean is not a number either
         if kind is float:
             yield section, field, True, f"problem.{field}", "expected a number, got True"
+            yield section, field, HUGE, f"problem.{field}", BEYOND_FLOAT
+        elif field.endswith("data_seed"):  # a seed is one 64-bit word
+            yield section, field, 2**64, f"problem.{field}", f"value {2**64} out of range"
+
+
+def _short_id(value):
+    """pytest's own test id, but HUGE for HUGE, in a message too."""
+    if isinstance(value, str) and str(HUGE) in value:
+        return value.replace(str(HUGE), "HUGE")
+    return "HUGE" if value == HUGE else None
 
 
 class TestProblemValidation:
     """Every problem field's locator and message, and the order faults are found in."""
 
-    @pytest.mark.parametrize("section, field, value, path, message", list(_numeric_cases()))
+    @pytest.mark.parametrize("section, field, value, path, message", list(_numeric_cases()),
+                             ids=_short_id)
     def test_bad_numeric_field(self, section, field, value, path, message):
         assert _problem_error(_problem_with(section, field, value)) == (path, message)
+
+    @pytest.mark.parametrize("section, field", [
+        ({"name": "mean_deviation", "source": SYNTHETIC}, "source.data_seed"),
+        ({"name": "single_index"}, "data_seed"),
+    ])
+    def test_the_largest_data_seed_is_accepted(self, section, field):
+        validate_config(dict(MINIMAL, problem=_problem_with(section, field, 2**64 - 1)))
 
     @pytest.mark.parametrize("section, field, kind, least", NUMERIC_FIELDS)
     def test_numeric_field_at_its_bound_is_accepted(self, section, field, kind, least):
@@ -863,6 +903,7 @@ def _number_cases():
             yield dict(BALL, **{key: float("nan")}), path, "expected a finite number, got nan"
             yield dict(BALL, **{key: float("inf")}), path, "expected a finite number, got inf"
     yield dict(BALL, radius=True), "set.radius", "expected a number, got True"
+    yield dict(BALL, radius=HUGE), "set.radius", BEYOND_FLOAT
 
 
 def _bounds_cases():
@@ -1042,6 +1083,7 @@ def _number_faults():
                 yield algorithm, schedule(bad), path, f"expected a number, got {bad!r}"
             for bad in (float("nan"), float("-inf")):
                 yield algorithm, schedule(bad), path, f"expected a finite number, got {bad!r}"
+            yield algorithm, schedule(-HUGE), path, BEYOND_FLOAT
 
 
 def _number_bounds():
@@ -1238,6 +1280,13 @@ class TestScheduleValidation:
         ("pmvr-v2", _theorem("thm3"), {"beta": 0}, "beta", "value 0.0 out of range"),
         ("pmvr-v2", _theorem("thm3"), {"beta": True}, "beta", "expected a number, got True"),
         ("pmvr", _theorem("thm1"), {"beta": "1"}, "beta", "expected a number, got '1'"),
+        ("pmvr", _theorem("thm1"), {"beta": HUGE}, "beta", BEYOND_FLOAT),
+        ("pmvr", _theorem("thm1"), {"seed": 2**64, "beta": HUGE}, "seed",
+         f"value {2**64} out of range"),
+        ("pmvr", _theorem("thm1"), {"seed": HUGE}, "seed", f"value {HUGE} out of range"),
+        ("pmvr", _theorem("thm1"), {"seed": 2**64 - 2, "reps": 3}, "reps", LAST_SEED),
+        ("pmvr", _theorem("thm1"), {"seed": 2**64 - 1, "reps": 2, "beta": 0}, "beta",
+         "value 0.0 out of range"),
         # within the section: the mode, then its keys, then the values in order
         ("stagewise", {"explicit": [], "theorem": "thm1"}, {}, "schedule",
          "exactly one of theorem | explicit | stages is required"),
@@ -1295,7 +1344,7 @@ class TestScheduleValidation:
         ("pmvr", _theorem("thm1", modulus=0), {}, "schedule.modulus", "thm1 takes no modulus"),
         ("pmvr", {"theorem": "thm1", "eps": 0.0098, "modulus": 2.0}, {},
          "schedule.modulus", "thm1 takes no modulus"),
-    ])
+    ], ids=_short_id)
     def test_fault_order(self, algorithm, schedule, top, path, message):
         assert _schedule_error(algorithm, schedule, **top) == (path, message)
 

@@ -498,3 +498,16 @@ def test_combination_bound_covers_the_rounding_of_the_step(data, m, n, eta):
     bound = NuclearNormBall(m, n, 1.0)._combine(x_bound, z_bound, eta)
     for step in (x + eta * (z - x), (1.0 - eta) * x + eta * z):
         assert bound >= math.fsum(np.abs(np.diagonal(step)))
+
+
+@pytest.mark.parametrize("x_bound, z_bound, eta", [
+    (0.0, 1.0, 1.0), (1e-300, 1.0, 0.5), (0.0, 3.0, 0.25), (2.0, 1.0, 0.75), (1.0, 1.0, -0.5),
+])
+def test_combination_bound_keeps_its_worst_case_slack_at_200x200(x_bound, z_bound, eta):
+    # the bound's own comment, term by term: the triangle bound plus 4 U
+    # sqrt(min(m, n)) roundings of each point's share. At 200 x 200 that is
+    # about 56.6 U, more than _rounded_up's margin of 44 U, so dropping either
+    # share of the slack falls below it
+    slack = 4.0 * _U * math.sqrt(200) * ((1.0 + abs(eta)) * x_bound + abs(eta) * z_bound)
+    worst = abs(1.0 - eta) * x_bound + abs(eta) * z_bound + slack
+    assert NuclearNormBall(200, 200, 1.0)._combine(x_bound, z_bound, eta) >= worst

@@ -1213,6 +1213,24 @@ def test_a_projection_past_the_radius_is_refused_at_its_iteration(monkeypatch):
     assert state.t == 2
 
 
+class DoubledAtomBall(NuclearNormBall):
+    """A ball whose LMO returns twice its atom with the atom's own bound, so
+    each step's certificate admits an iterate that only ``contains`` refuses."""
+
+    def _lmo(self, direction):
+        z, bound = super()._lmo(direction)
+        return 2.0 * z, bound
+
+
+def test_an_iterate_failing_the_full_check_is_refused_at_its_metric_row():
+    problem, fset = nuclear_linear_problem(4, 3, 0), DoubledAtomBall(4, 3, 1.0)
+    params = SolverParams(eta=0.9, alpha=0.5, b0=2, b1=2, iters=6)
+    with pytest.raises(FeasibilityError,
+                       match="^iterate fails the full feasibility check at iteration 3$"):
+        pmvr_run(problem, fset, params, np.zeros((4, 3)), RandomSource(0),
+                 trace=TraceConfig(metric_every=3))
+
+
 def test_seconds_leave_out_the_metric_rows_and_their_full_checks(monkeypatch):
     """On a clock that a step moves by 1, a full check by 10 and a metric
     row by 100, each row's ``seconds`` counts the steps before it only."""
