@@ -1,13 +1,15 @@
-"""Command-line harness: configured runs, self checks, experiment recipes.
+"""Command-line harness: configured runs and experiment recipes.
 
-Exit codes: 0 success, 1 validation error, 2 runtime/solver error,
-3 self-check failure. The default output directory comes from the
-PMVR_OUT_DIR environment variable; everything else arrives via flags or
-the configuration file. A run builds its problem and any configured set
-from the entries of ``data_io.PROBLEMS`` and ``data_io.SETS``, once per
-repetition, runs the schedule that validation resolved with the entry point
-its ``data_io.ALGORITHMS`` entry names, and creates its output directory
-only once every repetition has returned.
+Exit codes: 0 success, 1 validation error, 2 runtime/solver error. The
+default output directory comes from the PMVR_OUT_DIR environment variable;
+everything else arrives via flags or the configuration file. A run builds
+its problem and any configured set from the entries of
+``data_io.PROBLEMS`` and ``data_io.SETS``, once per repetition, runs the
+schedule that validation resolved with the entry point its
+``data_io.ALGORITHMS`` entry names, and creates its output directory only
+once every repetition has returned. The oracle, gradient and subsolver
+self-checks are tests (C1, C2 and C5 in ``tests/test_acceptance.py``),
+not a command.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ import sys
 
 from . import __version__
 from .benchmarks import SQRT_SHIFT
-from .checks import run_suites
 from .data_io import (
     ALGORITHMS,
     ConfigError,
@@ -144,16 +145,6 @@ def cmd_run(args):
     return 0
 
 
-def cmd_check(args):
-    results = run_suites(args.suite)
-    failed = 0
-    for res in results:
-        print(res.line())
-        failed += 0 if res.passed else 1
-    print(f"{len(results) - failed}/{len(results)} checks passed")
-    return 0 if failed == 0 else 3
-
-
 DESK_REPS = 5
 
 
@@ -247,13 +238,6 @@ def main(argv=None):
     p_run.add_argument("--reps", type=int, default=None)
     p_run.add_argument("--out", default=None)
     p_run.set_defaults(func=cmd_run)
-
-    p_check = sub.add_parser("check", help="run the self-check suites")
-    p_check.add_argument(
-        "--suite", default="all",
-        choices=["oracles", "gradients", "subsolver", "all"],
-    )
-    p_check.set_defaults(func=cmd_check)
 
     p_rep = sub.add_parser("reproduce", help="run a benchmark experiment recipe")
     p_rep.add_argument(

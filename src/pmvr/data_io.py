@@ -380,6 +380,24 @@ class Kind(NamedTuple):
 
 REQUIRED = object()
 
+# the most float64 entries one numpy array can hold: its size in bytes must
+# fit in an intp
+MAX_FLOATS = np.iinfo(np.intp).max // 8
+
+
+def _one_array(first, second):
+    """A ``Kind`` check that a section's ``first`` x ``second`` float64
+    array is one numpy can create, reported under ``second``."""
+    def check(section, path):
+        entries = section[first] * section[second]
+        if entries > MAX_FLOATS:
+            raise ConfigError(
+                f"{path}.{second}",
+                f"{first} * {second} = {entries} entries exceed the "
+                f"{MAX_FLOATS} of numpy's largest float64 array",
+            )
+    return check
+
 
 def _french(source):
     try:
@@ -390,10 +408,11 @@ def _french(source):
 
 PORTFOLIO_SOURCES = {
     "synthetic": Kind(
-        {"d": (int, 10, 2), "periods": (int, 500, 1),
+        {"d": (int, 10, 2, MAX_FLOATS), "periods": (int, 500, 1, MAX_FLOATS),
          "data_seed": (int, 0, 0, SEED_LIMIT - 1)},
         lambda src: benchmarks.synthetic_portfolio_data(
             src["d"], src["periods"], src["data_seed"]),
+        _one_array("d", "periods"),
     ),
     "french_csv": Kind(
         {"sentinel_policy": (("error", "drop"), "error"), "path": (str, REQUIRED)},
@@ -439,9 +458,11 @@ PROBLEMS = {
         PORTFOLIO_FIELDS, lambda spec: _portfolio(benchmarks.mean_deviation_problem, spec),
     ),
     "single_index": Kind(
-        {"m": (int, 20, 2), "n": (int, 20, 2), "s": (float, 1.0, 1.0),
-         "sigma": (float, 0.1, 0.0), "data_seed": (int, 0, 0, SEED_LIMIT - 1)},
+        {"m": (int, 20, 2, MAX_FLOATS), "n": (int, 20, 2, MAX_FLOATS),
+         "s": (float, 1.0, 1.0), "sigma": (float, 0.1, 0.0),
+         "data_seed": (int, 0, 0, SEED_LIMIT - 1)},
         _single_index,
+        _one_array("m", "n"),
     ),
     "quadratic_distance": Kind(
         {"c": (list, [2.0, -1.0], 2), "noise": (float, 0.05, 0.0)},
@@ -799,6 +820,9 @@ def validate_config(data, name="run"):
     run_name = data.get("name", name)
     if not isinstance(run_name, str):
         raise ConfigError("name", "expected a string")
+    # the name starts every output file's name, inside ``out``
+    if {"/", os.sep, "\0"} & set(run_name):
+        raise ConfigError("name", f"{run_name!r} holds a path separator or a NUL")
     return RunConfig(
         problem=problem,
         set_spec=set_spec,
@@ -820,8 +844,16 @@ def load_run_config(path, seed=None, reps=None, out=None):
     """Parse a JSON run configuration file and validate it, once, with each
     of ``seed``, ``reps`` and ``out`` that is given replacing the file's
     key of that name."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    try:
+        with open(path, "rb") as fh:
+            raw = fh.read()
+    except OSError as exc:
+        raise ConfigError("", f"cannot read the config file: {exc}") from None
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(
+            "", f"not UTF-8 text at byte offset {exc.start}: {exc.reason}") from None
     try:
         data = json.loads(text)
     except ValueError as exc:  # a JSONDecodeError, or an int of over 4300 digits

@@ -292,6 +292,7 @@ def test_c6_feasibility_invariant():
     report("C6", ok, f"{violations} violations across {checked} iterates")
 
 
+@pytest.mark.filterwarnings("ignore:batch size B0 = .* exceeds dataset size:UserWarning")
 def test_c7_counter_exactness():
     gen = np.random.default_rng(7)
     mismatches = []

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from pmvr import cli, data_io, solvers
-from pmvr.checks import run_suites, subsolver_suite
 from pmvr.data_io import PROBLEMS, ConfigError, read_trace_csv, validate_config
 from pmvr.metrics import expected_lmo, expected_sfo
 from pmvr.solvers import (
@@ -211,6 +210,38 @@ class TestRun:
     def test_missing_config_exit_code(self):
         assert cli.main(["run", "--config", "/nonexistent.json"]) == 1
 
+    def test_unreadable_config_exits_one(self, tmp_path, capsys):
+        assert cli.main(["run", "--config", str(tmp_path)]) == 1
+        assert "error: : cannot read the config file" in capsys.readouterr().err
+        path = tmp_path / "latin1.json"
+        path.write_bytes(json.dumps(dict(BASE, name="caf\u00e9"), ensure_ascii=False).encode("latin-1"))
+        assert cli.main(["run", "--config", str(path)]) == 1
+        assert "error: : not UTF-8 text at byte offset" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\0b"])
+    def test_a_name_that_would_leave_out_exits_one_before_any_run(
+        self, tmp_path, capsys, monkeypatch, name
+    ):
+        monkeypatch.setattr(cli, "execute_rep", lambda cfg, seed: pytest.fail("a repetition ran"))
+        out = tmp_path / "sub" / "out"
+        path = write_config(tmp_path, dict(BASE, name=name, reps=2, out=str(out)))
+        assert cli.main(["run", "--config", path]) == 1
+        assert "error: name:" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
+
+    @pytest.mark.parametrize("problem, locator", [
+        ({"name": "single_index", "m": 10**20}, "problem.m"),
+        ({"name": "mean_variance", "source": {"kind": "synthetic", "d": 10**20}},
+         "problem.source.d"),
+    ])
+    def test_a_dimension_past_numpys_largest_array_exits_one(
+        self, tmp_path, capsys, problem, locator
+    ):
+        # one field past the bound, which numpy would refuse without allocating
+        path = write_config(tmp_path, dict(BASE, problem=problem, out=str(tmp_path / "o")))
+        assert cli.main(["run", "--config", path]) == 1
+        assert f"error: {locator}: value {10**20} out of range" in capsys.readouterr().err
+
     def test_solver_failure_exit_code(self, tmp_path, monkeypatch):
         def boom(cfg, seed):
             raise RuntimeError("solver blew up")
@@ -391,6 +422,7 @@ class TestFrenchSource:
         cfg = dict(BASE, problem=problem, reps=2, jobs=jobs, out=str(tmp_path / "o"), **extra)
         return write_config(tmp_path, cfg)
 
+    @pytest.mark.filterwarnings("ignore:batch size B0 = .* exceeds dataset size:UserWarning")
     def test_file_read_once_per_repetition_with_a_simplex_set(self, tmp_path, monkeypatch):
         calls = []
         load = data_io.load_french_csv
@@ -595,23 +627,6 @@ def test_every_algorithm_entry_point_takes_one_signature():
     (shape,) = shapes
     assert [name for name, _, _ in shape] == ["problem", "fset", "schedule", "x1", "rng", "trace"]
     assert shape[-1][2] is None
-
-
-class TestCheck:
-    def test_all_suites_green(self):
-        results = run_suites("all")
-        assert all(r.passed for r in results)
-
-    def test_cli_exit_zero(self, capsys):
-        assert cli.main(["check", "--suite", "oracles"]) == 0
-        out = capsys.readouterr().out
-        assert "[PASS]" in out
-
-    def test_corrupted_gamma_rule_fails_subsolver_suite(self, monkeypatch):
-        # negative control: a wrong inner step size must break the certificate
-        monkeypatch.setattr(solvers, "classic_gamma", lambda n: 0.9)
-        results = subsolver_suite()
-        assert any(not r.passed for r in results)
 
 
 class TestReproduce:

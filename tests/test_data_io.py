@@ -12,6 +12,7 @@ from pmvr.benchmarks import PortfolioData
 from pmvr.data_io import (
     AGGREGATE_CRITERIA,
     AGGREGATE_HEADER,
+    MAX_FLOATS,
     SAMPLES_OVERFLOW,
     TRACE_COLUMNS,
     TRACE_HEADER,
@@ -680,6 +681,28 @@ class TestConfigValidation:
             load_run_config(str(path))
         assert err.value.path == ""
 
+    def test_a_config_that_is_not_utf8_names_the_byte_offset(self, tmp_path):
+        path = tmp_path / "cfg.json"
+        text = json.dumps(dict(MINIMAL, name="caf\u00e9"), ensure_ascii=False)
+        path.write_bytes(text.encode("latin-1"))  # the one byte 0xe9 for the e-acute
+        offset = text.index("\u00e9")
+        with pytest.raises(ConfigError) as err:
+            load_run_config(str(path))
+        assert err.value.path == ""
+        assert err.value.args[1] == (
+            f"not UTF-8 text at byte offset {offset}: invalid continuation byte")
+
+    def test_a_config_path_naming_a_directory_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read the config file") as err:
+            load_run_config(str(tmp_path))
+        assert err.value.path == ""
+
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "/abs", "a\0b"])
+    def test_a_name_holding_a_path_separator_or_nul_is_refused(self, name):
+        with pytest.raises(ConfigError, match="holds a path separator or a NUL") as err:
+            validate_config(dict(MINIMAL, name=name))
+        assert err.value.path == "name"
+
 
 def _problem_with(section, field, value):
     """``section`` with the dotted ``field`` (``source.d``) set to ``value``."""
@@ -735,6 +758,9 @@ def _numeric_cases():
             yield section, field, HUGE, f"problem.{field}", BEYOND_FLOAT
         elif field.endswith("data_seed"):  # a seed is one 64-bit word
             yield section, field, 2**64, f"problem.{field}", f"value {2**64} out of range"
+        else:  # a dimension: past numpy's largest float64 array
+            for value in (MAX_FLOATS + 1, HUGE):
+                yield section, field, value, f"problem.{field}", f"value {value} out of range"
 
 
 def _short_id(value):
@@ -767,6 +793,29 @@ class TestProblemValidation:
         for part in field.split("."):
             problem = problem[part]
         assert problem == least and type(problem) is kind
+
+    def test_numpy_refuses_an_array_one_past_the_dimension_bound(self):
+        # refused without allocating: the size in bytes overflows an intp
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty(MAX_FLOATS + 1)
+
+    # validation only: at or under the bound, building the problem would
+    # allocate gigabytes
+    @pytest.mark.parametrize("section, first, second", [
+        ({"name": "single_index"}, "m", "n"),
+        ({"name": "mean_variance", "source": SYNTHETIC}, "source.d", "source.periods"),
+    ])
+    def test_a_product_past_the_dimension_bound_is_refused_under_its_second_field(
+        self, section, first, second
+    ):
+        section = _problem_with(section, first, 3)
+        validate_config(dict(MINIMAL, problem=_problem_with(section, second, MAX_FLOATS // 3)))
+        path, message = _problem_error(_problem_with(section, second, MAX_FLOATS // 3 + 1))
+        assert path == f"problem.{second}"
+        assert message.startswith(
+            f"{first.split('.')[-1]} * {second.split('.')[-1]} = {3 * (MAX_FLOATS // 3 + 1)} entries exceed")
+        path, _ = _problem_error(_problem_with(_problem_with(section, first, 2**31), second, 2**31))
+        assert path == f"problem.{second}"
 
     @pytest.mark.parametrize("section, path, message", [
         ([], "problem", "expected an object"),

@@ -106,6 +106,7 @@ def config_digest(tmp_path, raw):
     return hashlib.sha256("\n".join(blanked).encode()).hexdigest()
 
 
+@pytest.mark.filterwarnings("ignore:batch size B0 = .* exceeds dataset size:UserWarning")
 @pytest.mark.parametrize("case", sorted(GOLDEN), ids="-".join)
 def test_trace_matches_golden_digest(tmp_path, case):
     assert trace_digest(tmp_path, *case) == GOLDEN[case]

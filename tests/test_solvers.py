@@ -220,6 +220,7 @@ class TestPmvrRun:
             assert ra.fw_gap == rb.fw_gap
             assert ra.sfo == rb.sfo
 
+    @pytest.mark.filterwarnings("ignore:batch size B0 = .* exceeds dataset size:UserWarning")
     @pytest.mark.parametrize(
         "k, b0, b1, iters, n_inner",
         [
@@ -779,6 +780,7 @@ def test_variance_reduction_beats_plain_minibatch():
     assert errors[0.1] < errors[1.0]
 
 
+@pytest.mark.filterwarnings("ignore:batch size B0 = .* exceeds dataset size:UserWarning")
 @settings(max_examples=25, deadline=None)
 @given(
     k=st.integers(1, 3),
