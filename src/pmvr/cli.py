@@ -7,9 +7,10 @@ its problem and any configured set from the entries of
 ``data_io.PROBLEMS`` and ``data_io.SETS``, once per repetition, runs the
 schedule that validation resolved with the entry point its
 ``data_io.ALGORITHMS`` entry names, and creates its output directory only
-once every repetition has returned. The oracle, gradient and subsolver
-self-checks are tests (C1, C2 and C5 in ``tests/test_acceptance.py``),
-not a command.
+once every repetition has returned; an ``out`` that names a file, or lies
+under one, is refused before the first repetition. The oracle, gradient
+and subsolver self-checks are tests (C1, C2 and C5 in
+``tests/test_acceptance.py``), not a command.
 """
 
 from __future__ import annotations
@@ -87,8 +88,21 @@ def execute_rep(cfg, seed):
     return result.trace, schedule
 
 
+def _check_out(out):
+    """Refuse an ``out`` that names a file or lies under one: its nearest
+    existing ancestor, the working directory for a relative path, must be a
+    directory. Nothing is created."""
+    path = out
+    while path and not os.path.lexists(path):
+        path = os.path.dirname(path)
+    if path and not os.path.isdir(path):
+        raise ConfigError("out", f"{path!r} exists and is not a directory")
+
+
 def run_config(cfg):
-    """Execute all repetitions of a validated config and write the files."""
+    """Execute all repetitions of a validated config and write the files;
+    ``out`` is checked before the first repetition runs."""
+    _check_out(cfg.out)
     seeds = [cfg.seed + i for i in range(cfg.reps)]
     if cfg.jobs > 1 and cfg.reps > 1:
         # imported here: concurrent.futures pulls in multiprocessing, and
@@ -251,7 +265,7 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, FileNotFoundError) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except Exception as exc:  # solver / IO failures

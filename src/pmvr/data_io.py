@@ -557,26 +557,34 @@ PARAM_FIELDS = {
     "n": (int, 1),
     "coeff": (float, 0.0, None, True),
 }
+# order constants scale the schedule's terms, so any positive value fits
+CONSTANT_FIELDS = dict.fromkeys(vars(ScheduleConstants()), (float, 0.0, None, True))
+# the keys every stage, and every explicit schedule, sets
+STAGE_KEYS = ("eta", "alpha", "b1", "t")
+# each schedule mode, named by its key, and the section keys it allows
+SCHEDULE_MODES = {
+    "theorem": ("theorem", "eps", "constants", "overrides", "modulus"),
+    "explicit": ("explicit",),
+    "stages": ("stages", "b0", "n", "coeff"),
+}
 
 
-def _validate_params(block, path, required=(), allowed=tuple(PARAM_FIELDS)):
-    """Check a block of schedule parameters against PARAM_FIELDS."""
+def _check_block(block, path, keys, required=(), fields=PARAM_FIELDS):
+    """A block of schedule numbers: an object of ``keys`` alone that holds
+    the ``required`` ones, its values checked against ``fields`` in order."""
     if not isinstance(block, dict):
         raise ConfigError(path, "expected an object")
-    _no_unknown(block, allowed, path)
+    _no_unknown(block, keys, path)
     for key in required:
         _require(block, key, path)
-    out = {}
-    for key, value in block.items():
-        out[key] = _check_range(value, f"{path}.{key}", *PARAM_FIELDS[key])
-    return out
+    return {k: _check_range(v, f"{path}.{k}", *fields[k]) for k, v in block.items()}
 
 
 def _validate_schedule(section, algorithm):
     entry = ALGORITHMS[algorithm]
     if not isinstance(section, dict):
         raise ConfigError("schedule", "expected an object")
-    modes = [k for k in ("theorem", "explicit", "stages") if k in section]
+    modes = [k for k in SCHEDULE_MODES if k in section]
     if len(modes) != 1:
         raise ConfigError(
             "schedule", "exactly one of theorem | explicit | stages is required"
@@ -588,11 +596,9 @@ def _validate_schedule(section, algorithm):
         )
     if mode == "stages" and not entry.stagewise:
         raise ConfigError("schedule.stages", f"{algorithm} is not stage-wise")
+    _no_unknown(section, SCHEDULE_MODES[mode], "schedule")
     out = {"mode": mode}
     if mode == "theorem":
-        _no_unknown(
-            section, {"theorem", "eps", "constants", "overrides", "modulus"}, "schedule"
-        )
         thm = section["theorem"]
         if not isinstance(thm, str) or thm not in THEOREMS:
             raise ConfigError("schedule.theorem", f"unknown theorem {thm!r}")
@@ -606,18 +612,12 @@ def _validate_schedule(section, algorithm):
             _require(section, "eps", "schedule"), "schedule.eps",
             float, lo=0.0, hi=1.0, lo_open=True,
         )
-        constants = section.get("constants", {})
-        if not isinstance(constants, dict):
-            raise ConfigError("schedule.constants", "expected an object")
-        # order constants scale the schedule's terms, so any positive value fits
-        _no_unknown(constants, vars(ScheduleConstants()), "schedule.constants")
-        out["constants"] = {
-            k: _check_range(v, f"schedule.constants.{k}", float, lo=0.0, lo_open=True)
-            for k, v in constants.items()
-        }
-        overrides = _validate_params(
-            section.get("overrides", {}), "schedule.overrides",
-            allowed=("eta", "alpha", "b0", "b1", "t", "n"),
+        out["constants"] = _check_block(
+            section.get("constants", {}), "schedule.constants", CONSTANT_FIELDS,
+            fields=CONSTANT_FIELDS,
+        )
+        overrides = _check_block(
+            section.get("overrides", {}), "schedule.overrides", (*STAGE_KEYS, "b0", "n"),
         )
         if overrides and entry.stagewise:
             raise ConfigError(
@@ -632,37 +632,33 @@ def _validate_schedule(section, algorithm):
             out["modulus"] = _check_range(
                 section["modulus"], "schedule.modulus", float, lo=0.0, lo_open=True
             )
-    elif mode == "explicit":
-        _no_unknown(section, {"explicit"}, "schedule")
-        explicit = _validate_params(
-            section["explicit"], "schedule.explicit", required=("eta", "alpha", "b1", "t")
+        if not entry.theorems:  # refused before it is resolved as a theorem's schedule
+            raise ConfigError("schedule", "the baseline takes explicit parameters only")
+        return out
+    # explicit parameters, or the stage list's shared b0, n and coeff
+    if mode == "explicit":
+        where = "schedule.explicit"
+        block = out["explicit"] = _check_block(
+            section["explicit"], where, PARAM_FIELDS, required=STAGE_KEYS
         )
-        explicit.setdefault("b0", 1)
-        out["explicit"] = explicit
     else:
-        _no_unknown(section, {"stages", "b0", "n", "coeff"}, "schedule")
         stages = section["stages"]
         if not isinstance(stages, list) or not stages:
             raise ConfigError("schedule.stages", "expected a non-empty list")
-        out.update(_validate_params(
+        where, block = "schedule", out
+        out.update(_check_block(
             {k: v for k, v in section.items() if k != "stages"}, "schedule",
-            allowed=("b0", "n", "coeff"),
+            ("b0", "n", "coeff"),
         ))
-        out.setdefault("b0", 1)
         out["stages"] = [
-            _validate_params(
-                st, f"schedule.stages[{idx}]", required=("eta", "alpha", "b1", "t"),
-                allowed=("eta", "alpha", "b1", "t"),
-            )
+            _check_block(st, f"schedule.stages[{idx}]", STAGE_KEYS, required=STAGE_KEYS)
             for idx, st in enumerate(stages)
         ]
-    if mode != "theorem":
-        block = out["explicit"] if mode == "explicit" else out
-        where = "schedule.explicit" if mode == "explicit" else "schedule"
-        for key in ("n", "coeff"):
-            if (key in block) != entry.subsolver:
-                what = "needs" if key not in block else "runs no subsolver for"
-                raise ConfigError(f"{where}.{key}", f"{algorithm} {what} {key}")
+    block.setdefault("b0", 1)
+    for key in ("n", "coeff"):
+        if (key in block) != entry.subsolver:
+            what = "needs" if key not in block else "runs no subsolver for"
+            raise ConfigError(f"{where}.{key}", f"{algorithm} {what} {key}")
     return out
 
 
@@ -682,8 +678,10 @@ def resolve_schedule(sched, beta, problem=None):
     A theorem's rates come from ``schedule_for``, ``beta`` being the
     subsolver's curvature, and its ``overrides`` replace them; explicit
     stages share the section's ``b0``, ``n`` and ``coeff``. A list out of
-    StageSchedule's order is refused under ``schedule.stages``, and an
-    ``eps`` so small that a count overflows under ``schedule.eps``. A
+    StageSchedule's order is refused under ``schedule.stages``, an ``eps``
+    so small that a count overflows, or a rate so small that alpha rounds to
+    zero, under ``schedule.eps``, and a modulus whose half, the subsolver's
+    coefficient, rounds to zero under ``schedule.modulus``. A
     schedule whose level draws MAX_SAMPLES samples or more is refused under
     ``schedule.explicit``, ``schedule.stages``, ``schedule.eps`` (before the
     overrides) or ``schedule.overrides`` (after them). A thm7/thm8 schedule
@@ -713,6 +711,10 @@ def resolve_schedule(sched, beta, problem=None):
                 "strongly convex schedules need a positive modulus "
                 "(set schedule.modulus or use a problem that declares one)",
             )
+    if lam is not None and lam / 2.0 == 0.0:
+        raise ConfigError(
+            "schedule.modulus", "modulus / 2, the subsolver's coefficient, rounds to zero"
+        )
     overrides = {KEY_TO_FIELD.get(k, k): v for k, v in sched["overrides"].items()}
     try:
         out = schedule_for(
@@ -721,6 +723,8 @@ def resolve_schedule(sched, beta, problem=None):
         )
     except ArithmeticError:  # so small an eps that the count overflows
         raise ConfigError("schedule.eps", "the iteration count overflows") from None
+    except ValueError as exc:  # so small a rate that alpha rounds to zero
+        raise ConfigError("schedule.eps", f"a rate rounds to zero: {exc}") from None
     _check_samples("schedule.eps", out)
     if "n" in overrides:  # validation admits n only where the subsolver runs
         overrides["subsolver"] = replace(out.subsolver, inner_iters=overrides.pop("n"))
@@ -799,8 +803,6 @@ def validate_config(data, name="run"):
     except ConfigError as exc:
         beta, beta_fault = 1.0, exc
     resolved = resolve_schedule(schedule, beta)
-    if not ALGORITHMS[algorithm].theorems and schedule["mode"] != "explicit":
-        raise ConfigError("schedule", "the baseline takes explicit parameters only")
     set_spec = data.get("set")
     if set_spec is not None:  # a missing kind is an unknown one
         set_spec = _check_kind(set_spec, "set", "kind", SETS, "set kind", default=None)
@@ -817,6 +819,8 @@ def validate_config(data, name="run"):
     out_dir = data.get("out", os.environ.get("PMVR_OUT_DIR", "runs"))
     if not isinstance(out_dir, str):
         raise ConfigError("out", "expected a string path")
+    if out_dir == "" or "\0" in out_dir:
+        raise ConfigError("out", f"expected a non-empty path without a NUL, got {out_dir!r}")
     run_name = data.get("name", name)
     if not isinstance(run_name, str):
         raise ConfigError("name", "expected a string")

@@ -83,14 +83,3 @@ def optimal_gap(problem, x, f_star=None):
     if f_star is None:
         raise ValueError("no optimal value available for this problem")
     return objective(problem, x) - float(f_star)
-
-
-__all__ = [
-    "OracleCounters",
-    "expected_sfo",
-    "expected_lmo",
-    "expected_baseline_sfo",
-    "fw_gap",
-    "gradient_mapping",
-    "optimal_gap",
-]

@@ -21,7 +21,11 @@ _NO_INDICES = np.empty(0, dtype=np.int64)
 
 
 def _nonnegative_int(value, what):
+    """``value`` as an int >= 0; a bool, which ``operator.index`` would take
+    as 0 or 1, is refused."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         n = operator.index(value)
     except TypeError:
         raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from None

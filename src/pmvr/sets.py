@@ -1,11 +1,13 @@
 """Closed convex feasible sets: simplex, box, nuclear-norm ball.
 
-Each set exposes the four operations the solvers and metrics need:
+Each set exposes the three operations the solvers and metrics need:
 
 * ``lmo(d)``       -- a minimizer of <x, d> over the set,
 * ``project(p)``   -- the Euclidean-nearest feasible point,
 * ``contains(p)``  -- membership up to a tolerance,
-* ``diameter``     -- max pairwise Euclidean/Frobenius distance.
+
+and its ``diameter``, the max pairwise Euclidean/Frobenius distance, which
+neither reads: the tests bound the subsolver's certificate with it.
 
 On every set, ``lmo`` and ``project`` raise a ValueError naming the set for
 an argument with a NaN or infinite entry, and ``contains`` returns False for
@@ -116,7 +118,7 @@ def top_singular_pair(matrix):
 
 
 class FeasibleSet:
-    """Common interface; concrete sets fill in the four operations."""
+    """Common interface; concrete sets fill in the three operations and the diameter."""
 
     diameter = None
 

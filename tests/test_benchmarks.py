@@ -89,6 +89,10 @@ class TestMeanVariance:
 
 
 class TestMeanDeviation:
+    def test_rejects_negative_risk_weight(self, toy_data):
+        with pytest.raises(ValueError, match="^risk weight must be non-negative$"):
+            mean_deviation_problem(toy_data, -0.1)
+
     def test_zero_variance_data(self):
         data = PortfolioData(np.tile(np.array([0.02, 0.01]), (4, 1)))
         problem = mean_deviation_problem(data, 1.0)
@@ -152,6 +156,16 @@ class TestMeanDeviation:
 
 
 class TestSingleIndex:
+    @pytest.mark.parametrize("fields, message", [
+        ({"m": 1}, "matrix dimensions must be >= 2"),
+        ({"n": 1}, "matrix dimensions must be >= 2"),
+        ({"sigma": -0.1}, "label noise must be non-negative"),
+        ({"s": 0.5}, "radius below 1 cannot contain the unit-norm target"),
+    ])
+    def test_config_refuses_what_it_cannot_build(self, fields, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            SingleIndexConfig(**fields)
+
     def test_target_has_unit_nuclear_norm(self):
         problem, _ = single_index_problem(SingleIndexConfig(m=6, n=6, sigma=0.0))
         sig = np.linalg.svd(problem.b_star, compute_uv=False)

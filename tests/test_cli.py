@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from pmvr import cli, data_io, solvers
+from pmvr.benchmarks import SQRT_SHIFT
 from pmvr.data_io import PROBLEMS, ConfigError, read_trace_csv, validate_config
 from pmvr.metrics import expected_lmo, expected_sfo
 from pmvr.solvers import (
@@ -229,6 +230,49 @@ class TestRun:
         assert "error: name:" in capsys.readouterr().err
         assert sorted(os.listdir(tmp_path)) == ["cfg.json"]
 
+    @pytest.mark.parametrize("out, flag, message", [
+        ("", False, "expected a non-empty path without a NUL, got ''"),
+        ("a\0b", False, "expected a non-empty path without a NUL, got '{tmp}/a\\x00b'"),
+        ("taken", False, "'{tmp}/taken' exists and is not a directory"),
+        ("taken/sub/deeper", False, "'{tmp}/taken' exists and is not a directory"),
+        ("taken", True, "'{tmp}/taken' exists and is not a directory"),
+    ])
+    def test_an_out_that_cannot_be_a_directory_exits_one_before_any_run(
+        self, tmp_path, capsys, monkeypatch, out, flag, message
+    ):
+        monkeypatch.setattr(cli, "execute_rep", lambda cfg, seed: pytest.fail("a repetition ran"))
+        (tmp_path / "taken").write_text("a file\n")
+        if out:
+            out = os.path.join(str(tmp_path), out)
+        raw = dict(BASE, reps=2) if flag else dict(BASE, reps=2, out=out)
+        path = write_config(tmp_path, raw)
+        argv = ["run", "--config", path] + (["--out", out] if flag else [])
+        assert cli.main(argv) == 1
+        assert capsys.readouterr().err == f"error: out: {message.format(tmp=tmp_path)}\n"
+        assert sorted(os.listdir(tmp_path)) == ["cfg.json", "taken"]
+
+    def test_a_rate_that_rounds_to_zero_at_the_problems_modulus_exits_one(self, tmp_path, capsys):
+        # thm7 without schedule.modulus is resolved per repetition, at the
+        # quadratic problem's modulus 2: alpha = 1e-320 * 2 * 2**-17 is 0.0
+        cfg = {
+            "problem": {"name": "quadratic_distance"},
+            "algorithm": "stagewise-v2",
+            "schedule": {"theorem": "thm7", "eps": 1e-5, "constants": {"alpha": 1e-320}},
+            "seed": 1,
+            "out": str(tmp_path / "o"),
+        }
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 1
+        assert capsys.readouterr().err == (
+            "error: schedule.eps: a rate rounds to zero: alpha must lie in (0, 1], got 0.0\n")
+        assert not (tmp_path / "o").exists()
+
+    def test_a_mean_deviation_sidecar_records_the_square_roots_shift(self, tmp_path):
+        problem = dict(BASE["problem"], name="mean_deviation")
+        cfg = dict(BASE, problem=problem, out=str(tmp_path / "o"))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        meta = json.loads((tmp_path / "o" / "cfg_meta.json").read_text())
+        assert meta["resolved"]["sqrt_shift"] == SQRT_SHIFT
+
     @pytest.mark.parametrize("problem, locator", [
         ({"name": "single_index", "m": 10**20}, "problem.m"),
         ({"name": "mean_variance", "source": {"kind": "synthetic", "d": 10**20}},
@@ -276,6 +320,11 @@ class TestRun:
         [
             ("pmvr", {"theorem": "thm1", "eps": 1e-200}, "schedule.eps"),
             ("pmvr-v2", {"theorem": "thm1", "eps": 0.1}, "schedule.theorem"),
+            # rates that round to zero
+            ("pmvr", {"theorem": "thm1", "eps": 1e-5, "constants": {"alpha": 1e-320}},
+             "schedule.eps"),
+            ("stagewise-v2", {"theorem": "thm7", "eps": 0.5, "modulus": 5e-324},
+             "schedule.modulus"),
         ],
     )
     def test_schedule_refused_before_the_run_exits_one(
@@ -597,6 +646,8 @@ class TestScheduleResolution:
         ([LATER, STAGE], "stage iteration counts must be non-decreasing"),
         ([STAGE, dict(STAGE, eta=0.25)], "eta and alpha must be non-increasing across stages"),
         ([STAGE, dict(STAGE, alpha=0.75)], "eta and alpha must be non-increasing across stages"),
+        ([], "a stage schedule needs at least one stage"),
+        ([STAGE], "one accuracy target per stage required"),
     ])
     def test_stage_schedule_refuses_stages_out_of_order(self, stages, message):
         params = [SolverParams(eta=st["eta"], alpha=st["alpha"], b0=1, b1=st["b1"],

@@ -29,6 +29,7 @@ from pmvr.data_io import (
     write_csv,
     write_trace_csv,
 )
+from pmvr.solvers import ScheduleConstants
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 FIXTURE10 = os.path.join(DATA, "industry10_fixture.txt")
@@ -1242,6 +1243,12 @@ class TestScheduleValidation:
          "schedule.eps", OVERFLOW),
         ("stagewise-v2", {"theorem": "thm8", "eps": 1e-320, "modulus": 2.0},
          "schedule.eps", OVERFLOW),
+        # and for a rate that rounds to zero: thm1's alpha, 1e-320 * eps**2, and
+        # thm7's subsolver coefficient, modulus / 2
+        ("pmvr", {"theorem": "thm1", "eps": 1e-5, "constants": {"alpha": 1e-320}},
+         "schedule.eps", "a rate rounds to zero: alpha must lie in (0, 1], got 0.0"),
+        ("stagewise-v2", {"theorem": "thm7", "eps": 0.5, "modulus": 5e-324},
+         "schedule.modulus", "modulus / 2, the subsolver's coefficient, rounds to zero"),
         # keys that nothing would read
         ("pmvr", _theorem("thm1", overrides={"n": 5}), "schedule.overrides.n",
          "pmvr runs no subsolver for n"),
@@ -1252,6 +1259,9 @@ class TestScheduleValidation:
         *[(algorithm, _theorem(thm, modulus=2.0), "schedule.modulus", f"{thm} takes no modulus")
           for algorithm, thms in RUNS.items() for thm in thms if thm not in ("thm7", "thm8")],
         ("baseline", _theorem("thm1", modulus=2.0), "schedule.modulus", "thm1 takes no modulus"),
+        # a baseline's theorem is refused before it is resolved
+        ("baseline", _theorem("thm5", overrides={"t": 5}), "schedule",
+         "the baseline takes explicit parameters only"),
     ])
     def test_schedule_fault(self, algorithm, schedule, path, message):
         assert _schedule_error(algorithm, schedule) == (path, message)
@@ -1421,3 +1431,105 @@ class TestScheduleValidation:
         cfg = validate_config(dict(MINIMAL, algorithm=algorithm, schedule=schedule))
         # RunConfig.schedule keeps the validated section, with its numbers typed
         assert json.dumps(cfg.schedule, sort_keys=True) == json.dumps(resolved, sort_keys=True)
+
+
+@pytest.mark.parametrize("raw, path, message", [
+    ([], "", "configuration root must be an object"),
+    (dict(MINIMAL, out=5), "out", "expected a string path"),
+    (dict(MINIMAL, out=""), "out", "expected a non-empty path without a NUL, got ''"),
+    (dict(MINIMAL, out="a\0b"), "out", "expected a non-empty path without a NUL, got 'a\\x00b'"),
+    (dict(MINIMAL, name=5), "name", "expected a string"),
+])
+def test_a_root_out_or_name_of_the_wrong_kind_is_located(raw, path, message):
+    with pytest.raises(ConfigError) as err:
+        validate_config(raw)
+    assert err.value.args == (path, message)
+
+
+def test_an_unknown_sentinel_policy_is_refused():
+    with pytest.raises(ValueError, match="^unknown sentinel policy 'keep'$"):
+        load_french_csv(FIXTURE10, sentinel_policy="keep")
+
+
+# what a schedule number may be given: each other JSON type, zero and a
+# negative, numbers that round to zero or overflow once a rate scales them,
+# the ends of float range, or nothing (DROP: the key left out)
+DROP = object()
+ODD_NUMBERS = [True, False, None, "1", [1], 0, -1, 5e-324, 1e-320, 1e300, 1e308, HUGE,
+               float("nan"), float("inf"), float("-inf"), DROP]
+
+
+def _base_sections():
+    """(algorithm, a schedule) for every algorithm, mode and theorem it runs,
+    each holding every key the algorithm reads, and a single-run and a
+    stage-wise theorem for the baseline, which refuses both. The theorems
+    target eps 1e-5."""
+    constants = dict.fromkeys(vars(ScheduleConstants()), 1.0)
+    for algorithm, entry in data_io.ALGORITHMS.items():
+        subsolver = {"n": 2, "coeff": 1.0} if entry.subsolver else {}
+        for thm in entry.theorems or ("thm1", "thm7"):
+            section = {"theorem": thm, "eps": 1e-5, "constants": constants}
+            if not entry.stagewise:
+                section["overrides"] = {"t": 5, "n": 2} if subsolver else {"t": 5}
+            if thm in ("thm7", "thm8"):
+                section["modulus"] = 2.0
+            yield algorithm, section
+        if entry.stagewise:
+            yield algorithm, {"stages": [FIRST, STAGE], "b0": 2, **subsolver}
+        else:
+            yield algorithm, {"explicit": dict(EXPLICIT, b0=2, **subsolver)}
+
+
+def _leaves(block, path=()):
+    """The path of every number in a schedule section."""
+    items = enumerate(block) if isinstance(block, list) else block.items()
+    for key, value in items:
+        if isinstance(value, (dict, list)):
+            yield from _leaves(value, (*path, key))
+        elif not isinstance(value, str):
+            yield (*path, key)
+
+
+def _with_faults(base, faults):
+    """A copy of ``base`` with each (path, value) of ``faults`` set, or the
+    key left out for DROP."""
+    section = json.loads(json.dumps(base))
+    for path, value in faults:
+        *parents, key = path
+        block = section
+        for part in parents:
+            block = block[part]
+        if value is DROP:
+            block.pop(key, None)
+        else:
+            block[key] = value
+    return section
+
+
+# each base section with the strategy of its faults: one or two of its
+# numbers replaced from ODD_NUMBERS
+FAULTY_BASES = [
+    (algorithm, base, st.lists(
+        st.tuples(st.sampled_from(list(_leaves(base))), st.sampled_from(ODD_NUMBERS)),
+        min_size=1, max_size=2,
+    ))
+    for algorithm, base in _base_sections()
+]
+
+
+@st.composite
+def schedule_sections(draw):
+    """(algorithm, schedule): a base section with its faults."""
+    algorithm, base, faults = draw(st.sampled_from(FAULTY_BASES))
+    return algorithm, _with_faults(base, draw(faults))
+
+
+@settings(max_examples=1000, deadline=None)
+@given(case=schedule_sections())
+def test_a_schedule_section_validates_or_is_a_config_error(case):
+    algorithm, schedule = case
+    try:
+        cfg = validate_config(dict(MINIMAL, algorithm=algorithm, schedule=schedule))
+    except ConfigError:
+        return
+    assert isinstance(cfg, data_io.RunConfig)

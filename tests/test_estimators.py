@@ -138,6 +138,15 @@ class TestInit:
         with pytest.raises(ShapeMismatchError, match=r"value oracle returned shape \(1,\)"):
             init_trackers(problem, np.zeros(2), 3, RandomSource(0))
 
+    def test_rejects_a_jacobian_oracle_that_ignores_the_batch_axis(self):
+        problem = deterministic_two_level()
+        problem.levels[1] = replace(
+            problem.levels[1], jacobian=lambda y, s: np.array([[y[1]], [y[0]]])
+        )
+        with pytest.raises(ShapeMismatchError, match=r"^level 2 jacobian oracle returned "
+                           r"shape \(2, 1\), expected \(3, 2, 1\)$"):
+            init_trackers(problem, np.zeros(2), 3, RandomSource(0))
+
 
 class TestValueUpdate:
     def test_momentum_off_is_batch_mean(self):
@@ -486,6 +495,24 @@ def test_finite_step_batches_equal_their_level_streams(steps, size):
         got = _level_batches(problem, rng, b)
         want = [sample_batch(level, gen, b) for level, gen in zip(problem.levels, gens)]
         assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
+
+
+def test_a_finite_samples_subclass_draws_each_batch_whole():
+    """A subclass of FiniteSamples may draw its own way, so its level's
+    batches are one ``draw`` call each on the level's generator, with no
+    indices drawn ahead."""
+    class Reversed(FiniteSamples):
+        def draw(self, gen, count):
+            return self.size - 1 - gen.integers(0, self.size, size=count)
+
+    problem = finite_level(7)
+    problem.levels[0] = replace(problem.levels[0], samples=Reversed(7))
+    rng = RandomSource(13)
+    gen = RandomSource(13).split(1).generator
+    for size in (3, 1, rng_module.CHUNK + 5):
+        (got,) = _level_batches(problem, rng, size)
+        assert np.array_equal(got, 6 - gen.integers(0, 7, size=size))
+    assert len(rng.level(1).ahead) == 0
 
 
 def test_indices_drawn_ahead_for_another_dataset_size_are_dropped():

@@ -54,6 +54,15 @@ class TestFwGap:
         problem = quadratic_problem([0.5, 0.5])
         assert fw_gap(problem, Simplex(2), np.array([0.5, 0.5])) == pytest.approx(0.0, abs=1e-12)
 
+    def test_an_lmo_that_misses_the_minimizer_is_refused(self):
+        class Maximizing(Simplex):
+            def lmo(self, d):
+                return super().lmo(-d)
+
+        problem = linear_problem([1.0, 2.0])
+        with pytest.raises(ValueError, match=r"^Frank-Wolfe gap came out -1\.0, below -1e-9$"):
+            fw_gap(problem, Maximizing(2), np.array([1.0, 0.0]))
+
     def test_nonnegative_on_random_feasible_points(self):
         gen = np.random.default_rng(0)
         problem = quadratic_problem([2.0, -1.0])

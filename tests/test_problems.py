@@ -145,6 +145,22 @@ def test_sample_batch_deterministic():
     assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("build, error, message", [
+    (lambda: CompositionalProblem([]), ValueError,
+     r"a compositional problem needs at least one level"),
+    (lambda: CompositionalProblem([linear_level([1.0, 2.0])], x_shape=(3,)), ShapeMismatchError,
+     r"x_shape \(3,\) is incompatible with level-1 input dim 2"),
+    (lambda: CompositionalProblem([linear_level([1.0, 2.0])]).flatten(np.zeros(3)),
+     ShapeMismatchError, r"point shape \(3,\) does not match problem shape \(2,\)"),
+    (lambda: sample_batch(replace(linear_level([1.0]), samples=None),
+                          RandomSource(0).split(1).generator, 2),
+     ValueError, r"level has no sample space"),
+])
+def test_a_problem_refuses_what_it_cannot_hold(build, error, message):
+    with pytest.raises(error, match=f"^{message}$"):
+        build()
+
+
 def test_sample_batch_rejects_empty():
     level = linear_level([1.0])
     with pytest.raises(ValueError):

@@ -129,6 +129,11 @@ def test_numpy_integers_are_accepted_as_python_ints():
         lambda: RandomSource(1).split(None),
         lambda: RandomSource(1).level(-1),
         lambda: RandomSource(1).level(2.7),
+        # a bool is not taken as 0 or 1
+        lambda: RandomSource(True),
+        lambda: RandomSource(1, path=(True,)),
+        lambda: RandomSource(1).split(False),
+        lambda: RandomSource(1).level(True),
     ],
 )
 def test_bad_seeds_paths_and_indices_raise_value_error(build):

@@ -13,6 +13,7 @@ from pmvr.sets import (
     NuclearNormBall,
     Simplex,
     _rounded_up,
+    project_simplex,
     top_singular_pair,
 )
 
@@ -76,6 +77,12 @@ class TestSimplex:
         with pytest.raises(ValueError, match="non-finite"):
             Simplex(3).project(np.array([0.2, bad, 0.5]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_project_simplex_refuses_a_non_finite_entry(self, bad):
+        with pytest.raises(ValueError, match="^cannot project a point with a non-finite "
+                           "entry onto the simplex$"):
+            project_simplex(np.array([0.2, bad, 0.5]))
+
     def test_fixed_point(self):
         gen = np.random.default_rng(2)
         fset = Simplex(5)
@@ -138,6 +145,11 @@ class TestTopSingularPair:
     def test_zero_matrix_rejected(self):
         with pytest.raises(ValueError):
             top_singular_pair(np.zeros((3, 3)))
+
+
+def test_top_singular_pair_refuses_a_matrix_that_is_not_2d():
+    with pytest.raises(ShapeMismatchError, match=r"^expected a 2-D matrix, got shape \(3,\)$"):
+        top_singular_pair(np.ones(3))
 
 
 def test_top_singular_pair_refuses_an_empty_matrix_as_the_zero_matrix():
@@ -408,6 +420,8 @@ def test_public_operations_are_the_certified_ones_without_the_certificate():
     (Box, ([np.nan, 0.0], [1.0, 1.0]), "^box bounds must be finite$"),
     (Box, ([0.0, 0.0], [np.inf, 1.0]), "^box bounds must be finite$"),
     (Box, ([-np.inf, 0.0], [1.0, 1.0]), "^box bounds must be finite$"),
+    (Box, ([0.0, 0.0], [1.0]), "^lower and upper bounds must share a shape$"),
+    (Box, ([0.0, 2.0], [1.0, 1.0]), "^box requires lower <= upper coordinatewise$"),
     (NuclearNormBall, (2, 2, np.nan), "^radius must be positive and finite"),
     (NuclearNormBall, (2, 2, np.inf), "^radius must be positive and finite"),
     (NuclearNormBall, (2.5, 2, 1.0), "^matrix dimension m must be an integer >= 1"),
