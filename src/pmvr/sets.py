@@ -13,10 +13,12 @@ On every set, ``lmo`` and ``project`` raise a ValueError naming the set for
 an argument with a NaN or infinite entry, and ``contains`` returns False for
 such a point.
 
-The nuclear-ball LMO needs only the top singular pair, computed here by one
-dense eigensolve of the smaller Gram matrix. Its projection and its
-``contains`` need a full SVD; the projection runs at every metric row and at
-every step of the projected baseline.
+The nuclear-ball LMO needs only the top singular pair, taken from the Gram
+matrix of the smaller side. Below a side of 24 it is one dense eigensolve;
+from 24 up it is the top eigenvalue alone and one solve shifted just above
+it, checked, with the dense eigensolve as its fallback (``top_singular_pair``).
+Its projection and its ``contains`` need a full SVD; the projection runs at
+every metric row and at every step of the projected baseline.
 
 Certified feasibility. The solvers do not run ``contains`` on every iterate.
 Beside each point they carry a certificate, and they ask ``_admits`` instead.
@@ -59,6 +61,9 @@ _U = np.finfo(np.float64).eps / 2
 # only up to an absolute 2**-1075, which no factor 1 + d covers; fewer than
 # 2**52 such errors, however amplified by the slack terms' sums, stay below it
 _TINY = np.finfo(np.float64).tiny
+# the Gram side from which top_singular_pair takes one shifted solve instead
+# of eigh: below it eigh is as fast or faster (CHANGES.md has the timings)
+_SHIFTED_SOLVE_SIDE = 24
 
 
 def _rounded_up(value, ops):
@@ -90,31 +95,69 @@ def project_simplex(p, total=1.0):
 
 
 def top_singular_pair(matrix):
-    """Dominant singular triple (sigma1, u1, v1) of a nonzero matrix.
+    """Dominant singular triple (sigma1, u1, v1) of a nonzero finite matrix.
 
-    One dense symmetric eigensolve of the Gram matrix of the smaller side:
-    v1 is its top eigenvector, u1 = M v1 / ||M v1|| and sigma1 = ||M v1||.
-    The matrix is scaled by its largest entry first, so the Gram matrix
-    neither overflows nor underflows at any finite scale. LAPACK either
-    converges or raises ``numpy.linalg.LinAlgError``.
+    v1 is a top eigenvector of the Gram matrix G of the smaller side, scaled
+    by the matrix's largest entry first so that G neither overflows nor
+    underflows at any finite scale; u1 = M v1 / ||M v1|| and sigma1 =
+    ||M v1||. Below a Gram side of 24 (``_SHIFTED_SOLVE_SIDE``) v1 comes from
+    one dense symmetric eigensolve (``eigh``). From 24 up it comes from inverse
+    iteration: the top eigenvalue lam alone (``eigvalsh``), then one solve
+    ``(G - lam (1 + 2**-50) I) y = G e_j``, j the largest diagonal entry of
+    G, and v1 = y / ||y||. That v1 is kept only if ``||M v1||**2 >= lam (1 -
+    64 k 2**-52)`` on the scaled matrix (k the Gram side); if not, or if the
+    solve meets an exact zero pivot, the dense eigensolve runs instead.
+
+    A matrix with a NaN or infinite entry raises ValueError, and so does the
+    zero matrix. LAPACK's eigensolvers may still raise
+    ``numpy.linalg.LinAlgError`` if they fail to converge.
     """
     m = np.asarray(matrix, dtype=np.float64)
     if m.ndim != 2:
         raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    scale = max(m.max(initial=0.0), -m.min(initial=0.0))  # np.abs(m).max() without its copy
+    # np.abs(m).max() without its copy; max and min propagate a NaN or an infinity
+    scale = max(m.max(initial=0.0), -m.min(initial=0.0))
+    if not math.isfinite(scale):
+        raise ValueError("top_singular_pair is undefined for a matrix with a non-finite entry")
     if scale == 0.0:
         raise ValueError("top_singular_pair is undefined for the zero matrix")
 
     transposed = m.shape[0] < m.shape[1]
     a = (m.T if transposed else m) / scale  # fewer columns: the smaller Gram
-    _, vecs = np.linalg.eigh(a.T @ a)  # eigenvalues ascending
-    v = vecs[:, -1]
-    av = a @ v
+    g = a.T @ a
+    found = _shifted_solve(a, g) if len(g) >= _SHIFTED_SOLVE_SIDE else None
+    if found is None:
+        _, vecs = np.linalg.eigh(g)  # eigenvalues ascending
+        v = vecs[:, -1]
+        av = a @ v
+    else:
+        v, av = found
     sigma = math.sqrt(av @ av)
     u = av / sigma
     if transposed:
         u, v = v, u
     return float(sigma * scale), u, v
+
+
+def _shifted_solve(a, g):
+    """``(v, a @ v)`` for a unit top eigenvector v of ``g = a.T @ a`` by one
+    step of inverse iteration from the exact top eigenvalue (Parlett, The
+    Symmetric Eigenvalue Problem, ch. 4), or None if the solve meets an exact
+    zero pivot or v falls short of the acceptance rule."""
+    k = len(g)
+    lam = np.linalg.eigvalsh(g)[-1]
+    shifted = g.copy()
+    shifted.flat[::k + 1] -= lam * (1.0 + 2.0**-50)
+    try:
+        # column j of g has the component lam1 v1[j] along the top
+        # eigenvector: rarely zero, and caught below when it is
+        y = np.linalg.solve(shifted, g[:, g.diagonal().argmax()])
+    except np.linalg.LinAlgError:
+        return None
+    v = y / math.sqrt(y @ y)
+    av = a @ v
+    # a NaN fails the comparison
+    return (v, av) if av @ av >= lam * (1.0 - 64 * k * 2.0**-52) else None
 
 
 class FeasibleSet:

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import pmvr.sets
 from pmvr.core import ShapeMismatchError, inner
 from pmvr.sets import (
     _U,
@@ -158,6 +159,18 @@ def test_top_singular_pair_refuses_an_empty_matrix_as_the_zero_matrix():
             top_singular_pair(np.zeros(shape))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("shape", [(3, 3), (5, 40), (30, 30), (40, 24)])
+def test_top_singular_pair_refuses_a_non_finite_entry(shape, bad):
+    """A NaN or an infinity raises the same ValueError on both sides of the
+    shifted-solve gate, before any LAPACK call can fail or return a NaN."""
+    m = np.random.default_rng(3).standard_normal(shape)
+    m[0, 1] = bad
+    with pytest.raises(ValueError, match="^top_singular_pair is undefined for a matrix "
+                                         "with a non-finite entry$"):
+        top_singular_pair(m)
+
+
 class TestNuclearNormBall:
     def test_lmo_diagonal_direction(self):
         ball = NuclearNormBall(2, 2, 1.0)
@@ -231,8 +244,8 @@ def spectral_matrix(seed, m, n, rank, tie, scale):
 
 
 @st.composite
-def spectral_cases(draw):
-    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+def spectral_cases(draw, smallest=1, largest=12):
+    m, n = draw(st.integers(smallest, largest)), draw(st.integers(smallest, largest))
     rank = draw(st.integers(1, min(m, n)))
     return dict(
         seed=draw(st.integers(0, 2**32 - 1)),
@@ -250,6 +263,70 @@ def test_nuclear_lmo_attains_radius_times_top_singular_value(case, radius):
     sigma1 = np.linalg.svd(d, compute_uv=False)[0]
     assert abs(-inner(z, d) - radius * sigma1) <= 1e-12 * radius * sigma1
     assert np.linalg.svd(z, compute_uv=False).sum() <= radius + 1e-9
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=spectral_cases(24, 80), radius=st.floats(0.1, 10.0))
+def test_nuclear_lmo_from_the_shifted_solve_attains_the_top_singular_value(case, radius):
+    """From a Gram side of 24 up the LMO meets the same rule as below it,
+    and its certificate bounds the atom's nuclear norm, at ranks from 1 to
+    full, with top singular values tied to 1e-15, at scales 1e-200 to 1e200."""
+    d = spectral_matrix(**case)
+    z, bound = NuclearNormBall(case["m"], case["n"], radius)._lmo(d)
+    sigma1 = np.linalg.svd(d, compute_uv=False)[0]
+    assert abs(-inner(z, d) - radius * sigma1) <= 1e-12 * radius * sigma1
+    assert bound >= np.linalg.svd(z, compute_uv=False).sum()
+
+
+def solve_raising(matrix, rhs):
+    raise np.linalg.LinAlgError("Singular matrix")
+
+
+def solve_orthogonal(matrix, rhs):
+    # an eigenvector of the shifted Gram matrix's lowest eigenvalue: a unit
+    # vector orthogonal to the top eigenvector
+    return np.linalg.eigh(matrix)[1][:, 0]
+
+
+@pytest.mark.parametrize("shape", [(30, 30), (24, 31)])
+@pytest.mark.parametrize("fake", [solve_raising, solve_orthogonal])
+def test_a_failed_shifted_solve_falls_back_to_the_reference_bits(monkeypatch, fake, shape):
+    """An exact zero pivot, or a solve that misses the top eigenvector, falls
+    through to the dense eigensolve: the atom and its certificate are the
+    reference's, bit for bit. A Gram side of 24 already takes the solve."""
+    calls = []
+
+    def solve(matrix, rhs):
+        calls.append(len(matrix))
+        return fake(matrix, rhs)
+
+    monkeypatch.setattr(pmvr.sets.np.linalg, "solve", solve)
+    ball = NuclearNormBall(*shape, radius=1.5)
+    direction = np.random.default_rng(30).standard_normal(shape)
+    z, bound = ball._lmo(direction)
+    monkeypatch.undo()
+    want_z, want_bound = reference_nuclear_lmo(ball, direction)
+    assert calls == [min(shape)]
+    assert z.tobytes() == want_z.tobytes()
+    assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+
+
+def test_a_start_column_orthogonal_to_the_top_eigenvector_falls_back():
+    """Column 0 has the Gram matrix's largest diagonal entry but no part in
+    its top eigenvector, which lives on the other 29 columns: the solve
+    returns e_0, the acceptance rule refuses it, and the dense eigensolve's
+    answer comes back."""
+    m = np.zeros((40, 30))
+    m[0, 0] = 1.0
+    m[1:, 1:] = np.sqrt(0.9 / 39)  # 29 equal columns, each of squared norm 0.9
+    sigma, u, v = top_singular_pair(m)
+    assert abs(sigma - math.sqrt(29 * 0.9)) <= 1e-14 * sigma
+    assert v[0] == 0.0 and u[0] == 0.0
+    ball = NuclearNormBall(40, 30, 1.0)
+    z, bound = ball._lmo(m)
+    want_z, want_bound = reference_nuclear_lmo(ball, m)
+    assert z.tobytes() == want_z.tobytes()
+    assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
 
 
 def reference_nuclear_lmo(ball, direction):
@@ -274,7 +351,9 @@ def reference_nuclear_lmo(ball, direction):
     return z, _rounded_up(size + slack, ball.m + ball.n + 8)
 
 
-@pytest.mark.parametrize("shape", [(20, 20), (7, 5), (5, 7), (200, 3), (3, 200), (1, 9)])
+@pytest.mark.parametrize("shape", [
+    (20, 20), (7, 5), (5, 7), (200, 3), (3, 200), (1, 9), (23, 40), (40, 23),
+])
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
 def test_nuclear_lmo_keeps_the_bits_of_its_reference(shape, scale):
     """Atom and certificate equal the reference formula's bit for bit, at
