@@ -212,15 +212,6 @@ def mean_deviation_problem(data, lam):
     return CompositionalProblem(levels, name="mean_deviation")
 
 
-def mean_deviation_direct(data, lam, x):
-    """Single-formula evaluation of the (negated) mean-deviation objective."""
-    port = data.returns @ np.asarray(x, dtype=np.float64)
-    centered = port - port.mean()
-    return -float(port.mean()) + lam * np.sqrt(
-        float(centered @ centered) / data.periods + SQRT_SHIFT
-    )
-
-
 # variance of each entry of a single-index measurement's perturbation E
 MEASUREMENT_NOISE_VAR = 0.3
 

@@ -52,7 +52,6 @@ class _Stream:
 # Jacobian: a B0 = 202 batch at 200 x 200 would otherwise stack 65 MB of
 # per-sample gradients, and its streamed draw holds one slice of samples
 _SLICE_ENTRIES = 2**16
-_F64 = np.dtype(np.float64)
 
 
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
@@ -62,17 +61,20 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
     The batches are checked before any draw or oracle call: one per level,
     of one non-empty size, with an old chain of one input per level, else
     ValueError. The slice width, at most _SLICE_ENTRIES entries of the
-    largest Jacobian, is then fixed for the whole walk; a batch that fits
-    in one slice goes to the oracles as it is. Per slice, the values are
-    summed into the level's mean and the Jacobians multiply a running
-    per-sample product, reduced at the last level. Every sum starts from
-    0.0 (``initial=0.0``) and adds the slices in order, so an
-    all-negative-zero column sums to +0.0. K = 1 keeps one slice alive, and
-    a streamed batch (_Stream) is drawn slice by slice from its level's
-    generator, so its samples are never held whole either.
-    ``next_input(i, mean_new, mean_old)`` (0-based i, no old mean: None)
-    turns level i's means into the next new input. Adds points * B per level to the SFO counter;
-    returns the flat gradient means at the new chain and at the old one.
+    largest Jacobian, is then fixed for the whole walk, so every level runs
+    the same slices (one view of the whole, if the batch fits in one). Per
+    slice, the values are summed into the level's mean and the Jacobians
+    multiply the running per-sample product. A non-last level keeps that
+    product as a list of one array per slice, and slice s of the next level
+    multiplies entry s; the last level reduces it. Every sum starts from 0.0
+    (``initial=0.0``) and adds the slices in order, so an all-negative-zero
+    column sums to +0.0. K = 1 keeps one slice alive, and a streamed batch
+    (_Stream) is drawn slice by slice from its level's generator, so its
+    samples are never held whole either. Each oracle output goes through
+    ``problems._checked``. ``next_input(i, mean_new, mean_old)`` (0-based
+    i, no old mean: None) turns level i's means into the next new input.
+    Adds points * B per level to the SFO counter; returns the flat gradient
+    means at the new chain and at the old one.
     """
     levels = problem.levels
     k = len(levels)
@@ -85,10 +87,8 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
             raise ValueError("per-level batches must be non-empty and share one size")
         size, largest = n, max(largest, level.in_dim * level.out_dim)
     width = max(1, _SLICE_ENTRIES // largest)
-    whole = size <= width
     old = old_chain is not None
     chains = [[problem.flatten(x)], old_chain] if old else [[problem.flatten(x)]]
-    prods = None
     points = range(len(chains))
     for i, level in enumerate(levels):
         batch = batches[i]
@@ -96,43 +96,32 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
         streamed = isinstance(batch, _Stream)
         if not streamed and not isinstance(batch, tuple):
             batch = np.asarray(batch)
-        # running sums, so a slice is dropped once reduced; the product of
-        # the levels so far is kept whole until the next level's input is known
+        # running sums, so a slice is dropped once reduced
         sums = [None] * len(chains)
-        jacs = [None] * len(chains) if whole or last else [[] for _ in points]
-        for lo in range(0, size, width):
+        jacs = [None] * len(chains) if last else [[] for _ in points]
+        for s, lo in enumerate(range(0, size, width)):
             hi = min(lo + width, size)
             if streamed:
                 part = sample_batch(level, batch.gen, hi - lo)
-            elif whole:
-                part = batch
             else:
                 part = tuple(a[lo:hi] for a in batch) if isinstance(batch, tuple) else batch[lo:hi]
             vshape, jshape = (hi - lo, level.out_dim), (hi - lo, level.in_dim, level.out_dim)
             for p in points:
-                # _checked runs unless its fast path holds: float64 and the right shape
-                value = level.value(chains[p][i], part)
-                if type(value) is not np.ndarray or value.dtype is not _F64 or value.shape != vshape:
-                    value = _checked(value, vshape, i, "value")
+                value = _checked(level.value(chains[p][i], part), vshape, i, "value")
                 total = np.add.reduce(value, axis=0, initial=0.0)
                 sums[p] = total if lo == 0 else sums[p] + total
-                jac = level.jacobian(chains[p][i], part)
-                if type(jac) is not np.ndarray or jac.dtype is not _F64 or jac.shape != jshape:
-                    jac = _checked(jac, jshape, i, "jacobian")
+                jac = _checked(level.jacobian(chains[p][i], part), jshape, i, "jacobian")
                 if i:
-                    jac = (prods[p] if whole else prods[p][lo:hi]) @ jac
+                    jac = prods[p][s] @ jac
                 if last:
                     total = np.add.reduce(jac, axis=0, initial=0.0)
                     jacs[p] = total if lo == 0 else jacs[p] + total
-                elif whole:
-                    jacs[p] = jac
                 else:
                     jacs[p].append(jac)
         if counters is not None:
             counters.sfo += len(chains) * size
         chains[0].append(next_input(i, sums[0] / size, sums[1] / size if old else None))
-        if not last:
-            prods = jacs if whole else [np.concatenate(j) for j in jacs]
+        prods = jacs
     return jacs[0].reshape(-1) / size, jacs[1].reshape(-1) / size if old else None
 
 

@@ -161,7 +161,9 @@ def _shifted_solve(a, g):
 
 
 class FeasibleSet:
-    """Common interface; concrete sets fill in the three operations and the diameter."""
+    """Common interface; each concrete set defines ``contains``, the
+    diameter, ``_lmo`` and ``_nearest`` (``(projection, its certificate)``
+    of a finite point of the set's shape)."""
 
     diameter = None
 
@@ -188,13 +190,6 @@ class FeasibleSet:
 
     def project(self, point):
         return self._project(point)[0]
-
-    def contains(self, point, tol=1e-9):
-        raise NotImplementedError
-
-    def _nearest(self, p):
-        """``(projection, its certificate)`` of a finite point of the set's shape."""
-        raise NotImplementedError
 
     # Certificate hooks (see the module docstring). A certificate of None
     # carries nothing, and the point is admitted by ``contains``.

@@ -77,11 +77,6 @@ class NonFiniteStateError(RuntimeError):
         return f"{what} is non-finite at iteration {self.iteration}"
 
 
-def classic_gamma(n):
-    """Inner Frank-Wolfe step size; yields the 2*coeff*D^2/(N+2) certificate."""
-    return 2.0 / (n + 2.0)
-
-
 @dataclass(frozen=True)
 class QuadraticSubsolver:
     """Inner solver config: minimizes <v, w-x> + (coeff/2)*||w-x||^2 by LMO steps."""
@@ -236,7 +231,7 @@ def _fw_subsolve(v, x_t, bound, coeff, n_iters, fset):
         d *= coeff
         d += v
         s, s_bound = fset._lmo(d)
-        g = classic_gamma(n)
+        g = 2.0 / (n + 2.0)  # the classic step: a 2*coeff*D^2/(N+2) certificate
         w *= 1.0 - g  # (1 - g) * w + g * s; s is the set's, never written
         w += g * s
         bound = fset._combine(bound, s_bound, g)

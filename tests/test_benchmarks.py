@@ -5,9 +5,9 @@ from hypothesis import strategies as st
 
 from pmvr.benchmarks import (
     MEASUREMENT_NOISE_VAR,
+    SQRT_SHIFT,
     PortfolioData,
     SingleIndexConfig,
-    mean_deviation_direct,
     mean_deviation_problem,
     mean_variance_problem,
     quadratic_distance_problem,
@@ -252,6 +252,15 @@ class TestQuadraticDistanceToy:
 
 
 # --- sample streams: each batched draw against the per-sample reference loop --
+
+
+def mean_deviation_direct(data, lam, x):
+    """Single-formula evaluation of the (negated) mean-deviation objective."""
+    port = data.returns @ np.asarray(x, dtype=np.float64)
+    centered = port - port.mean()
+    return -float(port.mean()) + lam * np.sqrt(
+        float(centered @ centered) / data.periods + SQRT_SHIFT
+    )
 
 
 def single_index_reference(problem, config, gen, count):

@@ -334,6 +334,24 @@ def test_single_level_walk_keeps_one_slice_alive():
     assert peak < 8 * slice_bytes
 
 
+def test_sliced_walk_holds_one_product_stack():
+    # mean-deviation at d = 12: level 1's Jacobians are 12 x 13, so B = 2000
+    # runs in 5 slices; the per-slice products are never joined into a
+    # second (B, 12, 13) stack
+    problem = mean_deviation_problem(synthetic_portfolio_data(d=12, periods=300), 1.0)
+    b = 2000
+    assert -(-b // (_SLICE_ENTRIES // (12 * 13))) == 5
+    batches = whole_batches(problem, RandomSource(5), b)
+    x = np.full(12, 1.0 / 12)
+    tracemalloc.start()
+    try:
+        _walk(problem, x, None, batches, lambda i, m, _: m)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * (8 * b * 12 * 13)
+
+
 def test_streamed_initialization_keeps_one_slice_of_samples_alive():
     # 64 samples at 200 x 200 are 20 MB drawn whole; the walk draws them one
     # slice at a time and drops each once reduced

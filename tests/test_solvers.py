@@ -248,15 +248,31 @@ class TestPmvrRun:
         assert counts["value"] == want_sfo
         assert counts["jacobian"] == want_sfo
 
-    def test_metric_cadence_does_not_change_trajectory(self):
-        problem = two_level_tracking_problem()
-        fset = Simplex(5)
+    @pytest.mark.parametrize("solver", ["pmvr", "pmvr-v2", "baseline", "stagewise"])
+    def test_metric_cadence_does_not_change_trajectory(self, solver):
+        # metric rows read exact oracles only: the iterate, the trackers and
+        # the counters are the same at every cadence
         params = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=20)
-        a = pmvr_run(problem, fset, params, np.full(5, 0.2), RandomSource(2),
-                     trace=TraceConfig(metric_every=1))
-        b = pmvr_run(problem, fset, params, np.full(5, 0.2), RandomSource(2),
-                     trace=TraceConfig(metric_every=7))
+        problem, fset, x1 = two_level_tracking_problem(), Simplex(5), np.full(5, 0.2)
+        entry = pmvr_run
+        if solver == "stagewise":
+            entry, params = stagewise_run, StageSchedule(
+                stages=[replace(params, iters=10), replace(params, eta=0.02, alpha=0.2, iters=12)],
+                targets=[0.5, 0.25],
+            )
+        elif solver != "pmvr":
+            problem, fset = single_index_problem(SingleIndexConfig(m=5, n=7, sigma=0.1))
+            x1 = problem.x_start
+            if solver == "baseline":
+                entry = projected_baseline_run
+            else:
+                params = replace(params, subsolver=QuadraticSubsolver(coeff=1.0, inner_iters=3))
+        a, b = (entry(problem, fset, params, x1, RandomSource(2), trace) for trace in (
+            TraceConfig(metric_every=1), TraceConfig(metric_every=7, track_gradient_error=True)))
         assert np.array_equal(a.x_final, b.x_final)
+        assert all(np.array_equal(ua, ub) for ua, ub in zip(a.state.u, b.state.u, strict=True))
+        assert np.array_equal(a.state.v, b.state.v)
+        assert a.state.counters == b.state.counters
 
 
 class TestStagewise:
