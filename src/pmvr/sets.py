@@ -14,8 +14,8 @@ an argument with a NaN or infinite entry, and ``contains`` returns False for
 such a point.
 
 The nuclear-ball LMO needs only the top singular pair, taken from the Gram
-matrix of the smaller side. Below a side of 24 it is one dense eigensolve;
-from 24 up it is the top eigenvalue alone and one solve shifted just above
+matrix of the smaller side. Below a side of 20 it is one dense eigensolve;
+from 20 up it is the top eigenvalue alone and one solve shifted just above
 it, checked, with the dense eigensolve as its fallback (``top_singular_pair``).
 Its projection and its ``contains`` need a full SVD; the projection runs at
 every metric row and at every step of the projected baseline.
@@ -62,8 +62,10 @@ _U = np.finfo(np.float64).eps / 2
 # 2**52 such errors, however amplified by the slack terms' sums, stay below it
 _TINY = np.finfo(np.float64).tiny
 # the Gram side from which top_singular_pair takes one shifted solve instead
-# of eigh: below it eigh is as fast or faster (CHANGES.md has the timings)
-_SHIFTED_SOLVE_SIDE = 24
+# of eigh. Both cost the same at 16 and eigh is faster at 12 and below; from
+# 20, the side of the matrix workloads, the solve is faster (CHANGES.md has
+# the timings, and tools/lmo_crossover.py measures them)
+_SHIFTED_SOLVE_SIDE = 20
 
 
 def _rounded_up(value, ops):
@@ -94,14 +96,20 @@ def project_simplex(p, total=1.0):
     return np.maximum(p - theta, 0.0)
 
 
+class _ZeroMatrixError(ValueError):
+    """The zero matrix has no top singular pair. The nuclear-ball LMO
+    catches this error to answer the zero direction, so it makes no zero
+    test of its own."""
+
+
 def top_singular_pair(matrix):
     """Dominant singular triple (sigma1, u1, v1) of a nonzero finite matrix.
 
     v1 is a top eigenvector of the Gram matrix G of the smaller side, scaled
     by the matrix's largest entry first so that G neither overflows nor
     underflows at any finite scale; u1 = M v1 / ||M v1|| and sigma1 =
-    ||M v1||. Below a Gram side of 24 (``_SHIFTED_SOLVE_SIDE``) v1 comes from
-    one dense symmetric eigensolve (``eigh``). From 24 up it comes from inverse
+    ||M v1||. Below a Gram side of 20 (``_SHIFTED_SOLVE_SIDE``) v1 comes from
+    one dense symmetric eigensolve (``eigh``). From 20 up it comes from inverse
     iteration: the top eigenvalue lam alone (``eigvalsh``), then one solve
     ``(G - lam (1 + 2**-50) I) y = G e_j``, j the largest diagonal entry of
     G, and v1 = y / ||y||. That v1 is kept only if ``||M v1||**2 >= lam (1 -
@@ -120,14 +128,16 @@ def top_singular_pair(matrix):
     if not math.isfinite(scale):
         raise ValueError("top_singular_pair is undefined for a matrix with a non-finite entry")
     if scale == 0.0:
-        raise ValueError("top_singular_pair is undefined for the zero matrix")
+        raise _ZeroMatrixError("top_singular_pair is undefined for the zero matrix")
 
     transposed = m.shape[0] < m.shape[1]
     a = (m.T if transposed else m) / scale  # fewer columns: the smaller Gram
     g = a.T @ a
-    found = _shifted_solve(a, g) if len(g) >= _SHIFTED_SOLVE_SIDE else None
+    shifted = len(g) >= _SHIFTED_SOLVE_SIDE
+    found = _shifted_solve(a, g) if shifted else None
     if found is None:
-        _, vecs = np.linalg.eigh(g)  # eigenvalues ascending
+        # the shifted solve leaves g shifted, so its fallback forms g again
+        _, vecs = np.linalg.eigh(a.T @ a if shifted else g)  # eigenvalues ascending
         v = vecs[:, -1]
         av = a @ v
     else:
@@ -143,15 +153,15 @@ def _shifted_solve(a, g):
     """``(v, a @ v)`` for a unit top eigenvector v of ``g = a.T @ a`` by one
     step of inverse iteration from the exact top eigenvalue (Parlett, The
     Symmetric Eigenvalue Problem, ch. 4), or None if the solve meets an exact
-    zero pivot or v falls short of the acceptance rule."""
+    zero pivot or v falls short of the acceptance rule. Shifts g in place."""
     k = len(g)
     lam = np.linalg.eigvalsh(g)[-1]
-    shifted = g.copy()
-    shifted.flat[::k + 1] -= lam * (1.0 + 2.0**-50)
+    # column j of g has the component lam1 v1[j] along the top eigenvector:
+    # rarely zero, and caught below when it is
+    rhs = g[:, g.diagonal().argmax()].copy()
+    g.flat[::k + 1] -= lam * (1.0 + 2.0**-50)
     try:
-        # column j of g has the component lam1 v1[j] along the top
-        # eigenvector: rarely zero, and caught below when it is
-        y = np.linalg.solve(shifted, g[:, g.diagonal().argmax()])
+        y = np.linalg.solve(g, rhs)
     except np.linalg.LinAlgError:
         return None
     v = y / math.sqrt(y @ y)
@@ -296,11 +306,11 @@ class NuclearNormBall(FeasibleSet):
         return _rounded_up(float(sig.sum()), min(self.shape) * max(self.shape))
 
     def _lmo(self, direction):
-        d = self._check_shape(direction)
-        if not d.any():
+        try:
+            _, u, v = top_singular_pair(self._check_shape(direction))
+        except _ZeroMatrixError:
             # every feasible point is optimal against the zero direction
             return np.zeros(self.shape), 0.0
-        _, u, v = top_singular_pair(d)
         z = np.multiply.outer(u, v)
         z *= -self.radius
         # ||r u v^T||_* = r ||u|| ||v||. Each entry of z is off by at most

@@ -1,6 +1,7 @@
 import inspect
 import json
 import os
+import runpy
 import subprocess
 import sys
 from dataclasses import replace
@@ -739,6 +740,28 @@ class TestReproduce:
             os.path.join(tmp_path, "matrix_desk_pmvr-v2_agg.csv"), "fw_gap_mean"
         )
         assert last < first / 5.0
+
+
+def test_the_cli_module_runs_as_a_script(monkeypatch, capsys):
+    """``python -m pmvr.cli --help`` prints the usage and exits 0. The same
+    run in this process, through runpy as ``python -m`` does it, is the one
+    a line tracer of the test process sees."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(root, "src"), env.get("PYTHONPATH")) if p
+    )
+    done = subprocess.run([sys.executable, "-m", "pmvr.cli", "--help"], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage:")
+    # a fresh module, as runpy expects: no warning that pmvr.cli is loaded already
+    monkeypatch.delitem(sys.modules, "pmvr.cli", raising=False)
+    monkeypatch.setattr(sys, "argv", ["pmvr", "--help"])
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("pmvr.cli", run_name="__main__", alter_sys=True)
+    assert exit_.value.code == 0
+    assert capsys.readouterr().out == done.stdout
 
 
 def test_importing_the_cli_loads_no_process_pool_modules():

@@ -11,6 +11,7 @@ from pmvr.problems import (
     FiniteSamples,
     Level,
     ProblemMetadata,
+    _checked,
     exact_gradient,
     exact_inner_values,
     objective,
@@ -125,6 +126,19 @@ def test_exact_jacobian_must_not_be_transposed():
         match=r"level 1 exact_jacobian oracle returned shape \(1, 2\), expected \(2, 1\)",
     ):
         exact_gradient(problem, np.array([0.5, 0.5]))
+
+
+class _Subclass(np.ndarray):
+    pass
+
+
+def test_checked_returns_a_float64_array_as_it_is_and_converts_the_rest():
+    out = np.arange(6.0).reshape(2, 3)
+    assert _checked(out, (2, 3), 0, "value") is out
+    for other in (out.astype(np.float32), out.astype(">f8"), out.view(_Subclass), out.tolist()):
+        got = _checked(other, (2, 3), 0, "value")
+        assert type(got) is np.ndarray and got.dtype == np.float64
+        assert got is not other and np.array_equal(got, out)
 
 
 def test_a_scalar_exact_value_counts_as_one_output():

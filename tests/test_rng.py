@@ -114,6 +114,10 @@ def test_numpy_integers_are_accepted_as_python_ints():
     assert src.split(np.int64(4)).path == (2, 4)
 
 
+def test_repr_names_the_seed_and_the_path():
+    assert repr(RandomSource(9, (2,)).split(4)) == "RandomSource(seed=9, path=(2, 4))"
+
+
 @pytest.mark.parametrize(
     "build",
     [

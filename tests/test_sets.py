@@ -266,9 +266,9 @@ def test_nuclear_lmo_attains_radius_times_top_singular_value(case, radius):
 
 
 @settings(max_examples=300, deadline=None)
-@given(case=spectral_cases(24, 80), radius=st.floats(0.1, 10.0))
+@given(case=spectral_cases(pmvr.sets._SHIFTED_SOLVE_SIDE, 80), radius=st.floats(0.1, 10.0))
 def test_nuclear_lmo_from_the_shifted_solve_attains_the_top_singular_value(case, radius):
-    """From a Gram side of 24 up the LMO meets the same rule as below it,
+    """From the shifted solve's Gram side (20) up the LMO meets the same rule as below it,
     and its certificate bounds the atom's nuclear norm, at ranks from 1 to
     full, with top singular values tied to 1e-15, at scales 1e-200 to 1e200."""
     d = spectral_matrix(**case)
@@ -288,12 +288,12 @@ def solve_orthogonal(matrix, rhs):
     return np.linalg.eigh(matrix)[1][:, 0]
 
 
-@pytest.mark.parametrize("shape", [(30, 30), (24, 31)])
+@pytest.mark.parametrize("shape", [(30, 30), (24, 31), (20, 20)])
 @pytest.mark.parametrize("fake", [solve_raising, solve_orthogonal])
 def test_a_failed_shifted_solve_falls_back_to_the_reference_bits(monkeypatch, fake, shape):
     """An exact zero pivot, or a solve that misses the top eigenvector, falls
     through to the dense eigensolve: the atom and its certificate are the
-    reference's, bit for bit. A Gram side of 24 already takes the solve."""
+    reference's, bit for bit. A Gram side of 20 already takes the solve."""
     calls = []
 
     def solve(matrix, rhs):
@@ -311,18 +311,21 @@ def test_a_failed_shifted_solve_falls_back_to_the_reference_bits(monkeypatch, fa
     assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
 
 
-def test_a_start_column_orthogonal_to_the_top_eigenvector_falls_back():
+@pytest.mark.parametrize("shape", [(40, 30), (20, 20)])
+def test_a_start_column_orthogonal_to_the_top_eigenvector_falls_back(shape):
     """Column 0 has the Gram matrix's largest diagonal entry but no part in
-    its top eigenvector, which lives on the other 29 columns: the solve
+    its top eigenvector, which lives on the other columns: the solve
     returns e_0, the acceptance rule refuses it, and the dense eigensolve's
     answer comes back."""
-    m = np.zeros((40, 30))
+    rows, cols = shape
+    m = np.zeros(shape)
     m[0, 0] = 1.0
-    m[1:, 1:] = np.sqrt(0.9 / 39)  # 29 equal columns, each of squared norm 0.9
+    # cols - 1 equal columns, each of squared norm 0.9
+    m[1:, 1:] = np.sqrt(0.9 / (rows - 1))
     sigma, u, v = top_singular_pair(m)
-    assert abs(sigma - math.sqrt(29 * 0.9)) <= 1e-14 * sigma
+    assert abs(sigma - math.sqrt((cols - 1) * 0.9)) <= 1e-14 * sigma
     assert v[0] == 0.0 and u[0] == 0.0
-    ball = NuclearNormBall(40, 30, 1.0)
+    ball = NuclearNormBall(rows, cols, 1.0)
     z, bound = ball._lmo(m)
     want_z, want_bound = reference_nuclear_lmo(ball, m)
     assert z.tobytes() == want_z.tobytes()
@@ -351,8 +354,13 @@ def reference_nuclear_lmo(ball, direction):
     return z, _rounded_up(size + slack, ball.m + ball.n + 8)
 
 
+# the largest Gram side that still takes the dense eigensolve
+BELOW_GATE = pmvr.sets._SHIFTED_SOLVE_SIDE - 1
+
+
 @pytest.mark.parametrize("shape", [
-    (20, 20), (7, 5), (5, 7), (200, 3), (3, 200), (1, 9), (23, 40), (40, 23),
+    (BELOW_GATE, BELOW_GATE), (7, 5), (5, 7), (200, 3), (3, 200), (1, 9),
+    (BELOW_GATE, 40), (40, BELOW_GATE),
 ])
 @pytest.mark.parametrize("scale", [1e-300, 1e-150, 1e-20, 1.0, 1e20, 1e150, 1e300])
 def test_nuclear_lmo_keeps_the_bits_of_its_reference(shape, scale):
@@ -372,6 +380,23 @@ def test_nuclear_lmo_keeps_the_bits_of_its_reference(shape, scale):
         want_z, want_bound = reference_nuclear_lmo(ball, direction)
         assert z.shape == want_z.shape and z.tobytes() == want_z.tobytes()
         assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+
+
+def test_the_shifted_solve_runs_from_a_gram_side_of_20(monkeypatch):
+    """``eigvalsh``, the shifted solve's first call, runs at a Gram side of
+    20 in either orientation and not at 19."""
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counted(g):
+        calls.append(len(g))
+        return eigvalsh(g)
+
+    monkeypatch.setattr(pmvr.sets.np.linalg, "eigvalsh", counted)
+    gen = np.random.default_rng(20)
+    for shape in ((19, 19), (19, 40), (40, 19), (20, 20), (20, 40), (40, 20)):
+        NuclearNormBall(*shape, radius=1.0)._lmo(gen.standard_normal(shape))
+    assert calls == [20, 20, 20]
 
 
 finite = st.floats(-1e6, 1e6, allow_nan=False)
