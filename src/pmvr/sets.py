@@ -17,8 +17,13 @@ The nuclear-ball LMO needs only the top singular pair, taken from the Gram
 matrix of the smaller side. Below a side of 20 it is one dense eigensolve;
 from 20 up it is the top eigenvalue alone and one solve shifted just above
 it, checked, with the dense eigensolve as its fallback (``top_singular_pair``).
-Its projection and its ``contains`` need a full SVD; the projection runs at
-every metric row and at every step of the projected baseline.
+The projection runs at every metric row and at every step of the projected
+baseline. Below a side of 20 it is a full SVD; from 20 up it is one dense
+eigensolve of the same Gram matrix, which hands inside points, and
+thresholds too small for the Gram matrix's accuracy, back to the SVD
+(``NuclearNormBall._nearest``). Both operations scale the matrix and form
+its Gram matrix in one helper (``_scaled_gram``). ``contains`` takes a full
+SVD at every side.
 
 Certified feasibility. The solvers do not run ``contains`` on every iterate.
 Beside each point they carry a certificate, and they ask ``_admits`` instead.
@@ -35,7 +40,9 @@ bound B on the nuclear norm:
 * a full SVD gives it for a start point or a subsolver anchor;
 * an LMO atom ``-r u v^T`` has ``||z||_* <= r ||u|| ||v||``, an O(m + n)
   number from the atom's own factors;
-* a projection reuses the singular values it already has;
+* a projection of an inside point reuses the singular values it already
+  has, and any other projection ``sum_i w_i v_i^T`` has ``||x||_* <=
+  sum_i ||w_i|| ||v_i||`` from the factors it multiplies;
 * a combination ``(1 - eta) x + eta z`` has
   ``B <= |1 - eta| B_x + |eta| B_z``, plus the nuclear norm of the
   combination's rounding error.
@@ -62,9 +69,10 @@ _U = np.finfo(np.float64).eps / 2
 # 2**52 such errors, however amplified by the slack terms' sums, stay below it
 _TINY = np.finfo(np.float64).tiny
 # the Gram side from which top_singular_pair takes one shifted solve instead
-# of eigh. Both cost the same at 16 and eigh is faster at 12 and below; from
-# 20, the side of the matrix workloads, the solve is faster (CHANGES.md has
-# the timings, and tools/lmo_crossover.py measures them)
+# of eigh, and the projection one eigh of the Gram matrix instead of a full
+# SVD. At 16 each pair costs about the same, and below 12 eigh or the SVD is
+# faster; from 20, the side of the matrix workloads, the Gram side's path is
+# faster (CHANGES.md has the timings, and tools/lmo_crossover.py measures them)
 _SHIFTED_SOLVE_SIDE = 20
 
 
@@ -98,16 +106,35 @@ def project_simplex(p, total=1.0):
 
 class _ZeroMatrixError(ValueError):
     """The zero matrix has no top singular pair. The nuclear-ball LMO
-    catches this error to answer the zero direction, so it makes no zero
-    test of its own."""
+    catches this error to answer the zero direction, and the projection to
+    hand the zero point to the SVD, so neither makes a zero test of its own."""
+
+
+def _scaled_gram(matrix):
+    """``(a, a.T @ a, scale, transposed)``: ``a`` is the matrix divided by
+    its largest entry ``scale``, so that the Gram matrix neither overflows
+    nor underflows, and transposed if it has more columns than rows. A NaN
+    or infinite entry raises ValueError, and the zero matrix
+    ``_ZeroMatrixError``."""
+    m = np.asarray(matrix, dtype=np.float64)
+    if m.ndim != 2:
+        raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
+    # np.abs(m).max() without its copy; max and min propagate a NaN or an infinity
+    scale = max(m.max(initial=0.0), -m.min(initial=0.0))
+    if not math.isfinite(scale):
+        raise ValueError("top_singular_pair is undefined for a matrix with a non-finite entry")
+    if scale == 0.0:
+        raise _ZeroMatrixError("top_singular_pair is undefined for the zero matrix")
+    transposed = m.shape[0] < m.shape[1]
+    a = (m.T if transposed else m) / scale
+    return a, a.T @ a, scale, transposed
 
 
 def top_singular_pair(matrix):
     """Dominant singular triple (sigma1, u1, v1) of a nonzero finite matrix.
 
-    v1 is a top eigenvector of the Gram matrix G of the smaller side, scaled
-    by the matrix's largest entry first so that G neither overflows nor
-    underflows at any finite scale; u1 = M v1 / ||M v1|| and sigma1 =
+    v1 is a top eigenvector of the Gram matrix G of the smaller side of the
+    scaled matrix (``_scaled_gram``); u1 = M v1 / ||M v1|| and sigma1 =
     ||M v1||. Below a Gram side of 20 (``_SHIFTED_SOLVE_SIDE``) v1 comes from
     one dense symmetric eigensolve (``eigh``). From 20 up it comes from inverse
     iteration: the top eigenvalue lam alone (``eigvalsh``), then one solve
@@ -120,19 +147,7 @@ def top_singular_pair(matrix):
     zero matrix. LAPACK's eigensolvers may still raise
     ``numpy.linalg.LinAlgError`` if they fail to converge.
     """
-    m = np.asarray(matrix, dtype=np.float64)
-    if m.ndim != 2:
-        raise ShapeMismatchError(f"expected a 2-D matrix, got shape {m.shape}")
-    # np.abs(m).max() without its copy; max and min propagate a NaN or an infinity
-    scale = max(m.max(initial=0.0), -m.min(initial=0.0))
-    if not math.isfinite(scale):
-        raise ValueError("top_singular_pair is undefined for a matrix with a non-finite entry")
-    if scale == 0.0:
-        raise _ZeroMatrixError("top_singular_pair is undefined for the zero matrix")
-
-    transposed = m.shape[0] < m.shape[1]
-    a = (m.T if transposed else m) / scale  # fewer columns: the smaller Gram
-    g = a.T @ a
+    a, g, scale, transposed = _scaled_gram(matrix)
     shifted = len(g) >= _SHIFTED_SOLVE_SIDE
     found = _shifted_solve(a, g) if shifted else None
     if found is None:
@@ -321,6 +336,18 @@ class NuclearNormBall(FeasibleSet):
         return z, _rounded_up(size + slack, self.m + self.n + 8)
 
     def _nearest(self, p):
+        """Projection of a finite point onto the ball, with its certificate.
+
+        Below a Gram side of 20 (``_SHIFTED_SOLVE_SIDE``) it takes the full
+        SVD p = U diag(s) V^T. A point with sum(s) <= radius comes back as
+        itself; any other as U diag(s') V^T, where s' = max(s - theta, 0) is
+        the projection of s onto the simplex of total radius. From 20 up
+        ``_gram_nearest`` runs first, and the SVD only if it hands p back.
+        """
+        if min(self.shape) >= _SHIFTED_SOLVE_SIDE:
+            found = self._gram_nearest(p)
+            if found is not None:
+                return found
         u, sig, vt = np.linalg.svd(p, full_matrices=False)
         if sig.sum() <= self.radius:
             return p, self._svd_bound(sig)
@@ -328,14 +355,65 @@ class NuclearNormBall(FeasibleSet):
         # lands on the boundary face {sum = radius}
         sig_proj = project_simplex(sig, total=self.radius)
         x = (u * sig_proj) @ vt
-        # Before rounding, ||x||_* <= sum_i s_i ||u_i|| ||v_i||. Each entry of
-        # the product is off by at most (k + 1) _U (k = min(m, n) terms) times
-        # that entry of |u| diag(s) |vt|, whose Frobenius norm is at most that
-        # sum; the error's nuclear norm is at most sqrt(k) times its Frobenius
+        return x, self._factored_bound(
+            float(sig_proj @ (np.linalg.norm(u, axis=0) * np.linalg.norm(vt, axis=1))))
+
+    def _gram_nearest(self, p):
+        """``_nearest(p)`` from one dense eigensolve of the Gram matrix of the
+        scaled matrix a = p / scale (``_scaled_gram``), or None to hand p to
+        the full SVD.
+
+        With a^T a = V diag(lam) V^T, s = sqrt(max(lam, 0)) and s' = max(s -
+        theta, 0) as on the SVD path, the projection is scale a V_r diag(s'_r
+        / s_r) V_r^T over the r columns that s' keeps. p goes to the SVD if
+        sum(s) is within the scaled radius, so that an inside point keeps the
+        SVD path's bits and bound, and if theta < 2**-12 s_1.
+
+        That guard comes from the accuracy of the Gram matrix. Forming a^T a
+        and its backward-stable eigensolve leave each lam_i off by about k
+        eps s_1**2 (k the Gram side, eps = 2**-52). So a singular value s
+        comes back off by about k eps s_1**2 / s, and a zero one as a
+        spurious value up to about sqrt(k eps) s_1. Under the guard every
+        spurious value stays below theta for any k < 2**28, so the kept
+        columns are the SVD path's. Every kept value exceeds theta, so each
+        one, and theta with them, is off by less than k eps s_1**2 / theta.
+        The answer therefore agrees with the SVD path's to within about k eps
+        s_1**2 / theta <= 2**12 k eps s_1 in every entry, in p's units.
+
+        The certificate is the triangle bound of the factors actually
+        multiplied (``_factored_bound``), so it holds whatever their accuracy.
+        """
+        try:
+            a, g, scale, transposed = _scaled_gram(p)
+        except _ZeroMatrixError:
+            return None
+        lam, vecs = np.linalg.eigh(g)  # eigenvalues ascending
+        sig = np.sqrt(np.maximum(lam, 0.0))
+        total = self.radius / scale
+        if sig.sum() <= total:
+            return None
+        sig_proj = project_simplex(sig, total=total)
+        if sig[-1] - sig_proj[-1] < 2.0**-12 * sig[-1]:  # theta below the guard
+            return None
+        kept = sig_proj > 0.0
+        v = vecs[:, kept]
+        w = (a @ v) * (sig_proj[kept] / sig[kept] * scale)
+        x = v @ w.T if transposed else w @ v.T
+        return x, self._factored_bound(
+            float(np.linalg.norm(w, axis=0) @ np.linalg.norm(v, axis=0)))
+
+    def _factored_bound(self, size):
+        # Certificate of a projection x = sum_i w_i v_i^T formed as one matrix
+        # product, from size = sum_i ||w_i|| ||v_i|| of the factors multiplied
+        # (w_i = s'_i u_i on the SVD path, the scaled a v_i s'_i / s_i on the
+        # Gram path). Before rounding, ||x||_* <= size. Each entry of the
+        # product is off by at most (k + 1) _U (k = min(m, n) terms, and the
+        # SVD path's rounding of w) times that entry of sum_i |w_i| |v_i|^T,
+        # whose Frobenius norm is at most size; the error's nuclear norm is at
+        # most sqrt(k) times its Frobenius
         k = min(self.shape)
-        size = float(sig_proj @ (np.linalg.norm(u, axis=0) * np.linalg.norm(vt, axis=1)))
         slack = (k + 2) * _U * math.sqrt(k) * size
-        return x, _rounded_up(size + slack, self.m + self.n + k + 8)
+        return _rounded_up(size + slack, self.m + self.n + k + 8)
 
     def _combine(self, bound, atom_bound, eta):
         # ||(1 - eta) x + eta z||_* <= |1 - eta| B + |eta| B_z. Each entry of

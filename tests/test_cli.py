@@ -681,6 +681,55 @@ def test_every_algorithm_entry_point_takes_one_signature():
     assert shape[-1][2] is None
 
 
+# one small config per algorithm; pmvr-v2 runs on a 20 x 20 nuclear ball, so
+# the workers take the shifted-solve LMO and the metric rows' projection
+# from the Gram matrix
+POOL_CONFIGS = {
+    "pmvr": ({"name": "quadratic_distance"}, {"explicit": EXPLICIT}),
+    "pmvr-v2": ({"name": "single_index", "m": 20, "n": 20},
+                {"explicit": dict(EXPLICIT, eta=0.126, b0=4, n=3, coeff=1.0)}),
+    "stagewise": ({"name": "quadratic_distance"}, {"stages": [STAGE, LATER], "b0": 5}),
+    "stagewise-v2": ({"name": "quadratic_distance"},
+                     {"stages": [STAGE, LATER], "n": 3, "coeff": 0.5}),
+    "baseline": (BASE["problem"], {"explicit": {"eta": 0.05, "alpha": 1, "b1": 2, "t": 9}}),
+}
+
+
+def run_files(out):
+    """Every file a run wrote, by name: traces and aggregate with their
+    ``seconds`` columns blanked, the sidecar without the config's ``jobs``
+    and ``out``."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        text = open(os.path.join(out, name)).read()
+        if name.endswith(".json"):
+            meta = json.loads(text)
+            del meta["config"]["jobs"], meta["config"]["out"]
+            files[name] = meta
+            continue
+        rows = [line.split(",") for line in text.splitlines()]
+        wall = [i for i, column in enumerate(rows[0]) if column.startswith("seconds")]
+        files[name] = [[("-" if i in wall and r else cell) for i, cell in enumerate(row)]
+                       for r, row in enumerate(rows)]
+    return files
+
+
+@pytest.mark.parametrize("algorithm", sorted(data_io.ALGORITHMS))
+def test_a_pool_of_two_writes_the_files_of_a_sequential_run(tmp_path, algorithm):
+    """Three repetitions at jobs 1 and at jobs 2 write the same traces,
+    aggregate and sidecar, apart from the wall-clock columns."""
+    problem, schedule = POOL_CONFIGS[algorithm]
+    outs = []
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}"
+        cfg = dict(BASE, problem=problem, algorithm=algorithm, schedule=schedule,
+                   reps=3, jobs=jobs, out=str(out))
+        assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
+        outs.append(run_files(out))
+    assert len(outs[0]) == 5  # three traces, the aggregate and the sidecar
+    assert outs[0] == outs[1]
+
+
 class TestReproduce:
     def test_paper_scale_requires_data_path(self, capsys):
         rc = cli.main(["reproduce", "--experiment", "mv-portfolio", "--scale", "paper"])

@@ -509,6 +509,158 @@ def test_certificates_bound_the_nuclear_norm(data, m, n, radius, eta):
     assert not ball._admits(z, float("nan"), 1e-9)
 
 
+# --- the projection from the Gram matrix ----------------------------------
+
+
+def reference_nuclear_projection(ball, p):
+    """The nuclear-ball projection and its certificate along the full SVD, as
+    written before the Gram path, which is the path below a Gram side of 20."""
+    u, sig, vt = np.linalg.svd(p, full_matrices=False)
+    k = min(ball.shape)
+    if sig.sum() <= ball.radius:
+        return p, _rounded_up(float(sig.sum()), k * max(ball.shape))
+    sig_proj = project_simplex(sig, total=ball.radius)
+    x = (u * sig_proj) @ vt
+    size = float(sig_proj @ (np.linalg.norm(u, axis=0) * np.linalg.norm(vt, axis=1)))
+    slack = (k + 2) * _U * math.sqrt(k) * size
+    return x, _rounded_up(size + slack, ball.m + ball.n + k + 8)
+
+
+def low_rank_point(gen, shape, rank, nuclear):
+    """A point of the given rank and nuclear norm, with random factors."""
+    u, _ = np.linalg.qr(gen.standard_normal((shape[0], rank)))
+    v, _ = np.linalg.qr(gen.standard_normal((shape[1], rank)))
+    sig = gen.uniform(0.1, 1.0, rank)
+    return (u * (nuclear * sig / sig.sum())) @ v.T
+
+
+@st.composite
+def gram_projection_cases(draw):
+    """A ball with a Gram side of 20 to 80 in either orientation, radius 0.1
+    to 10, and two points to project: Gaussian at an entry scale of 1e-3 to
+    1e3, or of rank 1 to 3 and just outside the ball (nuclear norm radius
+    times 1 + 1e-6 to 2)."""
+    k = draw(st.integers(pmvr.sets._SHIFTED_SOLVE_SIDE, 80))
+    other = draw(st.integers(k, 80))
+    shape = (k, other) if draw(st.booleans()) else (other, k)
+    ball = NuclearNormBall(*shape, radius=draw(st.floats(0.1, 10.0)))
+    scale = 10.0 ** draw(st.floats(-3.0, 3.0))
+    rank = draw(st.sampled_from([None, 1, 2, 3]))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if rank is None:
+        points = [scale * gen.standard_normal(shape) for _ in range(2)]
+    else:
+        points = [low_rank_point(gen, shape, rank, ball.radius * (1.0 + 10.0 ** excess))
+                  for excess in gen.uniform(-6.0, 0.0, 2)]
+    return ball, points, scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=gram_projection_cases())
+def test_the_gram_projection_agrees_with_the_svd_and_its_bound_covers_it(case):
+    """From a Gram side of 20 the projection agrees with the SVD path's to
+    k eps s_1**2 / theta in every entry (``NuclearNormBall._gram_nearest``)
+    and keeps its bits where it hands the point back, and its certificate
+    bounds the nuclear norm of what it returns."""
+    ball, points, _ = case
+    k = min(ball.shape)
+    for p in points:
+        x, bound = ball._project(p)
+        want, want_bound = reference_nuclear_projection(ball, p)
+        sig = np.linalg.svd(p, compute_uv=False)
+        theta = sig[0] - project_simplex(sig, total=ball.radius)[0]
+        if ball._gram_nearest(p) is None:
+            assert x.tobytes() == want.tobytes()
+            assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+        else:
+            assert np.abs(x - want).max() <= k * 2.0**-52 * sig[0] ** 2 / theta
+        assert bound >= nuclear_norm(x)
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=gram_projection_cases())
+def test_the_gram_projection_is_idempotent_and_nonexpansive(case):
+    ball, (a, b), scale = case
+    check_projection(ball, a, b, 1e-12 * (ball.radius + scale))
+
+
+def counted_decompositions(monkeypatch):
+    """A list that records, in order, the side of each ``eigh`` and the shape
+    of each ``svd`` the package calls."""
+    calls = []
+    eigh, svd = np.linalg.eigh, np.linalg.svd
+
+    def counted_eigh(g):
+        calls.append(("eigh", len(g)))
+        return eigh(g)
+
+    def counted_svd(p, **kwargs):
+        calls.append(("svd", p.shape))
+        return svd(p, **kwargs)
+
+    monkeypatch.setattr(pmvr.sets.np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(pmvr.sets.np.linalg, "svd", counted_svd)
+    return calls
+
+
+def test_the_gram_projection_runs_from_a_gram_side_of_20(monkeypatch):
+    """A point well outside the ball is projected by one ``eigh`` of its
+    Gram matrix at a Gram side of 20, in either orientation, and by one full
+    SVD at 19, whose answer and certificate are the reference's bits."""
+    shapes = ((19, 19), (19, 40), (40, 19), (20, 20), (20, 40), (40, 20))
+    gen = np.random.default_rng(21)
+    points = [gen.standard_normal(shape) for shape in shapes]
+    calls = counted_decompositions(monkeypatch)
+    found = [NuclearNormBall(*p.shape, radius=1.0)._project(p) for p in points]
+    monkeypatch.undo()
+    assert calls == [("svd", (19, 19)), ("svd", (19, 40)), ("svd", (40, 19)),
+                     ("eigh", 20), ("eigh", 20), ("eigh", 20)]
+    for p, (x, bound) in zip(points[:3], found[:3]):
+        want, want_bound = reference_nuclear_projection(NuclearNormBall(*p.shape, 1.0), p)
+        assert x.tobytes() == want.tobytes()
+        assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (24, 31), (31, 24)])
+def test_an_inside_point_at_a_gram_side_of_20_comes_back_with_the_svd_bound(
+        monkeypatch, shape):
+    """A point that the Gram matrix's eigenvalues find inside the ball, and
+    the zero point, which has no Gram matrix to solve, go to the full SVD
+    and come back as themselves with its bound, bit for bit."""
+    ball = NuclearNormBall(*shape, radius=2.0)
+    inside = 0.9 * random_nuclear_feasible(np.random.default_rng(22), ball)
+    for p, eigh_calls in ((inside, [("eigh", min(shape))]), (np.zeros(shape), [])):
+        calls = counted_decompositions(monkeypatch)
+        x, bound = ball._project(p)
+        monkeypatch.undo()
+        assert calls == [*eigh_calls, ("svd", shape)]
+        assert x is p
+        want_bound = reference_nuclear_projection(ball, p)[1]
+        assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+
+
+@pytest.mark.parametrize("shape", [(20, 20), (24, 31), (31, 24)])
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_a_threshold_below_the_accuracy_guard_falls_back_to_the_svd_bits(
+        monkeypatch, shape, rank):
+    """A rank-deficient point just outside the ball has a threshold theta far
+    below 2**-12 s_1, where the Gram matrix's spurious singular values would
+    matter: the SVD path's projection and certificate come back, bit for bit.
+    Pushed further out, the same point takes the Gram path."""
+    ball = NuclearNormBall(*shape, radius=1.5)
+    gen = np.random.default_rng(23)
+    p = low_rank_point(gen, shape, rank, ball.radius * (1.0 + 1e-9))
+    assert ball._gram_nearest(2.0 * p) is not None
+    calls = counted_decompositions(monkeypatch)
+    x, bound = ball._project(p)
+    monkeypatch.undo()
+    assert calls == [("eigh", min(shape)), ("svd", shape)]
+    want, want_bound = reference_nuclear_projection(ball, p)
+    assert x.tobytes() == want.tobytes()
+    assert np.float64(bound).tobytes() == np.float64(want_bound).tobytes()
+
+
+
 def test_public_operations_are_the_certified_ones_without_the_certificate():
     gen = np.random.default_rng(5)
     ball = NuclearNormBall(4, 7, 2.0)
@@ -550,6 +702,8 @@ NON_FINITE_CASES = {
     "Simplex": (Simplex(3), np.array([0.2, 0.3, 0.5])),
     "Box": (Box([0.0, 0.0], [1.0, 1.0]), np.array([0.5, 0.5])),
     "NuclearNormBall": (NuclearNormBall(2, 2, 1.0), np.full((2, 2), 0.1)),
+    # a Gram side of 20, where the projection starts from the Gram matrix
+    "NuclearNormBall-20x33": (NuclearNormBall(20, 33, 1.0), np.full((20, 33), 0.1)),
 }
 
 
@@ -562,7 +716,7 @@ def test_every_projection_refuses_a_non_finite_entry_naming_the_set(name, bad):
     point = point.copy()
     point.flat[1] = bad
     for project in (fset.project, fset._project):
-        with pytest.raises(ValueError, match=f"non-finite entry onto {name}$"):
+        with pytest.raises(ValueError, match=f"non-finite entry onto {type(fset).__name__}$"):
             project(point)
 
 
@@ -577,7 +731,7 @@ def test_a_non_finite_point_is_not_contained_and_a_non_finite_direction_has_no_l
     point = point.copy()
     point.flat[1] = bad
     assert fset.contains(point) is False
-    with pytest.raises(ValueError, match=f"non-finite entry over {name}$"):
+    with pytest.raises(ValueError, match=f"non-finite entry over {type(fset).__name__}$"):
         fset.lmo(point)
     assert capfd.readouterr().err == ""
 

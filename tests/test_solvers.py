@@ -248,10 +248,12 @@ class TestPmvrRun:
         assert counts["value"] == want_sfo
         assert counts["jacobian"] == want_sfo
 
-    @pytest.mark.parametrize("solver", ["pmvr", "pmvr-v2", "baseline", "stagewise"])
+    @pytest.mark.parametrize(
+        "solver", ["pmvr", "pmvr-v2", "baseline", "stagewise", "baseline-20x20"])
     def test_metric_cadence_does_not_change_trajectory(self, solver):
         # metric rows read exact oracles only: the iterate, the trackers and
-        # the counters are the same at every cadence
+        # the counters are the same at every cadence. On the 20 x 20 ball the
+        # rows' projections, like the steps', come from the Gram matrix
         params = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=20)
         problem, fset, x1 = two_level_tracking_problem(), Simplex(5), np.full(5, 0.2)
         entry = pmvr_run
@@ -260,6 +262,9 @@ class TestPmvrRun:
                 stages=[replace(params, iters=10), replace(params, eta=0.02, alpha=0.2, iters=12)],
                 targets=[0.5, 0.25],
             )
+        elif solver == "baseline-20x20":
+            problem, fset = single_index_problem(SingleIndexConfig(m=20, n=20, sigma=0.1))
+            x1, entry, params = problem.x_start, projected_baseline_run, replace(params, iters=15)
         elif solver != "pmvr":
             problem, fset = single_index_problem(SingleIndexConfig(m=5, n=7, sigma=0.1))
             x1 = problem.x_start
@@ -1190,6 +1195,9 @@ def nuclear_state(solver, m=4, n=3, radius=1.0, eta=1.0, seed=0, x1=None):
 )
 # a subnormal step size: its roundings err by an absolute 2**-1075
 @example(solver="pmvr", m=1, n=2, log_radius=0.0, eta=5e-324, start=0.0, seed=0)
+# baseline steps projected from the Gram matrix, at a Gram side of 20 in both orientations
+@example(solver="baseline", m=20, n=24, log_radius=0.0, eta=1.0, start=0.5, seed=0)
+@example(solver="baseline", m=24, n=20, log_radius=-1.0, eta=0.02, start=1.0, seed=3)
 def test_carried_bound_covers_every_iterate(solver, m, n, log_radius, eta, start, seed):
     radius = 10.0**log_radius
     gen = np.random.default_rng(seed)
