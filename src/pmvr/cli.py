@@ -75,6 +75,8 @@ def execute_rep(cfg, seed):
     if override is not None:
         fset = override
         x1 = fset.project(x1)
+        if cfg.problem["name"] == "quadratic_distance":  # its F* depends on the set
+            problem = PROBLEMS["quadratic_distance"].build(cfg.problem, fset)[0]
     schedule = build_schedule(cfg, problem)
     rng = RandomSource(seed)
     trace_cfg = TraceConfig(
@@ -228,11 +230,9 @@ def _reproduce_configs(experiment, scale, data_path):
 
 
 def cmd_reproduce(args):
-    out_dir = os.environ.get("PMVR_OUT_DIR", "runs")
     configs = _reproduce_configs(args.experiment, args.scale, args.data)
     for algo, raw in configs.items():
-        raw = dict(raw)
-        raw["out"] = out_dir
+        # validation gives ``out`` its default, PMVR_OUT_DIR or runs
         cfg = validate_config(raw, name=f"{args.experiment}_{args.scale}_{algo}")
         paths, agg_path, _ = run_config(cfg)
         print(f"{algo}: {len(paths)} traces, aggregate {agg_path}")

@@ -16,16 +16,16 @@ class ShapeMismatchError(ValueError):
     pass
 
 
-def _count(value, what):
-    """``value`` as an int >= 1, else ValueError ``<what> must be an integer
-    >= 1``; ``operator.index`` takes Python and numpy integers, and a bool,
-    which it would take as 0 or 1, is refused."""
+def _count(value, what, least=1):
+    """``value`` as an int >= ``least``, else ValueError ``<what> must be an
+    integer >= <least>``; ``operator.index`` takes Python and numpy
+    integers, and a bool, which it would take as 0 or 1, is refused."""
     try:
-        n = 0 if isinstance(value, bool) else operator.index(value)
+        n = least - 1 if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        n = 0
-    if n < 1:
-        raise ValueError(f"{what} must be an integer >= 1, got {value!r}")
+        n = least - 1
+    if n < least:
+        raise ValueError(f"{what} must be an integer >= {least}, got {value!r}")
     return n
 
 

@@ -441,9 +441,11 @@ def _single_index(spec):
     return problem, ball, problem.x_start
 
 
-def _quadratic_distance(spec):
+def _quadratic_distance(spec, fset=None):
+    """(problem, set, start) of ||x - c||^2 over ``fset``, by default the
+    simplex; its F* = ||proj(c) - c||^2 is the set's."""
     d = len(spec["c"])
-    fset = Simplex(d)
+    fset = Simplex(d) if fset is None else fset
     problem = benchmarks.quadratic_distance_problem(np.asarray(spec["c"]), fset, spec["noise"])
     return problem, fset, np.full(d, 1.0 / d)
 
@@ -693,9 +695,8 @@ def resolve_schedule(sched, beta, problem=None):
         return _check_samples("schedule.explicit", _params(sched["explicit"]))
     if mode == "stages":
         stages = [_params({**sched, **st}) for st in sched["stages"]]
-        targets = [1.0 / 2**s for s in range(1, len(stages) + 1)]
         try:
-            out = StageSchedule(stages=stages, targets=targets)
+            out = StageSchedule(stages=stages)
         except ValueError as exc:  # stages out of order
             raise ConfigError("schedule.stages", str(exc)) from None
         return _check_samples("schedule.stages", out)

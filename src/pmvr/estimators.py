@@ -1,23 +1,25 @@
 """Variance-reduced recursive trackers for inner values and the gradient.
 
-The STORM state is plain arrays: u[i] tracks f_{i+1}(u^i) (the last entry
-the scalar objective) and v the overall gradient in the decision
-variable's shape. Every tracker follows one recursion with the momentum a
-the caller passes (a solver stage's alpha): new estimate = (1-a)*previous
-+ batch mean at the new point - (1-a)*batch mean at the old point, with the
-SAME batch used for both means, which keeps the difference term small when
-consecutive points are close. An empty tracker (None) takes the batch mean,
-so initialization is one update on the B0 batch; with no old point the
-recursion is the moving average (1-a)*previous + a*mean, as the baseline's.
+The STORM state is plain arrays: u[i] tracks f_{i+1}(u^i) for the K - 1
+inner levels, the inputs of levels 2..K (none for K = 1), and v the
+overall gradient in the decision variable's shape; the last level's value,
+which feeds nothing, is not tracked. Every tracker follows one recursion
+with the momentum a the caller passes (a solver stage's alpha): new
+estimate = (1-a)*previous + batch mean at the new point - (1-a)*batch mean
+at the old point, with the SAME batch used for both means, which keeps the
+difference term small when consecutive points are close. An empty tracker
+(None) takes the batch mean, so initialization is one update on the B0
+batch; with no old point the recursion is the moving average
+(1-a)*previous + a*mean, as the baseline's.
 
 Every update is one walk along the level chain. It asks each level for its
-stochastic first-order oracles (one SFO: a sample's value and Jacobian) at
-the new and the old chain input, and counts them where it evaluates them.
-The values feed the value trackers, whose updates are the next level's
-inputs; the Jacobians feed one chain product for the gradient tracker. The
-old chain is the previous iterate through the trackers before the update.
-An oracle's output is read, never written, so an oracle may return an
-array it keeps.
+stochastic first-order oracles (one SFO: a sample's value and Jacobian,
+the last level's Jacobian alone) at the new and the old chain input, and
+counts them where it evaluates them. The values feed the value trackers,
+whose updates are the next level's inputs; the Jacobians feed one chain
+product for the gradient tracker. The old chain is the previous iterate
+through the trackers before the update, [x_old, *u]. An oracle's output is
+read, never written, so an oracle may return an array it keeps.
 
 The update is evaluated as (1-a)*prev + a*mean_old + (mean_new - mean_old),
 which is algebraically identical and makes the telescoping case exact: with
@@ -55,26 +57,27 @@ _SLICE_ENTRIES = 2**16
 
 
 def _walk(problem, x, old_chain, batches, next_input, counters=None):
-    """Evaluate each level's (value, Jacobian) pairs on its batch at its new
-    chain input and, unless ``old_chain`` is None, at its old one.
+    """Evaluate each level's SFOs on its batch at its new chain input and,
+    unless ``old_chain`` is None, at its old one.
 
     The batches are checked before any draw or oracle call: one per level,
     of one non-empty size, with an old chain of one input per level, else
     ValueError. The slice width, at most _SLICE_ENTRIES entries of the
     largest Jacobian, is then fixed for the whole walk, so every level runs
     the same slices (one view of the whole, if the batch fits in one). Per
-    slice, the values are summed into the level's mean and the Jacobians
-    multiply the running per-sample product. A non-last level keeps that
-    product as a list of one array per slice, and slice s of the next level
-    multiplies entry s; the last level reduces it. Every sum starts from 0.0
-    (``initial=0.0``) and adds the slices in order, so an all-negative-zero
-    column sums to +0.0. K = 1 keeps one slice alive, and a streamed batch
-    (_Stream) is drawn slice by slice from its level's generator, so its
-    samples are never held whole either. Each oracle output goes through
+    slice, a non-last level's values are summed into its mean, and the
+    Jacobians multiply the running per-sample product. A non-last level
+    keeps that product as a list of one array per slice, and slice s of the
+    next level multiplies entry s; the last level, whose value oracle is
+    never called, reduces it. Every sum starts from 0.0 (``initial=0.0``)
+    and adds the slices in order, so an all-negative-zero column sums to
+    +0.0. K = 1 keeps one slice alive, and a streamed batch (_Stream) is
+    drawn slice by slice from its level's generator, so its samples are
+    never held whole either. Each oracle output goes through
     ``problems._checked``. ``next_input(i, mean_new, mean_old)`` (0-based
-    i, no old mean: None) turns level i's means into the next new input.
-    Adds points * B per level to the SFO counter; returns the flat gradient
-    means at the new chain and at the old one.
+    i < K - 1, no old mean: None) turns level i's means into the next new
+    input. Adds points * B per level to the SFO counter; returns the flat
+    gradient means at the new chain and at the old one.
     """
     levels = problem.levels
     k = len(levels)
@@ -107,9 +110,10 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
                 part = tuple(a[lo:hi] for a in batch) if isinstance(batch, tuple) else batch[lo:hi]
             vshape, jshape = (hi - lo, level.out_dim), (hi - lo, level.in_dim, level.out_dim)
             for p in points:
-                value = _checked(level.value(chains[p][i], part), vshape, i, "value")
-                total = np.add.reduce(value, axis=0, initial=0.0)
-                sums[p] = total if lo == 0 else sums[p] + total
+                if not last:
+                    value = _checked(level.value(chains[p][i], part), vshape, i, "value")
+                    total = np.add.reduce(value, axis=0, initial=0.0)
+                    sums[p] = total if lo == 0 else sums[p] + total
                 jac = _checked(level.jacobian(chains[p][i], part), jshape, i, "jacobian")
                 if i:
                     jac = prods[p][s] @ jac
@@ -120,7 +124,8 @@ def _walk(problem, x, old_chain, batches, next_input, counters=None):
                     jacs[p].append(jac)
         if counters is not None:
             counters.sfo += len(chains) * size
-        chains[0].append(next_input(i, sums[0] / size, sums[1] / size if old else None))
+        if not last:
+            chains[0].append(next_input(i, sums[0] / size, sums[1] / size if old else None))
         prods = jacs
     return jacs[0].reshape(-1) / size, jacs[1].reshape(-1) / size if old else None
 
@@ -151,15 +156,16 @@ def _level_batches(problem, rng, size):
 def init_trackers(problem, x1, b0, rng, counters=None):
     """Plain B0-sample mini-batch means along the chain u^0 = x1: one update
     of empty trackers on the batch of iteration 0, so no momentum is read.
-    Returns (u, v); a B0 that is not an integer >= 1 raises ValueError.
+    Returns (u, v), u holding K - 1 value trackers; a B0 that is not an
+    integer >= 1 raises ValueError.
 
     Each level draws the next batch of its stream, a generative level's
-    slice by slice inside the walk, and each sample's (value, Jacobian) pair
-    is evaluated once per level.
+    slice by slice inside the walk, and each sample's SFO is evaluated once
+    per level.
     """
     b0 = _count(b0, "initialization batch size")
     batches = _level_batches(problem, rng, b0)
-    return storm_update([None] * problem.k, None, 1.0, problem, x1, None, batches, counters)
+    return storm_update([None] * (problem.k - 1), None, 1.0, problem, x1, None, batches, counters)
 
 
 def _recursion(prev, alpha, mean_new, mean_old):
@@ -180,21 +186,23 @@ def storm_update(u, v, alpha, problem, x, x_old, batches, counters=None):
     mean. Returns (new u, new v); of its arguments, only ``counters``
     changes.
 
-    The new chain runs from the iterate ``x`` through the updated value
-    trackers, the old one [x_old, u[0], .., u[K-2]] from the previous
-    iterate through the trackers as they are. With no old point (``x_old``
-    None: a first step, or a moving average; or empty value trackers) each
-    level is evaluated at one point. ``batches`` holds one batch per level:
-    drawn samples, or a generative level's _Stream (``_level_batches``). A
-    ``u`` of other than K trackers raises ValueError here, and batches of
-    another count or of mismatched or zero sizes raise it in the walk, once
-    per update; both come before any draw or oracle call.
+    ``u`` holds the K - 1 value trackers of the inner levels. The new chain
+    runs from the iterate ``x`` through the updated value trackers, the old
+    one [x_old, *u] from the previous iterate through the trackers as they
+    are. With no old point (``x_old`` None: a first step, or a moving
+    average; or empty value trackers) each level is evaluated at one point.
+    ``batches`` holds one batch per level: drawn samples, or a generative
+    level's _Stream (``_level_batches``). A ``u`` of other than K - 1
+    trackers raises ValueError here, and batches of another count or of
+    mismatched or zero sizes raise it in the walk, once per update; both
+    come before any draw or oracle call.
     """
-    if len(u) != problem.k:
-        raise ValueError(f"K = {problem.k} levels need K value trackers, got len(u) = {len(u)}")
+    if len(u) != problem.k - 1:
+        raise ValueError(
+            f"K = {problem.k} levels need K - 1 value trackers, got len(u) = {len(u)}")
     old_chain = None
     if x_old is not None and all(a is not None for a in u):
-        old_chain = [problem.flatten(x_old), *u[:-1]]
+        old_chain = [problem.flatten(x_old), *u]
     u = list(u)
 
     def track(i, mean_new, mean_old):

@@ -4,8 +4,10 @@ All three criteria are computed from the problem's exact oracles, so the
 plotted curves are noise-free. Evaluating a metric never touches the
 oracle counters: those count solver work only.
 
-Counter conventions (one SFO = one sample's (value, Jacobian) pair at one
-level and point, so a batch oracle call on B samples counts B):
+Counter conventions (one SFO = one sample's stochastic first-order oracle
+at one level and point, so a batch oracle call on B samples counts B; an
+inner level's SFO is its (value, Jacobian) pair, the last level's its
+Jacobian, since its value feeds no tracker):
 
 * initialization with batch B0 costs K*B0,
 * the first solver step evaluates each sample at a single chain point per

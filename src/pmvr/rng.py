@@ -11,27 +11,13 @@ run on a source continues its level streams, and a new
 
 from __future__ import annotations
 
-import operator
-
 import numpy as np
+
+from .core import _count
 
 STREAM_TAU_BASE = 2**40  # split 2**40 + stage draws a run's returned-iterate index
 CHUNK = 4096  # a finite level draws its indices ahead, this many at a time
 _NO_INDICES = np.empty(0, dtype=np.int64)
-
-
-def _nonnegative_int(value, what):
-    """``value`` as an int >= 0; a bool, which ``operator.index`` would take
-    as 0 or 1, is refused."""
-    try:
-        if isinstance(value, bool):
-            raise TypeError
-        n = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be a non-negative integer, got {value!r}") from None
-    if n < 0:
-        raise ValueError(f"{what} must be a non-negative integer, got {n}")
-    return n
 
 
 class LevelStream:
@@ -70,15 +56,15 @@ class RandomSource:
     seed (below SEED_LIMIT), path entries and split indices are integers >= 0."""
 
     def __init__(self, seed, path=()):
-        seed = _nonnegative_int(seed, "seed")
+        seed = _count(seed, "seed", 0)
         if seed >= SEED_LIMIT:
             raise ValueError(f"seed must be a 64-bit unsigned integer, got {seed}")
-        self.seed, self.path = seed, tuple(_nonnegative_int(p, "stream path entry") for p in path)
+        self.seed, self.path = seed, tuple(_count(p, "stream path entry", 0) for p in path)
         self._generator, self._levels = None, {}
 
     def split(self, index):
         """Derive the independent substream with the given index."""
-        return RandomSource(self.seed, self.path + (_nonnegative_int(index, "stream index"),))
+        return RandomSource(self.seed, self.path + (_count(index, "stream index", 0),))
 
     @property
     def generator(self):

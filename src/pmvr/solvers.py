@@ -58,7 +58,7 @@ class NonFiniteStateError(RuntimeError):
     iteration and level.
 
     ``level`` is 0 for the iterate x (the chain's input), the value
-    tracker's level 1..K, or None for the gradient tracker.
+    tracker's level 1..K-1, or None for the gradient tracker.
     """
 
     def __init__(self, iteration, level):
@@ -115,23 +115,25 @@ class StageSchedule:
 
     The stage-wise adaptation runs stages whose T does not decrease and
     whose eta and alpha do not increase; a list that breaks this, or has no
-    stage, or a target count other than its stage count, raises ValueError.
+    stage, raises ValueError.
     """
 
     stages: list
-    targets: list
     eps1: float = 1.0
 
     def __post_init__(self):
         if len(self.stages) < 1:
             raise ValueError("a stage schedule needs at least one stage")
-        if len(self.targets) != len(self.stages):
-            raise ValueError("one accuracy target per stage required")
         for a, b in zip(self.stages, self.stages[1:]):
             if b.iters < a.iters:
                 raise ValueError("stage iteration counts must be non-decreasing")
             if b.eta > a.eta + 1e-15 or b.alpha > a.alpha + 1e-15:
                 raise ValueError("eta and alpha must be non-increasing across stages")
+
+    @property
+    def targets(self):
+        """Stage s's accuracy target eps1 / 2**s, for s = 1..S."""
+        return [self.eps1 / 2**s for s in range(1, len(self.stages) + 1)]
 
 
 @dataclass
@@ -155,12 +157,12 @@ class SolverState:
 
     ``bound`` is what the set's certificate hooks carry for x (on the
     nuclear ball an upper bound on its nuclear norm, else None). ``u`` holds
-    the K value trackers and ``v`` the gradient tracker in x's shape, each
-    None while empty; their momentum is not state but each stage's
-    ``params.alpha``. pmvr keeps the STORM trackers and ``x_prev``, its
-    iterate before the last move (None until its first step). The baseline
-    keeps its moving averages in ``u``, its last gradient in ``v``, and
-    never sets ``x_prev``.
+    the K - 1 value trackers of the inner levels and ``v`` the gradient
+    tracker in x's shape, each None while empty; their momentum is not state
+    but each stage's ``params.alpha``. pmvr keeps the STORM trackers and
+    ``x_prev``, its iterate before the last move (None until its first
+    step). The baseline keeps its moving averages in ``u``, its last
+    gradient in ``v``, and never sets ``x_prev``.
     """
 
     x: np.ndarray
@@ -256,7 +258,7 @@ def _start_state(problem, fset, x1):
     bound = fset._bound(x1)
     if not fset._admits(x1, bound, FEASIBILITY_TOL):
         raise FeasibilityError("initial point is infeasible")
-    return SolverState(x=x1, counters=OracleCounters(), bound=bound, u=[None] * problem.k)
+    return SolverState(x=x1, counters=OracleCounters(), bound=bound, u=[None] * (problem.k - 1))
 
 
 def _check_finite(state, iteration):
@@ -584,4 +586,4 @@ def schedule_for(criterion, batch_mode, eps, constants=None,
 
     if not stagewise:
         return params(eps)
-    return StageSchedule(stages=[params(e) for e in targets], targets=targets, eps1=c.eps1)
+    return StageSchedule(stages=[params(e) for e in targets], eps1=c.eps1)

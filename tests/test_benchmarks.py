@@ -251,6 +251,22 @@ class TestQuadraticDistanceToy:
         assert abs(vals.mean() - want) <= 5 * vals.std() / np.sqrt(len(vals))
 
 
+@pytest.mark.parametrize("noise", [0.0, 0.5])
+def test_two_level_tracking_oracles_average_to_exact(noise):
+    """Each level's stochastic value and Jacobian average to its exact ones
+    along the exact chain, within 5 standard errors (equal without noise)."""
+    problem = two_level_tracking_problem(d=3, p=2, value_noise=noise, jac_noise=noise)
+    samples = problem.levels[0].samples.draw(RandomSource(5).split(1).generator, 20_000)
+    point = np.array([0.2, -0.4, 0.7])
+    for level in problem.levels:
+        for oracle, exact in ((level.value, level.exact_value),
+                              (level.jacobian, level.exact_jacobian)):
+            got = oracle(point, samples)
+            error = np.abs(got.mean(axis=0) - exact(point))
+            assert (error <= 5 * got.std(axis=0) / np.sqrt(len(got)) + 1e-12).all()
+        point = level.exact_value(point)
+
+
 # --- sample streams: each batched draw against the per-sample reference loop --
 
 

@@ -422,6 +422,27 @@ class TestRun:
                    out=str(tmp_path / "o"))
         assert cli.main(["run", "--config", write_config(tmp_path, cfg)]) == 0
 
+    @pytest.mark.parametrize("half_width", [5.0, 0.5])
+    def test_a_set_override_on_quadratic_distance_sets_its_optimum(self, half_width):
+        """||x - c||^2 is built over the box the run uses: F* = 0 for a box
+        that contains c, else ||clip(c) - c||^2, so no gap falls below 0."""
+        c = np.array([2.0, -1.0])
+        cfg = validate_config({
+            "problem": {"name": "quadratic_distance", "c": c.tolist(), "noise": 0.0},
+            "set": {"kind": "box", "lower": [-half_width] * 2, "upper": [half_width] * 2},
+            "algorithm": "pmvr",
+            "schedule": {"explicit": {"eta": 0.5, "alpha": 1.0, "b0": 1, "b1": 1, "t": 20}},
+            "seed": 1,
+        })
+        trace, _ = cli.execute_rep(cfg, 1)
+        gap = np.clip(c, -half_width, half_width) - c
+        f_star = float(gap @ gap)
+        assert f_star == (0.0 if half_width == 5.0 else 2.5)
+        assert len(trace) == 21
+        for row in trace:
+            assert row.objective - row.opt_gap == pytest.approx(f_star, abs=1e-12)
+            assert row.opt_gap >= -1e-9
+
     def test_problem_built_once_per_repetition(self, tmp_path, monkeypatch):
         calls = []
         build = cli.build_problem
@@ -560,7 +581,7 @@ def reference_schedule(cfg, problem):
     if sched["mode"] == "explicit":
         return params(sched["explicit"])
     stages = [params({**sched, **st}) for st in sched["stages"]]
-    return StageSchedule(stages=stages, targets=[1.0 / 2**s for s in range(1, len(stages) + 1)])
+    return StageSchedule(stages=stages)
 
 
 STAGE = {"eta": 0.2, "alpha": 0.5, "b1": 2, "t": 4}
@@ -648,13 +669,24 @@ class TestScheduleResolution:
         ([STAGE, dict(STAGE, eta=0.25)], "eta and alpha must be non-increasing across stages"),
         ([STAGE, dict(STAGE, alpha=0.75)], "eta and alpha must be non-increasing across stages"),
         ([], "a stage schedule needs at least one stage"),
-        ([STAGE], "one accuracy target per stage required"),
     ])
     def test_stage_schedule_refuses_stages_out_of_order(self, stages, message):
         params = [SolverParams(eta=st["eta"], alpha=st["alpha"], b0=1, b1=st["b1"],
                                iters=st["t"]) for st in stages]
         with pytest.raises(ValueError, match=message):
-            StageSchedule(stages=params, targets=[0.5, 0.25])
+            StageSchedule(stages=params)
+
+    @pytest.mark.parametrize("schedule, eps1", [
+        ({"stages": [STAGE, LATER], "b0": 5}, 1.0),
+        ({"theorem": "thm6", "eps": 0.2, "constants": {"eps1": 0.5}}, 0.5),
+    ])
+    def test_the_sidecar_records_eps1_halved_per_stage(self, schedule, eps1):
+        cfg = validate_config(dict(BASE, problem={"name": "quadratic_distance"},
+                                   algorithm="stagewise", schedule=schedule, beta=0.25))
+        problem, _, _ = cli.build_problem(cfg.problem)
+        described = data_io.describe_schedule(cli.build_schedule(cfg, problem))
+        assert len(described["stages"]) == 2 and described["eps1"] == eps1
+        assert described["targets"] == [eps1 / 2, eps1 / 4]
 
     def test_a_modulus_from_the_problem_is_required(self):
         cfg = validate_config(dict(BASE, algorithm="stagewise-v2",
@@ -757,6 +789,17 @@ class TestReproduce:
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: data: --data is read only by")
         assert not out.exists()
+
+    @pytest.mark.parametrize("env, out", [("elsewhere", "elsewhere"), (None, "runs")])
+    def test_every_recipe_writes_to_validations_default_out(self, env, out, monkeypatch):
+        outs = []
+        monkeypatch.setattr(cli, "run_config", lambda cfg: outs.append(cfg.out) or ([], "", ""))
+        if env is None:
+            monkeypatch.delenv("PMVR_OUT_DIR", raising=False)
+        else:
+            monkeypatch.setenv("PMVR_OUT_DIR", env)
+        assert cli.main(["reproduce", "--experiment", "mv-portfolio", "--scale", "desk"]) == 0
+        assert outs == [out] * 3
 
     @staticmethod
     def _agg_column(path, column):

@@ -62,13 +62,27 @@ def linear_problem():
     )])
 
 
+def tracked_linear_problem():
+    """linear_problem read by a noise-free identity level 2, so that its
+    value is an inner one, tracked by u[0]; F is unchanged."""
+    identity = Level(
+        1, 1,
+        lambda y, idx: np.broadcast_to(y, (len(idx), 1)),
+        lambda y, idx: np.ones((len(idx), 1, 1)),
+        lambda y: y.copy(),
+        lambda y: np.ones((1, 1)),
+        FiniteSamples(1),
+    )
+    return CompositionalProblem([*linear_problem().levels, identity])
+
+
 R_STORM, T_STORM, ALPHA, B0, B1 = 1000, 10, 0.3, 64, 4
 
 
 def storm_paths():
     """The trackers (u, v_1, v_2) after initialization and after each of
     T_STORM steps at eta = 0, one row per seed: an (R, T + 1, 3) array."""
-    problem, fset = linear_problem(), Simplex(2)
+    problem, fset = tracked_linear_problem(), Simplex(2)
     params = SolverParams(eta=0.0, alpha=ALPHA, b0=B0, b1=B1, iters=T_STORM)
     paths = np.empty((R_STORM, T_STORM + 1, 3))
     for r in range(R_STORM):

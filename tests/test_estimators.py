@@ -48,6 +48,23 @@ def additive_noise_scalar_level():
     )
 
 
+def scalar_value_update(u0, alpha, x, x_old, noise):
+    """The tracker of the additive-noise scalar level after one storm_update
+    from ``u0`` on the batch ``noise``. A noise-free identity level 2 reads
+    it, so the tracker is an inner one; both levels share the batch."""
+    identity = Level(
+        1, 1,
+        lambda y, s: np.broadcast_to(y, (len(s), 1)),
+        lambda y, s: np.ones((len(s), 1, 1)),
+        lambda y: y.copy(),
+        lambda y: np.ones((1, 1)),
+        samples=GenerativeSamples(lambda gen, n: gen.normal(0, 1, size=n)),
+    )
+    problem = CompositionalProblem([additive_noise_scalar_level(), identity])
+    u, _ = storm_update([u0], None, alpha, problem, x, x_old, [noise, noise])
+    return u
+
+
 def deterministic_two_level():
     """Zero-noise chain: f1(x) = (x1+x2, x1-x2), f2(y) = y1*y2."""
     a = np.array([[1.0, 1.0], [1.0, -1.0]])
@@ -123,7 +140,7 @@ class TestInit:
         problem = finite_noisy_problem()
         x = np.array([0.5, 0.5])
         u, _ = init_trackers(problem, x, 1, RandomSource(3))
-        assert len(u) == 2
+        assert len(u) == 1
 
     def test_rejects_empty_batch(self):
         problem = deterministic_two_level()
@@ -132,8 +149,8 @@ class TestInit:
 
     def test_rejects_an_oracle_that_ignores_the_batch_axis(self):
         problem = deterministic_two_level()
-        problem.levels[1] = replace(
-            problem.levels[1], value=lambda y, s: np.array([y[0] * y[1]])
+        problem.levels[0] = replace(
+            problem.levels[0], value=lambda x, s: np.array([x[0] + x[1]])
         )
         with pytest.raises(ShapeMismatchError, match=r"value oracle returned shape \(1,\)"):
             init_trackers(problem, np.zeros(2), 3, RandomSource(0))
@@ -150,39 +167,28 @@ class TestInit:
 
 class TestValueUpdate:
     def test_momentum_off_is_batch_mean(self):
-        level = additive_noise_scalar_level()
-        problem = CompositionalProblem([level])
-        u, _ = storm_update(
-            [np.array([9.0])], None, 1.0, problem, np.array([2.0]), np.array([1.0]),
-            [[0.25, -0.25]],
+        u = scalar_value_update(
+            np.array([9.0]), 1.0, np.array([2.0]), np.array([1.0]), [0.25, -0.25]
         )
         got = u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-12)
 
     def test_hand_substitution(self):
         # 0.5*2 + f(1.5; 0) - 0.5*f(1.0; 0) = 2.0
-        level = additive_noise_scalar_level()
-        problem = CompositionalProblem([level])
-        u, _ = storm_update(
-            [np.array([2.0])], None, 0.5, problem, np.array([1.5]), np.array([1.0]), [[0.0]]
-        )
+        u = scalar_value_update(np.array([2.0]), 0.5, np.array([1.5]), np.array([1.0]), [0.0])
         got = u[0]
         assert got[0] == pytest.approx(2.0, abs=1e-15)
 
     def test_telescoping_is_bit_stationary(self):
-        level = additive_noise_scalar_level()
-        problem = CompositionalProblem([level])
         before = np.array([0.123456789e-3])
         point = np.array([1.7])
-        u, _ = storm_update([before.copy()], None, 0.0, problem, point, point, [[0.4, -1.2]])
+        u = scalar_value_update(before.copy(), 0.0, point, point, [0.4, -1.2])
         got = u[0]
         assert got[0] == before[0]  # exact bit-level equality
 
     def test_rejects_empty_batch(self):
-        level = additive_noise_scalar_level()
-        problem = CompositionalProblem([level])
         with pytest.raises(ValueError):
-            storm_update([np.zeros(1)], None, 0.5, problem, np.zeros(1), np.zeros(1), [[]])
+            scalar_value_update(np.zeros(1), 0.5, np.zeros(1), np.zeros(1), [])
 
 
 class TestGradientUpdate:
@@ -190,7 +196,7 @@ class TestGradientUpdate:
         problem = deterministic_two_level()
         x = np.array([0.2, 0.5])
         # the level-1 tracker holds the old chain's input f_1(x)
-        u = [problem.levels[0].exact_value(x), np.zeros(1)]
+        u = [problem.levels[0].exact_value(x)]
         _, got = storm_update(u, np.zeros(2), 1.0, problem, x, x, [[0], [0]])
         assert np.allclose(got, exact_gradient(problem, x), atol=1e-12)
 
@@ -201,16 +207,16 @@ class TestGradientUpdate:
         v0 = np.array([0.31, -0.17])
         # the level-1 tracker is the old chain's input, so both chains agree
         _, got = storm_update(
-            [chain[1].copy(), np.zeros(1)], v0.copy(), 0.0, problem, x, x, [[2, 4], [1, 3]]
+            [chain[1].copy()], v0.copy(), 0.0, problem, x, x, [[2, 4], [1, 3]]
         )
         assert np.array_equal(got, v0)
 
     def test_wrong_chain_length(self):
-        # one value tracker for two levels: the old chain it makes is too short
+        # no value tracker for two levels: the old chain it makes is too short
         problem = deterministic_two_level()
         with pytest.raises(ValueError):
             storm_update(
-                [np.zeros(2)], np.zeros(2), 0.5, problem, np.zeros(2), np.zeros(2), [[0], [0]]
+                [], np.zeros(2), 0.5, problem, np.zeros(2), np.zeros(2), [[0], [0]]
             )
 
 
@@ -296,7 +302,7 @@ def test_batch_means_equal_the_average_of_single_sample_batches(name, seed, b):
     problem, chain, batches = batch_case(name, seed, b)
     got = walk_means(problem, chain, batches)
     want = per_sample_means(problem, chain, batches)
-    assert len(got) == problem.k + 1
+    assert len(got) == problem.k
     for g, w in zip(got, want):
         assert_rel_close(g, w)
 
@@ -310,7 +316,7 @@ def test_sliced_reduction_of_large_jacobians():
     point = problem.x_start.reshape(-1)
     got = walk_means(problem, [problem.x_start], [batch])
     want = per_sample_means(problem, [problem.x_start], [batch])
-    for oracle, g, w in zip(("value", "jacobian"), got, want):
+    for oracle, g, w in zip(("jacobian",), got, want, strict=True):
         assert_rel_close(g, w)
         whole = getattr(level, oracle)(point, batch).mean(axis=0).reshape(-1)
         assert_rel_close(g, whole)
@@ -592,14 +598,15 @@ def direct_recursion(problem, prev_u, prev_v, alpha, x, old_chain, batches):
     u = []
     prods = {"new": None, "old": None}
     for i, (level, batch) in enumerate(zip(problem.levels, batches)):
-        m_new = level.value(new_point, batch).mean(axis=0)
-        m_old = level.value(old_chain[i], batch).mean(axis=0)
-        u.append((1.0 - alpha) * prev_u[i] + alpha * m_old + (m_new - m_old))
+        if i < len(prev_u):
+            m_new = level.value(new_point, batch).mean(axis=0)
+            m_old = level.value(old_chain[i], batch).mean(axis=0)
+            u.append((1.0 - alpha) * prev_u[i] + alpha * m_old + (m_new - m_old))
         for key, point in (("new", new_point), ("old", old_chain[i])):
             jac = level.jacobian(point, batch)
             prev = prods[key]
             prods[key] = list(jac) if prev is None else [p @ j for p, j in zip(prev, jac)]
-        new_point = u[-1]
+        new_point = u[-1] if u else None
     g_new, g_old = (np.mean(prods[k], axis=0).reshape(-1) for k in ("new", "old"))
     want_v = (1.0 - alpha) * problem.flatten(prev_v) + alpha * g_old + (g_new - g_old)
     return u, problem.unflatten(want_v)
@@ -619,9 +626,9 @@ def test_storm_update_equals_the_direct_recursion(name, seed, b, alpha):
         gen.dirichlet(np.ones(problem.levels[0].in_dim)).reshape(problem.x_shape)
         for _ in range(2)
     )
-    prev_u = [gen.normal(size=level.out_dim) for level in problem.levels]
+    prev_u = [gen.normal(size=level.out_dim) for level in problem.levels[:-1]]
     prev_v = gen.normal(size=problem.x_shape)
-    old_chain = [problem.flatten(x_old)] + prev_u[:-1]
+    old_chain = [problem.flatten(x_old)] + prev_u
     batches = whole_batches(problem, RandomSource(seed), b)
     want_u, want_v = direct_recursion(problem, prev_u, prev_v, alpha, x_new, old_chain, batches)
     counters = OracleCounters()
@@ -639,7 +646,7 @@ def test_storm_update_leaves_its_arguments_unchanged():
     u_before, v_before, x_before = [a.copy() for a in u], v.copy(), x.copy()
     batches = _level_batches(problem, RandomSource(3), 4)
     new_u, new_v = storm_update(u, v, 0.5, problem, x + 0.01, x, batches)
-    assert new_u is not u and len(u) == problem.k
+    assert new_u is not u and len(u) == problem.k - 1
     assert all(np.array_equal(a, b) for a, b in zip(u, u_before, strict=True))
     assert np.array_equal(v, v_before)
     assert np.array_equal(x, x_before)
@@ -666,17 +673,17 @@ def test_empty_trackers_take_their_batch_means(name, seed, b, alpha, moved):
     )
     batches = whole_batches(problem, RandomSource(seed), b)
     u, v = storm_update(
-        [None] * problem.k, None, alpha, problem, x_new, x_old if moved else None, batches
+        [None] * (problem.k - 1), None, alpha, problem, x_new, x_old if moved else None, batches
     )
-    want = per_sample_means(problem, [x_new] + u[:-1], batches)
+    want = per_sample_means(problem, [x_new] + u, batches)
     for got, w in zip(u + [problem.flatten(v)], want, strict=True):
         assert_rel_close(got, w)
 
 
-@pytest.mark.parametrize("trackers", [1, 3])
+@pytest.mark.parametrize("trackers", [0, 2])
 @pytest.mark.parametrize("moved", [False, True])
-def test_storm_update_refuses_a_tracker_count_other_than_k(trackers, moved, monkeypatch):
-    """One value tracker per level: a list of another length is refused,
+def test_storm_update_refuses_a_tracker_count_other_than_k_minus_one(trackers, moved, monkeypatch):
+    """One value tracker per inner level: a list of another length is refused,
     naming K and its length, before any sample is drawn or counted."""
     problem = two_level_tracking_problem()
     x = np.full(5, 0.2)
@@ -762,12 +769,14 @@ def test_walk_means_are_running_sums_from_zero(seed, k, sliced, monkeypatch):
             rows = rows @ jacobians[batch[lo:hi]]
         return rows
 
-    for (values, _), got in zip(tables, means, strict=True):
+    for (values, _), got in zip(tables[:-1], means, strict=True):
         want = slice_by_slice_mean(lambda lo, hi: values[batch[lo:hi]], 24, width)
         assert got[0].tobytes() == want.tobytes() and got[1].tobytes() == want.tobytes()
     want = slice_by_slice_mean(product, 24, width).reshape(-1)
     assert grads[0].tobytes() == want.tobytes() and grads[1].tobytes() == want.tobytes()
-    assert means[0][0][0] == 0.0 and not np.signbit(means[0][0][0])
+    # level 1's first value column, or for K = 1 its first Jacobian row
+    first = means[0][0][0] if means else grads[0][0]
+    assert first == 0.0 and not np.signbit(first)
 
 
 # --- the walk checks its batches before any draw or oracle call -------------
@@ -790,18 +799,18 @@ COUNT_MESSAGE = "the walk needs one batch and one old chain input per level"
 
 
 @pytest.mark.parametrize("sizes, trackers, message", [
-    ((3, 2), 2, SIZES_MESSAGE),  # mismatched batch sizes
-    ((0, 0), 2, SIZES_MESSAGE),  # an empty batch
-    ((3,), 2, COUNT_MESSAGE),  # one batch for two levels
-    ((3, 3, 3), 2, COUNT_MESSAGE),  # three batches for two levels
-    ((3, 3), 1, r"K = 2 levels need K value trackers, got len\(u\) = 1$"),  # a short old chain
+    ((3, 2), 1, SIZES_MESSAGE),  # mismatched batch sizes
+    ((0, 0), 1, SIZES_MESSAGE),  # an empty batch
+    ((3,), 1, COUNT_MESSAGE),  # one batch for two levels
+    ((3, 3, 3), 1, COUNT_MESSAGE),  # three batches for two levels
+    ((3, 3), 0, r"K = 2 levels need K - 1 value trackers, got len\(u\) = 0$"),  # a short old chain
 ])
 def test_storm_update_refuses_its_batches_before_any_draw_or_oracle_call(
         sizes, trackers, message, monkeypatch):
     problem = refusing_problem()
     stream = [_Stream(RandomSource(0).split(1).generator, sizes[0])]
     batches = stream + [np.zeros(n, dtype=np.int64) for n in sizes[1:]]
-    u = [np.zeros(2), np.zeros(1)][:trackers]
+    u = [np.zeros(2)][:trackers]
     monkeypatch.setattr(estimators, "sample_batch", lambda *args: pytest.fail("a batch was drawn"))
     counters = OracleCounters()
     with pytest.raises(ValueError, match=message):

@@ -141,5 +141,5 @@ def test_repr_names_the_seed_and_the_path():
     ],
 )
 def test_bad_seeds_paths_and_indices_raise_value_error(build):
-    with pytest.raises(ValueError, match="non-negative integer|64-bit"):
+    with pytest.raises(ValueError, match="integer >= 0|64-bit"):
         build()

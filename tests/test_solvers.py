@@ -243,10 +243,38 @@ class TestPmvrRun:
         want_lmo = expected_lmo(iters, n_inner)
         assert res.state.counters.sfo == want_sfo
         assert res.state.counters.lmo == want_lmo
-        # one SFO call returns the (value, Jacobian) pair, so the raw oracle
-        # invocation counts must both equal the counter
-        assert counts["value"] == want_sfo
+        # one SFO call returns an inner level's (value, Jacobian) pair and the
+        # last level's Jacobian, so the raw Jacobian invocations equal the
+        # counter and the value invocations its K - 1 inner levels' share
+        assert counts["value"] == want_sfo // k * (k - 1)
         assert counts["jacobian"] == want_sfo
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("step", [pmvr_step, _baseline_step])
+    def test_k_minus_one_value_trackers_and_no_last_level_value_call(self, k, step):
+        """Initialization and every step keep one value tracker per inner
+        level, none for K = 1, and no walk asks the last level for a value;
+        the SFO counter keeps its closed forms."""
+        problem, counts = counted_problem(k)
+        problem.levels[-1] = replace(
+            problem.levels[-1], value=lambda *args: pytest.fail("last level's value oracle"))
+        fset, x1 = Simplex(3), np.full(3, 1 / 3)
+        params = SolverParams(eta=0.1, alpha=0.4, b0=3, b1=2, iters=4)
+        rng = RandomSource(9)
+        if step is pmvr_step:
+            state = started(problem, fset, params, x1, rng)
+            want = [expected_sfo(t, k, 3, 2) for t in range(5)]
+        else:
+            state = _start_state(problem, fset, x1)
+            want = [expected_baseline_sfo(t, k, 2) for t in range(5)]
+        lengths, sfo = [len(state.u)], [state.counters.sfo]
+        for _ in range(4):
+            step(state, problem, fset, params, rng)
+            lengths.append(len(state.u))
+            sfo.append(state.counters.sfo)
+        assert lengths == [k - 1] * 5 and sfo == want
+        assert counts["jacobian"] == want[-1]
+        assert counts["value"] == want[-1] // k * (k - 1)
 
     @pytest.mark.parametrize(
         "solver", ["pmvr", "pmvr-v2", "baseline", "stagewise", "baseline-20x20"])
@@ -260,7 +288,6 @@ class TestPmvrRun:
         if solver == "stagewise":
             entry, params = stagewise_run, StageSchedule(
                 stages=[replace(params, iters=10), replace(params, eta=0.02, alpha=0.2, iters=12)],
-                targets=[0.5, 0.25],
             )
         elif solver == "baseline-20x20":
             problem, fset = single_index_problem(SingleIndexConfig(m=20, n=20, sigma=0.1))
@@ -285,7 +312,7 @@ class TestStagewise:
         problem = two_level_tracking_problem()
         fset = Simplex(5)
         params = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=15)
-        schedule = StageSchedule(stages=[params], targets=[0.5])
+        schedule = StageSchedule(stages=[params])
         cfg = TraceConfig()
         a = stagewise_run(problem, fset, schedule, np.full(5, 0.2), RandomSource(4), trace=cfg)
         b = pmvr_run(problem, fset, params, np.full(5, 0.2), RandomSource(4), trace=cfg)
@@ -298,13 +325,13 @@ class TestStagewise:
         fset = Simplex(5)
         p1 = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=10)
         p2 = SolverParams(eta=0.02, alpha=0.2, b0=4, b1=2, iters=12)
-        schedule = StageSchedule(stages=[p1, p2], targets=[0.5, 0.25])
+        schedule = StageSchedule(stages=[p1, p2])
         res = stagewise_run(problem, fset, schedule, np.full(5, 0.2), RandomSource(5))
         x_end1, u_end1, v_end1, t_end1 = res.stage_ends[0]
         assert t_end1 == 10
         # replay stage 1 alone: its end state must match the handoff bitwise
         solo = stagewise_run(
-            problem, fset, StageSchedule(stages=[p1], targets=[0.5]),
+            problem, fset, StageSchedule(stages=[p1]),
             np.full(5, 0.2), RandomSource(5),
         )
         assert np.array_equal(solo.x_final, x_end1)
@@ -317,7 +344,7 @@ class TestStagewise:
         fset = Simplex(5)
         p1 = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=10)
         p2 = SolverParams(eta=0.02, alpha=0.2, b0=4, b1=2, iters=12)
-        schedule = StageSchedule(stages=[p1, p2], targets=[0.5, 0.25])
+        schedule = StageSchedule(stages=[p1, p2])
         res = stagewise_run(problem, fset, schedule, np.full(5, 0.2), RandomSource(5))
         x_end, u_end, v_end, t_end = res.stage_ends[1]
 
@@ -325,7 +352,7 @@ class TestStagewise:
             """Stage 1 alone, then stage 2's steps by hand with ``params``."""
             rng = RandomSource(5)
             solo = stagewise_run(
-                problem, fset, StageSchedule(stages=[p1], targets=[0.5]), np.full(5, 0.2), rng
+                problem, fset, StageSchedule(stages=[p1]), np.full(5, 0.2), rng
             )
             state = solo.state
             for _ in range(p2.iters):
@@ -344,7 +371,7 @@ class TestStagewise:
         problem = two_level_tracking_problem()
         fset = Simplex(5)
         params = SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=9)
-        both = StageSchedule(stages=[params, params], targets=[0.5, 0.25])
+        both = StageSchedule(stages=[params, params])
         cfg = TraceConfig()
         staged = stagewise_run(problem, fset, both, np.full(5, 0.2), RandomSource(6), trace=cfg)
         single = pmvr_run(
@@ -360,7 +387,7 @@ class TestStagewise:
         problem = two_level_tracking_problem()
         fset = Simplex(5)
         p = SolverParams(eta=0.05, alpha=0.3, b0=2, b1=1, iters=4)
-        schedule = StageSchedule(stages=[p, p], targets=[0.5, 0.25])
+        schedule = StageSchedule(stages=[p, p])
         res = stagewise_run(problem, fset, schedule, np.full(5, 0.2), RandomSource(7))
         stages = {row.stage for row in res.trace}
         assert stages == {0, 1, 2}
@@ -486,7 +513,7 @@ def _expected_schedule(criterion, mode, eps, c, lam, beta):
         return params(eps)
     n_stages = max(1, math.ceil(math.log2(c.eps1 / eps) - 1e-12)) if eps < c.eps1 else 1
     targets = [c.eps1 / 2**s for s in range(1, n_stages + 1)]
-    return StageSchedule(stages=[params(e) for e in targets], targets=targets, eps1=c.eps1)
+    return StageSchedule(stages=[params(e) for e in targets], eps1=c.eps1)
 
 
 _EPS_V2 = 2000.0 ** (-2.0 / 3.0)
@@ -602,7 +629,7 @@ def test_oversized_batch_warnings_name_the_entry_points_caller():
     problem = mean_variance_problem(data, 1.0)
     params = SolverParams(eta=0.1, alpha=0.5, b0=3, b1=5, iters=2)
     for run, schedule, count in ((pmvr_run, params, 2),
-                                 (stagewise_run, StageSchedule([params], [0.5]), 2),
+                                 (stagewise_run, StageSchedule([params]), 2),
                                  (projected_baseline_run, params, 1)):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -623,7 +650,7 @@ def test_an_infeasible_start_point_is_refused(run, case):
         problem, fset, _ = single_index_case()
         x1 = np.eye(4, 3)
     params = SolverParams(eta=0.1, alpha=0.5, b0=2, b1=2, iters=2)
-    schedule = StageSchedule([params], [0.5]) if run is stagewise_run else params
+    schedule = StageSchedule([params]) if run is stagewise_run else params
     with pytest.raises(FeasibilityError, match="^initial point is infeasible$"):
         run(problem, fset, schedule, x1, RandomSource(0))
 
@@ -662,12 +689,12 @@ def test_baseline_averages_exact_values_and_takes_the_chain_gradient_at_them():
     params = SolverParams(eta=0.2, alpha=alpha, b0=1, b1=3, iters=3)
     rng = RandomSource(4)
     state = _start_state(problem, fset, np.full(5, 0.2))
-    u = [None, None]
+    u = [None]
     for _ in range(3):
         x = state.x
         _baseline_step(state, problem, fset, params, rng)
         point = x
-        for i, level in enumerate(problem.levels):
+        for i, level in enumerate(problem.levels[:-1]):
             value = level.exact_value(point)
             u[i] = value if u[i] is None else (1.0 - alpha) * u[i] + alpha * value
             point = u[i]
@@ -831,7 +858,7 @@ def test_counters_match_closed_forms_for_every_entry_point(k, b0, b1s, iters, n_
     ts = sorted(iters[: len(b1s)])
     stages = [SolverParams(eta=0.1, alpha=0.4, b0=b0, b1=b, iters=t, subsolver=sub)
               for b, t in zip(b1s, ts)]
-    schedule = StageSchedule(stages=stages, targets=[0.5 ** s for s in range(1, len(stages) + 1)])
+    schedule = StageSchedule(stages=stages)
     res = stagewise_run(problem, fset, schedule, x1, RandomSource(3), trace=cfg)
     want = k * b0 + k * b1s[0] + 2 * (ts[0] - 1) * k * b1s[0]
     want += sum(2 * t * k * b for b, t in zip(b1s[1:], ts[1:]))
@@ -859,8 +886,9 @@ def test_metric_row_makes_one_exact_pass():
 
 
 def drifting_nan_problem(nan_level, d=4):
-    """Two-level F(x) = sum(A x) on the simplex whose level ``nan_level``
-    value oracle returns NaN once its input differs from the first one it saw."""
+    """F(x) = sum(A x) on the simplex, its last level the identity so that
+    levels 1 and 2 are tracked, whose level ``nan_level`` value oracle
+    returns NaN once its input differs from the first one it saw."""
     a = np.arange(1.0, 2.0 * d + 1).reshape(2, d) / d
     first = {}
 
@@ -877,6 +905,8 @@ def drifting_nan_problem(nan_level, d=4):
         Level(2, 1, noisy(2, lambda y: np.array([y.sum()])), lambda y, s: np.ones((len(s), 2, 1)),
               lambda y: np.array([y.sum()]), lambda y: np.ones((2, 1)),
               samples=FiniteSamples(3)),
+        Level(1, 1, noisy(3, lambda z: z.copy()), lambda z, s: np.ones((len(s), 1, 1)),
+              lambda z: z.copy(), lambda z: np.ones((1, 1)), samples=FiniteSamples(3)),
     ]
     return CompositionalProblem(levels), Simplex(d), np.full(d, 1.0 / d)
 
@@ -1056,7 +1086,6 @@ RUNS = {
                 SolverParams(eta=0.05, alpha=0.3, b0=4, b1=2, iters=6),
                 SolverParams(eta=0.02, alpha=0.2, b0=4, b1=3, iters=7),
             ],
-            targets=[0.5, 0.25],
         ),
         x1, rng,
     ),
@@ -1130,7 +1159,7 @@ def test_runs_of_any_length_start(run, total):
     runs = {
         "pmvr": lambda: pmvr_run(problem, fset, params, x1, RandomSource(1)),
         "stagewise": lambda: stagewise_run(
-            problem, fset, StageSchedule(stages=stages, targets=[0.5, 0.25]), x1, RandomSource(1)
+            problem, fset, StageSchedule(stages=stages), x1, RandomSource(1)
         ),
         "baseline": lambda: projected_baseline_run(
             problem, fset, replace(params, alpha=0.5, b0=1), x1, RandomSource(1)
